@@ -69,6 +69,13 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
+def _typed(value, field_name: str, kind: type | tuple, what: str = "an integer"):
+    """``value`` if it is a ``kind`` (never a bool), else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(field_name, f"must be {what}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     representation: int
@@ -145,35 +152,39 @@ class ExperimentConfig:
             if required not in raw:
                 raise ConfigError(required, "missing required field")
 
-        kwargs: dict = {
-            "representation": raw["representation"],
-            "subsystem_counts": raw["subsystem_counts"],
-            "output_dir": raw["output_dir"],
-        }
-        if "shots" in raw:
-            kwargs["shots"] = raw["shots"]
-        if "bond_length" in raw:
-            kwargs["bond_length"] = raw["bond_length"]
-        if "master_seed" in raw:
-            kwargs["master_seed"] = raw["master_seed"]
         sampling = raw.get("sampling", {})
         if not isinstance(sampling, dict):
             raise ConfigError("sampling", "must be an object")
-        mode = sampling.get("mode", "selective")
-        kwargs["sampling_mode"] = mode
-        if "k" in sampling:
-            kwargs["k_sets"] = sampling["k"]
-        if "s" in sampling:
-            kwargs["s_repetitions"] = sampling["s"]
         calibration = raw.get("calibration", {})
         if not isinstance(calibration, dict):
             raise ConfigError("calibration", "must be an object")
+        counts = _typed(raw["subsystem_counts"], "subsystem_counts", list, "a list of integers")
+        kwargs: dict = {
+            "subsystem_counts": [_typed(n, "subsystem_counts", int) for n in counts],
+            "output_dir": _typed(raw["output_dir"], "output_dir", str, "a string"),
+            "sampling_mode": sampling.get("mode", "selective"),
+        }
+        # (JSON object, key, name in errors, config field); all must be integers
+        integer_fields = (
+            (raw, "representation", "representation", "representation"),
+            (raw, "shots", "shots", "shots"),
+            (raw, "master_seed", "master_seed", "master_seed"),
+            (sampling, "k", "sampling.k", "k_sets"),
+            (sampling, "s", "sampling.s", "s_repetitions"),
+            (calibration, "synthetic_seed", "calibration.synthetic_seed", "calibration_seed"),
+            (calibration, "n_qubits", "calibration.n_qubits", "calibration_qubits"),
+        )
+        for source, key, name, attribute in integer_fields:
+            if key in source:
+                kwargs[attribute] = _typed(source[key], name, int)
+        if "bond_length" in raw:
+            kwargs["bond_length"] = _typed(
+                raw["bond_length"], "bond_length", (int, float), "a number"
+            )
         if "file" in calibration:
-            kwargs["calibration_file"] = calibration["file"]
-        if "synthetic_seed" in calibration:
-            kwargs["calibration_seed"] = calibration["synthetic_seed"]
-        if "n_qubits" in calibration:
-            kwargs["calibration_qubits"] = calibration["n_qubits"]
+            kwargs["calibration_file"] = _typed(
+                calibration["file"], "calibration.file", str, "a string"
+            )
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -415,13 +426,6 @@ def load_samples(run_dir: Path) -> list[SampleAggregate]:
             )
         )
     return aggregates
-
-
-@dataclass
-class AnalysisResult:
-    representation: int
-    regression: "RegressionSummary"
-    per_n_energy: dict[int, tuple[float, float]]   # N -> (mean, std) kcal/mol per H2
 
 
 @dataclass

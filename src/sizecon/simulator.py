@@ -7,12 +7,23 @@ applied, one bitstring is sampled from the squared amplitudes, and each bit
 is finally flipped independently per the physical qubit's readout confusion
 probabilities.
 
+Segments: no gate of the circuit or of the basis change crosses the cuts
+between contiguous qubit segments (one H2 block each in the benchmark; a
+connected circuit is one segment), so the pre-readout distribution is a
+product over segments. Each segment is evolved alone, on 2^(segment width)
+amplitudes, for each distinct noise pattern on its own gates. The outcome
+is drawn by the chain rule: walking the segments from qubit 0, each inverts
+its own cumulative distribution at the measurement draw, which is then
+rescaled into the chosen interval. In exact arithmetic this is the inverse-CDF
+draw over the whole register.
+
 Reproducibility: all randomness for a call comes from a Philox
 counter-based generator keyed by the seed. Shot ``i`` consumes row ``i`` of
 a ``(shots, budget)`` uniform block whose columns are, in order: one
 (event, pauli-choice) pair per noisy gate in circuit order, one measurement
-draw, then one readout draw per qubit. Shots are therefore independent of
-execution order and the same seed reproduces counts bit-exactly.
+draw, then one readout draw per qubit. The layout does not depend on the
+segments. Shots are therefore independent of execution order and the same
+seed reproduces counts bit-exactly.
 
 Statevector indexing: qubit 0 is the most significant bit of the basis
 index, matching the left-to-right bitstring convention.
@@ -22,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -100,20 +111,32 @@ class DeviceModel:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceModel":
+        """Parse ``to_json`` output; a missing or mistyped key raises a
+        ``ValueError`` that names it."""
         payload = json.loads(text)
+        keys = ("readout_p10", "readout_p01", "single_qubit_error")
         qubits = tuple(
-            QubitCalibration(
-                readout_p10=entry["readout_p10"],
-                readout_p01=entry["readout_p01"],
-                single_qubit_error=entry["single_qubit_error"],
-            )
-            for entry in payload["qubits"]
+            QubitCalibration(**{k: _json_field(e, k, (int, float), f"qubits[{i}].") for k in keys})
+            for i, e in enumerate(_json_field(payload, "qubits", list))
         )
-        pairs = {
-            (int(e["pair"][0]), int(e["pair"][1])): float(e["error"])
-            for e in payload.get("two_qubit_error", [])
-        }
+        pairs = {}
+        for j, entry in enumerate(_json_field(payload, "two_qubit_error", list, default=[])):
+            where = f"two_qubit_error[{j}]."
+            pair = _json_field(entry, "pair", list, where)
+            if len(pair) != 2 or any(type(t) is not int for t in pair):
+                raise ValueError(f"calibration: {where}pair is not two ints: {pair}")
+            pairs[(pair[0], pair[1])] = float(_json_field(entry, "error", (int, float), where))
         return cls(qubits, pairs)
+
+
+def _json_field(entry: object, key: str, kind: type | tuple, where: str = "", default=None):
+    """``entry[key]`` of a calibration document, required to be a ``kind`` (not a bool)."""
+    value = entry.get(key, default) if isinstance(entry, dict) else None
+    if value is None:
+        raise ValueError(f"calibration: {where}{key} is missing")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"calibration: {where}{key} has the wrong type {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -200,11 +223,6 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _apply_pauli_letter(state: np.ndarray, letter: int, q: int, n: int) -> np.ndarray:
-    # letter: 1 = X, 2 = Y, 3 = Z
-    return _apply_1q(state, _PAULI_1Q[letter - 1], q, n)
-
-
 def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Noiseless statevector after the circuit, starting from |0...0>."""
     if initial is None:
@@ -232,53 +250,41 @@ class TrajectoryEngine:
             )
         self.circuit = circuit
         self.basis_change = basis_change
-        self._cache: dict[bytes, np.ndarray] = {}
-        dim = 2**circuit.width
-        self._cache_cap = max(8, (1 << 22) // dim)
+        gates = circuit.gates + (basis_change.gates if basis_change is not None else ())
+        # Qubits q-1 and q share a segment when some gate touches both sides.
+        joined = {q for g in gates for q in range(min(g.targets) + 1, max(g.targets) + 1)}
+        starts = [q for q in range(circuit.width) if q not in joined]
+        # Per segment: width, indices into circuit + basis-change gates, and
+        # those gates relabelled onto the segment's own qubits.
+        self._segments: list[tuple[int, list[int], list[Gate]]] = []
+        for lo, hi in zip(starts, starts[1:] + [circuit.width]):
+            inside = [gi for gi, g in enumerate(gates) if lo <= g.targets[0] < hi]
+            local = [gates[gi] for gi in inside]
+            local = [replace(g, targets=[t - lo for t in g.targets]) for g in local]
+            self._segments.append((hi - lo, inside, local))
+        self._cache: dict[tuple[int, bytes], np.ndarray] = {}
+        widest = max(width for width, *_ in self._segments)
+        self._cache_cap = max(8, (1 << 22) >> widest)
 
-    def _gate_error_probs(
-        self, device: DeviceModel, physical_map: Sequence[int]
-    ) -> list[tuple[int, float, int]]:
-        """(gate index, probability, option count) for gates with nonzero noise."""
-        noisy = []
-        for gi, gate in enumerate(self.circuit.gates):
-            if len(gate.targets) == 1:
-                p = device.qubits[physical_map[gate.targets[0]]].single_qubit_error
-                options = 3
-            else:
-                a, b = (physical_map[t] for t in gate.targets)
-                p = device.pair_error(a, b)
-                options = 15
-            if p > 0.0:
-                noisy.append((gi, p, options))
-        return noisy
-
-    def _distribution(self, insertions: np.ndarray) -> np.ndarray:
-        """Cumulative measurement distribution for one insertion pattern."""
-        key = insertions.tobytes()
+    def _distribution(self, segment: int, insertions: np.ndarray) -> np.ndarray:
+        """Cumulative distribution, with a leading 0, of one segment's outcomes
+        under one insertion pattern (one code per segment gate)."""
+        key = (segment, insertions.tobytes())
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        n = self.circuit.width
+        n, _, gates = self._segments[segment]
         state = np.zeros(2**n, dtype=complex)
         state[0] = 1.0
-        for gi, gate in enumerate(self.circuit.gates):
+        for gate, code in zip(gates, insertions):
             state = apply_gate(state, gate)
-            code = int(insertions[gi])
-            if code:
-                if len(gate.targets) == 1:
-                    state = _apply_pauli_letter(state, code, gate.targets[0], n)
-                else:
-                    la, lb = divmod(code, 4)
-                    if la:
-                        state = _apply_pauli_letter(state, la, gate.targets[0], n)
-                    if lb:
-                        state = _apply_pauli_letter(state, lb, gate.targets[1], n)
-        if self.basis_change is not None:
-            for gate in self.basis_change.gates:
-                state = apply_gate(state, gate)
+            # code: 1 = X, 2 = Y, 3 = Z; a pair code is 4 * first + second
+            letters = divmod(int(code), 4) if len(gate.targets) == 2 else (int(code),)
+            for letter, q in zip(letters, gate.targets):
+                if letter:
+                    state = _apply_1q(state, _PAULI_1Q[letter - 1], q, n)
         probs = np.abs(state) ** 2
-        cum = np.cumsum(probs / probs.sum())
+        cum = np.concatenate(([0.0], np.cumsum(probs / probs.sum())))
         if len(self._cache) < self._cache_cap:
             self._cache[key] = cum
         return cum
@@ -303,7 +309,17 @@ class TrajectoryEngine:
         if shots < 1:
             raise ValueError("shots must be >= 1")
 
-        noisy = self._gate_error_probs(device, physical_map)
+        # gate index -> (event column, probability, option count), circuit order
+        noisy: dict[int, tuple[int, float, int]] = {}
+        for gi, gate in enumerate(circuit.gates):
+            if len(gate.targets) == 1:
+                p = device.qubits[physical_map[gate.targets[0]]].single_qubit_error
+                options = 3
+            else:
+                p = device.pair_error(*(physical_map[t] for t in gate.targets))
+                options = 15
+            if p > 0.0:
+                noisy[gi] = (2 * len(noisy), p, options)
         n_noisy = len(noisy)
         budget = 2 * n_noisy + 1 + w
         p10 = np.array([device.qubits[physical_map[i]].readout_p10 for i in range(w)])
@@ -318,27 +334,33 @@ class TrajectoryEngine:
             remaining -= chunk
             u = rng.random((chunk, budget))
 
-            patterns = np.zeros((chunk, len(circuit.gates)), dtype=np.int8)
-            for j, (gi, p, options) in enumerate(noisy):
-                fired = u[:, 2 * j] < p
-                choice = (u[:, 2 * j + 1] * options).astype(np.int8) + 1
-                patterns[fired, gi] = choice[fired]
-
-            u_meas = u[:, 2 * n_noisy]
-            codes = np.empty(chunk, dtype=np.int64)
-            if n_noisy == 0:
-                cum = self._distribution(patterns[0])
-                codes[:] = np.minimum(
-                    np.searchsorted(cum, u_meas, side="right"), 2**w - 1
-                )
-            else:
-                unique, inverse = np.unique(patterns, axis=0, return_inverse=True)
-                for ui in range(unique.shape[0]):
+            # Chain rule, qubit 0 first: each segment inverts its own CDF at
+            # u_meas, then u_meas is rescaled into the chosen interval. For a
+            # product distribution this is the full-register inverse CDF.
+            u_meas = u[:, 2 * n_noisy].copy()
+            codes = np.zeros(chunk, dtype=np.int64)
+            for s, (n, inside, _) in enumerate(self._segments):
+                # one column even for a gate-free segment, so every row has a key
+                patterns = np.zeros((chunk, max(len(inside), 1)), dtype=np.int8)
+                for j, gi in enumerate(inside):
+                    if gi in noisy:
+                        col, p, options = noisy[gi]
+                        fired = u[:, col] < p
+                        patterns[fired, j] = (u[fired, col + 1] * options).astype(np.int8) + 1
+                keys = patterns.view(np.dtype((np.void, patterns.shape[1])))[:, 0]
+                _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+                for ui, row in enumerate(first):
                     rows = inverse == ui
-                    cum = self._distribution(unique[ui])
-                    codes[rows] = np.minimum(
-                        np.searchsorted(cum, u_meas[rows], side="right"), 2**w - 1
+                    cum = self._distribution(s, patterns[row])
+                    x = np.minimum(np.searchsorted(cum, u_meas[rows], side="right") - 1, 2**n - 1)
+                    lower = cum[x]
+                    span = cum[x + 1] - lower
+                    # a zero-width interval only arises past the table's end
+                    # (round-off); later segments then take their last outcome
+                    u_meas[rows] = np.divide(
+                        u_meas[rows] - lower, span, out=np.ones_like(lower), where=span > 0
                     )
+                    codes[rows] = (codes[rows] << n) | x
 
             bits = (codes[:, None] >> shifts[None, :]) & 1
             u_read = u[:, 2 * n_noisy + 1 :]

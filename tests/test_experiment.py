@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -59,6 +60,20 @@ class TestConfig:
             ('{"representation": 1, "subsystem_counts": [3], "output_dir": "x"}', "subsystem_counts"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "bond_length": -1}', "bond_length"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "typo": 1}', "typo"),
+            ('{"representation": "4", "subsystem_counts": [1], "output_dir": "x"}', "representation"),
+            ('{"representation": true, "subsystem_counts": [1], "output_dir": "x"}', "representation"),
+            ('{"representation": 1, "subsystem_counts": 2, "output_dir": "x"}', "subsystem_counts"),
+            ('{"representation": 1, "subsystem_counts": [2.0], "output_dir": "x"}', "subsystem_counts"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "shots": 1.5}', "shots"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "master_seed": "1"}', "master_seed"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"k": true}}', "sampling.k"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"mode": "random", "s": 2.5}}', "sampling.s"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"synthetic_seed": "7"}}', "calibration.synthetic_seed"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"n_qubits": 16.0}}', "calibration.n_qubits"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "bond_length": "0.74"}', "bond_length"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "bond_length": false}', "bond_length"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": 5}', "output_dir"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"file": 7}}', "calibration.file"),
         ],
     )
     def test_invalid_configs_name_field(self, payload, field):
@@ -108,8 +123,6 @@ class TestRunExperiment:
         out = run_experiment(tiny_config(tmp_path))
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["seeds"]) == (8 + 4) * 2  # entries x groups
-        import hashlib
-
         digest = hashlib.sha256((out / "calibration.json").read_bytes()).hexdigest()
         assert manifest["calibration_sha256"] == digest
 
@@ -136,6 +149,24 @@ class TestRunExperiment:
             energies = np.array([e for e, _ in rows])
             stderr_of_mean = np.sqrt(np.sum([s**2 for _, s in rows])) / len(rows)
             assert abs(energies.mean() - e_fci) < 4 * stderr_of_mean, n
+
+    def test_rep4_samples_bytes_are_pinned(self, tmp_path):
+        # recorded before the trajectory sampler was split into independent
+        # qubit segments; a change to the sampled bytes must be deliberate
+        config = ExperimentConfig(
+            representation=4,
+            subsystem_counts=(1, 2, 4),
+            output_dir=str(tmp_path / "run"),
+            shots=300,
+            sampling_mode="selective",
+            k_sets=3,
+            calibration_seed=7,
+            calibration_qubits=156,
+            master_seed=1,
+        )
+        out = run_experiment(config)
+        digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+        assert digest == "de079601b27a5c55822071a1555c173dfb938f55efb8754f484be46271c81275"
 
     def test_missing_calibration_file(self, tmp_path):
         with pytest.raises(ConfigError, match="calibration_file"):
@@ -254,6 +285,37 @@ class TestCli:
         assert cli_main(["run", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"shots": 1.5},
+            {"calibration": {"synthetic_seed": 7, "n_qubits": 16.0}},
+            {"representation": "4"},
+        ],
+    )
+    def test_mistyped_config_is_categorized(self, tmp_path, capsys, override):
+        bad = tmp_path / "bad.json"
+        config = {"representation": 1, "subsystem_counts": [2], "output_dir": "x"}
+        bad.write_text(json.dumps({**config, **override}))
+        assert cli_main(["run", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config:")
+
+    def test_malformed_calibration_is_categorized(self, tmp_path, capsys):
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"qubits": [{"readout_p10": 0.01}]}')
+        assert cli_main(["calibration", "rank", str(cal)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: value: calibration: qubits[0].readout_p01 is missing"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "representation": 1, "subsystem_counts": [2], "shots": 10,
+            "calibration": {"file": str(cal)}, "output_dir": str(tmp_path / "run"),
+        }))
+        assert cli_main(["run", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: value: calibration: qubits[0].readout_p01 is missing"]
 
     def test_missing_file_is_categorized(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 1

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ class TestApplyGate:
     def test_norm_preserved_per_noisy_trajectory(self):
         # a trajectory is the circuit interleaved with Pauli insertions;
         # every step is unitary, so the norm must survive to 1e-12
-        from sizecon.simulator import _apply_pauli_letter
+        from sizecon.simulator import _PAULI_1Q, _apply_1q
 
         rng = np.random.default_rng(13)
         for _ in range(5):
@@ -91,7 +92,7 @@ class TestApplyGate:
                 for t in gate.targets:
                     if rng.random() < 0.5:
                         letter = int(rng.integers(1, 4))  # X, Y or Z
-                        state = _apply_pauli_letter(state, letter, t, 3)
+                        state = _apply_1q(state, _PAULI_1Q[letter - 1], t, 3)
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_unitary_oracle(self):
@@ -188,24 +189,62 @@ class TestRunShots:
         assert counts.counts == {"0": 2000}
 
     def test_matches_density_matrix_oracle(self):
-        device = DeviceModel(
-            (
-                QubitCalibration(0.03, 0.05, 0.04),
-                QubitCalibration(0.02, 0.01, 0.06),
+        two_qubit = (
+            Circuit(
+                2, (Gate("RY", (0,), 1.2), Gate("CNOT", (0, 1)), Gate("RY", (1,), -0.6))
             ),
-            {(0, 1): 0.08},
+            None,
+            DeviceModel(
+                (
+                    QubitCalibration(0.03, 0.05, 0.04),
+                    QubitCalibration(0.02, 0.01, 0.06),
+                ),
+                {(0, 1): 0.08},
+            ),
+            10,
         )
-        circuit = Circuit(
-            2, (Gate("RY", (0,), 1.2), Gate("CNOT", (0, 1)), Gate("RY", (1,), -0.6))
+        # three independent segments, (0, 1), (2, 3) and (4,), measured in a
+        # mixed basis: the outcome is drawn segment by segment
+        segmented = (
+            Circuit(
+                5,
+                (
+                    Gate("RY", (0,), 1.2),
+                    Gate("CNOT", (0, 1)),
+                    Gate("RY", (2,), -0.8),
+                    Gate("CNOT", (2, 3)),
+                    Gate("RY", (4,), 2.1),
+                ),
+            ),
+            Circuit(
+                5,
+                (
+                    Gate("RY", (1,), -math.pi / 2),
+                    Gate("RZ", (2,), 0.7),
+                    Gate("RY", (2,), math.pi / 2),
+                    Gate("RY", (4,), -math.pi / 2),
+                ),
+            ),
+            DeviceModel(
+                tuple(
+                    QubitCalibration(0.01 * (q + 1), 0.02 + 0.01 * q, 0.03 + 0.01 * q)
+                    for q in range(5)
+                ),
+                {(0, 1): 0.08, (2, 3): 0.06},
+            ),
+            21,
         )
-        expected = density_matrix_probs(circuit, device, [0, 1])
         shots = 200_000
-        counts = run_shots(circuit, device, [0, 1], None, shots, seed=10)
-        for code in range(4):
-            p = expected[code]
-            observed = counts.counts.get(format(code, "02b"), 0) / shots
-            sigma = math.sqrt(p * (1 - p) / shots)
-            assert abs(observed - p) < 4 * sigma
+        for circuit, basis_change, device, seed in (two_qubit, segmented):
+            width = circuit.width
+            pmap = list(range(width))
+            expected = density_matrix_probs(circuit, device, pmap, basis_change)
+            counts = run_shots(circuit, device, pmap, basis_change, shots, seed=seed)
+            for code in range(2**width):
+                p = expected[code]
+                observed = counts.counts.get(format(code, f"0{width}b"), 0) / shots
+                sigma = math.sqrt(p * (1 - p) / shots)
+                assert abs(observed - p) < 4 * sigma
 
     def test_physical_qubit_absent(self):
         device = DeviceModel.noiseless(2)
@@ -241,6 +280,29 @@ class TestDeviceModel:
         )
         back = DeviceModel.from_json(device.to_json())
         assert back == device
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ("{}", "qubits"),
+            ('{"qubits": {}}', "qubits"),
+            ('{"qubits": [{"readout_p10": 0.01}]}', "qubits[0].readout_p01"),
+            ('{"qubits": [{"readout_p10": 0, "readout_p01": 0, "single_qubit_error": "0"}]}',
+             "qubits[0].single_qubit_error"),
+            ('{"qubits": [{"readout_p10": true, "readout_p01": 0, "single_qubit_error": 0}]}',
+             "qubits[0].readout_p10"),
+            ('{"qubits": [], "two_qubit_error": {}}', "two_qubit_error"),
+            ('{"qubits": [], "two_qubit_error": [{"error": 0.1}]}', "two_qubit_error[0].pair"),
+            ('{"qubits": [], "two_qubit_error": [{"pair": [0, 1.0], "error": 0.1}]}',
+             "two_qubit_error[0].pair"),
+            ('{"qubits": [], "two_qubit_error": [{"pair": [0, 1, 2], "error": 0.1}]}',
+             "two_qubit_error[0].pair"),
+            ('{"qubits": [], "two_qubit_error": [{"pair": [0, 1]}]}', "two_qubit_error[0].error"),
+        ],
+    )
+    def test_from_json_names_bad_key(self, payload, key):
+        with pytest.raises(ValueError, match=rf"^calibration: {re.escape(key)} "):
+            DeviceModel.from_json(payload)
 
 
 class TestCountsTable:
