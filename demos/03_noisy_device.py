@@ -10,6 +10,8 @@ Run:  python demos/03_noisy_device.py
 
 import math
 
+import numpy as np
+
 from sizecon import DeviceModel, rank_qubits, run_shots, synthetic_calibration
 from sizecon.sampling import qubit_score
 from sizecon.stateprep import Circuit, Gate
@@ -34,13 +36,15 @@ def main():
     print(f"  noiseless <Z>      : {math.cos(theta):+.4f}")
     for label, q in (("best", best), ("worst", worst)):
         counts = run_shots(circuit, device, [q], None, shots, seed=5)
-        z = (counts.counts.get("0", 0) - counts.counts.get("1", 0)) / shots
+        # codes 0 and 1 read +1 and -1 on Z
+        z = float(np.sum(counts.counts * (1 - 2 * counts.codes))) / shots
         print(f"  qubit {q:>3} ({label:>5}) : {z:+.4f}")
 
     print("\nBit-exact reproducibility (same seed, same qubit):")
     a = run_shots(circuit, device, [best], None, 10_000, seed=123)
     b = run_shots(circuit, device, [best], None, 10_000, seed=123)
-    print(f"  identical counts: {a.counts == b.counts}")
+    same = np.array_equal(a.codes, b.codes) and np.array_equal(a.counts, b.counts)
+    print(f"  identical counts: {same}")
 
     print("\nReadout confusion alone (empty circuit, p10 = 0.1):")
     lossy = DeviceModel.from_json(
@@ -48,7 +52,8 @@ def main():
         '"single_qubit_error": 0.0}], "two_qubit_error": []}'
     )
     counts = run_shots(Circuit(1), lossy, [0], None, shots, seed=9)
-    print(f"  observed P(1) = {counts.counts.get('1', 0) / shots:.4f} (expected 0.1)")
+    ones = counts.counts[counts.codes == 1].sum()
+    print(f"  observed P(1) = {ones / shots:.4f} (expected 0.1)")
 
 
 if __name__ == "__main__":

@@ -62,7 +62,8 @@ SUMMARY_CSV = "summary.csv"
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; names the offending field."""
+    """Invalid experiment configuration; names the offending field by its
+    path in the JSON config (``sampling.k``, ``calibration.file``, ...)."""
 
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
@@ -109,10 +110,10 @@ class ExperimentConfig:
         if self.shots < 1:
             raise ConfigError("shots", f"must be >= 1, got {self.shots}")
         if self.sampling_mode not in ("selective", "random"):
-            raise ConfigError("sampling_mode", f"unknown mode {self.sampling_mode!r}")
+            raise ConfigError("sampling.mode", f"unknown mode {self.sampling_mode!r}")
         if self.sampling_mode == "selective":
             if self.k_sets < 1:
-                raise ConfigError("k_sets", "must be >= 1")
+                raise ConfigError("sampling.k", "must be >= 1")
             for n in self.subsystem_counts:
                 if QUBIT_BUDGET % (n * self.representation) != 0:
                     raise ConfigError(
@@ -121,12 +122,12 @@ class ExperimentConfig:
                         f"{QUBIT_BUDGET}-qubit pool; use random sampling",
                     )
         elif self.s_repetitions < 1:
-            raise ConfigError("s_repetitions", "must be >= 1")
+            raise ConfigError("sampling.s", "must be >= 1")
         if self.bond_length <= 0:
             raise ConfigError("bond_length", f"must be positive, got {self.bond_length}")
         if self.calibration_file is None and self.calibration_qubits < QUBIT_BUDGET:
             raise ConfigError(
-                "calibration_qubits", f"need at least {QUBIT_BUDGET} qubits"
+                "calibration.n_qubits", f"need at least {QUBIT_BUDGET} qubits"
             )
 
     @property
@@ -251,7 +252,7 @@ def load_device(config: ExperimentConfig) -> DeviceModel:
     if config.calibration_file is not None:
         path = Path(config.calibration_file)
         if not path.exists():
-            raise ConfigError("calibration_file", f"no such file: {path}")
+            raise ConfigError("calibration.file", f"no such file: {path}")
         return DeviceModel.from_json(path.read_text())
     return synthetic_calibration(
         n_qubits=config.calibration_qubits, seed=config.calibration_seed
@@ -428,16 +429,6 @@ def load_samples(run_dir: Path) -> list[SampleAggregate]:
     return aggregates
 
 
-@dataclass
-class RegressionSummary:
-    slope: float
-    slope_stderr: float
-    intercept: float
-    n_qubit: int
-    n_h2: int
-    unbounded: bool
-
-
 def analyze(run_dir: str | Path) -> Path:
     """Produce summary and figure outputs for a finished run directory."""
     run_dir = Path(run_dir)
@@ -473,47 +464,34 @@ def analyze(run_dir: str | Path) -> Path:
         per_n_energy[n] = (mean, std)
         points.append((n * representation, mean, stddev))
 
-    if len(points) >= 2:
-        fit = wls_fit(points)
-        hz = horizon(fit.slope, representation)
-        regression = RegressionSummary(
-            slope=fit.slope,
-            slope_stderr=fit.slope_stderr,
-            intercept=fit.intercept,
-            n_qubit=hz.n_qubit,
-            n_h2=hz.n_h2,
-            unbounded=hz.unbounded,
-        )
-    else:
-        # Single system size: no slope to fit; report a zero-slope sentinel.
-        regression = RegressionSummary(
-            slope=0.0, slope_stderr=0.0, intercept=points[0][1],
-            n_qubit=0, n_h2=0, unbounded=True,
-        )
-
+    # One system size leaves the slope, its error and the horizon
+    # undetermined: those fields stay empty, the intercept is the mean energy
+    # per H2 at that size, and fig1 has no fit line.
+    fit = wls_fit(points) if len(points) >= 2 else None
+    hz = horizon(fit.slope, representation) if fit is not None else None
     _write_csv(
         run_dir / SUMMARY_CSV,
         [
             {
                 "representation": representation,
                 "n_points": len(points),
-                "delta_kcal_per_qubit": repr(regression.slope),
-                "slope_stderr_kcal_per_qubit": repr(regression.slope_stderr),
-                "intercept_kcal": repr(regression.intercept),
-                "horizon_n_qubit": regression.n_qubit,
-                "horizon_n_h2": regression.n_h2,
-                "horizon_unbounded": regression.unbounded,
+                "delta_kcal_per_qubit": repr(fit.slope) if fit is not None else "",
+                "slope_stderr_kcal_per_qubit": repr(fit.slope_stderr) if fit is not None else "",
+                "intercept_kcal": repr(fit.intercept if fit is not None else points[0][1]),
+                "horizon_n_qubit": hz.n_qubit if hz is not None else "",
+                "horizon_n_h2": hz.n_h2 if hz is not None else "",
+                "horizon_unbounded": hz.unbounded if hz is not None else "",
             }
         ],
     )
 
-    _emit_fig1(run_dir, representation, aggregates, regression, points)
+    _emit_fig1(run_dir, representation, aggregates, fit, points)
     _emit_fig2(run_dir, by_n, levels)
     _emit_fig3(run_dir, by_n, levels)
     return run_dir
 
 
-def _emit_fig1(run_dir, representation, aggregates, regression, points):
+def _emit_fig1(run_dir, representation, aggregates, fit, points):
     rows = [
         {
             "kind": "sample",
@@ -526,7 +504,8 @@ def _emit_fig1(run_dir, representation, aggregates, regression, points):
         for a in aggregates
     ]
     xs = [p[0] for p in points]
-    for x in (min(xs), max(xs)):
+    ends = (min(xs), max(xs)) if fit is not None else ()
+    for x in ends:
         rows.append(
             {
                 "kind": "fit",
@@ -534,7 +513,7 @@ def _emit_fig1(run_dir, representation, aggregates, regression, points):
                 "total_qubits": x,
                 "set_index": "",
                 "sample_index": "",
-                "energy_per_h2_kcal": repr(regression.intercept + regression.slope * x),
+                "energy_per_h2_kcal": repr(fit.intercept + fit.slope * x),
             }
         )
     _write_csv(run_dir / "fig1.csv", rows)
@@ -548,8 +527,8 @@ def _emit_fig1(run_dir, representation, aggregates, regression, points):
     )
     line = Series(
         label="WLS",
-        xs=[min(xs), max(xs)],
-        ys=[regression.intercept + regression.slope * x for x in (min(xs), max(xs))],
+        xs=list(ends),
+        ys=[fit.intercept + fit.slope * x for x in ends],
         kind="line",
         color="#888888",
         dashed=True,
@@ -559,7 +538,7 @@ def _emit_fig1(run_dir, representation, aggregates, regression, points):
             title="Energy per H2 vs system size",
             xlabel="total qubits",
             ylabel="energy per H2 (kcal/mol)",
-            series=[scatter, line],
+            series=[scatter, line] if fit is not None else [scatter],
         ),
         run_dir / "fig1.svg",
     )

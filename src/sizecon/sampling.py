@@ -55,9 +55,14 @@ def qubit_score(
     two_qubit_weight: float = 1.0,
 ) -> float:
     """Composite noise score: mean readout error + mean incident pair error."""
-    cal = device.qubits[qubit]
-    readout = 0.5 * (cal.readout_p10 + cal.readout_p01)
     incident = [p for pair, p in device.two_qubit_error.items() if qubit in pair]
+    return _score(device.qubits[qubit], incident, readout_weight, two_qubit_weight)
+
+
+def _score(
+    cal: QubitCalibration, incident: list[float], readout_weight: float, two_qubit_weight: float
+) -> float:
+    readout = 0.5 * (cal.readout_p10 + cal.readout_p01)
     two_qubit = float(np.mean(incident)) if incident else 0.0
     return readout_weight * readout + two_qubit_weight * two_qubit
 
@@ -68,9 +73,15 @@ def rank_qubits(
     two_qubit_weight: float = 1.0,
 ) -> list[int]:
     """Physical qubits ordered best (least noisy) first, ties by index."""
+    # incident pair errors per qubit, in the order of two_qubit_error, so
+    # each mean adds the same values in the same order as qubit_score
+    incident: list[list[float]] = [[] for _ in range(device.n_qubits)]
+    for (a, b), p in device.two_qubit_error.items():
+        incident[a].append(p)
+        incident[b].append(p)
     scores = [
-        (qubit_score(device, q, readout_weight, two_qubit_weight), q)
-        for q in range(device.n_qubits)
+        (_score(cal, incident[q], readout_weight, two_qubit_weight), q)
+        for q, cal in enumerate(device.qubits)
     ]
     return [q for _, q in sorted(scores)]
 

@@ -48,6 +48,13 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI_1Q = (_X, _Y, _Z)
 
 
+def _unit_interval(value: float, name: str) -> float:
+    """``value`` if it is a probability, else a ValueError naming it ``name``."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} = {value} outside [0, 1]")
+    return value
+
+
 @dataclass(frozen=True)
 class QubitCalibration:
     """Per-qubit error rates: readout confusion and one-qubit depolarizing."""
@@ -58,9 +65,7 @@ class QubitCalibration:
 
     def __post_init__(self) -> None:
         for name in ("readout_p10", "readout_p01", "single_qubit_error"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
+            _unit_interval(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,7 @@ class DeviceModel:
         object.__setattr__(self, "qubits", tuple(self.qubits))
         normalized = {}
         for (a, b), p in self.two_qubit_error.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"pair error {p} outside [0, 1]")
+            _unit_interval(p, f"pair ({a}, {b}) error")
             if a == b or min(a, b) < 0 or max(a, b) >= len(self.qubits):
                 raise ValueError(f"bad qubit pair ({a}, {b})")
             normalized[(min(a, b), max(a, b))] = float(p)
@@ -116,7 +120,7 @@ class DeviceModel:
         payload = json.loads(text)
         keys = ("readout_p10", "readout_p01", "single_qubit_error")
         qubits = tuple(
-            QubitCalibration(**{k: _json_field(e, k, (int, float), f"qubits[{i}].") for k in keys})
+            QubitCalibration(**{k: _probability(e, k, f"qubits[{i}].") for k in keys})
             for i, e in enumerate(_json_field(payload, "qubits", list))
         )
         pairs = {}
@@ -125,7 +129,12 @@ class DeviceModel:
             pair = _json_field(entry, "pair", list, where)
             if len(pair) != 2 or any(type(t) is not int for t in pair):
                 raise ValueError(f"calibration: {where}pair is not two ints: {pair}")
-            pairs[(pair[0], pair[1])] = float(_json_field(entry, "error", (int, float), where))
+            error = _probability(entry, "error", where)
+            if pair[0] == pair[1] or not all(0 <= t < len(qubits) for t in pair):
+                raise ValueError(
+                    f"calibration: {where}pair {pair} repeats a qubit or leaves the device"
+                )
+            pairs[(pair[0], pair[1])] = float(error)
         return cls(qubits, pairs)
 
 
@@ -139,36 +148,37 @@ def _json_field(entry: object, key: str, kind: type | tuple, where: str = "", de
     return value
 
 
-@dataclass
+def _probability(entry: object, key: str, where: str) -> float:
+    """A number in [0, 1] at ``entry[key]`` of a calibration document."""
+    value = _json_field(entry, key, (int, float), where)
+    return _unit_interval(value, f"calibration: {where}{key}")
+
+
+@dataclass(eq=False)
 class CountsTable:
-    """Measured bitstring histogram for one measurement group."""
+    """Measured histogram for one measurement group: the distinct outcome
+    codes, strictly ascending with qubit 0 as the most significant bit, and
+    the number of shots that read each."""
 
     shots: int
-    counts: dict[str, int]
+    width: int
+    codes: np.ndarray
+    counts: np.ndarray
     measured_basis: str = ""
 
     def __post_init__(self) -> None:
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum {total} != shots {self.shots}")
-        widths = {len(b) for b in self.counts}
-        if len(widths) > 1:
-            raise ValueError(f"mixed bitstring widths {sorted(widths)}")
-
-    @property
-    def width(self) -> int:
-        return len(next(iter(self.counts)))
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(basis-state codes, counts) with qubit 0 as the most significant bit."""
-        codes = np.fromiter((int(b, 2) for b in self.counts), dtype=np.int64)
-        values = np.fromiter(self.counts.values(), dtype=np.int64)
-        return codes, values
+        codes, counts = self.codes, self.counts
+        if codes.ndim != 1 or codes.shape != counts.shape:
+            raise ValueError(f"codes {codes.shape} and counts {counts.shape} do not align")
+        if counts.sum() != self.shots:
+            raise ValueError(f"counts sum {counts.sum()} != shots {self.shots}")
+        if np.any(codes[1:] <= codes[:-1]) or np.any((codes < 0) | (codes >= 1 << self.width)):
+            raise ValueError(f"codes are not strictly ascending in [0, 2**{self.width})")
 
     def to_csv(self) -> str:
-        lines = ["bitstring,count"]
-        lines += [f"{b},{c}" for b, c in sorted(self.counts.items())]
-        return "\n".join(lines) + "\n"
+        """The one place codes become bitstrings: a ``bitstring,count`` row per code."""
+        rows = zip(self.codes.tolist(), self.counts.tolist())
+        return "bitstring,count\n" + "".join(f"{c:0{self.width}b},{n}\n" for c, n in rows)
 
 
 def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
@@ -363,15 +373,12 @@ class TrajectoryEngine:
                     codes[rows] = (codes[rows] << n) | x
 
             bits = (codes[:, None] >> shifts[None, :]) & 1
-            u_read = u[:, 2 * n_noisy + 1 :]
-            flip_prob = np.where(bits == 0, p10[None, :], p01[None, :])
-            bits ^= u_read < flip_prob
+            bits ^= u[:, 2 * n_noisy + 1 :] < np.where(bits == 0, p10, p01)
             measured = (bits << shifts[None, :]).sum(axis=1)
             histogram += np.bincount(measured, minlength=2**w)
 
         nonzero = np.flatnonzero(histogram)
-        counts = {format(int(c), f"0{w}b"): int(histogram[c]) for c in nonzero}
-        return CountsTable(shots=shots, counts=counts, measured_basis=basis_label)
+        return CountsTable(shots, w, nonzero, histogram[nonzero], basis_label)
 
 
 def run_shots(

@@ -170,15 +170,16 @@ def _check_counts(plan: MeasurementPlan, counts: list[CountsTable]) -> None:
     for t in counts:
         if t.width != plan.full_width:
             raise ValueError(
-                f"bitstring width {t.width} != register width {plan.full_width}"
+                f"counts width {t.width} != register width {plan.full_width}"
             )
 
 
-def _mean_parities(table: CountsTable, masks: np.ndarray) -> np.ndarray:
-    codes, weights = table.as_arrays()
-    parity_bits = np.bitwise_count(codes[:, None] & masks[None, :]) & 1
+def _mean_parities(table: CountsTable, group: MeasurementGroup) -> np.ndarray:
+    """Mean parity of each member string of the group over the table's shots."""
+    masks = np.array([m.parity_mask for m in group.members], dtype=np.int64)
+    parity_bits = np.bitwise_count(table.codes[:, None] & masks[None, :]) & 1
     signs = 1.0 - 2.0 * parity_bits
-    return (weights[:, None] * signs).sum(axis=0) / table.shots
+    return (table.counts[:, None] * signs).sum(axis=0) / table.shots
 
 
 def estimate_energies(plan: MeasurementPlan, counts: list[CountsTable]) -> np.ndarray:
@@ -191,8 +192,7 @@ def estimate_energies(plan: MeasurementPlan, counts: list[CountsTable]) -> np.nd
     _check_counts(plan, counts)
     energies = np.full(plan.n_subsystems, plan.constant)
     for group, table in zip(plan.groups, counts):
-        masks = np.array([m.parity_mask for m in group.members], dtype=np.int64)
-        parities = _mean_parities(table, masks)
+        parities = _mean_parities(table, group)
         for member, parity in zip(group.members, parities):
             energies[member.subsystem] += member.coefficient * parity
     return energies
@@ -207,8 +207,7 @@ def shot_noise_stderr(plan: MeasurementPlan, counts: list[CountsTable]) -> np.nd
     _check_counts(plan, counts)
     variances = np.zeros(plan.n_subsystems)
     for group, table in zip(plan.groups, counts):
-        masks = np.array([m.parity_mask for m in group.members], dtype=np.int64)
-        parities = _mean_parities(table, masks)
+        parities = _mean_parities(table, group)
         for member, parity in zip(group.members, parities):
             variances[member.subsystem] += (
                 member.coefficient**2 * max(0.0, 1.0 - parity**2) / table.shots
@@ -248,7 +247,6 @@ def extract_populations(
         raise ValueError(
             f"counts width {z_basis_counts.width} != {representation}x{n_subsystems}"
         )
-    codes, weights = z_basis_counts.as_arrays()
     shots = z_basis_counts.shots
     classes = _CLASSIFICATION[representation]
     block_mask = (1 << representation) - 1
@@ -259,11 +257,12 @@ def extract_populations(
     }
     for block in range(n_subsystems):
         shift = (n_subsystems - 1 - block) * representation
-        block_codes = (codes >> shift) & block_mask
-        for code in np.unique(block_codes):
+        block_codes = (z_basis_counts.codes >> shift) & block_mask
+        # integer totals per block code, exact in float64
+        totals = np.bincount(block_codes, weights=z_basis_counts.counts)
+        for code in np.flatnonzero(totals):
             kind = classes.get(int(code), NUMBER_VIOLATING)
-            weight = weights[block_codes == code].sum()
-            result[kind][block] += weight / shots
+            result[kind][block] += totals[code] / shots
     return PopulationBreakdown(
         hf=result[HF],
         single_excitation=result[SINGLE],

@@ -56,7 +56,10 @@ class TestConfig:
             ('{"representation": 1, "subsystem_counts": [], "output_dir": "x"}', "subsystem_counts"),
             ('{"representation": 4, "subsystem_counts": [8], "output_dir": "x"}', "subsystem_counts"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "shots": 0}', "shots"),
-            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"mode": "best"}}', "sampling_mode"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"mode": "best"}}', "sampling.mode"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"k": 0}}', "sampling.k"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"mode": "random", "s": 0}}', "sampling.s"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"n_qubits": 8}}', "calibration.n_qubits"),
             ('{"representation": 1, "subsystem_counts": [3], "output_dir": "x"}', "subsystem_counts"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "bond_length": -1}', "bond_length"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "typo": 1}', "typo"),
@@ -169,7 +172,7 @@ class TestRunExperiment:
         assert digest == "de079601b27a5c55822071a1555c173dfb938f55efb8754f484be46271c81275"
 
     def test_missing_calibration_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="calibration_file"):
+        with pytest.raises(ConfigError, match=r"^calibration\.file: no such file"):
             run_experiment(tiny_config(tmp_path, calibration_file=str(tmp_path / "nope.json")))
 
 
@@ -224,6 +227,19 @@ class TestAnalyze:
         for n, gap in gaps.items():
             if n > 1:
                 assert gap > 0
+
+    def test_single_size_leaves_slope_undetermined(self, tmp_path):
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=500))
+        analyze(out)
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["n_points"] == "1"
+        for name in ("delta_kcal_per_qubit", "slope_stderr_kcal_per_qubit",
+                     "horizon_n_qubit", "horizon_n_h2", "horizon_unbounded"):
+            assert row[name] == "", name
+        assert np.isfinite(float(row["intercept_kcal"]))
+        with open(out / "fig1.csv", newline="") as fh:
+            assert {r["kind"] for r in csv.DictReader(fh)} == {"sample"}
 
     def test_analyze_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not a run directory"):
@@ -316,6 +332,45 @@ class TestCli:
         assert cli_main(["run", str(config)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: value: calibration: qubits[0].readout_p01 is missing"]
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"sampling": {"k": 0}}, "sampling.k: must be >= 1"),
+            ({"sampling": {"mode": "random", "s": 0}}, "sampling.s: must be >= 1"),
+            ({"sampling": {"mode": "best"}}, "sampling.mode: unknown mode 'best'"),
+            ({"calibration": {"n_qubits": 8}}, "calibration.n_qubits: need at least 16 qubits"),
+            ({"calibration": {"file": "absent.json"}}, "calibration.file: no such file: absent.json"),
+        ],
+    )
+    def test_config_error_names_json_path(self, tmp_path, capsys, monkeypatch, override, message):
+        monkeypatch.chdir(tmp_path)
+        config = {"representation": 1, "subsystem_counts": [2], "output_dir": "run"}
+        (tmp_path / "config.json").write_text(json.dumps({**config, **override}))
+        assert cli_main(["run", "config.json"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
+
+    @pytest.mark.parametrize(
+        "calibration, message",
+        [
+            ({"qubits": [{"readout_p10": 1.5, "readout_p01": 0, "single_qubit_error": 0}]},
+             "qubits[0].readout_p10 = 1.5 outside [0, 1]"),
+            ({"qubits": [{"readout_p10": 0, "readout_p01": 0, "single_qubit_error": 0}] * 2,
+              "two_qubit_error": [{"pair": [0, 1], "error": 1.5}]},
+             "two_qubit_error[0].error = 1.5 outside [0, 1]"),
+            ({"qubits": [{"readout_p10": 0, "readout_p01": 0, "single_qubit_error": 0}] * 2,
+              "two_qubit_error": [{"pair": [0, 1], "error": 0.1}, {"pair": [1, 1], "error": 0.1}]},
+             "two_qubit_error[1].pair [1, 1] repeats a qubit or leaves the device"),
+            ({"qubits": [{"readout_p10": 0, "readout_p01": 0, "single_qubit_error": 0}] * 2,
+              "two_qubit_error": [{"pair": [0, 2], "error": 0.1}]},
+             "two_qubit_error[0].pair [0, 2] repeats a qubit or leaves the device"),
+        ],
+    )
+    def test_calibration_range_error_names_entry(self, tmp_path, capsys, calibration, message):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(calibration))
+        assert cli_main(["calibration", "rank", str(cal)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: value: calibration: {message}"]
 
     def test_missing_file_is_categorized(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 1

@@ -50,6 +50,14 @@ class TestRankQubits:
                 a, b = order[i], order[i + 1]
                 assert (scores[a], a) <= (scores[b], b)
 
+    def test_equals_per_qubit_scores_on_benchmark_device(self):
+        # the one-pass index must give every qubit the same score, bit for
+        # bit, as qubit_score's scan, so the ranking cannot move
+        device = synthetic_calibration(n_qubits=156, seed=7)
+        for weights in ((1.0, 1.0), (0.3, 2.0)):
+            scores = sorted((qubit_score(device, q, *weights), q) for q in range(156))
+            assert rank_qubits(device, *weights) == [q for _, q in scores]
+
     def test_two_qubit_error_affects_rank(self):
         device = DeviceModel(
             tuple(QubitCalibration(0.01, 0.01, 0.0) for _ in range(3)),

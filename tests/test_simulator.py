@@ -17,6 +17,7 @@ from sizecon.simulator import (
 from sizecon.stateprep import Circuit, Gate
 
 from oracles import circuit_unitary, density_matrix_probs
+from tables import counts_table, histogram
 
 
 def random_circuit(width, n_gates, rng):
@@ -112,14 +113,14 @@ class TestRunShots:
     def test_zero_noise_empty_circuit(self):
         device = DeviceModel.noiseless(2)
         counts = run_shots(Circuit(2), device, [0, 1], None, 1000, seed=1)
-        assert counts.counts == {"00": 1000}
+        assert histogram(counts).tolist() == [1000, 0, 0, 0]
 
     def test_readout_binomial(self):
         p10 = 0.1
         shots = 100_000
         device = DeviceModel((QubitCalibration(readout_p10=p10),))
         counts = run_shots(Circuit(1), device, [0], None, shots, seed=3)
-        ones = counts.counts.get("1", 0)
+        ones = histogram(counts)[1]
         sigma = math.sqrt(p10 * (1 - p10) / shots)
         assert abs(ones / shots - p10) < 3 * sigma
 
@@ -132,9 +133,9 @@ class TestRunShots:
         circuit = random_circuit(3, 8, rng)
         a = run_shots(circuit, device, [0, 1, 2], None, 5000, seed=11)
         b = run_shots(circuit, device, [0, 1, 2], None, 5000, seed=11)
-        assert a.counts == b.counts
+        assert np.array_equal(histogram(a), histogram(b))
         c = run_shots(circuit, device, [0, 1, 2], None, 5000, seed=12)
-        assert c.counts != a.counts
+        assert not np.array_equal(histogram(c), histogram(a))
 
     def test_engine_equals_one_off_wrapper(self):
         device = DeviceModel(
@@ -143,9 +144,9 @@ class TestRunShots:
         circuit = Circuit(2, (Gate("RY", (0,), 1.1), Gate("CNOT", (0, 1))))
         engine = TrajectoryEngine(circuit)
         for seed in (5, 6):
-            assert (
-                engine.sample(device, [0, 1], 4000, seed).counts
-                == run_shots(circuit, device, [0, 1], None, 4000, seed).counts
+            assert np.array_equal(
+                histogram(engine.sample(device, [0, 1], 4000, seed)),
+                histogram(run_shots(circuit, device, [0, 1], None, 4000, seed)),
             )
 
     def test_depolarizing_shrinks_z_expectation(self):
@@ -157,7 +158,8 @@ class TestRunShots:
         values = []
         for seed in range(5):
             counts = run_shots(circuit, device, [0], None, shots, seed=seed)
-            z = (counts.counts.get("0", 0) - counts.counts.get("1", 0)) / shots
+            zero, one = histogram(counts)
+            z = (zero - one) / shots
             values.append(z)
         assert all(abs(z) <= abs(noiseless) for z in values)
 
@@ -168,9 +170,7 @@ class TestRunShots:
         probs = np.abs(amps) ** 2
         shots = 50_000
         counts = run_shots(circuit, DeviceModel.noiseless(3), [0, 1, 2], None, shots, seed=8)
-        observed = np.array(
-            [counts.counts.get(format(i, "03b"), 0) for i in range(8)], dtype=float
-        )
+        observed = histogram(counts).astype(float)
         keep = probs * shots >= 5
         rest_obs = observed[~keep].sum()
         rest_exp = probs[~keep].sum() * shots
@@ -186,7 +186,7 @@ class TestRunShots:
         prep = Circuit(1, (Gate("RY", (0,), math.pi / 2),))
         basis = Circuit(1, (Gate("RY", (0,), -math.pi / 2),))
         counts = run_shots(prep, DeviceModel.noiseless(1), [0], basis, 2000, seed=9)
-        assert counts.counts == {"0": 2000}
+        assert histogram(counts).tolist() == [2000, 0]
 
     def test_matches_density_matrix_oracle(self):
         two_qubit = (
@@ -240,9 +240,9 @@ class TestRunShots:
             pmap = list(range(width))
             expected = density_matrix_probs(circuit, device, pmap, basis_change)
             counts = run_shots(circuit, device, pmap, basis_change, shots, seed=seed)
-            for code in range(2**width):
+            for code, count in enumerate(histogram(counts)):
                 p = expected[code]
-                observed = counts.counts.get(format(code, f"0{width}b"), 0) / shots
+                observed = count / shots
                 sigma = math.sqrt(p * (1 - p) / shots)
                 assert abs(observed - p) < 4 * sigma
 
@@ -308,12 +308,45 @@ class TestDeviceModel:
 class TestCountsTable:
     def test_sum_validation(self):
         with pytest.raises(ValueError, match="counts sum"):
-            CountsTable(shots=5, counts={"0": 4})
+            counts_table(5, {"0": 4})
 
-    def test_mixed_width_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            CountsTable(shots=2, counts={"0": 1, "00": 1})
+    @pytest.mark.parametrize(
+        "codes, counts, match",
+        [
+            ([1, 0], [1, 1], "ascending"),
+            ([1, 1], [1, 1], "ascending"),
+            ([0, 4], [1, 1], r"\[0, 2\*\*2\)"),
+            ([-1, 0], [1, 1], r"\[0, 2\*\*2\)"),
+            ([0, 1], [2], "do not align"),
+        ],
+    )
+    def test_bad_codes_rejected(self, codes, counts, match):
+        # unsorted or repeated codes, a code outside 2 bits, misaligned arrays
+        with pytest.raises(ValueError, match=match):
+            CountsTable(2, 2, np.array(codes), np.array(counts))
 
     def test_csv_export(self):
-        table = CountsTable(shots=3, counts={"01": 2, "10": 1}, measured_basis="ZZ")
+        table = counts_table(3, {"01": 2, "10": 1}, "ZZ")
         assert table.to_csv() == "bitstring,count\n01,2\n10,1\n"
+
+    def test_sampled_csv_is_pinned(self):
+        # recorded while tables still held bitstring-keyed dicts
+        device = DeviceModel(
+            tuple(QubitCalibration(0.02, 0.03, 0.01) for _ in range(3)),
+            {(0, 1): 0.05, (1, 2): 0.04, (0, 2): 0.03},
+        )
+        circuit = Circuit(
+            3,
+            (
+                Gate("RY", (0,), 1.1),
+                Gate("CNOT", (0, 1)),
+                Gate("RY", (2,), -0.7),
+                Gate("CZ", (1, 2)),
+            ),
+        )
+        basis = Circuit(3, (Gate("RY", (1,), -math.pi / 2),))
+        table = run_shots(circuit, device, [0, 1, 2], basis, 5000, seed=11, basis_label="ZXZ")
+        assert table.to_csv() == (
+            "bitstring,count\n000,1520\n001,271\n010,1477\n011,266\n"
+            "100,615\n101,122\n110,629\n111,100\n"
+        )

@@ -7,11 +7,14 @@ from sizecon.pauli import PauliString, PauliSum
 from sizecon.simulator import CountsTable, DeviceModel, TrajectoryEngine
 from sizecon.stateprep import compose, fci_ground, synthesize
 from sizecon.tomography import (
+    _CLASSIFICATION,
     build_plan,
     estimate_energies,
     extract_populations,
     shot_noise_stderr,
 )
+
+from tables import counts_table
 
 
 def sample_noiseless(h_sub, n, shots, master_seed):
@@ -99,8 +102,8 @@ class TestEstimateEnergies:
         plan = build_plan(bundle.h1q, 2)
         shots = 4000
         by_basis = {
-            "Z": CountsTable(shots, {"00": shots}, "Z"),
-            "X": CountsTable(
+            "Z": counts_table(shots, {"00": shots}, "Z"),
+            "X": counts_table(
                 shots,
                 {"00": shots // 4, "01": shots // 4, "10": shots // 4, "11": shots // 4},
                 "X",
@@ -148,18 +151,18 @@ class TestEstimateEnergies:
         plan = build_plan(bundle.h1q, 2)
         shots = 1000
         asym = {
-            "Z": CountsTable(shots, {"00": 700, "01": 300}, "Z"),
-            "X": CountsTable(shots, {"00": 500, "01": 300, "10": 150, "11": 50}, "X"),
+            "Z": counts_table(shots, {"00": 700, "01": 300}, "Z"),
+            "X": counts_table(shots, {"00": 500, "01": 300, "10": 150, "11": 50}, "X"),
         }
         counts = [asym[g.basis] for g in plan.groups]
         energies = estimate_energies(plan, counts)
 
         def swap_blocks(table):
-            swapped = {}
-            for bits, c in table.counts.items():
-                key = bits[1] + bits[0]
-                swapped[key] = swapped.get(key, 0) + c
-            return CountsTable(table.shots, swapped, table.measured_basis)
+            swapped = ((table.codes & 1) << 1) | (table.codes >> 1)
+            order = np.argsort(swapped)
+            return CountsTable(
+                table.shots, 2, swapped[order], table.counts[order], table.measured_basis
+            )
 
         permuted = [swap_blocks(t) for t in counts]
         flipped = estimate_energies(plan, permuted)
@@ -168,11 +171,11 @@ class TestEstimateEnergies:
     def test_group_count_mismatch(self, bundle):
         plan = build_plan(bundle.h1q, 1)
         with pytest.raises(ValueError, match="counts tables"):
-            estimate_energies(plan, [CountsTable(10, {"0": 10})])
+            estimate_energies(plan, [counts_table(10, {"0": 10})])
 
     def test_width_mismatch(self, bundle):
         plan = build_plan(bundle.h1q, 2)
-        bad = [CountsTable(10, {"0": 10}), CountsTable(10, {"0": 10})]
+        bad = [counts_table(10, {"0": 10}), counts_table(10, {"0": 10})]
         with pytest.raises(ValueError, match="width"):
             estimate_energies(plan, bad)
 
@@ -180,14 +183,14 @@ class TestEstimateEnergies:
         plan = build_plan(bundle.h1q, 1)
         with pytest.raises(ValueError, match="unequal shot"):
             estimate_energies(
-                plan, [CountsTable(10, {"0": 10}), CountsTable(20, {"0": 20})]
+                plan, [counts_table(10, {"0": 10}), counts_table(20, {"0": 20})]
             )
 
 
 class TestExtractPopulations:
     def test_all_reference_word(self):
         shots = 500
-        counts = CountsTable(shots, {"11001100": shots}, "ZZZZZZZZ")
+        counts = counts_table(shots, {"11001100": shots}, "ZZZZZZZZ")
         pops = extract_populations(counts, 4, 2)
         assert np.allclose(pops.hf, 1.0)
         assert np.allclose(pops.single_excitation, 0.0)
@@ -195,7 +198,7 @@ class TestExtractPopulations:
         assert np.allclose(pops.number_violating, 0.0)
 
     def test_four_qubit_classification(self):
-        counts = CountsTable(
+        counts = counts_table(
             10,
             {"1100": 4, "0011": 2, "1001": 1, "0101": 1, "1110": 1, "0000": 1},
             "ZZZZ",
@@ -207,7 +210,7 @@ class TestExtractPopulations:
         assert pops.number_violating[0] == pytest.approx(0.2)
 
     def test_two_qubit_code_words(self):
-        counts = CountsTable(10, {"00": 5, "01": 2, "10": 2, "11": 1}, "ZZ")
+        counts = counts_table(10, {"00": 5, "01": 2, "10": 2, "11": 1}, "ZZ")
         pops = extract_populations(counts, 2, 1)
         assert pops.hf[0] == pytest.approx(0.5)
         assert pops.single_excitation[0] == pytest.approx(0.4)
@@ -216,7 +219,7 @@ class TestExtractPopulations:
 
     def test_single_qubit_never_reports_singles(self, bundle):
         # even with heavy readout noise the 1-qubit encoding cannot produce one
-        counts = CountsTable(100, {"0": 55, "1": 45}, "Z")
+        counts = counts_table(100, {"0": 55, "1": 45}, "Z")
         pops = extract_populations(counts, 1, 1)
         assert pops.single_excitation[0] == 0.0
         assert pops.number_violating[0] == 0.0
@@ -248,7 +251,29 @@ class TestExtractPopulations:
         )
         assert np.allclose(totals, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("representation, n", [(1, 1), (1, 5), (2, 3), (4, 1), (4, 3)])
+    def test_matches_per_code_loop(self, representation, n):
+        # reference: the per-code mask loop the bincount replaced; the same
+        # integer totals are added in the same order, so results are equal
+        rng = np.random.default_rng(representation * 10 + n)
+        width = representation * n
+        codes = np.unique(rng.integers(0, 2**width, size=40))
+        counts = rng.integers(1, 50, size=len(codes))
+        table = CountsTable(int(counts.sum()), width, codes, counts)
+        pops = extract_populations(table, representation, n)
+        kinds = {"hf": pops.hf, "single": pops.single_excitation,
+                 "double": pops.double_excitation, "number_violating": pops.number_violating}
+        expected = {kind: np.zeros(n) for kind in kinds}
+        classes = _CLASSIFICATION[representation]
+        for block in range(n):
+            block_codes = (codes >> (n - 1 - block) * representation) & (2**representation - 1)
+            for code in np.unique(block_codes):
+                kind = classes.get(int(code), "number_violating")
+                expected[kind][block] += counts[block_codes == code].sum() / table.shots
+        for kind, values in kinds.items():
+            assert values.tolist() == expected[kind].tolist(), kind
+
     def test_width_mismatch(self):
-        counts = CountsTable(10, {"00": 10}, "ZZ")
+        counts = counts_table(10, {"00": 10}, "ZZ")
         with pytest.raises(ValueError, match="counts width"):
             extract_populations(counts, 4, 1)
