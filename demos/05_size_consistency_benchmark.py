@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from sizecon import ExperimentConfig, analyze, run_experiment
-from sizecon.experiment import reference_table
+from sizecon.report import reference_table
 
 OUTPUT = Path("demo-output")
 

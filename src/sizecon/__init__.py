@@ -18,13 +18,8 @@ from .analysis import (
     horizon,
     wls_fit,
 )
-from .experiment import (
-    ExperimentConfig,
-    analyze,
-    build_hamiltonians,
-    reference_table,
-    run_experiment,
-)
+from .config import ExperimentConfig
+from .experiment import build_hamiltonians, run_experiment
 from .hamiltonians import (
     FermionHamiltonian,
     h1q_parameters,
@@ -44,6 +39,7 @@ from .pauli import (
     qubitwise_commutes,
     qubitwise_groups,
 )
+from .report import analyze, reference_table
 from .sampling import (
     SamplingPlan,
     random_plan,

@@ -171,6 +171,12 @@ def cisd_reference(levels: SubsystemLevels, n_subsystems: int) -> CisdReference:
     )
 
 
+def mean_sd(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation (ddof 1; 0 for a single value)."""
+    values = np.asarray(values, dtype=float)
+    return float(values.mean()), float(values.std(ddof=1)) if len(values) > 1 else 0.0
+
+
 @dataclass(frozen=True)
 class ErrorStat:
     n_subsystems: int
@@ -197,13 +203,12 @@ def error_stats(
         raise ValueError("no samples provided")
     stats = {}
     for n in sorted(by_n):
-        values = np.array(by_n[n])
-        std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+        mean, std = mean_sd(by_n[n])
         stats[n] = ErrorStat(
             n_subsystems=n,
-            mean_error_kcal=float(values.mean()),
+            mean_error_kcal=mean,
             std_kcal=std,
-            n_samples=len(values),
+            n_samples=len(by_n[n]),
         )
     hf_gap = (e_hf - e_fci) * HARTREE_TO_KCAL_PER_MOL
     return stats, hf_gap

@@ -15,19 +15,13 @@ Exit code 0 on success; any failure prints one categorized
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from .experiment import (
-    ConfigError,
-    DEFAULT_BOND_LENGTH,
-    ExperimentConfig,
-    analyze,
-    reference_table,
-    run_experiment,
-)
-from .sampling import qubit_score, rank_qubits, synthetic_calibration
+from .config import DEFAULT_BOND_LENGTH, ConfigError, ExperimentConfig
+from .experiment import csv_text, run_experiment
+from .report import analyze, reference_table
+from .sampling import qubit_scores, rank_qubits, synthetic_calibration
 from .simulator import DeviceModel
 
 
@@ -70,16 +64,6 @@ def _emit(text: str, output: str) -> None:
         Path(output).write_text(text)
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.config)
     if not path.exists():
@@ -98,7 +82,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     rows = reference_table(args.bond_length, args.n_max)
-    _emit(_rows_to_csv(rows), args.output)
+    _emit(csv_text(rows), args.output)
     return 0
 
 
@@ -111,11 +95,12 @@ def _cmd_calibration(args: argparse.Namespace) -> int:
     if not path.exists():
         raise FileNotFoundError(f"calibration file not found: {path}")
     device = DeviceModel.from_json(path.read_text())
+    scores = qubit_scores(device)
     rows = [
-        {"rank": i, "qubit": q, "score": repr(qubit_score(device, q))}
+        {"rank": i, "qubit": q, "score": repr(scores[q])}
         for i, q in enumerate(rank_qubits(device))
     ]
-    _emit(_rows_to_csv(rows), "-")
+    _emit(csv_text(rows), "-")
     return 0
 
 

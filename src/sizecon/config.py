@@ -1,0 +1,167 @@
+"""Experiment configuration: the JSON schema, its types and its ranges.
+
+``ExperimentConfig.from_json`` reads the config file that ``sizecon run``
+takes. Every key the file may hold is listed once in ``_SCHEMA`` under its
+JSON path; an unknown key, a value of the wrong type or one out of range
+raises a ``ConfigError`` that names the path as the file spells it
+(``shots``, ``sampling.k``, ``calibration.file``).
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+QUBIT_BUDGET = 16
+DEFAULT_SHOTS = 100_000
+DEFAULT_BOND_LENGTH = 0.7414   # angstrom, experimental equilibrium
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration; names the offending field by its
+    path in the JSON config (``sampling.k``, ``calibration.file``, ...)."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(f"{field_name}: {message}")
+        self.field_name = field_name
+
+
+def _typed(value, field_name: str, kind: type | tuple, what: str = "an integer"):
+    """``value`` if it is a ``kind`` (never a bool), else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(field_name, f"must be {what}, got {value!r}")
+    return value
+
+
+# JSON path -> (config field, required type, what an error says it must be)
+_SCHEMA = {
+    "representation": ("representation", int, "an integer"),
+    "subsystem_counts": ("subsystem_counts", list, "a list of integers"),
+    "output_dir": ("output_dir", str, "a string"),
+    "shots": ("shots", int, "an integer"),
+    "master_seed": ("master_seed", int, "an integer"),
+    "bond_length": ("bond_length", (int, float), "a number"),
+    "sampling.mode": ("sampling_mode", str, "a string"),
+    "sampling.k": ("k_sets", int, "an integer"),
+    "sampling.s": ("s_repetitions", int, "an integer"),
+    "calibration.file": ("calibration_file", str, "a string"),
+    "calibration.synthetic_seed": ("calibration_seed", int, "an integer"),
+    "calibration.n_qubits": ("calibration_qubits", int, "an integer"),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    representation: int
+    subsystem_counts: tuple[int, ...]
+    output_dir: str
+    shots: int = DEFAULT_SHOTS
+    sampling_mode: str = "selective"
+    k_sets: int = 3
+    s_repetitions: int = 50
+    bond_length: float = DEFAULT_BOND_LENGTH
+    calibration_file: str | None = None
+    calibration_seed: int = 0
+    calibration_qubits: int = 156
+    master_seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "subsystem_counts", tuple(self.subsystem_counts))
+        if self.representation not in (1, 2, 4):
+            raise ConfigError("representation", f"must be 1, 2 or 4, got {self.representation}")
+        if not self.subsystem_counts:
+            raise ConfigError("subsystem_counts", "must not be empty")
+        for n in self.subsystem_counts:
+            if n < 1:
+                raise ConfigError("subsystem_counts", f"counts must be >= 1, got {n}")
+            if n * self.representation > QUBIT_BUDGET:
+                raise ConfigError(
+                    "subsystem_counts",
+                    f"N={n} needs {n * self.representation} qubits, over the "
+                    f"{QUBIT_BUDGET}-qubit budget",
+                )
+        if self.shots < 1:
+            raise ConfigError("shots", f"must be >= 1, got {self.shots}")
+        if self.sampling_mode not in ("selective", "random"):
+            raise ConfigError("sampling.mode", f"unknown mode {self.sampling_mode!r}")
+        if self.sampling_mode == "selective":
+            if self.k_sets < 1:
+                raise ConfigError("sampling.k", "must be >= 1")
+            for n in self.subsystem_counts:
+                if QUBIT_BUDGET % (n * self.representation) != 0:
+                    raise ConfigError(
+                        "subsystem_counts",
+                        f"N={n} x width {self.representation} does not divide the "
+                        f"{QUBIT_BUDGET}-qubit pool; use random sampling",
+                    )
+        elif self.s_repetitions < 1:
+            raise ConfigError("sampling.s", "must be >= 1")
+        if self.bond_length <= 0:
+            raise ConfigError("bond_length", f"must be positive, got {self.bond_length}")
+        if self.calibration_file is None and self.calibration_qubits < QUBIT_BUDGET:
+            raise ConfigError(
+                "calibration.n_qubits", f"need at least {QUBIT_BUDGET} qubits"
+            )
+
+    @property
+    def run_id(self) -> str:
+        return f"r{self.representation}q-s{self.master_seed}"
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExperimentConfig":
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("document", f"not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("document", "top level must be an object")
+        values = {}
+        for key, value in raw.items():
+            if key not in ("sampling", "calibration"):
+                values[key] = value
+            elif isinstance(value, dict):
+                values.update((f"{key}.{k}", v) for k, v in value.items())
+            else:
+                raise ConfigError(key, "must be an object")
+        unknown = sorted(set(values) - set(_SCHEMA))
+        if unknown:
+            raise ConfigError(unknown[0], "unknown field")
+        for required in ("representation", "subsystem_counts", "output_dir"):
+            if required not in raw:
+                raise ConfigError(required, "missing required field")
+
+        kwargs = {
+            _SCHEMA[path][0]: _typed(value, path, *_SCHEMA[path][1:])
+            for path, value in values.items()
+        }
+        kwargs["subsystem_counts"] = [
+            _typed(n, "subsystem_counts", int) for n in kwargs["subsystem_counts"]
+        ]
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            if isinstance(exc, ConfigError):
+                raise
+            raise ConfigError("document", str(exc)) from exc
+
+    def to_dict(self) -> dict:
+        sampling = {"mode": self.sampling_mode}
+        if self.sampling_mode == "selective":
+            sampling["k"] = self.k_sets
+        else:
+            sampling["s"] = self.s_repetitions
+        calibration: dict = (
+            {"file": self.calibration_file}
+            if self.calibration_file is not None
+            else {"synthetic_seed": self.calibration_seed, "n_qubits": self.calibration_qubits}
+        )
+        return {
+            "representation": self.representation,
+            "subsystem_counts": list(self.subsystem_counts),
+            "shots": self.shots,
+            "sampling": sampling,
+            "bond_length": self.bond_length,
+            "calibration": calibration,
+            "output_dir": self.output_dir,
+            "master_seed": self.master_seed,
+        }

@@ -67,23 +67,32 @@ def _score(
     return readout_weight * readout + two_qubit_weight * two_qubit
 
 
-def rank_qubits(
+def qubit_scores(
     device: DeviceModel,
     readout_weight: float = 1.0,
     two_qubit_weight: float = 1.0,
-) -> list[int]:
-    """Physical qubits ordered best (least noisy) first, ties by index."""
+) -> list[float]:
+    """:func:`qubit_score` of every qubit, from one pass over the pairs."""
     # incident pair errors per qubit, in the order of two_qubit_error, so
     # each mean adds the same values in the same order as qubit_score
     incident: list[list[float]] = [[] for _ in range(device.n_qubits)]
     for (a, b), p in device.two_qubit_error.items():
         incident[a].append(p)
         incident[b].append(p)
-    scores = [
-        (_score(cal, incident[q], readout_weight, two_qubit_weight), q)
+    return [
+        _score(cal, incident[q], readout_weight, two_qubit_weight)
         for q, cal in enumerate(device.qubits)
     ]
-    return [q for _, q in sorted(scores)]
+
+
+def rank_qubits(
+    device: DeviceModel,
+    readout_weight: float = 1.0,
+    two_qubit_weight: float = 1.0,
+) -> list[int]:
+    """Physical qubits ordered best (least noisy) first, ties by index."""
+    scores = qubit_scores(device, readout_weight, two_qubit_weight)
+    return [q for _, q in sorted(zip(scores, range(device.n_qubits)))]
 
 
 def _chunk_blocks(qubits: Sequence[int], n_subsystems: int, width: int) -> tuple[tuple[int, ...], ...]:

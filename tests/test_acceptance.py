@@ -12,12 +12,9 @@ import numpy as np
 import pytest
 
 from sizecon.analysis import cisd_reference, horizon, wls_fit
-from sizecon.experiment import (
-    ExperimentConfig,
-    analyze,
-    build_hamiltonians,
-    run_experiment,
-)
+from sizecon.config import ExperimentConfig
+from sizecon.experiment import build_hamiltonians, run_experiment
+from sizecon.report import analyze
 from sizecon.hamiltonians import jordan_wigner, to_fermion, taper
 from sizecon.molecule import build_integrals, solve_rhf
 from sizecon.simulator import DeviceModel, QubitCalibration, run_shots

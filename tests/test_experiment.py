@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from sizecon.cli import main as cli_main
-from sizecon.experiment import (
-    ConfigError,
-    ExperimentConfig,
-    analyze,
-    build_hamiltonians,
-    derive_seed,
-    reference_table,
-    run_experiment,
-)
+from sizecon.config import ConfigError, ExperimentConfig
+from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
+from sizecon.report import analyze, reference_table
+from sizecon.sampling import qubit_score, synthetic_calibration
 from sizecon.simulator import DeviceModel
 
 
@@ -77,6 +72,11 @@ class TestConfig:
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "bond_length": false}', "bond_length"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": 5}', "output_dir"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"file": 7}}', "calibration.file"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"kk": 0}}', "sampling.kk"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"mode": "random", "s": 4, "k": 2, "seed": 1}}', "sampling.seed"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"seed": 3}}', "calibration.seed"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"file": "c.json", "n_qubit": 16}}', "calibration.n_qubit"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": []}', "sampling"),
         ],
     )
     def test_invalid_configs_name_field(self, payload, field):
@@ -241,6 +241,55 @@ class TestAnalyze:
         with open(out / "fig1.csv", newline="") as fh:
             assert {r["kind"] for r in csv.DictReader(fh)} == {"sample"}
 
+    def test_truncated_samples_rejected(self, tmp_path):
+        out = run_experiment(tiny_config(tmp_path, shots=500))
+        lines = (out / "samples.csv").read_text().splitlines(keepends=True)
+        (out / "samples.csv").write_text("".join(lines[:-1]))
+        # selective k=1: N=2 -> 8 samples x 2 subsystems, N=4 -> 4 x 4
+        with pytest.raises(ValueError, match="has 31 subsystem rows; its manifest expects 32"):
+            analyze(out)
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "representation, counts, expected",
+        [
+            (1, (1, 2, 4), {
+                "summary.csv": "346f338d277afec2325b0ea8c988095fbe1b3e5234c90c99cf3f220e96fa7423",
+                "fig1.csv": "6de6dbb994959b61ada7f6e14f58e957397083ad4c3fa2ec8f04dc6d3b8b62d1",
+                "fig2a.csv": "2b604d60fad5c5e767ca8c863620ab4aca035f9857ce87f0fdfb8544bfe2dc12",
+                "fig2b.csv": "4d5ad299deda3c69dcfd2d2eb0efad9951fccc937dc44ffcca1bb96b39fc0089",
+                "fig3.csv": "39234dfe7c63c0c06385fb0717d7f35d62bc6c0602a559c287042241b596d5cf",
+                "fig1.svg": "2d113d32e85268fe65f989a36a784665c2d1b462a28d28cb8f71045d6c5debea",
+                "fig2a.svg": "0abc00d67f79dd39d99f4a3689b2ba3b004742d9f20457b99d09d7787dbf52f7",
+                "fig2b.svg": "157cb70253803ceef78cb44e4186f193477b78fc8d7373d0d8248036a37c9413",
+                "fig3.svg": "4673d6c74a2b05fab67365081c6fed8470e1ede11859f18bc9cc65b516ce8f81",
+            }),
+            (2, (2,), {
+                "summary.csv": "c5d029c0aba0f8a62ad0a8838c06616fd29d1bf7e45fd588dac1e2243d9cc3f5",
+                "fig1.csv": "4ab6553a09dc1cab3c0fb039e6a349b667c5cf68335d1a9b6bac2df0657d8c71",
+                "fig2a.csv": "c60bdada3620a5df0ae78d67302764188956e1929d8568c6fe0ea904d86e4acf",
+                "fig2b.csv": "39305870ba5bd22c26b2b299060a82c5f4207186b832e1f03562aff85d63ea01",
+                "fig3.csv": "807087c9ce4c31c9bf4d814066f04f31c54cc1d083bbfa70e91306ea403620d6",
+                "fig1.svg": "c9ccf58f60a0d262a74037d5f5dfbc7b8935f562748da39d5605c7efcf5178c5",
+                "fig2a.svg": "0dbb0831035154d0df04aef6f0d752923dd0f0cbf5833101daa55a002dc5f62c",
+                "fig2b.svg": "9f3c074004787e9a3f5799cb74b1eb3e9d5736b01bea7140812f309ec3583818",
+                "fig3.svg": "5a89557fadd926cf2bc40cf3f925f87c4ac4a8ce79a65c0dc30a4e709815418c",
+            }),
+        ],
+        ids=["multi-n", "single-n"],
+    )
+    def test_report_bytes_are_pinned(self, tmp_path, representation, counts, expected):
+        # recorded when each figure still built its CSV rows and its SVG
+        # series separately; a change to the report bytes must be deliberate
+        config = tiny_config(
+            tmp_path, representation=representation, subsystem_counts=counts, shots=500
+        )
+        out = analyze(run_experiment(config))
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected
+        }
+        assert digests == expected
+
     def test_analyze_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not a run directory"):
             analyze(tmp_path / "nothing")
@@ -372,6 +421,27 @@ class TestCli:
         assert cli_main(["calibration", "rank", str(cal)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: value: calibration: {message}"]
 
+    def test_unknown_section_key_is_categorized(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "representation": 1, "subsystem_counts": [2], "output_dir": "x",
+            "sampling": {"kk": 0},
+        }))
+        assert cli_main(["run", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: config: sampling.kk: unknown field"]
+
+    def test_calibration_rank_scores_equal_qubit_score(self, tmp_path, capsys):
+        device = synthetic_calibration(n_qubits=156, seed=7)
+        cal = tmp_path / "cal.json"
+        cal.write_text(device.to_json())
+        assert cli_main(["calibration", "rank", str(cal)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "rank,qubit,score"
+        expected = sorted((qubit_score(device, q), q) for q in range(156))
+        assert lines[1:] == [
+            f"{rank},{q},{score!r}" for rank, (score, q) in enumerate(expected)
+        ]
+
     def test_missing_file_is_categorized(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 1
         assert capsys.readouterr().err.startswith("error: io:")
@@ -379,3 +449,12 @@ class TestCli:
     def test_analyze_error(self, tmp_path, capsys):
         assert cli_main(["analyze", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: io:")
+
+    def test_stale_samples_are_categorized(self, tmp_path, capsys):
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
+        text = (out / "samples.csv").read_text()
+        (out / "samples.csv").write_text(text + text.split("\n", 1)[1])
+        assert cli_main(["analyze", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: value: {out}/samples.csv has 32 subsystem rows; its manifest expects 16"
+        ]

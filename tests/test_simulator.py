@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sizecon.sampling import synthetic_calibration
 from sizecon.simulator import (
     CountsTable,
     DeviceModel,
@@ -280,6 +282,37 @@ class TestDeviceModel:
         )
         back = DeviceModel.from_json(device.to_json())
         assert back == device
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: synthetic_calibration(n_qubits=156, seed=7),
+            lambda: DeviceModel.noiseless(3),
+            lambda: DeviceModel.from_json(
+                '{"qubits": [{"readout_p10": 0, "readout_p01": 1, "single_qubit_error": 0},'
+                ' {"readout_p10": 0.25, "readout_p01": 0, "single_qubit_error": 1}],'
+                ' "two_qubit_error": [{"pair": [1, 0], "error": 1}]}'
+            ),
+        ],
+        ids=["synthetic-seed7-156", "noiseless-no-pairs", "integer-probabilities"],
+    )
+    def test_to_json_equals_indented_json_dumps(self, make):
+        device = make()
+        payload = {
+            "qubits": [
+                {
+                    "readout_p10": q.readout_p10,
+                    "readout_p01": q.readout_p01,
+                    "single_qubit_error": q.single_qubit_error,
+                }
+                for q in device.qubits
+            ],
+            "two_qubit_error": [
+                {"pair": list(pair), "error": p}
+                for pair, p in sorted(device.two_qubit_error.items())
+            ],
+        }
+        assert device.to_json() == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "payload, key",
