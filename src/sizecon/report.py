@@ -39,12 +39,23 @@ class SampleAggregate:
     p_double: float
 
 
+_SAMPLE_COLUMNS = (
+    "n_subsystems", "set_index", "sample_index", "energy_hartree",
+    "energy_shot_stderr_hartree", "p_single", "p_double",
+)
+
+
 def load_samples(run_dir: Path, expected_rows: int) -> list[SampleAggregate]:
     """The run's samples, one aggregate per (N, set, sample); a file that
-    does not hold ``expected_rows`` subsystem rows raises a ValueError."""
+    lacks a column it reads or does not hold ``expected_rows`` subsystem rows
+    raises a ValueError."""
     rows_by_key: dict[tuple[int, int, int], list[dict]] = {}
     with open(run_dir / SAMPLES_CSV, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for column in _SAMPLE_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{run_dir}/{SAMPLES_CSV} has no column {column}")
+        for row in reader:
             key = (int(row["n_subsystems"]), int(row["set_index"]), int(row["sample_index"]))
             rows_by_key.setdefault(key, []).append(row)
     found = sum(len(rows) for rows in rows_by_key.values())
@@ -110,6 +121,17 @@ def _write_figure(
     write_svg(figure, run_dir / f"{name}.svg")
 
 
+def _manifest_field(manifest: object, path: str, run_dir: Path):
+    """The manifest's value at the dotted ``path``; a missing key raises a
+    ValueError that names it."""
+    value = manifest
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"{run_dir}/{MANIFEST_JSON} has no key {path}")
+        value = value[key]
+    return value
+
+
 def analyze(run_dir: str | Path) -> Path:
     """Produce summary and figure outputs for a finished run directory."""
     run_dir = Path(run_dir)
@@ -117,13 +139,14 @@ def analyze(run_dir: str | Path) -> Path:
     if not manifest_path.exists():
         raise FileNotFoundError(f"{run_dir} has no {MANIFEST_JSON}; not a run directory")
     manifest = json.loads(manifest_path.read_text())
-    representation = int(manifest["config"]["representation"])
-    ref = manifest["reference"]
+    representation = int(_manifest_field(manifest, "config.representation", run_dir))
     levels = SubsystemLevels(
-        e_hf=ref["e_hf_sub"], e_double=ref["e_double_sub"], coupling=ref["coupling"]
+        e_hf=_manifest_field(manifest, "reference.e_hf_sub", run_dir),
+        e_double=_manifest_field(manifest, "reference.e_double_sub", run_dir),
+        coupling=_manifest_field(manifest, "reference.coupling", run_dir),
     )
     # one seed per (N, set, sample, group) work item; a sample holds N rows
-    samples = {key.rsplit("/", 1)[0] for key in manifest["seeds"]}
+    samples = {key.rsplit("/", 1)[0] for key in _manifest_field(manifest, "seeds", run_dir)}
     aggregates = load_samples(run_dir, sum(int(s.split("/")[0][1:]) for s in samples))
     if not aggregates:
         raise ValueError(f"{run_dir}/{SAMPLES_CSV} holds no samples")

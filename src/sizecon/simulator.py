@@ -17,6 +17,17 @@ its own cumulative distribution at the measurement draw, which is then
 rescaled into the chosen interval. In exact arithmetic this is the inverse-CDF
 draw over the whole register.
 
+Quiet and fired shots: at device rates about 98% of shots fire no event on a
+given segment. Every shot is first drawn through the segment's noiseless
+distribution in one pass; the shots that fired an event are then redrawn
+from their saved measurement draw, grouped by insertion pattern with one
+stable argsort. Each shot meets the same distribution and the same
+arithmetic as if it were drawn alone. The distributions live in one
+module-level memo keyed by the segment's relabelled gates and the pattern
+bytes, not by segment index, so identical H2 blocks share entries across
+segments, engines and system sizes. The memo holds at most a fixed byte
+budget (32 MiB) and drops its least recently used entries first.
+
 Reproducibility: all randomness for a call comes from a Philox
 counter-based generator keyed by the seed. Shot ``i`` consumes row ``i`` of
 a ``(shots, budget)`` uniform block whose columns are, in order: one
@@ -198,23 +209,25 @@ class CountsTable:
 def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
     half = angle / 2.0
     if kind == "RY":
-        return np.array(
-            [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]],
-            dtype=complex,
-        )
+        c, s = math.cos(half), math.sin(half)
+        return np.array([[c, -s], [s, c]], dtype=complex)
     if kind == "RZ":
-        return np.array(
-            [[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]], dtype=complex
-        )
+        return np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]], dtype=complex)
     raise ValueError(f"not a rotation kind: {kind}")
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    psi = np.moveaxis(state.reshape([2] * n), q, 0)
+def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
+    if len(state) == 2:
+        # numpy scalars: their complex product can round apart from the
+        # vectorised array loop's (fused multiply-adds), so keep them here
+        a, b = state
+        return np.array([mat[0, 0] * a + mat[0, 1] * b, mat[1, 0] * a + mat[1, 1] * b])
+    # axes: the qubits before q, qubit q, the qubits after it
+    psi = state.reshape(1 << q, 2, -1)
     out = np.empty_like(psi)
-    out[0] = mat[0, 0] * psi[0] + mat[0, 1] * psi[1]
-    out[1] = mat[1, 0] * psi[0] + mat[1, 1] * psi[1]
-    return np.moveaxis(out, 0, q).reshape(-1)
+    out[:, 0] = mat[0, 0] * psi[:, 0] + mat[0, 1] * psi[:, 1]
+    out[:, 1] = mat[1, 0] * psi[:, 0] + mat[1, 1] * psi[:, 1]
+    return out.reshape(-1)
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
@@ -226,25 +239,22 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     if any(t >= n for t in gate.targets):
         raise ValueError(f"gate targets {gate.targets} exceed register width {n}")
     if gate.kind == "X":
-        return _apply_1q(state, _X, gate.targets[0], n)
+        return _apply_1q(state, _X, gate.targets[0])
     if gate.kind in ("RY", "RZ"):
-        return _apply_1q(state, _rotation_matrix(gate.kind, gate.angle), gate.targets[0], n)
+        return _apply_1q(state, _rotation_matrix(gate.kind, gate.angle), gate.targets[0])
     psi = state.reshape([2] * n).copy()
     a, b = gate.targets
+    idx: list = [slice(None)] * n
+    idx[a] = 1  # the half with the control (first target) set
     if gate.kind == "CZ":
-        idx: list = [slice(None)] * n
-        idx[a], idx[b] = 1, 1
+        idx[b] = 1
         psi[tuple(idx)] *= -1
-        return psi.reshape(-1)
-    if gate.kind == "CNOT":
-        i0: list = [slice(None)] * n
-        i1: list = [slice(None)] * n
-        i0[a], i0[b] = 1, 0
-        i1[a], i1[b] = 1, 1
-        low, high = psi[tuple(i0)].copy(), psi[tuple(i1)].copy()
-        psi[tuple(i0)], psi[tuple(i1)] = high, low
-        return psi.reshape(-1)
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    elif gate.kind == "CNOT":
+        # swap the target's 0 and 1 amplitudes; axis a is gone from the half
+        psi[tuple(idx)] = np.flip(psi[tuple(idx)], axis=b - (b > a))
+    else:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return psi.reshape(-1)
 
 
 def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
@@ -259,12 +269,76 @@ def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarr
     return state
 
 
+def _distribution(gates: tuple[Gate, ...], pattern: bytes) -> np.ndarray:
+    """Cumulative distribution, with a leading 0, of a segment's outcomes
+    under one insertion pattern (one code byte per segment gate). The
+    segment's width is one past its highest gate target."""
+    n = 1 + max((t for g in gates for t in g.targets), default=0)
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    for gate, code in zip(gates, pattern):
+        state = apply_gate(state, gate)
+        # code: 1 = X, 2 = Y, 3 = Z; a pair code is 4 * first + second
+        letters = divmod(code, 4) if len(gate.targets) == 2 else (code,)
+        for letter, q in zip(letters, gate.targets):
+            if letter:
+                state = _apply_1q(state, _PAULI_1Q[letter - 1], q)
+    probs = np.abs(state) ** 2
+    return np.concatenate(([0.0], np.cumsum(probs / probs.sum())))
+
+
+# Byte budget of the distribution memo: a 4-qubit entry is 136 B, a
+# connected 16-qubit one 512 KiB.
+_MEMO_BYTES = 1 << 25
+
+
+class _DistributionMemo:
+    """``_distribution`` results keyed by (segment gates, insertion pattern).
+    A value depends on its key alone, so one memo serves every segment,
+    engine and system size. Past ``_MEMO_BYTES`` of distributions the least
+    recently used go first."""
+
+    def __init__(self):
+        self.entries: dict[tuple[tuple[Gate, ...], bytes], np.ndarray] = {}
+        self.nbytes = 0
+
+    def __call__(self, gates: tuple[Gate, ...], pattern: bytes) -> np.ndarray:
+        cum = self.entries.pop((gates, pattern), None)
+        if cum is None:
+            cum = _distribution(gates, pattern)
+            self.nbytes += cum.nbytes
+        self.entries[gates, pattern] = cum  # most recently used last
+        while self.nbytes > _MEMO_BYTES:
+            self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
+        return cum
+
+
+_MEMO = _DistributionMemo()
+
+
+def _invert(cum: np.ndarray, u_meas: np.ndarray, codes: np.ndarray, n: int) -> tuple:
+    """One chain-rule step: each shot's outcome under ``cum`` at its draw,
+    appended to its code, and the draw rescaled into the chosen interval."""
+    x = np.minimum(np.searchsorted(cum, u_meas, side="right") - 1, 2**n - 1)
+    lower = cum[x]
+    span = cum[x + 1] - lower
+    # a zero-width interval only arises past the table's end (round-off);
+    # later segments then take their last outcome
+    rescaled = np.divide(u_meas - lower, span, out=np.ones_like(lower), where=span > 0)
+    return rescaled, (codes << n) | x
+
+
 class TrajectoryEngine:
     """Reusable shot sampler for one (circuit, basis change) pair.
 
-    Noise-event patterns are grouped so each distinct trajectory is evolved
-    once; the per-pattern probability tables are cached across calls (they
-    do not depend on the device, only on which insertions fired).
+    Per segment, every shot is drawn through the noiseless distribution in
+    one pass; the shots that fired a noise event on the segment's gates
+    (about 2% at device rates) are then redrawn from their saved
+    measurement draw, one group per distinct insertion pattern. The
+    distributions come from a module-level memo keyed by the segment's
+    relabelled gates and the pattern, so identical blocks share them across
+    segments, engines and system sizes. They do not depend on the device,
+    only on which insertions fired.
     """
 
     def __init__(self, circuit: Circuit, basis_change: Circuit | None = None):
@@ -280,38 +354,12 @@ class TrajectoryEngine:
         starts = [q for q in range(circuit.width) if q not in joined]
         # Per segment: width, indices into circuit + basis-change gates, and
         # those gates relabelled onto the segment's own qubits.
-        self._segments: list[tuple[int, list[int], list[Gate]]] = []
+        self._segments: list[tuple[int, list[int], tuple[Gate, ...]]] = []
         for lo, hi in zip(starts, starts[1:] + [circuit.width]):
             inside = [gi for gi, g in enumerate(gates) if lo <= g.targets[0] < hi]
             local = [gates[gi] for gi in inside]
-            local = [replace(g, targets=[t - lo for t in g.targets]) for g in local]
+            local = tuple(replace(g, targets=[t - lo for t in g.targets]) for g in local)
             self._segments.append((hi - lo, inside, local))
-        self._cache: dict[tuple[int, bytes], np.ndarray] = {}
-        widest = max(width for width, *_ in self._segments)
-        self._cache_cap = max(8, (1 << 22) >> widest)
-
-    def _distribution(self, segment: int, insertions: np.ndarray) -> np.ndarray:
-        """Cumulative distribution, with a leading 0, of one segment's outcomes
-        under one insertion pattern (one code per segment gate)."""
-        key = (segment, insertions.tobytes())
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        n, _, gates = self._segments[segment]
-        state = np.zeros(2**n, dtype=complex)
-        state[0] = 1.0
-        for gate, code in zip(gates, insertions):
-            state = apply_gate(state, gate)
-            # code: 1 = X, 2 = Y, 3 = Z; a pair code is 4 * first + second
-            letters = divmod(int(code), 4) if len(gate.targets) == 2 else (int(code),)
-            for letter, q in zip(letters, gate.targets):
-                if letter:
-                    state = _apply_1q(state, _PAULI_1Q[letter - 1], q, n)
-        probs = np.abs(state) ** 2
-        cum = np.concatenate(([0.0], np.cumsum(probs / probs.sum())))
-        if len(self._cache) < self._cache_cap:
-            self._cache[key] = cum
-        return cum
 
     def sample(
         self,
@@ -324,9 +372,7 @@ class TrajectoryEngine:
         circuit = self.circuit
         w = circuit.width
         if len(physical_map) != w:
-            raise ValueError(
-                f"physical map length {len(physical_map)} != circuit width {w}"
-            )
+            raise ValueError(f"physical map length {len(physical_map)} != circuit width {w}")
         for p in physical_map:
             if not 0 <= p < device.n_qubits:
                 raise ValueError(f"physical qubit {p} absent from device")
@@ -337,11 +383,9 @@ class TrajectoryEngine:
         noisy: dict[int, tuple[int, float, int]] = {}
         for gi, gate in enumerate(circuit.gates):
             if len(gate.targets) == 1:
-                p = device.qubits[physical_map[gate.targets[0]]].single_qubit_error
-                options = 3
+                p, options = device.qubits[physical_map[gate.targets[0]]].single_qubit_error, 3
             else:
-                p = device.pair_error(*(physical_map[t] for t in gate.targets))
-                options = 15
+                p, options = device.pair_error(*(physical_map[t] for t in gate.targets)), 15
             if p > 0.0:
                 noisy[gi] = (2 * len(noisy), p, options)
         n_noisy = len(noisy)
@@ -361,30 +405,27 @@ class TrajectoryEngine:
             # Chain rule, qubit 0 first: each segment inverts its own CDF at
             # u_meas, then u_meas is rescaled into the chosen interval. For a
             # product distribution this is the full-register inverse CDF.
-            u_meas = u[:, 2 * n_noisy].copy()
+            u_meas = u[:, 2 * n_noisy]
             codes = np.zeros(chunk, dtype=np.int64)
-            for s, (n, inside, _) in enumerate(self._segments):
-                # one column even for a gate-free segment, so every row has a key
-                patterns = np.zeros((chunk, max(len(inside), 1)), dtype=np.int8)
-                for j, gi in enumerate(inside):
-                    if gi in noisy:
-                        col, p, options = noisy[gi]
-                        fired = u[:, col] < p
-                        patterns[fired, j] = (u[fired, col + 1] * options).astype(np.int8) + 1
-                keys = patterns.view(np.dtype((np.void, patterns.shape[1])))[:, 0]
-                _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-                for ui, row in enumerate(first):
-                    rows = inverse == ui
-                    cum = self._distribution(s, patterns[row])
-                    x = np.minimum(np.searchsorted(cum, u_meas[rows], side="right") - 1, 2**n - 1)
-                    lower = cum[x]
-                    span = cum[x + 1] - lower
-                    # a zero-width interval only arises past the table's end
-                    # (round-off); later segments then take their last outcome
-                    u_meas[rows] = np.divide(
-                        u_meas[rows] - lower, span, out=np.ones_like(lower), where=span > 0
-                    )
-                    codes[rows] = (codes[rows] << n) | x
+            for n, inside, gates in self._segments:
+                events = [(j, *noisy[gi]) for j, gi in enumerate(inside) if gi in noisy]
+                rows = np.flatnonzero(np.any([u[:, col] < p for _, col, p, _ in events], axis=0))
+                u_fired, codes_fired = u_meas[rows], codes[rows]
+                u_meas, codes = _invert(_MEMO(gates, bytes(len(gates))), u_meas, codes, n)
+                if not rows.size:
+                    continue
+                # Redraw the fired rows from their saved draw, grouped by
+                # insertion pattern through one stable argsort.
+                patterns = np.zeros((rows.size, len(gates)), dtype=np.int8)
+                for j, col, p, options in events:
+                    hit = u[rows, col] < p
+                    patterns[hit, j] = (u[rows[hit], col + 1] * options).astype(np.int8) + 1
+                keys = patterns.view(np.dtype((np.void, len(gates))))[:, 0]
+                order = np.argsort(keys, kind="stable")
+                ends = np.flatnonzero(keys[order[1:]] != keys[order[:-1]]) + 1
+                for group in np.split(order, ends):
+                    cum, at = _MEMO(gates, keys[group[0]].tobytes()), rows[group]
+                    u_meas[at], codes[at] = _invert(cum, u_fired[group], codes_fired[group], n)
 
             bits = (codes[:, None] >> shifts[None, :]) & 1
             bits ^= u[:, 2 * n_noisy + 1 :] < np.where(bits == 0, p10, p01)

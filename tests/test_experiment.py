@@ -171,6 +171,24 @@ class TestRunExperiment:
         digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
         assert digest == "de079601b27a5c55822071a1555c173dfb938f55efb8754f484be46271c81275"
 
+    def test_rep1_many_shot_samples_bytes_are_pinned(self, tmp_path):
+        # recorded before the sampler drew quiet and fired shots apart; at
+        # 20k shots and N=16 every segment mixes both kinds of row
+        config = ExperimentConfig(
+            representation=1,
+            subsystem_counts=(2, 16),
+            output_dir=str(tmp_path / "run"),
+            shots=20_000,
+            sampling_mode="selective",
+            k_sets=2,
+            calibration_seed=7,
+            calibration_qubits=156,
+            master_seed=1,
+        )
+        out = run_experiment(config)
+        digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+        assert digest == "a7bd904988deaf7f4dac53fab0b0b2d97c30968a8a7c75e6ba0cde02d87d52b8"
+
     def test_missing_calibration_file(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^calibration\.file: no such file"):
             run_experiment(tiny_config(tmp_path, calibration_file=str(tmp_path / "nope.json")))
@@ -449,6 +467,24 @@ class TestCli:
     def test_analyze_error(self, tmp_path, capsys):
         assert cli_main(["analyze", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: io:")
+
+    @pytest.mark.parametrize(
+        "name, damage, message",
+        [
+            ("manifest.json", lambda text: "{}", "manifest.json has no key config.representation"),
+            ("manifest.json",
+             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "seeds"}),
+             "manifest.json has no key seeds"),
+            ("samples.csv", lambda text: text.replace(",p_double,", ",p_doubel,", 1),
+             "samples.csv has no column p_double"),
+        ],
+        ids=["empty-manifest", "manifest-without-seeds", "renamed-column"],
+    )
+    def test_malformed_run_dir_is_categorized(self, tmp_path, capsys, name, damage, message):
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
+        (out / name).write_text(damage((out / name).read_text()))
+        assert cli_main(["analyze", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: value: {out}/{message}"]
 
     def test_stale_samples_are_categorized(self, tmp_path, capsys):
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sizecon import simulator
 from sizecon.sampling import synthetic_calibration
 from sizecon.simulator import (
+    _PAULI_1Q,
     CountsTable,
     DeviceModel,
     QubitCalibration,
     TrajectoryEngine,
+    _apply_1q,
+    _rotation_matrix,
     apply_gate,
     run_shots,
     statevector,
 )
-from sizecon.stateprep import Circuit, Gate
+from sizecon.stateprep import Circuit, Gate, compose
 
 from oracles import circuit_unitary, density_matrix_probs
 from tables import counts_table, histogram
@@ -83,8 +87,6 @@ class TestApplyGate:
     def test_norm_preserved_per_noisy_trajectory(self):
         # a trajectory is the circuit interleaved with Pauli insertions;
         # every step is unitary, so the norm must survive to 1e-12
-        from sizecon.simulator import _PAULI_1Q, _apply_1q
-
         rng = np.random.default_rng(13)
         for _ in range(5):
             circuit = random_circuit(3, 8, rng)
@@ -95,8 +97,28 @@ class TestApplyGate:
                 for t in gate.targets:
                     if rng.random() < 0.5:
                         letter = int(rng.integers(1, 4))  # X, Y or Z
-                        state = _apply_1q(state, _PAULI_1Q[letter - 1], t, 3)
+                        state = _apply_1q(state, _PAULI_1Q[letter - 1], t)
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_apply_1q_equals_moveaxis_form(self):
+        # the kernel's earlier form, which moved qubit q's axis to the front;
+        # the sampled bytes depend on every amplitude bit, so equality is exact
+        def moveaxis_form(state, mat, q, n):
+            psi = np.moveaxis(state.reshape([2] * n), q, 0)
+            out = np.empty_like(psi)
+            out[0] = mat[0, 0] * psi[0] + mat[0, 1] * psi[1]
+            out[1] = mat[1, 0] * psi[0] + mat[1, 1] * psi[1]
+            return np.moveaxis(out, 0, q).reshape(-1)
+
+        rng = np.random.default_rng(17)
+        mats = [*_PAULI_1Q, _rotation_matrix("RY", 0.83), _rotation_matrix("RZ", -1.9)]
+        for n in range(1, 7):
+            for q in range(n):
+                for _ in range(4):
+                    state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                    for mat in mats:
+                        expected = moveaxis_form(state, mat, q, n)
+                        assert np.array_equal(_apply_1q(state, mat, q), expected), (n, q)
 
     def test_matches_dense_unitary_oracle(self):
         rng = np.random.default_rng(2)
@@ -259,6 +281,54 @@ class TestRunShots:
             run_shots(Circuit(2), device, [0], None, 10, seed=0)
 
 
+class TestDistributionMemo:
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        fresh = simulator._DistributionMemo()
+        monkeypatch.setattr(simulator, "_MEMO", fresh)
+        return fresh
+
+    def test_replicas_share_entries_across_system_sizes(self, memo):
+        block = Circuit(2, (Gate("RY", (0,), 0.9), Gate("CNOT", (0, 1)), Gate("RY", (1,), -0.3)))
+        basis = Circuit(2, (Gate("RY", (1,), -math.pi / 2),))
+        device = DeviceModel(
+            tuple(QubitCalibration(0.01, 0.02, 0.003) for _ in range(8)),
+            {(q, q + 1): 0.02 for q in range(7)},
+        )
+
+        def sample(n, device):
+            blocks = [[2 * b, 2 * b + 1] for b in range(n)]
+            engine = TrajectoryEngine(compose(block, n, blocks), compose(basis, n, blocks))
+            engine.sample(device, list(range(2 * n)), 2000, seed=n)
+
+        sample(1, DeviceModel.noiseless(8))
+        assert len(memo.entries) == 1
+        sample(4, DeviceModel.noiseless(8))
+        assert len(memo.entries) == 1  # every N=4 segment reused the N=1 entry
+        noiseless = set(memo.entries)
+        sample(4, device)
+        assert {key for key in memo.entries if not any(key[1])} == noiseless
+
+    def test_connected_16_qubit_entries_stay_within_budget(self, memo, monkeypatch):
+        # one 16-qubit distribution is 2**16 + 1 doubles (512 KiB); the
+        # distinct fired patterns overrun the budget, so old entries must go
+        evolve = simulator._distribution
+        evolved = []
+        monkeypatch.setattr(
+            simulator, "_distribution", lambda g, p: evolved.append(p) or evolve(g, p)
+        )
+        gates = (Gate("RY", (0,), 0.7),) + tuple(Gate("CNOT", (q, q + 1)) for q in range(15))
+        device = DeviceModel(
+            tuple(QubitCalibration() for _ in range(16)), {(q, q + 1): 0.02 for q in range(15)}
+        )
+        TrajectoryEngine(Circuit(16, gates)).sample(device, list(range(16)), 400, seed=3)
+        entry = 8 * (2**16 + 1)
+        assert len(evolved) > simulator._MEMO_BYTES // entry
+        assert memo.nbytes == sum(cum.nbytes for cum in memo.entries.values())
+        assert memo.nbytes <= simulator._MEMO_BYTES
+        assert len(memo.entries) == simulator._MEMO_BYTES // entry
+
+
 class TestDeviceModel:
     def test_pair_error_symmetric_lookup(self):
         device = DeviceModel(
@@ -382,4 +452,38 @@ class TestCountsTable:
         assert table.to_csv() == (
             "bitstring,count\n000,1520\n001,271\n010,1477\n011,266\n"
             "100,615\n101,122\n110,629\n111,100\n"
+        )
+
+    def test_heavy_noise_csv_is_pinned(self):
+        # recorded before the sampler drew quiet and fired shots apart; at
+        # p = 0.3 per gate most shots fire an event on both two-qubit segments
+        device = DeviceModel(
+            tuple(QubitCalibration(0.01, 0.02, 0.3) for _ in range(4)),
+            {(0, 1): 0.3, (2, 3): 0.3},
+        )
+        circuit = Circuit(
+            4,
+            (
+                Gate("RY", (0,), 1.1),
+                Gate("CNOT", (0, 1)),
+                Gate("RY", (1,), -0.4),
+                Gate("RY", (2,), 0.6),
+                Gate("CZ", (2, 3)),
+                Gate("RY", (3,), 2.0),
+                Gate("X", (2,)),
+            ),
+        )
+        basis = Circuit(
+            4,
+            (
+                Gate("RY", (1,), -math.pi / 2),
+                Gate("RZ", (2,), 0.3),
+                Gate("RY", (2,), math.pi / 2),
+            ),
+        )
+        table = run_shots(circuit, device, [0, 1, 2, 3], basis, 4000, seed=17, basis_label="ZXXZ")
+        assert table.to_csv() == (
+            "bitstring,count\n0000,181\n0001,254\n0010,226\n0011,330\n"
+            "0100,249\n0101,340\n0110,320\n0111,459\n1000,179\n1001,243\n"
+            "1010,199\n1011,307\n1100,137\n1101,183\n1110,164\n1111,229\n"
         )
