@@ -10,6 +10,7 @@ raises a ``ConfigError`` that names the path as the file spells it
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 QUBIT_BUDGET = 16
@@ -96,8 +97,10 @@ class ExperimentConfig:
                     )
         elif self.s_repetitions < 1:
             raise ConfigError("sampling.s", "must be >= 1")
-        if self.bond_length <= 0:
-            raise ConfigError("bond_length", f"must be positive, got {self.bond_length}")
+        if not (math.isfinite(self.bond_length) and self.bond_length > 0):
+            raise ConfigError(
+                "bond_length", f"must be positive and finite, got {self.bond_length}"
+            )
         if self.calibration_file is None and self.calibration_qubits < QUBIT_BUDGET:
             raise ConfigError(
                 "calibration.n_qubits", f"need at least {QUBIT_BUDGET} qubits"

@@ -117,8 +117,8 @@ def build_integrals(bond_length: float) -> MolecularSystem:
     Contracted functions are renormalized to unit self-overlap, so the
     overlap matrix has an exactly unit diagonal.
     """
-    if bond_length <= 0:
-        raise ValueError(f"bond length must be positive, got {bond_length}")
+    if not (math.isfinite(bond_length) and bond_length > 0):
+        raise ValueError(f"bond length must be positive and finite, got {bond_length}")
     r_bohr = bond_length * BOHR_PER_ANGSTROM
     centers = [np.zeros(3), np.array([0.0, 0.0, r_bohr])]
 

@@ -23,10 +23,11 @@ distribution in one pass; the shots that fired an event are then redrawn
 from their saved measurement draw, grouped by insertion pattern with one
 stable argsort. Each shot meets the same distribution and the same
 arithmetic as if it were drawn alone. The distributions live in one
-module-level memo keyed by the segment's relabelled gates and the pattern
-bytes, not by segment index, so identical H2 blocks share entries across
-segments, engines and system sizes. The memo holds at most a fixed byte
-budget (32 MiB) and drops its least recently used entries first.
+module-level memo keyed by the serialized text of the segment's relabelled
+gates and the pattern bytes, not by segment index, so identical H2 blocks
+share entries across segments, engines and system sizes. The memo holds at
+most a fixed byte budget (32 MiB) and drops its least recently used entries
+first.
 
 Reproducibility: all randomness for a call comes from a Philox
 counter-based generator keyed by the seed. Shot ``i`` consumes row ``i`` of
@@ -88,12 +89,13 @@ class DeviceModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        normalized = {}
+        n, normalized = len(self.qubits), {}
         for (a, b), p in self.two_qubit_error.items():
-            _unit_interval(p, f"pair ({a}, {b}) error")
-            if a == b or min(a, b) < 0 or max(a, b) >= len(self.qubits):
+            if not 0.0 <= p <= 1.0:  # name the pair only when it fails
+                _unit_interval(p, f"pair ({a}, {b}) error")
+            if a == b or not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"bad qubit pair ({a}, {b})")
-            normalized[(min(a, b), max(a, b))] = float(p)
+            normalized[(a, b) if a < b else (b, a)] = float(p)
         object.__setattr__(self, "two_qubit_error", normalized)
 
     @property
@@ -293,21 +295,23 @@ _MEMO_BYTES = 1 << 25
 
 
 class _DistributionMemo:
-    """``_distribution`` results keyed by (segment gates, insertion pattern).
-    A value depends on its key alone, so one memo serves every segment,
-    engine and system size. Past ``_MEMO_BYTES`` of distributions the least
-    recently used go first."""
+    """``_distribution`` results keyed by (segment text, insertion pattern),
+    the text being the segment gates' ``Circuit.serialize()``: exact
+    (angles are written with ``repr``), and a string caches its hash, which
+    a tuple of gates does not. A value depends on its key alone, so one
+    memo serves every segment, engine and system size. Past ``_MEMO_BYTES``
+    of distributions the least recently used go first."""
 
     def __init__(self):
-        self.entries: dict[tuple[tuple[Gate, ...], bytes], np.ndarray] = {}
+        self.entries: dict[tuple[str, bytes], np.ndarray] = {}
         self.nbytes = 0
 
-    def __call__(self, gates: tuple[Gate, ...], pattern: bytes) -> np.ndarray:
-        cum = self.entries.pop((gates, pattern), None)
+    def __call__(self, text: str, gates: tuple[Gate, ...], pattern: bytes) -> np.ndarray:
+        cum = self.entries.pop((text, pattern), None)
         if cum is None:
             cum = _distribution(gates, pattern)
             self.nbytes += cum.nbytes
-        self.entries[gates, pattern] = cum  # most recently used last
+        self.entries[text, pattern] = cum  # most recently used last
         while self.nbytes > _MEMO_BYTES:
             self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
         return cum
@@ -335,10 +339,10 @@ class TrajectoryEngine:
     one pass; the shots that fired a noise event on the segment's gates
     (about 2% at device rates) are then redrawn from their saved
     measurement draw, one group per distinct insertion pattern. The
-    distributions come from a module-level memo keyed by the segment's
-    relabelled gates and the pattern, so identical blocks share them across
-    segments, engines and system sizes. They do not depend on the device,
-    only on which insertions fired.
+    distributions come from a module-level memo keyed by the text of the
+    segment's relabelled gates and the pattern, so identical blocks share
+    them across segments, engines and system sizes. They do not depend on
+    the device, only on which insertions fired.
     """
 
     def __init__(self, circuit: Circuit, basis_change: Circuit | None = None):
@@ -352,14 +356,16 @@ class TrajectoryEngine:
         # Qubits q-1 and q share a segment when some gate touches both sides.
         joined = {q for g in gates for q in range(min(g.targets) + 1, max(g.targets) + 1)}
         starts = [q for q in range(circuit.width) if q not in joined]
-        # Per segment: width, indices into circuit + basis-change gates, and
-        # those gates relabelled onto the segment's own qubits.
-        self._segments: list[tuple[int, list[int], tuple[Gate, ...]]] = []
+        # Per segment: width, indices into circuit + basis-change gates,
+        # those gates relabelled onto the segment's own qubits, and their
+        # serialized text as the memo key.
+        self._segments: list[tuple[int, list[int], tuple[Gate, ...], str]] = []
         for lo, hi in zip(starts, starts[1:] + [circuit.width]):
             inside = [gi for gi, g in enumerate(gates) if lo <= g.targets[0] < hi]
             local = [gates[gi] for gi in inside]
             local = tuple(replace(g, targets=[t - lo for t in g.targets]) for g in local)
-            self._segments.append((hi - lo, inside, local))
+            text = Circuit(hi - lo, local).serialize()
+            self._segments.append((hi - lo, inside, local, text))
 
     def sample(
         self,
@@ -407,11 +413,11 @@ class TrajectoryEngine:
             # product distribution this is the full-register inverse CDF.
             u_meas = u[:, 2 * n_noisy]
             codes = np.zeros(chunk, dtype=np.int64)
-            for n, inside, gates in self._segments:
+            for n, inside, gates, text in self._segments:
                 events = [(j, *noisy[gi]) for j, gi in enumerate(inside) if gi in noisy]
                 rows = np.flatnonzero(np.any([u[:, col] < p for _, col, p, _ in events], axis=0))
                 u_fired, codes_fired = u_meas[rows], codes[rows]
-                u_meas, codes = _invert(_MEMO(gates, bytes(len(gates))), u_meas, codes, n)
+                u_meas, codes = _invert(_MEMO(text, gates, bytes(len(gates))), u_meas, codes, n)
                 if not rows.size:
                     continue
                 # Redraw the fired rows from their saved draw, grouped by
@@ -424,7 +430,7 @@ class TrajectoryEngine:
                 order = np.argsort(keys, kind="stable")
                 ends = np.flatnonzero(keys[order[1:]] != keys[order[:-1]]) + 1
                 for group in np.split(order, ends):
-                    cum, at = _MEMO(gates, keys[group[0]].tobytes()), rows[group]
+                    cum, at = _MEMO(text, gates, keys[group[0]].tobytes()), rows[group]
                     u_meas[at], codes[at] = _invert(cum, u_fired[group], codes_fired[group], n)
 
             bits = (codes[:, None] >> shifts[None, :]) & 1

@@ -6,6 +6,14 @@ one-qubit basis rotations are replicated across every block, so the group
 count never depends on N, and every subsystem's energy is read from the
 same shots.
 
+Counts are read block by block: each table becomes one histogram per
+subsystem block (shots per block code), and energies, shot-noise errors and
+populations are all read from those histograms. A group keeps its
+subsystem strings, their coefficients and each string's parity sign on
+every block code, so one product ``histogram @ signs / shots`` gives every
+string's mean parity on every block; no string is embedded into the
+N-block register.
+
 Basis rotations (applied before Z measurement): X -> RY(-pi/2),
 Y -> RZ(-pi/2) then RY(-pi/2).
 """
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, embed_string, qubitwise_groups
+from .pauli import PauliString, PauliSum, qubitwise_groups
 from .simulator import CountsTable
 from .stateprep import Circuit, Gate
 
@@ -39,27 +47,13 @@ _CLASSIFICATION = {
 }
 
 
-@dataclass(frozen=True)
-class GroupMember:
-    """One embedded Pauli term: which subsystem and coefficient it feeds."""
-
-    full_string: PauliString
-    subsystem: int
-    sub_string: PauliString
-    coefficient: float
-    parity_mask: int  # non-identity positions of full_string, qubit 0 = MSB
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementGroup:
-    subsystem_strings: tuple[PauliString, ...]
+    strings: tuple[PauliString, ...]       # subsystem strings, lexicographic
+    coefficients: tuple[float, ...]        # one per string (hartree)
+    signs: np.ndarray          # (2**width, strings): each string's parity sign per block code
     basis: str                 # per-qubit axis on one subsystem block
     basis_change: Circuit      # one-qubit rotations on the full register
-    members: tuple[GroupMember, ...]
-
-    @property
-    def is_z_basis(self) -> bool:
-        return all(c in "IZ" for c in self.basis)
 
 
 @dataclass(frozen=True)
@@ -70,13 +64,9 @@ class MeasurementPlan:
     groups: tuple[MeasurementGroup, ...]
 
     @property
-    def full_width(self) -> int:
-        return self.representation * self.n_subsystems
-
-    @property
     def z_group_index(self) -> int:
         for i, g in enumerate(self.groups):
-            if g.is_z_basis:
+            if set(g.basis) == {"Z"}:
                 return i
         raise LookupError("plan has no computational-basis group")
 
@@ -107,11 +97,12 @@ def _basis_change_circuit(basis: str, n_subsystems: int) -> Circuit:
     return Circuit(width * n_subsystems, tuple(gates))
 
 
-def _string_mask(s: PauliString) -> int:
-    mask = 0
-    for c in s.letters:
-        mask = (mask << 1) | (c != "I")
-    return mask
+def _parity_signs(strings: list[PauliString], width: int) -> np.ndarray:
+    """+1 or -1 for the parity of every block code (qubit 0 = MSB) on each
+    string's support: a ``(2**width, strings)`` table."""
+    bits = (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    signs = [1.0 - 2.0 * (bits[:, list(s.support)].sum(axis=1) & 1) for s in strings]
+    return np.array(signs).T
 
 
 def build_plan(h_sub: PauliSum, n_subsystems: int) -> MeasurementPlan:
@@ -127,28 +118,15 @@ def build_plan(h_sub: PauliSum, n_subsystems: int) -> MeasurementPlan:
     if n_subsystems < 1:
         raise ValueError("need at least one subsystem")
     groups = []
-    for group_strings in qubitwise_groups(h_sub.sorted_strings()):
-        basis = _group_basis(group_strings, h_sub.width)
-        members = []
-        for block in range(n_subsystems):
-            for s in group_strings:
-                full = embed_string(s, block, n_subsystems)
-                members.append(
-                    GroupMember(
-                        full_string=full,
-                        subsystem=block,
-                        sub_string=s,
-                        coefficient=h_sub.coefficient(s),
-                        parity_mask=_string_mask(full),
-                    )
-                )
-        members = tuple(members)
+    for strings in qubitwise_groups(h_sub.sorted_strings()):
+        basis = _group_basis(strings, h_sub.width)
         groups.append(
             MeasurementGroup(
-                subsystem_strings=tuple(group_strings),
+                strings=tuple(strings),
+                coefficients=tuple(h_sub.coefficient(s) for s in strings),
+                signs=_parity_signs(strings, h_sub.width),
                 basis=basis,
                 basis_change=_basis_change_circuit(basis, n_subsystems),
-                members=members,
             )
         )
     return MeasurementPlan(
@@ -159,42 +137,45 @@ def build_plan(h_sub: PauliSum, n_subsystems: int) -> MeasurementPlan:
     )
 
 
-def _check_counts(plan: MeasurementPlan, counts: list[CountsTable]) -> None:
-    if len(counts) != len(plan.groups):
-        raise ValueError(
-            f"expected {len(plan.groups)} counts tables, got {len(counts)}"
-        )
-    shots = {t.shots for t in counts}
+def _block_histograms(tables: list[CountsTable], width: int, n_blocks: int) -> list[np.ndarray]:
+    """Each table's shots per (block, block code) as an ``(n_blocks,
+    2**width)`` array; block 0 is the most significant ``width`` bits of a
+    register code. The tables must share one shot count and span
+    ``width * n_blocks`` qubits. Entries are integer sums, exact in float64."""
+    shots = {t.shots for t in tables}
     if len(shots) != 1:
         raise ValueError(f"groups measured with unequal shot counts {sorted(shots)}")
-    for t in counts:
-        if t.width != plan.full_width:
-            raise ValueError(
-                f"counts width {t.width} != register width {plan.full_width}"
-            )
+    shifts = width * np.arange(n_blocks - 1, -1, -1)[:, None]
+    offsets = np.arange(n_blocks)[:, None] << width
+    histograms = []
+    for t in tables:
+        if t.width != width * n_blocks:
+            raise ValueError(f"counts width {t.width} != {width}x{n_blocks}")
+        index = ((t.codes >> shifts) & ((1 << width) - 1)) | offsets
+        totals = np.bincount(index.ravel(), np.tile(t.counts, n_blocks), n_blocks << width)
+        histograms.append(totals.reshape(n_blocks, -1))
+    return histograms
 
 
-def _mean_parities(table: CountsTable, group: MeasurementGroup) -> np.ndarray:
-    """Mean parity of each member string of the group over the table's shots."""
-    masks = np.array([m.parity_mask for m in group.members], dtype=np.int64)
-    parity_bits = np.bitwise_count(table.codes[:, None] & masks[None, :]) & 1
-    signs = 1.0 - 2.0 * parity_bits
-    return (table.counts[:, None] * signs).sum(axis=0) / table.shots
+def _group_parities(plan: MeasurementPlan, counts: list[CountsTable]) -> list[np.ndarray]:
+    """Per group, the mean parity of each string on each block: ``(N, strings)``."""
+    if len(counts) != len(plan.groups):
+        raise ValueError(f"expected {len(plan.groups)} counts tables, got {len(counts)}")
+    histograms = _block_histograms(counts, plan.representation, plan.n_subsystems)
+    return [hist @ g.signs / t.shots for g, hist, t in zip(plan.groups, histograms, counts)]
 
 
 def estimate_energies(plan: MeasurementPlan, counts: list[CountsTable]) -> np.ndarray:
     """Per-subsystem energies (hartree) from one counts table per group.
 
     Each subsystem's energy is its constant term plus the coefficient-
-    weighted empirical parity of every embedded string; the total compound
-    energy is exactly the sum of the returned entries.
+    weighted empirical parity of every string on its block; the total
+    compound energy is exactly the sum of the returned entries.
     """
-    _check_counts(plan, counts)
     energies = np.full(plan.n_subsystems, plan.constant)
-    for group, table in zip(plan.groups, counts):
-        parities = _mean_parities(table, group)
-        for member, parity in zip(group.members, parities):
-            energies[member.subsystem] += member.coefficient * parity
+    for group, parities in zip(plan.groups, _group_parities(plan, counts)):
+        for coefficient, parity in zip(group.coefficients, parities.T):
+            energies += coefficient * parity
     return energies
 
 
@@ -204,14 +185,13 @@ def shot_noise_stderr(plan: MeasurementPlan, counts: list[CountsTable]) -> np.nd
     Treats strings within a group as uncorrelated, which is adequate for
     the zero-variance weight floor it backs.
     """
-    _check_counts(plan, counts)
     variances = np.zeros(plan.n_subsystems)
-    for group, table in zip(plan.groups, counts):
-        parities = _mean_parities(table, group)
-        for member, parity in zip(group.members, parities):
-            variances[member.subsystem] += (
-                member.coefficient**2 * max(0.0, 1.0 - parity**2) / table.shots
-            )
+    for group, parities, table in zip(plan.groups, _group_parities(plan, counts), counts):
+        for coefficient, parity in zip(group.coefficients, parities.T):
+            # squared one scalar at a time, by libm pow: numpy's array
+            # square (p * p) rounds apart from it for ~0.1% of values
+            square = np.array([p**2 for p in parity])
+            variances += coefficient**2 * np.maximum(0.0, 1.0 - square) / table.shots
     return np.sqrt(variances)
 
 
@@ -242,27 +222,12 @@ def extract_populations(
     """
     if representation not in SUPPORTED_WIDTHS:
         raise ValueError(f"unsupported representation {representation}")
-    width = representation * n_subsystems
-    if z_basis_counts.width != width:
-        raise ValueError(
-            f"counts width {z_basis_counts.width} != {representation}x{n_subsystems}"
-        )
-    shots = z_basis_counts.shots
+    (hist,) = _block_histograms([z_basis_counts], representation, n_subsystems)
     classes = _CLASSIFICATION[representation]
-    block_mask = (1 << representation) - 1
-
-    result = {
-        kind: np.zeros(n_subsystems)
-        for kind in (HF, SINGLE, DOUBLE, NUMBER_VIOLATING)
-    }
-    for block in range(n_subsystems):
-        shift = (n_subsystems - 1 - block) * representation
-        block_codes = (z_basis_counts.codes >> shift) & block_mask
-        # integer totals per block code, exact in float64
-        totals = np.bincount(block_codes, weights=z_basis_counts.counts)
-        for code in np.flatnonzero(totals):
-            kind = classes.get(int(code), NUMBER_VIOLATING)
-            result[kind][block] += totals[code] / shots
+    result = {kind: np.zeros(n_subsystems) for kind in (HF, SINGLE, DOUBLE, NUMBER_VIOLATING)}
+    # ascending codes; an absent code adds an exact 0.0
+    for code in range(1 << representation):
+        result[classes.get(code, NUMBER_VIOLATING)] += hist[:, code] / z_basis_counts.shots
     return PopulationBreakdown(
         hf=result[HF],
         single_excitation=result[SINGLE],

@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,20 @@ from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
 from sizecon.report import analyze, reference_table
 from sizecon.sampling import qubit_score, synthetic_calibration
 from sizecon.simulator import DeviceModel
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_cli(*args):
+    """``sizecon`` in a fresh interpreter, so stderr holds everything the
+    process writes there, warnings included."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return subprocess.run(
+        [sys.executable, "-m", "sizecon.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def tiny_config(tmp_path, **overrides):
@@ -57,6 +75,8 @@ class TestConfig:
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"n_qubits": 8}}', "calibration.n_qubits"),
             ('{"representation": 1, "subsystem_counts": [3], "output_dir": "x"}', "subsystem_counts"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "bond_length": -1}', "bond_length"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "bond_length": NaN}', "bond_length"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "bond_length": Infinity}', "bond_length"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "typo": 1}', "typo"),
             ('{"representation": "4", "subsystem_counts": [1], "output_dir": "x"}', "representation"),
             ('{"representation": true, "subsystem_counts": [1], "output_dir": "x"}', "representation"),
@@ -459,6 +479,29 @@ class TestCli:
         assert lines[1:] == [
             f"{rank},{q},{score!r}" for rank, (score, q) in enumerate(expected)
         ]
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_bond_length_run_is_one_line(self, tmp_path, value):
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"representation": 1, "subsystem_counts": [2], "output_dir": "%s", '
+            '"bond_length": %s}' % (tmp_path / "run", value)
+        )
+        result = run_cli("run", str(config))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            f"error: config: bond_length: must be positive and finite, got {float(value)}"
+        ]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_bond_length_reference_is_one_line(self, value):
+        result = run_cli("reference", "--n-max", "2", f"--bond-length={value}")
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            f"error: value: bond length must be positive and finite, got {float(value)}"
+        ]
+        assert result.stdout == ""
 
     def test_missing_file_is_categorized(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 1

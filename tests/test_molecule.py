@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,9 @@ class TestIntegrals:
             build_integrals(0.0)
         with pytest.raises(ValueError, match="positive"):
             build_integrals(-1.0)
+        for bond_length in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                build_integrals(bond_length)
 
 
 class TestRhf:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sizecon.pauli import PauliString, PauliSum
+from sizecon.pauli import PauliString, PauliSum, embed_string, qubitwise_groups
 from sizecon.simulator import CountsTable, DeviceModel, TrajectoryEngine
 from sizecon.stateprep import compose, fci_ground, synthesize
 from sizecon.tomography import (
@@ -33,6 +33,27 @@ def sample_noiseless(h_sub, n, shots, master_seed):
     return plan, counts
 
 
+def embedded_member_loop(h_sub, n, counts):
+    """Energies and shot-noise errors computed the way the plan did before
+    per-block histograms: every subsystem string embedded into an N-block
+    string, its register mask applied to each code, one member at a time."""
+    energies = np.full(n, h_sub.constant)
+    variances = np.zeros(n)
+    for strings, table in zip(qubitwise_groups(h_sub.sorted_strings()), counts):
+        members = [(block, s) for block in range(n) for s in strings]
+        masks = np.array([
+            int("".join("0" if c == "I" else "1" for c in embed_string(s, block, n).letters), 2)
+            for block, s in members
+        ])
+        bits = np.bitwise_count(table.codes[:, None] & masks[None, :]) & 1
+        parities = (table.counts[:, None] * (1.0 - 2.0 * bits)).sum(axis=0) / table.shots
+        for (block, s), parity in zip(members, parities):
+            coefficient = h_sub.coefficient(s)
+            energies[block] += coefficient * parity
+            variances[block] += coefficient**2 * max(0.0, 1.0 - parity**2) / table.shots
+    return energies, np.sqrt(variances)
+
+
 class TestBuildPlan:
     def test_single_qubit_two_groups_any_n(self, bundle):
         for n in (1, 2, 4, 8, 16):
@@ -41,23 +62,29 @@ class TestBuildPlan:
             assert {g.basis for g in plan.groups} == {"X", "Z"}
 
     def test_n1_plan_is_subsystem_plan(self, bundle):
+        # groups hold subsystem strings whatever N is: only the basis change
+        # grows with the register
         plan = build_plan(bundle.h4, 1)
-        for group in plan.groups:
-            for member in group.members:
-                assert member.subsystem == 0
-                assert member.full_string == member.sub_string
+        wide = build_plan(bundle.h4, 3)
+        assert [g.strings for g in plan.groups] == [g.strings for g in wide.groups]
+        for group, wide_group in zip(plan.groups, wide.groups):
+            assert all(s.width == bundle.h4.width for s in group.strings)
+            assert group.coefficients == wide_group.coefficients
+            assert np.array_equal(group.signs, wide_group.signs)
+            assert group.basis_change.width == bundle.h4.width
+            assert wide_group.basis_change.width == 3 * bundle.h4.width
 
     def test_four_qubit_coverage(self, bundle):
-        n = 2
-        plan = build_plan(bundle.h4, n)
+        plan = build_plan(bundle.h4, 2)
         assert len(plan.groups) <= 5
         seen = {}
         for group in plan.groups:
-            for member in group.members:
-                key = (member.subsystem, member.sub_string)
-                seen[key] = seen.get(key, 0) + 1
-        strings = bundle.h4.sorted_strings()
-        assert set(seen) == {(b, s) for b in range(n) for s in strings}
+            assert len(group.coefficients) == len(group.strings)
+            assert group.signs.shape == (2**bundle.h4.width, len(group.strings))
+            for s, coefficient in zip(group.strings, group.coefficients):
+                assert coefficient == bundle.h4.coefficient(s)
+                seen[s] = seen.get(s, 0) + 1
+        assert set(seen) == set(bundle.h4.sorted_strings())
         assert all(count == 1 for count in seen.values())
 
     def test_group_count_constant_in_n(self, bundle):
@@ -70,15 +97,19 @@ class TestBuildPlan:
             assert len(sizes) == 1
 
     def test_members_qubitwise_consistent_with_basis(self, bundle):
+        width = bundle.h4.width
         plan = build_plan(bundle.h4, 2)
         for group in plan.groups:
-            for member in group.members:
-                block = member.subsystem
-                for pos, letter in enumerate(member.sub_string.letters):
+            for j, s in enumerate(group.strings):
+                for pos, letter in enumerate(s.letters):
                     if letter != "I":
                         assert group.basis[pos] == letter
-                    offset = block * plan.representation + pos
-                    assert member.full_string.letters[offset] == letter
+                # the sign column is the string's eigenvalue on each
+                # rotated block code, qubit 0 first
+                for code in range(2**width):
+                    bits = f"{code:0{width}b}"
+                    ones = sum(bits[pos] == "1" for pos in s.support)
+                    assert group.signs[code, j] == (-1) ** ones
 
     def test_unsupported_width(self):
         h3 = PauliSum({PauliString("ZZZ"): 1.0})
@@ -167,6 +198,52 @@ class TestEstimateEnergies:
         permuted = [swap_blocks(t) for t in counts]
         flipped = estimate_energies(plan, permuted)
         assert np.allclose(flipped, energies[::-1], atol=1e-14)
+
+    @pytest.mark.parametrize("every_code", [False, True])
+    @pytest.mark.parametrize(
+        "representation, n", [(1, 1), (1, 3), (1, 8), (2, 1), (2, 2), (2, 5), (4, 1), (4, 2), (4, 3)]
+    )
+    def test_equals_embedded_member_loop(self, bundle, representation, n, every_code):
+        h_sub = bundle.subsystem_hamiltonian(representation)
+        plan = build_plan(h_sub, n)
+        width = representation * n
+        shots = 100_003
+        rng = np.random.default_rng(100 * representation + 10 * n + every_code)
+        for _ in range(3):
+            counts = []
+            for _ in plan.groups:
+                if every_code:
+                    codes = np.arange(2**width)
+                    hits = 1 + rng.multinomial(shots - len(codes), rng.dirichlet(np.ones(len(codes))))
+                else:
+                    codes = np.unique(rng.integers(0, 2**width, size=60))
+                    hits = rng.multinomial(shots, rng.dirichlet(np.ones(len(codes))))
+                counts.append(CountsTable(shots, width, codes[hits > 0], hits[hits > 0]))
+            energies, stderrs = embedded_member_loop(h_sub, n, counts)
+            assert estimate_energies(plan, counts).tolist() == energies.tolist()
+            assert shot_noise_stderr(plan, counts).tolist() == stderrs.tolist()
+
+    def test_stderr_squares_parities_as_libm_pow(self, bundle):
+        # each block's Z parity is one whose scalar square (libm pow) rounds
+        # apart from numpy's vectorised square p * p, where the platform has
+        # such values (about 0.1% of k / shots on x86-64 glibc)
+        n, shots = 8, 100_003
+        p = (shots - 2 * np.arange(shots // 2)) / shots
+        ones = np.flatnonzero(np.array([x**2 for x in p]) != p * p)
+        ones = np.concatenate([ones, np.arange(1, n + 1)])[:n]
+        shot_codes = sum(
+            (np.arange(shots) < m).astype(np.int64) << (n - 1 - b) for b, m in enumerate(ones)
+        )
+        z_codes, z_hits = np.unique(shot_codes, return_counts=True)
+        by_basis = {
+            "Z": CountsTable(shots, n, z_codes, z_hits),
+            "X": CountsTable(shots, n, np.array([0, 2**n - 1]), np.array([shots - 1, 1])),
+        }
+        plan = build_plan(bundle.h1q, n)
+        counts = [by_basis[g.basis] for g in plan.groups]
+        energies, stderrs = embedded_member_loop(bundle.h1q, n, counts)
+        assert estimate_energies(plan, counts).tolist() == energies.tolist()
+        assert shot_noise_stderr(plan, counts).tolist() == stderrs.tolist()
 
     def test_group_count_mismatch(self, bundle):
         plan = build_plan(bundle.h1q, 1)
