@@ -51,7 +51,7 @@ def main():
     counts = []
     for gi, group in enumerate(plan.groups):
         engine = TrajectoryEngine(circuit, group.basis_change)
-        counts.append(engine.sample(device, list(range(n)), shots, 40 + gi, group.basis))
+        counts += engine.sample(device, [list(range(n))], shots, [40 + gi], group.basis)
 
     energies = estimate_energies(plan, counts)
     e_fci = bundle.levels.fci_energy

@@ -25,8 +25,21 @@ from .sampling import qubit_scores, rank_qubits, synthetic_calibration
 from .simulator import DeviceModel
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise instead of printing a
+    usage block and exiting 2, so ``main`` reports them like any other
+    failure. Subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sizecon",
         description="Size-consistency benchmark for noisy quantum simulation of H2 replicas.",
     )
@@ -113,7 +126,11 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return 1
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

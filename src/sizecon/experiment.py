@@ -13,8 +13,9 @@ The config it takes is parsed and checked in :mod:`sizecon.config`;
 figures.
 
 Work items draw their seeds from (master seed, N, set, sample, group), so
-execution order never matters; the sequential loop here could be farmed out
-to a pool without changing a single output byte.
+execution order never matters. One ``TrajectoryEngine.sample`` call takes
+every item of one (N, group); tomography and the CSV rows stay per item, in
+(N, set, sample) order.
 """
 
 from __future__ import annotations
@@ -141,21 +142,21 @@ def run_experiment(config: ExperimentConfig) -> Path:
         mplan = build_plan(h_sub, n)
         blocks = [list(range(b * width, (b + 1) * width)) for b in range(n)]
         composed = compose(circuit, n, blocks)
-        engines = [
-            TrajectoryEngine(composed, group.basis_change) for group in mplan.groups
-        ]
-        for entry in plan.entries:
-            counts = []
-            for gi, group in enumerate(mplan.groups):
+        maps = [entry.physical_map for entry in plan.entries]
+        by_group = []
+        for gi, group in enumerate(mplan.groups):
+            group_seeds = []
+            for entry in plan.entries:
                 seed = derive_seed(
                     config.master_seed, n, entry.set_index, entry.sample_index, gi
                 )
                 seeds[f"N{n}/set{entry.set_index}/sample{entry.sample_index}/group{gi}"] = seed
-                counts.append(
-                    engines[gi].sample(
-                        device, entry.physical_map, config.shots, seed, group.basis
-                    )
-                )
+                group_seeds.append(seed)
+            engine = TrajectoryEngine(composed, group.basis_change)
+            by_group.append(
+                engine.sample(device, maps, config.shots, group_seeds, group.basis)
+            )
+        for entry, counts in zip(plan.entries, zip(*by_group)):
             energies = estimate_energies(mplan, counts)
             stderrs = shot_noise_stderr(mplan, counts)
             pops = extract_populations(

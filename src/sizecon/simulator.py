@@ -29,13 +29,22 @@ share entries across segments, engines and system sizes. The memo holds at
 most a fixed byte budget (32 MiB) and drops its least recently used entries
 first.
 
-Reproducibility: all randomness for a call comes from a Philox
-counter-based generator keyed by the seed. Shot ``i`` consumes row ``i`` of
-a ``(shots, budget)`` uniform block whose columns are, in order: one
-(event, pauli-choice) pair per noisy gate in circuit order, one measurement
-draw, then one readout draw per qubit. The layout does not depend on the
-segments. Shots are therefore independent of execution order and the same
-seed reproduces counts bit-exactly.
+Reproducibility: all randomness for a work item (a physical map and its
+seed) comes from a Philox counter-based generator keyed by the seed. Shot
+``i`` consumes row ``i`` of a ``(shots, budget)`` uniform block whose
+columns are, in order: one (event, pauli-choice) pair per noisy gate in
+circuit order, one measurement draw, then one readout draw per qubit. The
+layout does not depend on the segments. Shots are therefore independent of
+execution order and the same seed reproduces counts bit-exactly.
+
+Work items: one ``sample`` call takes every item of one circuit, such as
+all qubit assignments of one (N, group). Items with the same noisy gates
+share one column layout, and whole items are packed, each into its own
+rows of one uniform block, so the segment loop above runs once per pass
+rather than once per item; items whose layouts differ never share a pass.
+Each item still fills its rows from its own Philox block, every row meets
+the same distribution and arithmetic, and its histogram is its own, so a
+table is the same whether its item was sampled alone or packed.
 
 Statevector indexing: qubit 0 is the most significant bit of the basis
 index, matching the left-to-right bitstring convention.
@@ -53,6 +62,11 @@ import numpy as np
 from .stateprep import Circuit, Gate
 
 _SHOT_CHUNK = 1 << 16
+# Whole work items share a pass while their shots plus their dense
+# histogram bins fit in this many rows, which keeps a pass's uniform block
+# and histograms near one item's size; a larger item runs alone, in
+# _SHOT_CHUNK chunks.
+_PACK_ROWS = 1 << 13
 
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -333,16 +347,19 @@ def _invert(cum: np.ndarray, u_meas: np.ndarray, codes: np.ndarray, n: int) -> t
 
 
 class TrajectoryEngine:
-    """Reusable shot sampler for one (circuit, basis change) pair.
+    """Reusable shot sampler for one (circuit, basis change) pair, over
+    any number of work items at once.
 
-    Per segment, every shot is drawn through the noiseless distribution in
-    one pass; the shots that fired a noise event on the segment's gates
-    (about 2% at device rates) are then redrawn from their saved
-    measurement draw, one group per distinct insertion pattern. The
-    distributions come from a module-level memo keyed by the text of the
-    segment's relabelled gates and the pattern, so identical blocks share
-    them across segments, engines and system sizes. They do not depend on
-    the device, only on which insertions fired.
+    Items with the same noisy gates share packed passes, each item in its
+    own rows drawn from its own Philox block. Per segment, every shot is
+    drawn through the noiseless distribution in one pass; the shots that
+    fired a noise event on the segment's gates (about 2% at device rates)
+    are then redrawn from their saved measurement draw, one group per
+    distinct insertion pattern. The distributions come from a module-level
+    memo keyed by the text of the segment's relabelled gates and the
+    pattern, so identical blocks share them across segments, engines and
+    system sizes. They do not depend on the device, only on which
+    insertions fired.
     """
 
     def __init__(self, circuit: Circuit, basis_change: Circuit | None = None):
@@ -370,76 +387,109 @@ class TrajectoryEngine:
     def sample(
         self,
         device: DeviceModel,
-        physical_map: Sequence[int],
+        physical_maps: Sequence[Sequence[int]],
         shots: int,
-        seed: int,
+        seeds: Sequence[int],
         basis_label: str = "",
-    ) -> CountsTable:
+    ) -> list[CountsTable]:
+        """One table of ``shots`` shots per work item (a physical map and
+        its seed), in item order. Items with the same noisy gates share
+        packed passes; each draws its own Philox block, so every table
+        equals the one a call with that item alone returns."""
         circuit = self.circuit
         w = circuit.width
-        if len(physical_map) != w:
-            raise ValueError(f"physical map length {len(physical_map)} != circuit width {w}")
-        for p in physical_map:
-            if not 0 <= p < device.n_qubits:
-                raise ValueError(f"physical qubit {p} absent from device")
+        if len(physical_maps) != len(seeds):
+            raise ValueError(f"{len(physical_maps)} physical maps for {len(seeds)} seeds")
+        for physical_map in physical_maps:
+            if len(physical_map) != w:
+                raise ValueError(f"physical map length {len(physical_map)} != circuit width {w}")
+            for p in physical_map:
+                if not 0 <= p < device.n_qubits:
+                    raise ValueError(f"physical qubit {p} absent from device")
         if shots < 1:
             raise ValueError("shots must be >= 1")
 
-        # gate index -> (event column, probability, option count), circuit order
-        noisy: dict[int, tuple[int, float, int]] = {}
-        for gi, gate in enumerate(circuit.gates):
-            if len(gate.targets) == 1:
-                p, options = device.qubits[physical_map[gate.targets[0]]].single_qubit_error, 3
-            else:
-                p, options = device.pair_error(*(physical_map[t] for t in gate.targets)), 15
-            if p > 0.0:
-                noisy[gi] = (2 * len(noisy), p, options)
-        n_noisy = len(noisy)
-        budget = 2 * n_noisy + 1 + w
-        p10 = np.array([device.qubits[physical_map[i]].readout_p10 for i in range(w)])
-        p01 = np.array([device.qubits[physical_map[i]].readout_p01 for i in range(w)])
-        shifts = np.arange(w - 1, -1, -1, dtype=np.int64)
+        # per item: each gate's depolarizing rate; (item, 1, qubit) readout rates
+        qubits = device.qubits
+        rates = np.array([
+            [qubits[pm[g.targets[0]]].single_qubit_error if len(g.targets) == 1
+             else device.pair_error(*(pm[t] for t in g.targets)) for g in circuit.gates]
+            for pm in physical_maps
+        ]).reshape(len(seeds), len(circuit.gates))
+        p10 = np.array([[[qubits[q].readout_p10 for q in pm]] for pm in physical_maps])
+        p01 = np.array([[[qubits[q].readout_p01 for q in pm]] for pm in physical_maps])
+        # A gate of rate 0 takes no columns, so only items with the same
+        # noisy gates share a pass; a pass packs whole items while their
+        # shots plus histogram bins stay within _PACK_ROWS.
+        layouts: dict[bytes, list[int]] = {}
+        for item, noisy in enumerate(rates > 0.0):
+            layouts.setdefault(noisy.tobytes(), []).append(item)
+        per_pass = max(1, _PACK_ROWS // (shots + (1 << w)))
+        batches = [
+            items[k : k + per_pass]
+            for items in layouts.values() for k in range(0, len(items), per_pass)
+        ]
+        weights = 1 << np.arange(w - 1, -1, -1, dtype=np.int64)
+        tables: list[CountsTable] = [None] * len(seeds)
+        for batch in batches:
+            m = len(batch)
+            noisy = np.flatnonzero(rates[batch[0]] > 0.0)
+            n_noisy = len(noisy)
+            column = {gi: k for k, gi in enumerate(noisy.tolist())}  # gate -> event
+            p_event = rates[np.ix_(batch, noisy)][:, None, :]
+            rngs = [np.random.Generator(np.random.Philox(key=seeds[i])) for i in batch]
+            histograms = np.zeros((m, 1 << w), dtype=np.int64)
+            for start in range(0, shots, _SHOT_CHUNK):
+                chunk = min(shots - start, _SHOT_CHUNK)
+                # item i's rows, u[i], come from its own stream
+                u = np.empty((m, chunk, 2 * n_noisy + 1 + w))
+                for rng, rows in zip(rngs, u):
+                    rng.random(out=rows)
+                hits = (u[:, :, 0 : 2 * n_noisy : 2] < p_event).reshape(m * chunk, n_noisy)
+                codes = self._codes(u.reshape(m * chunk, -1), hits, column)
 
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        histogram = np.zeros(2**w, dtype=np.int64)
-        remaining = shots
-        while remaining:
-            chunk = min(remaining, _SHOT_CHUNK)
-            remaining -= chunk
-            u = rng.random((chunk, budget))
+                # a bit reads flipped at p01 where it is 1, at p10 where it is 0
+                ones = (codes.reshape(m, chunk, 1) & weights) != 0
+                u_read = u[:, :, 2 * n_noisy + 1 :]
+                flips = (ones & (u_read < p01[batch])) | (~ones & (u_read < p10[batch]))
+                measured = codes.reshape(m, chunk) ^ (flips @ weights)
+                bins = (measured + (np.arange(m)[:, None] << w)).ravel()  # item's own bins
+                histograms += np.bincount(bins, minlength=m << w).reshape(m, -1)
+            for item, histogram in zip(batch, histograms):
+                nonzero = np.flatnonzero(histogram)
+                tables[item] = CountsTable(shots, w, nonzero, histogram[nonzero], basis_label)
+        return tables
 
-            # Chain rule, qubit 0 first: each segment inverts its own CDF at
-            # u_meas, then u_meas is rescaled into the chosen interval. For a
-            # product distribution this is the full-register inverse CDF.
-            u_meas = u[:, 2 * n_noisy]
-            codes = np.zeros(chunk, dtype=np.int64)
-            for n, inside, gates, text in self._segments:
-                events = [(j, *noisy[gi]) for j, gi in enumerate(inside) if gi in noisy]
-                rows = np.flatnonzero(np.any([u[:, col] < p for _, col, p, _ in events], axis=0))
-                u_fired, codes_fired = u_meas[rows], codes[rows]
-                u_meas, codes = _invert(_MEMO(text, gates, bytes(len(gates))), u_meas, codes, n)
-                if not rows.size:
-                    continue
-                # Redraw the fired rows from their saved draw, grouped by
-                # insertion pattern through one stable argsort.
-                patterns = np.zeros((rows.size, len(gates)), dtype=np.int8)
-                for j, col, p, options in events:
-                    hit = u[rows, col] < p
-                    patterns[hit, j] = (u[rows[hit], col + 1] * options).astype(np.int8) + 1
-                keys = patterns.view(np.dtype((np.void, len(gates))))[:, 0]
-                order = np.argsort(keys, kind="stable")
-                ends = np.flatnonzero(keys[order[1:]] != keys[order[:-1]]) + 1
-                for group in np.split(order, ends):
-                    cum, at = _MEMO(text, gates, keys[group[0]].tobytes()), rows[group]
-                    u_meas[at], codes[at] = _invert(cum, u_fired[group], codes_fired[group], n)
-
-            bits = (codes[:, None] >> shifts[None, :]) & 1
-            bits ^= u[:, 2 * n_noisy + 1 :] < np.where(bits == 0, p10, p01)
-            measured = (bits << shifts[None, :]).sum(axis=1)
-            histogram += np.bincount(measured, minlength=2**w)
-
-        nonzero = np.flatnonzero(histogram)
-        return CountsTable(shots, w, nonzero, histogram[nonzero], basis_label)
+    def _codes(self, u: np.ndarray, hits: np.ndarray, column: dict[int, int]) -> np.ndarray:
+        """Pre-readout outcome codes of packed rows ``u`` laid out as the
+        module docstring says; ``hits[:, k]`` says whether noisy gate ``k``
+        fired, and ``column`` maps a gate index to its ``k``."""
+        # Chain rule, qubit 0 first: each segment inverts its own CDF at
+        # u_meas, then u_meas is rescaled into the chosen interval. For a
+        # product distribution this is the full-register inverse CDF.
+        u_meas = u[:, 2 * len(column)]
+        codes = np.zeros(len(u), dtype=np.int64)
+        for n, inside, gates, text in self._segments:
+            events = [(j, column[gi]) for j, gi in enumerate(inside) if gi in column]
+            rows = np.flatnonzero(hits[:, [k for _, k in events]].any(axis=1))
+            u_fired, codes_fired = u_meas[rows], codes[rows]
+            u_meas, codes = _invert(_MEMO(text, gates, bytes(len(gates))), u_meas, codes, n)
+            if not rows.size:
+                continue
+            # Redraw the fired rows from their saved draw, grouped by
+            # insertion pattern through one stable argsort; a gate on t
+            # qubits picks one of 4**t - 1 Paulis.
+            patterns = np.zeros((rows.size, len(gates)), dtype=np.int8)
+            for j, k in events:
+                hit, options = hits[rows, k], 4 ** len(gates[j].targets) - 1
+                patterns[hit, j] = (u[rows[hit], 2 * k + 1] * options).astype(np.int8) + 1
+            keys = patterns.view(np.dtype((np.void, len(gates))))[:, 0]
+            order = np.argsort(keys, kind="stable")
+            ends = np.flatnonzero(keys[order[1:]] != keys[order[:-1]]) + 1
+            for group in np.split(order, ends):
+                cum, at = _MEMO(text, gates, keys[group[0]].tobytes()), rows[group]
+                u_meas[at], codes[at] = _invert(cum, u_fired[group], codes_fired[group], n)
+        return codes
 
 
 def run_shots(
@@ -457,4 +507,4 @@ def run_shots(
     directly when sampling the same circuit for many qubit assignments.
     """
     engine = TrajectoryEngine(circuit, basis_change)
-    return engine.sample(device, physical_map, shots, seed, basis_label)
+    return engine.sample(device, [physical_map], shots, [seed], basis_label)[0]

@@ -209,6 +209,25 @@ class TestRunExperiment:
         digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
         assert digest == "a7bd904988deaf7f4dac53fab0b0b2d97c30968a8a7c75e6ba0cde02d87d52b8"
 
+    def test_rep1_random_samples_bytes_are_pinned(self, tmp_path):
+        # recorded while every work item was sampled by its own call; random
+        # mode over a calibration file, as the many-small-items benchmark runs
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(synthetic_calibration(n_qubits=156, seed=7).to_json())
+        config = ExperimentConfig(
+            representation=1,
+            subsystem_counts=(1, 3, 6),
+            output_dir=str(tmp_path / "run"),
+            shots=500,
+            sampling_mode="random",
+            s_repetitions=20,
+            calibration_file=str(calibration),
+            master_seed=2,
+        )
+        out = run_experiment(config)
+        digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+        assert digest == "69c0f7db98c4fdeef720ca1731a03f671ee20c847c5d71a92a63a210ce69821a"
+
     def test_missing_calibration_file(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^calibration\.file: no such file"):
             run_experiment(tiny_config(tmp_path, calibration_file=str(tmp_path / "nope.json")))
@@ -502,6 +521,31 @@ class TestCli:
             f"error: value: bond length must be positive and finite, got {float(value)}"
         ]
         assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("reference", "--n-max", "x"), "sizecon reference: argument --n-max: invalid int"),
+            # argparse reads -inf as an option, not as the option's value
+            (
+                ("reference", "--n-max", "2", "--bond-length", "-inf"),
+                "sizecon reference: argument --bond-length: expected one argument",
+            ),
+            (("bogus",), "sizecon: argument command: invalid choice: 'bogus'"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, args, message):
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"error: usage: {message}")
+        assert result.stdout == ""
+
+    def test_help_still_exits_zero(self):
+        result = run_cli("reference", "--help")
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: sizecon reference")
+        assert result.stderr == ""
 
     def test_missing_file_is_categorized(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 1

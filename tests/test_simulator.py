@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -169,7 +170,7 @@ class TestRunShots:
         engine = TrajectoryEngine(circuit)
         for seed in (5, 6):
             assert np.array_equal(
-                histogram(engine.sample(device, [0, 1], 4000, seed)),
+                histogram(engine.sample(device, [[0, 1]], 4000, [seed])[0]),
                 histogram(run_shots(circuit, device, [0, 1], None, 4000, seed)),
             )
 
@@ -281,6 +282,75 @@ class TestRunShots:
             run_shots(Circuit(2), device, [0], None, 10, seed=0)
 
 
+class TestBatchedSample:
+    """``sample`` over many work items at once. Each digest is the sha256 of
+    the items' ``to_csv`` texts joined in item order, recorded with one
+    ``sample`` call per item before items shared a pass."""
+
+    circuit = Circuit(
+        3,
+        (Gate("RY", (0,), 1.1), Gate("CNOT", (0, 1)), Gate("RY", (2,), -0.7), Gate("CZ", (1, 2))),
+    )
+    basis = Circuit(3, (Gate("RY", (1,), -math.pi / 2),))
+
+    def digest(self, device, maps, shots, seeds):
+        engine = TrajectoryEngine(self.circuit, self.basis)
+        tables = engine.sample(device, maps, shots, seeds, "ZXZ")
+        return hashlib.sha256("".join(t.to_csv() for t in tables).encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "shots, items, expected",
+        [
+            # every item in one pass
+            (1, 20, "09c23eac18971ba9e448cb4f8bdf081b68a34b08a957db8eea47674046a364d8"),
+            # two passes of whole items
+            (500, 20, "bbaeafc4830877c92c740d4f832ea4bf4707c219ebcc3c1eab160e123a137948"),
+            # one row more than a pass packs (_PACK_ROWS + 1): each item runs alone
+            (8193, 3, "7bf821309b562870044be86c81cc7a5c3eef28b772e8ed6a478f77e069ec1a7f"),
+            # past one shot chunk: each item runs alone, in two chunks
+            (70_000, 2, "a9bb5c8aad7831736fbcb51ee07a2cff970cc9a4a7ef37e431e276856cbafa59"),
+        ],
+    )
+    def test_packed_and_chunked_items_equal_one_item_calls(self, shots, items, expected):
+        device = DeviceModel(
+            tuple(QubitCalibration(0.02 + 0.01 * q, 0.03, 0.01 + 0.005 * q) for q in range(6)),
+            {(a, b): 0.04 + 0.01 * a for a in range(6) for b in range(a + 1, 6)},
+        )
+        rng = np.random.default_rng(0)
+        maps = [[int(q) for q in rng.permutation(6)[:3]] for _ in range(items)]
+        seeds = [100 + i for i in range(items)]
+        assert self.digest(device, maps, shots, seeds) == expected
+
+    def test_items_keep_their_own_noisy_gate_layout(self):
+        # qubit 4 has no one-qubit error and only neighbouring pairs are
+        # listed, so the maps drop different gates from the column layout,
+        # and items of one layout are not adjacent
+        device = DeviceModel(
+            (
+                QubitCalibration(0.02, 0.03, 0.01),
+                QubitCalibration(0.01, 0.02, 0.02),
+                QubitCalibration(0.03, 0.01, 0.015),
+                QubitCalibration(0.02, 0.02, 0.01),
+                QubitCalibration(0.01, 0.04, 0.0),
+            ),
+            {(0, 1): 0.05, (1, 2): 0.04, (2, 3): 0.06, (3, 4): 0.05},
+        )
+        maps = [
+            [0, 1, 2], [4, 3, 2], [0, 2, 1], [1, 2, 3], [4, 0, 3], [2, 1, 0], [0, 2, 4], [3, 4, 0]
+        ]
+        seeds = [7 + i for i in range(len(maps))]
+        assert self.digest(device, maps, 500, seeds) == (
+            "9ab8e6a57197c2f16e8c0b7b6d44e4edaccd9be38485a3e33f9ec3844f9c51bf"
+        )
+
+    def test_maps_and_seeds_pair_up(self):
+        engine = TrajectoryEngine(Circuit(1))
+        device = DeviceModel.noiseless(2)
+        with pytest.raises(ValueError, match="2 physical maps for 1 seeds"):
+            engine.sample(device, [[0], [1]], 10, [0])
+        assert engine.sample(device, [], 10, []) == []
+
+
 class TestDistributionMemo:
     @pytest.fixture
     def memo(self, monkeypatch):
@@ -299,7 +369,7 @@ class TestDistributionMemo:
         def sample(n, device):
             blocks = [[2 * b, 2 * b + 1] for b in range(n)]
             engine = TrajectoryEngine(compose(block, n, blocks), compose(basis, n, blocks))
-            engine.sample(device, list(range(2 * n)), 2000, seed=n)
+            engine.sample(device, [list(range(2 * n))], 2000, [n])
 
         sample(1, DeviceModel.noiseless(8))
         assert len(memo.entries) == 1
@@ -321,7 +391,7 @@ class TestDistributionMemo:
         device = DeviceModel(
             tuple(QubitCalibration() for _ in range(16)), {(q, q + 1): 0.02 for q in range(15)}
         )
-        TrajectoryEngine(Circuit(16, gates)).sample(device, list(range(16)), 400, seed=3)
+        TrajectoryEngine(Circuit(16, gates)).sample(device, [list(range(16))], 400, [3])
         entry = 8 * (2**16 + 1)
         assert len(evolved) > simulator._MEMO_BYTES // entry
         assert memo.nbytes == sum(cum.nbytes for cum in memo.entries.values())

@@ -27,8 +27,8 @@ def sample_noiseless(h_sub, n, shots, master_seed):
     counts = []
     for gi, group in enumerate(plan.groups):
         engine = TrajectoryEngine(circuit, group.basis_change)
-        counts.append(
-            engine.sample(device, list(range(circuit.width)), shots, master_seed + gi, group.basis)
+        counts += engine.sample(
+            device, [list(range(circuit.width))], shots, [master_seed + gi], group.basis
         )
     return plan, counts
 
