@@ -13,6 +13,7 @@ import numpy as np
 
 from sizecon import (
     DeviceModel,
+    block_histogram,
     build_hamiltonians,
     build_plan,
     compose,
@@ -48,19 +49,21 @@ def main():
     sub = synthesize(fci_ground(h))
     circuit = compose(sub, n, [[q] for q in range(n)])
     device = DeviceModel.noiseless(n)
-    counts = []
+    histograms = []
     for gi, group in enumerate(plan.groups):
         engine = TrajectoryEngine(circuit, group.basis_change)
-        counts += engine.sample(device, [list(range(n))], shots, [40 + gi], group.basis)
+        (table,) = engine.sample(device, [list(range(n))], shots, [40 + gi], group.basis)
+        # one (N, 2) array of shots per subsystem block and block code
+        histograms.append(block_histogram(table, h.width, n))
 
-    energies = estimate_energies(plan, counts)
+    energies = estimate_energies(plan, histograms)
     e_fci = bundle.levels.fci_energy
     print(f"\nper-subsystem energies from the shared {shots}-shot record:")
     for b, e in enumerate(energies):
         print(f"  subsystem {b}: {e:.6f} hartree (exact {e_fci:.6f})")
     print(f"  total = sum of subsystems = {energies.sum():.6f} hartree")
 
-    pops = extract_populations(counts[plan.z_group_index], 1, n)
+    pops = extract_populations(histograms[plan.z_group_index])
     print(f"\ndouble-excitation population per subsystem "
           f"(exact {bundle.levels.fci_double_population:.4f}):")
     print("  " + " ".join(f"{p:.4f}" for p in pops.double_excitation))

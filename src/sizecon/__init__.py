@@ -59,6 +59,7 @@ from .stateprep import Circuit, Gate, PreparedState, compose, fci_ground, synthe
 from .tomography import (
     MeasurementPlan,
     PopulationBreakdown,
+    block_histogram,
     build_plan,
     estimate_energies,
     extract_populations,

@@ -2,9 +2,10 @@
 
 ``ExperimentConfig.from_json`` reads the config file that ``sizecon run``
 takes. Every key the file may hold is listed once in ``_SCHEMA`` under its
-JSON path; an unknown key, a value of the wrong type or one out of range
-raises a ``ConfigError`` that names the path as the file spells it
-(``shots``, ``sampling.k``, ``calibration.file``).
+JSON path; an unknown key, a key the chosen sampling mode or calibration
+source would ignore, a value of the wrong type or one out of range raises a
+``ConfigError`` that names the path as the file spells it (``shots``,
+``sampling.k``, ``calibration.file``).
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ class ExperimentConfig:
             raise ConfigError("representation", f"must be 1, 2 or 4, got {self.representation}")
         if not self.subsystem_counts:
             raise ConfigError("subsystem_counts", "must not be empty")
+        if len(set(self.subsystem_counts)) != len(self.subsystem_counts):
+            raise ConfigError(
+                "subsystem_counts", f"lists an N more than once: {list(self.subsystem_counts)}"
+            )
         for n in self.subsystem_counts:
             if n < 1:
                 raise ConfigError("subsystem_counts", f"counts must be >= 1, got {n}")
@@ -105,6 +110,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "calibration.n_qubits", f"need at least {QUBIT_BUDGET} qubits"
             )
+        for path, seed in (("master_seed", self.master_seed),
+                           ("calibration.synthetic_seed", self.calibration_seed)):
+            if seed < 0:
+                raise ConfigError(path, f"must be >= 0, got {seed}")
 
     @property
     def run_id(self) -> str:
@@ -129,6 +138,15 @@ class ExperimentConfig:
         unknown = sorted(set(values) - set(_SCHEMA))
         if unknown:
             raise ConfigError(unknown[0], "unknown field")
+        mode = values.get("sampling.mode", "selective")
+        for path, unused, setting in (
+            ("sampling.k", mode == "random", "sampling mode 'random'"),
+            ("sampling.s", mode == "selective", "sampling mode 'selective'"),
+            ("calibration.synthetic_seed", "calibration.file" in values, "calibration.file"),
+            ("calibration.n_qubits", "calibration.file" in values, "calibration.file"),
+        ):
+            if unused and path in values:
+                raise ConfigError(path, f"is not used with {setting}")
         for required in ("representation", "subsystem_counts", "output_dir"):
             if required not in raw:
                 raise ConfigError(required, "missing required field")

@@ -14,7 +14,9 @@ figures.
 
 Work items draw their seeds from (master seed, N, set, sample, group), so
 execution order never matters. One ``TrajectoryEngine.sample`` call takes
-every item of one (N, group); tomography and the CSV rows stay per item, in
+every item of one (N, group), and each counts table it returns becomes its
+per-block histogram (``tomography.block_histogram``) at once; only the
+histograms are kept. Tomography and the CSV rows stay per item, in
 (N, set, sample) order.
 """
 
@@ -45,6 +47,7 @@ from .sampling import (
 from .simulator import DeviceModel, TrajectoryEngine
 from .stateprep import compose, fci_ground, synthesize
 from .tomography import (
+    block_histogram,
     build_plan,
     estimate_energies,
     extract_populations,
@@ -122,10 +125,11 @@ def sampling_plan(config: ExperimentConfig, pool: list[int], n: int) -> Sampling
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute the configured benchmark; returns the output directory."""
+    # the calibration is loaded first, so a config it rejects leaves no run dir
+    device = load_device(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    device = load_device(config)
     calibration_json = device.to_json()
     pool = rank_qubits(device)
 
@@ -153,15 +157,14 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 seeds[f"N{n}/set{entry.set_index}/sample{entry.sample_index}/group{gi}"] = seed
                 group_seeds.append(seed)
             engine = TrajectoryEngine(composed, group.basis_change)
-            by_group.append(
-                engine.sample(device, maps, config.shots, group_seeds, group.basis)
-            )
-        for entry, counts in zip(plan.entries, zip(*by_group)):
-            energies = estimate_energies(mplan, counts)
-            stderrs = shot_noise_stderr(mplan, counts)
-            pops = extract_populations(
-                counts[mplan.z_group_index], config.representation, n
-            )
+            by_group.append([
+                block_histogram(table, width, n)
+                for table in engine.sample(device, maps, config.shots, group_seeds, group.basis)
+            ])
+        for entry, histograms in zip(plan.entries, zip(*by_group)):
+            energies = estimate_energies(mplan, histograms)
+            stderrs = shot_noise_stderr(mplan, histograms)
+            pops = extract_populations(histograms[mplan.z_group_index])
             for sub in range(n):
                 sample_rows.append(
                     {

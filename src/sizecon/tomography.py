@@ -6,9 +6,12 @@ one-qubit basis rotations are replicated across every block, so the group
 count never depends on N, and every subsystem's energy is read from the
 same shots.
 
-Counts are read block by block: each table becomes one histogram per
-subsystem block (shots per block code), and energies, shot-noise errors and
-populations are all read from those histograms. A group keeps its
+Counts are read block by block: ``block_histogram`` turns each counts
+table into an ``(N, 2**width)`` array of shots per (block, block code),
+once, and energies, shot-noise errors and populations read only those
+arrays; it is the one function here that knows ``CountsTable`` or the
+block bit layout. Every histogram row sums to the shots, so the readers
+take the shot count from the histogram itself. A group keeps its
 subsystem strings, their coefficients and each string's parity sign on
 every block code, so one product ``histogram @ signs / shots`` gives every
 string's mean parity on every block; no string is embedded into the
@@ -137,61 +140,62 @@ def build_plan(h_sub: PauliSum, n_subsystems: int) -> MeasurementPlan:
     )
 
 
-def _block_histograms(tables: list[CountsTable], width: int, n_blocks: int) -> list[np.ndarray]:
-    """Each table's shots per (block, block code) as an ``(n_blocks,
+def block_histogram(table: CountsTable, width: int, n_blocks: int) -> np.ndarray:
+    """The table's shots per (block, block code) as an ``(n_blocks,
     2**width)`` array; block 0 is the most significant ``width`` bits of a
-    register code. The tables must share one shot count and span
-    ``width * n_blocks`` qubits. Entries are integer sums, exact in float64."""
-    shots = {t.shots for t in tables}
-    if len(shots) != 1:
-        raise ValueError(f"groups measured with unequal shot counts {sorted(shots)}")
+    register code. The table must span ``width * n_blocks`` qubits. Entries
+    are integer sums, exact in float64, and every row sums to the shots."""
+    if table.width != width * n_blocks:
+        raise ValueError(f"counts width {table.width} != {width}x{n_blocks}")
     shifts = width * np.arange(n_blocks - 1, -1, -1)[:, None]
     offsets = np.arange(n_blocks)[:, None] << width
-    histograms = []
-    for t in tables:
-        if t.width != width * n_blocks:
-            raise ValueError(f"counts width {t.width} != {width}x{n_blocks}")
-        index = ((t.codes >> shifts) & ((1 << width) - 1)) | offsets
-        totals = np.bincount(index.ravel(), np.tile(t.counts, n_blocks), n_blocks << width)
-        histograms.append(totals.reshape(n_blocks, -1))
-    return histograms
+    index = ((table.codes >> shifts) & ((1 << width) - 1)) | offsets
+    totals = np.bincount(index.ravel(), np.tile(table.counts, n_blocks), n_blocks << width)
+    return totals.reshape(n_blocks, -1)
 
 
-def _group_parities(plan: MeasurementPlan, counts: list[CountsTable]) -> list[np.ndarray]:
-    """Per group, the mean parity of each string on each block: ``(N, strings)``."""
-    if len(counts) != len(plan.groups):
-        raise ValueError(f"expected {len(plan.groups)} counts tables, got {len(counts)}")
-    histograms = _block_histograms(counts, plan.representation, plan.n_subsystems)
-    return [hist @ g.signs / t.shots for g, hist, t in zip(plan.groups, histograms, counts)]
+def _group_parities(plan: MeasurementPlan, histograms: list[np.ndarray]) -> tuple[list, int]:
+    """Per group, the mean parity of each string on each block, ``(N,
+    strings)``; and the shots every group was measured with."""
+    if len(histograms) != len(plan.groups):
+        raise ValueError(f"expected {len(plan.groups)} histograms, got {len(histograms)}")
+    shape = (plan.n_subsystems, 1 << plan.representation)
+    if any(hist.shape != shape for hist in histograms):
+        raise ValueError(f"histogram shapes {[h.shape for h in histograms]} != {shape}")
+    shots = [int(hist[0].sum()) for hist in histograms]
+    if len(set(shots)) != 1:
+        raise ValueError(f"groups measured with unequal shot counts {sorted(set(shots))}")
+    return [hist @ g.signs / shots[0] for g, hist in zip(plan.groups, histograms)], shots[0]
 
 
-def estimate_energies(plan: MeasurementPlan, counts: list[CountsTable]) -> np.ndarray:
-    """Per-subsystem energies (hartree) from one counts table per group.
+def estimate_energies(plan: MeasurementPlan, histograms: list[np.ndarray]) -> np.ndarray:
+    """Per-subsystem energies (hartree) from one block histogram per group.
 
     Each subsystem's energy is its constant term plus the coefficient-
     weighted empirical parity of every string on its block; the total
     compound energy is exactly the sum of the returned entries.
     """
     energies = np.full(plan.n_subsystems, plan.constant)
-    for group, parities in zip(plan.groups, _group_parities(plan, counts)):
+    for group, parities in zip(plan.groups, _group_parities(plan, histograms)[0]):
         for coefficient, parity in zip(group.coefficients, parities.T):
             energies += coefficient * parity
     return energies
 
 
-def shot_noise_stderr(plan: MeasurementPlan, counts: list[CountsTable]) -> np.ndarray:
+def shot_noise_stderr(plan: MeasurementPlan, histograms: list[np.ndarray]) -> np.ndarray:
     """Binomial-propagated standard error of each subsystem energy.
 
     Treats strings within a group as uncorrelated, which is adequate for
     the zero-variance weight floor it backs.
     """
     variances = np.zeros(plan.n_subsystems)
-    for group, parities, table in zip(plan.groups, _group_parities(plan, counts), counts):
+    group_parities, shots = _group_parities(plan, histograms)
+    for group, parities in zip(plan.groups, group_parities):
         for coefficient, parity in zip(group.coefficients, parities.T):
             # squared one scalar at a time, by libm pow: numpy's array
             # square (p * p) rounds apart from it for ~0.1% of values
             square = np.array([p**2 for p in parity])
-            variances += coefficient**2 * np.maximum(0.0, 1.0 - square) / table.shots
+            variances += coefficient**2 * np.maximum(0.0, 1.0 - square) / shots
     return np.sqrt(variances)
 
 
@@ -210,24 +214,25 @@ class PopulationBreakdown:
             raise ValueError("per-subsystem populations do not sum to 1")
 
 
-def extract_populations(
-    z_basis_counts: CountsTable, representation: int, n_subsystems: int
-) -> PopulationBreakdown:
-    """Classify each subsystem block of every computational-basis shot.
+def extract_populations(histogram: np.ndarray) -> PopulationBreakdown:
+    """Classify each subsystem block of every computational-basis shot,
+    read from the Z group's ``(N, 2**width)`` block histogram.
 
     Single-qubit blocks read 0 as the mean-field reference and 1 as the
     double excitation; two-qubit blocks follow the reduction code words
     (00 reference, 01/10 singles, 11 double); four-qubit blocks classify
     the six half-filled patterns and call everything else number-violating.
     """
-    if representation not in SUPPORTED_WIDTHS:
-        raise ValueError(f"unsupported representation {representation}")
-    (hist,) = _block_histograms([z_basis_counts], representation, n_subsystems)
+    n_subsystems, n_codes = histogram.shape
+    representation = {1 << w: w for w in SUPPORTED_WIDTHS}.get(n_codes)
+    if representation is None:
+        raise ValueError(f"unsupported representation: {n_codes} codes per block")
+    shots = int(histogram[0].sum())
     classes = _CLASSIFICATION[representation]
     result = {kind: np.zeros(n_subsystems) for kind in (HF, SINGLE, DOUBLE, NUMBER_VIOLATING)}
     # ascending codes; an absent code adds an exact 0.0
-    for code in range(1 << representation):
-        result[classes.get(code, NUMBER_VIOLATING)] += hist[:, code] / z_basis_counts.shots
+    for code in range(n_codes):
+        result[classes.get(code, NUMBER_VIOLATING)] += histogram[:, code] / shots
     return PopulationBreakdown(
         hf=result[HF],
         single_excitation=result[SINGLE],

@@ -1,8 +1,10 @@
-"""Counts tables for tests: built from ``{bitstring: count}``, read densely."""
+"""Counts tables for tests: built from ``{bitstring: count}``, read densely
+or block by block."""
 
 import numpy as np
 
 from sizecon.simulator import CountsTable
+from sizecon.tomography import MeasurementPlan, block_histogram
 
 
 def counts_table(shots: int, counts: dict[str, int], measured_basis: str = "") -> CountsTable:
@@ -23,3 +25,8 @@ def histogram(table: CountsTable) -> np.ndarray:
     full = np.zeros(2**table.width, dtype=np.int64)
     full[table.codes] = table.counts
     return full
+
+
+def block_histograms(plan: MeasurementPlan, tables: list[CountsTable]) -> list[np.ndarray]:
+    """One per-block histogram per table, as tomography reads a plan's groups."""
+    return [block_histogram(t, plan.representation, plan.n_subsystems) for t in tables]

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sizecon import experiment, tomography
 from sizecon.cli import main as cli_main
 from sizecon.config import ConfigError, ExperimentConfig
 from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
@@ -97,6 +98,14 @@ class TestConfig:
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"seed": 3}}', "calibration.seed"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"file": "c.json", "n_qubit": 16}}', "calibration.n_qubit"),
             ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": []}', "sampling"),
+            ('{"representation": 1, "subsystem_counts": [2, 2, 4], "output_dir": "x"}', "subsystem_counts"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"mode": "random", "s": 4, "k": 2}}', "sampling.k"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"s": 4}}', "sampling.s"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "sampling": {"mode": "selective", "k": 2, "s": 4}}', "sampling.s"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"file": "c.json", "synthetic_seed": 7}}', "calibration.synthetic_seed"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"file": "c.json", "n_qubits": 156}}', "calibration.n_qubits"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "master_seed": -1}', "master_seed"),
+            ('{"representation": 1, "subsystem_counts": [2], "output_dir": "x", "calibration": {"synthetic_seed": -1}}', "calibration.synthetic_seed"),
         ],
     )
     def test_invalid_configs_name_field(self, payload, field):
@@ -141,6 +150,20 @@ class TestRunExperiment:
             rows = list(csv.DictReader(fh))
         # selective k=1: N=2 -> 8 samples x 2 subsystems, N=4 -> 4 x 4
         assert len(rows) == 8 * 2 + 4 * 4
+
+    def test_each_table_becomes_one_histogram(self, tmp_path, monkeypatch):
+        # tomography reads histograms only: every sampled table is reduced
+        # once, so the calls per N are items x groups
+        calls = []
+
+        def counting(table, width, n_blocks):
+            calls.append(n_blocks)
+            return tomography.block_histogram(table, width, n_blocks)
+
+        monkeypatch.setattr(experiment, "block_histogram", counting)
+        run_experiment(tiny_config(tmp_path, representation=2, subsystem_counts=(1, 4)))
+        # rep-2 has 2 groups; selective k=1: N=1 -> 8 samples, N=4 -> 2
+        assert {n: calls.count(n) for n in set(calls)} == {1: 8 * 2, 4: 2 * 2}
 
     def test_manifest_records_seeds_and_hash(self, tmp_path):
         out = run_experiment(tiny_config(tmp_path))
@@ -447,6 +470,16 @@ class TestCli:
             ({"sampling": {"mode": "best"}}, "sampling.mode: unknown mode 'best'"),
             ({"calibration": {"n_qubits": 8}}, "calibration.n_qubits: need at least 16 qubits"),
             ({"calibration": {"file": "absent.json"}}, "calibration.file: no such file: absent.json"),
+            ({"subsystem_counts": [2, 2, 4]}, "subsystem_counts: lists an N more than once: [2, 2, 4]"),
+            ({"sampling": {"mode": "random", "s": 4, "k": 2}},
+             "sampling.k: is not used with sampling mode 'random'"),
+            ({"sampling": {"s": 4}}, "sampling.s: is not used with sampling mode 'selective'"),
+            ({"calibration": {"file": "c.json", "synthetic_seed": 7}},
+             "calibration.synthetic_seed: is not used with calibration.file"),
+            ({"calibration": {"file": "c.json", "n_qubits": 156}},
+             "calibration.n_qubits: is not used with calibration.file"),
+            ({"master_seed": -1}, "master_seed: must be >= 0, got -1"),
+            ({"calibration": {"synthetic_seed": -2}}, "calibration.synthetic_seed: must be >= 0, got -2"),
         ],
     )
     def test_config_error_names_json_path(self, tmp_path, capsys, monkeypatch, override, message):
@@ -455,6 +488,7 @@ class TestCli:
         (tmp_path / "config.json").write_text(json.dumps({**config, **override}))
         assert cli_main(["run", "config.json"]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "calibration, message",

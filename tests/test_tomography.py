@@ -8,13 +8,14 @@ from sizecon.simulator import CountsTable, DeviceModel, TrajectoryEngine
 from sizecon.stateprep import compose, fci_ground, synthesize
 from sizecon.tomography import (
     _CLASSIFICATION,
+    block_histogram,
     build_plan,
     estimate_energies,
     extract_populations,
     shot_noise_stderr,
 )
 
-from tables import counts_table
+from tables import block_histograms, counts_table
 
 
 def sample_noiseless(h_sub, n, shots, master_seed):
@@ -141,13 +142,14 @@ class TestEstimateEnergies:
             ),
         }
         counts = [by_basis[g.basis] for g in plan.groups]
-        energies = estimate_energies(plan, counts)
+        energies = estimate_energies(plan, block_histograms(plan, counts))
         assert np.allclose(energies, rhf.e_hf, atol=1e-12)
 
     def test_noiseless_fci_within_four_stderr(self, bundle, ci_oracle):
         plan, counts = sample_noiseless(bundle.h1q, 4, shots=100_000, master_seed=21)
-        energies = estimate_energies(plan, counts)
-        stderr = shot_noise_stderr(plan, counts)
+        histograms = block_histograms(plan, counts)
+        energies = estimate_energies(plan, histograms)
+        stderr = shot_noise_stderr(plan, histograms)
         assert np.all(np.abs(energies - ci_oracle.e_fci) < 4 * stderr)
 
     def test_unbiased_across_100_seeds(self, bundle, ci_oracle):
@@ -157,7 +159,7 @@ class TestEstimateEnergies:
             plan, counts = sample_noiseless(
                 bundle.h1q, 1, shots=shots, master_seed=1000 + 7 * seed
             )
-            estimates.append(float(estimate_energies(plan, counts)[0]))
+            estimates.append(float(estimate_energies(plan, block_histograms(plan, counts))[0]))
         estimates = np.array(estimates)
         stderr_of_mean = estimates.std(ddof=1) / math.sqrt(len(estimates))
         assert abs(estimates.mean() - ci_oracle.e_fci) < 4 * stderr_of_mean
@@ -167,13 +169,14 @@ class TestEstimateEnergies:
         # YY group and the 4-qubit one carries four mixed X/Y groups
         for h_sub in (bundle.h2q, bundle.h4):
             plan, counts = sample_noiseless(h_sub, 2, shots=100_000, master_seed=31)
-            energies = estimate_energies(plan, counts)
-            stderr = shot_noise_stderr(plan, counts)
+            histograms = block_histograms(plan, counts)
+            energies = estimate_energies(plan, histograms)
+            stderr = shot_noise_stderr(plan, histograms)
             assert np.all(np.abs(energies - ci_oracle.e_fci) < 4 * stderr), h_sub.width
 
     def test_total_is_sum_of_subsystems(self, bundle):
         plan, counts = sample_noiseless(bundle.h2q, 3, shots=20_000, master_seed=22)
-        energies = estimate_energies(plan, counts)
+        energies = estimate_energies(plan, block_histograms(plan, counts))
         total = energies.sum()
         assert total == pytest.approx(float(np.sum(energies)), abs=0.0)
         assert len(energies) == 3
@@ -186,7 +189,7 @@ class TestEstimateEnergies:
             "X": counts_table(shots, {"00": 500, "01": 300, "10": 150, "11": 50}, "X"),
         }
         counts = [asym[g.basis] for g in plan.groups]
-        energies = estimate_energies(plan, counts)
+        energies = estimate_energies(plan, block_histograms(plan, counts))
 
         def swap_blocks(table):
             swapped = ((table.codes & 1) << 1) | (table.codes >> 1)
@@ -196,7 +199,7 @@ class TestEstimateEnergies:
             )
 
         permuted = [swap_blocks(t) for t in counts]
-        flipped = estimate_energies(plan, permuted)
+        flipped = estimate_energies(plan, block_histograms(plan, permuted))
         assert np.allclose(flipped, energies[::-1], atol=1e-14)
 
     @pytest.mark.parametrize("every_code", [False, True])
@@ -220,8 +223,9 @@ class TestEstimateEnergies:
                     hits = rng.multinomial(shots, rng.dirichlet(np.ones(len(codes))))
                 counts.append(CountsTable(shots, width, codes[hits > 0], hits[hits > 0]))
             energies, stderrs = embedded_member_loop(h_sub, n, counts)
-            assert estimate_energies(plan, counts).tolist() == energies.tolist()
-            assert shot_noise_stderr(plan, counts).tolist() == stderrs.tolist()
+            histograms = block_histograms(plan, counts)
+            assert estimate_energies(plan, histograms).tolist() == energies.tolist()
+            assert shot_noise_stderr(plan, histograms).tolist() == stderrs.tolist()
 
     def test_stderr_squares_parities_as_libm_pow(self, bundle):
         # each block's Z parity is one whose scalar square (libm pow) rounds
@@ -242,33 +246,54 @@ class TestEstimateEnergies:
         plan = build_plan(bundle.h1q, n)
         counts = [by_basis[g.basis] for g in plan.groups]
         energies, stderrs = embedded_member_loop(bundle.h1q, n, counts)
-        assert estimate_energies(plan, counts).tolist() == energies.tolist()
-        assert shot_noise_stderr(plan, counts).tolist() == stderrs.tolist()
+        histograms = block_histograms(plan, counts)
+        assert estimate_energies(plan, histograms).tolist() == energies.tolist()
+        assert shot_noise_stderr(plan, histograms).tolist() == stderrs.tolist()
 
-    def test_group_count_mismatch(self, bundle):
+
+class TestBlockHistogram:
+    def test_shots_per_block_code(self):
+        # block 0 is the most significant width bits; every row sums to shots
+        table = counts_table(10, {"0001": 3, "0111": 2, "1101": 5})
+        hist = block_histogram(table, 2, 2)
+        assert hist.tolist() == [[3.0, 2.0, 0.0, 5.0], [0.0, 8.0, 0.0, 2.0]]
+        assert block_histogram(table, 1, 4).sum(axis=1).tolist() == [10.0] * 4
+        assert block_histogram(table, 4, 1)[0].tolist() == [
+            3.0 * (c == 1) + 2.0 * (c == 7) + 5.0 * (c == 13) for c in range(16)
+        ]
+
+    @pytest.mark.parametrize("bits, width, n_blocks", [("0", 1, 2), ("00", 4, 1)])
+    def test_width_mismatch(self, bits, width, n_blocks):
+        with pytest.raises(ValueError, match="counts width"):
+            block_histogram(counts_table(10, {bits: 10}), width, n_blocks)
+
+
+@pytest.mark.parametrize("reader", [estimate_energies, shot_noise_stderr])
+class TestGroupParities:
+    """The checks both energy readers share, made once per call."""
+
+    def test_group_count_mismatch(self, bundle, reader):
         plan = build_plan(bundle.h1q, 1)
-        with pytest.raises(ValueError, match="counts tables"):
-            estimate_energies(plan, [counts_table(10, {"0": 10})])
+        with pytest.raises(ValueError, match="expected 2 histograms, got 1"):
+            reader(plan, [np.array([[10.0, 0.0]])])
 
-    def test_width_mismatch(self, bundle):
+    def test_shape_mismatch(self, bundle, reader):
+        # a one-block histogram must not broadcast over a two-block plan
         plan = build_plan(bundle.h1q, 2)
-        bad = [counts_table(10, {"0": 10}), counts_table(10, {"0": 10})]
-        with pytest.raises(ValueError, match="width"):
-            estimate_energies(plan, bad)
+        with pytest.raises(ValueError, match="histogram shapes"):
+            reader(plan, [np.array([[10.0, 0.0]])] * 2)
 
-    def test_unequal_shots_rejected(self, bundle):
+    def test_unequal_shots_rejected(self, bundle, reader):
         plan = build_plan(bundle.h1q, 1)
-        with pytest.raises(ValueError, match="unequal shot"):
-            estimate_energies(
-                plan, [counts_table(10, {"0": 10}), counts_table(20, {"0": 20})]
-            )
+        with pytest.raises(ValueError, match=r"unequal shot counts \[10, 20\]"):
+            reader(plan, [np.array([[10.0, 0.0]]), np.array([[20.0, 0.0]])])
 
 
 class TestExtractPopulations:
     def test_all_reference_word(self):
         shots = 500
         counts = counts_table(shots, {"11001100": shots}, "ZZZZZZZZ")
-        pops = extract_populations(counts, 4, 2)
+        pops = extract_populations(block_histogram(counts, 4, 2))
         assert np.allclose(pops.hf, 1.0)
         assert np.allclose(pops.single_excitation, 0.0)
         assert np.allclose(pops.double_excitation, 0.0)
@@ -280,7 +305,7 @@ class TestExtractPopulations:
             {"1100": 4, "0011": 2, "1001": 1, "0101": 1, "1110": 1, "0000": 1},
             "ZZZZ",
         )
-        pops = extract_populations(counts, 4, 1)
+        pops = extract_populations(block_histogram(counts, 4, 1))
         assert pops.hf[0] == pytest.approx(0.4)
         assert pops.double_excitation[0] == pytest.approx(0.2)
         assert pops.single_excitation[0] == pytest.approx(0.2)
@@ -288,7 +313,7 @@ class TestExtractPopulations:
 
     def test_two_qubit_code_words(self):
         counts = counts_table(10, {"00": 5, "01": 2, "10": 2, "11": 1}, "ZZ")
-        pops = extract_populations(counts, 2, 1)
+        pops = extract_populations(block_histogram(counts, 2, 1))
         assert pops.hf[0] == pytest.approx(0.5)
         assert pops.single_excitation[0] == pytest.approx(0.4)
         assert pops.double_excitation[0] == pytest.approx(0.1)
@@ -297,15 +322,14 @@ class TestExtractPopulations:
     def test_single_qubit_never_reports_singles(self, bundle):
         # even with heavy readout noise the 1-qubit encoding cannot produce one
         counts = counts_table(100, {"0": 55, "1": 45}, "Z")
-        pops = extract_populations(counts, 1, 1)
+        pops = extract_populations(block_histogram(counts, 1, 1))
         assert pops.single_excitation[0] == 0.0
         assert pops.number_violating[0] == 0.0
 
     def test_noiseless_double_population_matches_oracle(self, bundle, ci_oracle):
         shots = 100_000
         plan, counts = sample_noiseless(bundle.h1q, 2, shots=shots, master_seed=23)
-        z_counts = counts[plan.z_group_index]
-        pops = extract_populations(z_counts, 1, 2)
+        pops = extract_populations(block_histograms(plan, counts)[plan.z_group_index])
         expected = ci_oracle.fci_double_population
         sigma = math.sqrt(expected * (1 - expected) / shots)
         assert np.all(np.abs(pops.double_excitation - expected) < 4 * sigma)
@@ -313,7 +337,7 @@ class TestExtractPopulations:
     def test_two_qubit_code_words_reproduce_oracle_population(self, bundle, ci_oracle):
         shots = 100_000
         plan, counts = sample_noiseless(bundle.h2q, 2, shots=shots, master_seed=29)
-        pops = extract_populations(counts[plan.z_group_index], 2, 2)
+        pops = extract_populations(block_histograms(plan, counts)[plan.z_group_index])
         expected = ci_oracle.fci_double_population
         sigma = math.sqrt(expected * (1 - expected) / shots)
         assert np.all(np.abs(pops.double_excitation - expected) < 4 * sigma)
@@ -322,7 +346,7 @@ class TestExtractPopulations:
 
     def test_probabilities_sum_to_one(self, bundle):
         plan, counts = sample_noiseless(bundle.h4, 2, shots=5000, master_seed=24)
-        pops = extract_populations(counts[plan.z_group_index], 4, 2)
+        pops = extract_populations(block_histograms(plan, counts)[plan.z_group_index])
         totals = (
             pops.hf + pops.single_excitation + pops.double_excitation + pops.number_violating
         )
@@ -337,7 +361,7 @@ class TestExtractPopulations:
         codes = np.unique(rng.integers(0, 2**width, size=40))
         counts = rng.integers(1, 50, size=len(codes))
         table = CountsTable(int(counts.sum()), width, codes, counts)
-        pops = extract_populations(table, representation, n)
+        pops = extract_populations(block_histogram(table, representation, n))
         kinds = {"hf": pops.hf, "single": pops.single_excitation,
                  "double": pops.double_excitation, "number_violating": pops.number_violating}
         expected = {kind: np.zeros(n) for kind in kinds}
@@ -350,7 +374,11 @@ class TestExtractPopulations:
         for kind, values in kinds.items():
             assert values.tolist() == expected[kind].tolist(), kind
 
-    def test_width_mismatch(self):
-        counts = counts_table(10, {"00": 10}, "ZZ")
-        with pytest.raises(ValueError, match="counts width"):
-            extract_populations(counts, 4, 1)
+    @pytest.mark.parametrize("codes", [8, 3])
+    def test_unsupported_width_rejected(self, codes):
+        # N and the representation come from the shape: 8 codes per block
+        # would be a 3-qubit subsystem, which no representation has
+        histogram = np.zeros((2, codes))
+        histogram[:, 0] = 10.0
+        with pytest.raises(ValueError, match=f"unsupported representation: {codes} codes"):
+            extract_populations(histogram)
