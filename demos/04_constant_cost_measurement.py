@@ -13,7 +13,6 @@ import numpy as np
 
 from sizecon import (
     DeviceModel,
-    block_histogram,
     build_hamiltonians,
     build_plan,
     compose,
@@ -52,9 +51,9 @@ def main():
     histograms = []
     for gi, group in enumerate(plan.groups):
         engine = TrajectoryEngine(circuit, group.basis_change)
-        (table,) = engine.sample(device, [list(range(n))], shots, [40 + gi], group.basis)
         # one (N, 2) array of shots per subsystem block and block code
-        histograms.append(block_histogram(table, h.width, n))
+        (histogram,) = engine.sample(device, [list(range(n))], shots, [40 + gi], h.width)
+        histograms.append(histogram)
 
     energies = estimate_energies(plan, histograms)
     e_fci = bundle.levels.fci_energy

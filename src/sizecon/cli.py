@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import DEFAULT_BOND_LENGTH, ConfigError, ExperimentConfig
-from .experiment import csv_text, run_experiment
+from .experiment import csv_text, dict_table, run_experiment
 from .report import analyze, reference_table
 from .sampling import qubit_scores, rank_qubits, synthetic_calibration
 from .simulator import DeviceModel
@@ -95,7 +95,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     rows = reference_table(args.bond_length, args.n_max)
-    _emit(csv_text(rows), args.output)
+    _emit(csv_text(*dict_table(rows)), args.output)
     return 0
 
 
@@ -113,7 +113,7 @@ def _cmd_calibration(args: argparse.Namespace) -> int:
         {"rank": i, "qubit": q, "score": repr(scores[q])}
         for i, q in enumerate(rank_qubits(device))
     ]
-    _emit(csv_text(rows), "-")
+    _emit(csv_text(*dict_table(rows)), "-")
     return 0
 
 

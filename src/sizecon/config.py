@@ -86,6 +86,8 @@ class ExperimentConfig:
                     f"N={n} needs {n * self.representation} qubits, over the "
                     f"{QUBIT_BUDGET}-qubit budget",
                 )
+        if not self.output_dir:
+            raise ConfigError("output_dir", "must not be empty")
         if self.shots < 1:
             raise ConfigError("shots", f"must be >= 1, got {self.shots}")
         if self.sampling_mode not in ("selective", "random"):

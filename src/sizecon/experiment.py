@@ -14,10 +14,11 @@ figures.
 
 Work items draw their seeds from (master seed, N, set, sample, group), so
 execution order never matters. One ``TrajectoryEngine.sample`` call takes
-every item of one (N, group), and each counts table it returns becomes its
-per-block histogram (``tomography.block_histogram``) at once; only the
-histograms are kept. Tomography and the CSV rows stay per item, in
-(N, set, sample) order.
+every item of one (N, group) and returns their shots per block code as one
+``(items, N, 2**width)`` array; no counts table is built. Each tomography
+reader then runs once per N on those stacks, and the rows go out as tuples
+in (N, set, sample, subsystem) order; ``populations.csv`` is a column
+subset of the same rows.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from .sampling import (
 from .simulator import DeviceModel, TrajectoryEngine
 from .stateprep import compose, fci_ground, synthesize
 from .tomography import (
-    block_histogram,
     build_plan,
     estimate_energies,
     extract_populations,
@@ -60,6 +61,11 @@ POPULATIONS_CSV = "populations.csv"
 MANIFEST_JSON = "manifest.json"
 CALIBRATION_JSON = "calibration.json"
 SUMMARY_CSV = "summary.csv"
+SAMPLES_HEADER = (
+    "run_id", "representation", "n_subsystems", "set_index", "sample_index", "subsystem",
+    "energy_hartree", "energy_kcal_mol", "energy_shot_stderr_hartree",
+    "p_hf", "p_single", "p_double", "p_number_violating",
+)
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,10 @@ def load_device(config: ExperimentConfig) -> DeviceModel:
         path = Path(config.calibration_file)
         if not path.exists():
             raise ConfigError("calibration.file", f"no such file: {path}")
-        return DeviceModel.from_json(path.read_text())
+        try:
+            return DeviceModel.from_json(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError("calibration.file", f"not valid JSON: {exc}") from exc
     return synthetic_calibration(
         n_qubits=config.calibration_qubits, seed=config.calibration_seed
     )
@@ -139,7 +148,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     circuit = synthesize(target)
     width = config.representation
 
-    sample_rows: list[dict] = []
+    rows: list[tuple] = []
     seeds: dict[str, int] = {}
     for n in config.subsystem_counts:
         plan = sampling_plan(config, pool, n)
@@ -157,38 +166,34 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 seeds[f"N{n}/set{entry.set_index}/sample{entry.sample_index}/group{gi}"] = seed
                 group_seeds.append(seed)
             engine = TrajectoryEngine(composed, group.basis_change)
-            by_group.append([
-                block_histogram(table, width, n)
-                for table in engine.sample(device, maps, config.shots, group_seeds, group.basis)
-            ])
-        for entry, histograms in zip(plan.entries, zip(*by_group)):
-            energies = estimate_energies(mplan, histograms)
-            stderrs = shot_noise_stderr(mplan, histograms)
-            pops = extract_populations(histograms[mplan.z_group_index])
+            by_group.append(engine.sample(device, maps, config.shots, group_seeds, width))
+        # every reader takes the (items, N, 2**width) stacks at once
+        energies = estimate_energies(mplan, by_group)
+        pops = extract_populations(by_group[mplan.z_group_index])
+        columns = (
+            energies,
+            energies * HARTREE_TO_KCAL_PER_MOL,
+            shot_noise_stderr(mplan, by_group),
+            pops.hf,
+            pops.single_excitation,
+            pops.double_excitation,
+            pops.number_violating,
+        )
+        values = zip(*(map(repr, column.ravel().tolist()) for column in columns))
+        for entry in plan.entries:
             for sub in range(n):
-                sample_rows.append(
-                    {
-                        "run_id": config.run_id,
-                        "representation": config.representation,
-                        "n_subsystems": n,
-                        "set_index": entry.set_index,
-                        "sample_index": entry.sample_index,
-                        "subsystem": sub,
-                        "energy_hartree": repr(float(energies[sub])),
-                        "energy_kcal_mol": repr(float(energies[sub] * HARTREE_TO_KCAL_PER_MOL)),
-                        "energy_shot_stderr_hartree": repr(float(stderrs[sub])),
-                        "p_hf": repr(float(pops.hf[sub])),
-                        "p_single": repr(float(pops.single_excitation[sub])),
-                        "p_double": repr(float(pops.double_excitation[sub])),
-                        "p_number_violating": repr(float(pops.number_violating[sub])),
-                    }
+                rows.append(
+                    (config.run_id, config.representation, n, entry.set_index,
+                     entry.sample_index, sub, *next(values))
                 )
 
-    write_csv(out / SAMPLES_CSV, sample_rows)
+    write_csv(out / SAMPLES_CSV, SAMPLES_HEADER, rows)
     # the populations view is every samples.csv column but the energies
+    keep = [i for i, name in enumerate(SAMPLES_HEADER) if not name.startswith("energy_")]
     write_csv(
         out / POPULATIONS_CSV,
-        [{k: v for k, v in row.items() if not k.startswith("energy_")} for row in sample_rows],
+        [SAMPLES_HEADER[i] for i in keep],
+        [[row[i] for i in keep] for row in rows],
     )
     (out / CALIBRATION_JSON).write_text(calibration_json)
     manifest = {
@@ -209,18 +214,24 @@ def run_experiment(config: ExperimentConfig) -> Path:
     return out
 
 
-def csv_text(rows: list[dict]) -> str:
-    """``rows`` as CSV: a header from the first row's keys, then one line
-    per row, all with LF line ends. Every CSV the package writes is this."""
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header line, then one line per row, all with LF line ends. Every
+    CSV the package writes is this."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
 
 
-def write_csv(path: Path, rows: list[dict]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: list[Sequence]) -> None:
     if not rows:
         raise ValueError(f"refusing to write empty {path.name}")
     with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(rows))
+        fh.write(csv_text(header, rows))
+
+
+def dict_table(rows: list[dict]) -> tuple[list[str], list]:
+    """The header (the first row's keys) and value rows of ``rows``, as
+    ``csv_text`` and ``write_csv`` take them."""
+    return list(rows[0]), [list(row.values()) for row in rows]

@@ -21,7 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import SubsystemLevels, cisd_reference, error_stats, horizon, mean_sd, wls_fit
-from .experiment import MANIFEST_JSON, SAMPLES_CSV, SUMMARY_CSV, build_hamiltonians, write_csv
+from .experiment import (
+    MANIFEST_JSON,
+    SAMPLES_CSV,
+    SUMMARY_CSV,
+    build_hamiltonians,
+    dict_table,
+    write_csv,
+)
 from .svgplot import Figure, Series, write as write_svg
 from .units import HARTREE_TO_KCAL_PER_MOL
 
@@ -101,7 +108,7 @@ def _write_figure(
 ) -> None:
     """Write ``<name>.csv`` from ``rows``, then ``<name>.svg`` plotting each
     series from those rows; a series that takes no row is left out."""
-    write_csv(run_dir / f"{name}.csv", rows)
+    write_csv(run_dir / f"{name}.csv", *dict_table(rows))
     for p in plotted:
         taken = [
             r for r in rows
@@ -173,7 +180,7 @@ def analyze(run_dir: str | Path) -> Path:
     hz = horizon(fit.slope, representation) if fit is not None else None
     write_csv(
         run_dir / SUMMARY_CSV,
-        [
+        *dict_table([
             {
                 "representation": representation,
                 "n_points": len(points),
@@ -184,7 +191,7 @@ def analyze(run_dir: str | Path) -> Path:
                 "horizon_n_h2": hz.n_h2 if hz is not None else "",
                 "horizon_unbounded": hz.unbounded if hz is not None else "",
             }
-        ],
+        ]),
     )
 
     fig1 = [

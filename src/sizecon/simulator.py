@@ -30,21 +30,32 @@ most a fixed byte budget (32 MiB) and drops its least recently used entries
 first.
 
 Reproducibility: all randomness for a work item (a physical map and its
-seed) comes from a Philox counter-based generator keyed by the seed. Shot
-``i`` consumes row ``i`` of a ``(shots, budget)`` uniform block whose
-columns are, in order: one (event, pauli-choice) pair per noisy gate in
-circuit order, one measurement draw, then one readout draw per qubit. The
-layout does not depend on the segments. Shots are therefore independent of
-execution order and the same seed reproduces counts bit-exactly.
+seed) comes from a Philox counter-based generator keyed by the seed; one
+generator per call is re-keyed to each item's seed, which is the state
+``Philox(key=seed)`` starts in. Shot ``i`` consumes row ``i`` of a
+``(shots, budget)`` uniform block whose columns are, in order: one (event,
+pauli-choice) pair per noisy gate in circuit order, one measurement draw,
+then one readout draw per qubit. The layout does not depend on the
+segments. Shots are therefore independent of execution order and the same
+seed reproduces counts bit-exactly. The block is drawn at most
+``_DRAW_ELEMENTS`` uniforms at a time, in row order from the item's stream,
+and of each draw a pass keeps only what it reads: the measurement draw, the
+Pauli each fired gate picks and the two readout comparisons.
 
-Work items: one ``sample`` call takes every item of one circuit, such as
-all qubit assignments of one (N, group). Items with the same noisy gates
-share one column layout, and whole items are packed, each into its own
-rows of one uniform block, so the segment loop above runs once per pass
-rather than once per item; items whose layouts differ never share a pass.
-Each item still fills its rows from its own Philox block, every row meets
-the same distribution and arithmetic, and its histogram is its own, so a
-table is the same whether its item was sampled alone or packed.
+Work items: one call takes every item of one circuit, such as all qubit
+assignments of one (N, group). Items with the same noisy gates share one
+column layout, and whole items are packed, each into its own rows of one
+pass, so the segment loop above runs once per pass rather than once per
+item; items whose layouts differ never share a pass. Each item still fills
+its rows from its own Philox block, every row meets the same distribution
+and arithmetic, and its counts are its own, so they are the same whether
+its item was sampled alone or packed.
+
+Outputs: ``TrajectoryEngine.sample`` bins each pass's measured codes
+straight into shots per (item, block, block code), the array the pipeline
+reads; ``TrajectoryEngine.tables`` returns one joint ``CountsTable`` per
+item from the same passes, for ``run_shots`` and for circuits read as a
+whole register.
 
 Statevector indexing: qubit 0 is the most significant bit of the basis
 index, matching the left-to-right bitstring convention.
@@ -63,10 +74,13 @@ from .stateprep import Circuit, Gate
 
 _SHOT_CHUNK = 1 << 16
 # Whole work items share a pass while their shots plus their dense
-# histogram bins fit in this many rows, which keeps a pass's uniform block
-# and histograms near one item's size; a larger item runs alone, in
-# _SHOT_CHUNK chunks.
+# histogram bins fit in this many rows, which keeps a pass's arrays near one
+# item's size; a larger item runs alone, in _SHOT_CHUNK chunks.
 _PACK_ROWS = 1 << 13
+# Uniforms (rows x columns) drawn at once, 4 MiB of float64: a pass keeps
+# only a few bytes per row of them, so this bounds its uniform block whatever
+# the shot count or the number of noisy gates.
+_DRAW_ELEMENTS = 1 << 19
 
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -334,6 +348,22 @@ class _DistributionMemo:
 _MEMO = _DistributionMemo()
 
 
+_PHILOX_EMPTY = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(bit_generator: np.random.Philox, seed: int) -> None:
+    """Set a Philox generator to the state ``Philox(key=seed)`` starts in."""
+    key = np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_EMPTY, "key": key},
+        "buffer": _PHILOX_EMPTY,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _invert(cum: np.ndarray, u_meas: np.ndarray, codes: np.ndarray, n: int) -> tuple:
     """One chain-rule step: each shot's outcome under ``cum`` at its draw,
     appended to its code, and the draw rescaled into the chosen interval."""
@@ -390,12 +420,56 @@ class TrajectoryEngine:
         physical_maps: Sequence[Sequence[int]],
         shots: int,
         seeds: Sequence[int],
+        block_width: int,
+    ) -> np.ndarray:
+        """Shots per (work item, block, block code): an int64 array of shape
+        ``(items, width // block_width, 2**block_width)``, items in order.
+        Block 0 is the most significant ``block_width`` bits of a register
+        code, and every ``[item, block]`` row sums to ``shots``. Each item (a
+        physical map and its seed) draws its own Philox block, so its counts
+        equal those a call with that item alone returns."""
+        w = self.circuit.width
+        if block_width < 1 or w % block_width:
+            raise ValueError(f"block width {block_width} does not divide circuit width {w}")
+        n_blocks = w // block_width
+        counts = np.zeros((len(seeds), n_blocks, 1 << block_width), dtype=np.int64)
+        for batch, dense in self._histograms(device, physical_maps, shots, seeds):
+            # block b's code is the middle axis of a register code split into
+            # (the blocks before b, block b, the blocks after b)
+            counts[batch] = np.stack([
+                dense.reshape(len(batch), 1 << block_width * b, 1 << block_width, -1).sum((1, 3))
+                for b in range(n_blocks)
+            ], axis=1)
+        return counts
+
+    def tables(
+        self,
+        device: DeviceModel,
+        physical_maps: Sequence[Sequence[int]],
+        shots: int,
+        seeds: Sequence[int],
         basis_label: str = "",
     ) -> list[CountsTable]:
-        """One table of ``shots`` shots per work item (a physical map and
-        its seed), in item order. Items with the same noisy gates share
-        packed passes; each draws its own Philox block, so every table
-        equals the one a call with that item alone returns."""
+        """One joint counts table of ``shots`` shots per work item, in item
+        order, drawn exactly as :meth:`sample` draws them."""
+        tables: list[CountsTable] = [None] * len(seeds)
+        for batch, dense in self._histograms(device, physical_maps, shots, seeds):
+            for item, histogram in zip(batch, dense):
+                nonzero = np.flatnonzero(histogram)
+                tables[item] = CountsTable(
+                    shots, self.circuit.width, nonzero, histogram[nonzero], basis_label
+                )
+        return tables
+
+    def _histograms(
+        self,
+        device: DeviceModel,
+        physical_maps: Sequence[Sequence[int]],
+        shots: int,
+        seeds: Sequence[int],
+    ):
+        """Per pass: the indices of the items it packs, and their ``(items,
+        2**width)`` counts of every measured register code."""
         circuit = self.circuit
         w = circuit.width
         if len(physical_maps) != len(seeds):
@@ -419,70 +493,89 @@ class TrajectoryEngine:
         p10 = np.array([[[qubits[q].readout_p10 for q in pm]] for pm in physical_maps])
         p01 = np.array([[[qubits[q].readout_p01 for q in pm]] for pm in physical_maps])
         # A gate of rate 0 takes no columns, so only items with the same
-        # noisy gates share a pass; a pass packs whole items while their
-        # shots plus histogram bins stay within _PACK_ROWS.
+        # noisy gates share a pass.
         layouts: dict[bytes, list[int]] = {}
         for item, noisy in enumerate(rates > 0.0):
             layouts.setdefault(noisy.tobytes(), []).append(item)
-        per_pass = max(1, _PACK_ROWS // (shots + (1 << w)))
-        batches = [
-            items[k : k + per_pass]
-            for items in layouts.values() for k in range(0, len(items), per_pass)
-        ]
         weights = 1 << np.arange(w - 1, -1, -1, dtype=np.int64)
-        tables: list[CountsTable] = [None] * len(seeds)
-        for batch in batches:
-            m = len(batch)
-            noisy = np.flatnonzero(rates[batch[0]] > 0.0)
+        # one generator, re-keyed per item: Philox(key=seed) would also draw
+        # OS entropy for a seed sequence it never uses
+        rng = np.random.Generator(np.random.Philox())
+        for items in layouts.values():
+            noisy = np.flatnonzero(rates[items[0]] > 0.0)
             n_noisy = len(noisy)
             column = {gi: k for k, gi in enumerate(noisy.tolist())}  # gate -> event
-            p_event = rates[np.ix_(batch, noisy)][:, None, :]
-            rngs = [np.random.Generator(np.random.Philox(key=seeds[i])) for i in batch]
-            histograms = np.zeros((m, 1 << w), dtype=np.int64)
-            for start in range(0, shots, _SHOT_CHUNK):
-                chunk = min(shots - start, _SHOT_CHUNK)
-                # item i's rows, u[i], come from its own stream
-                u = np.empty((m, chunk, 2 * n_noisy + 1 + w))
-                for rng, rows in zip(rngs, u):
-                    rng.random(out=rows)
-                hits = (u[:, :, 0 : 2 * n_noisy : 2] < p_event).reshape(m * chunk, n_noisy)
-                codes = self._codes(u.reshape(m * chunk, -1), hits, column)
+            # a gate on t qubits picks one of 4**t - 1 Paulis when it fires
+            options = np.array([4 ** len(circuit.gates[gi].targets) - 1 for gi in column])
+            columns = 2 * n_noisy + 1 + w
+            # whole items share a pass while their shots plus histogram
+            # bins fit in _PACK_ROWS and all their uniforms in one draw
+            per_pass = max(
+                1, min(_PACK_ROWS // (shots + (1 << w)), _DRAW_ELEMENTS // (shots * columns))
+            )
+            for k in range(0, len(items), per_pass):
+                batch = items[k : k + per_pass]
+                m = len(batch)
+                p_event = rates[np.ix_(batch, noisy)][:, None, :]
+                dense = np.zeros((m, 1 << w), dtype=np.int64)
+                draw = max(1, _DRAW_ELEMENTS // (m * columns))  # rows per item per draw
+                for start in range(0, shots, _SHOT_CHUNK):
+                    chunk = min(shots - start, _SHOT_CHUNK)
+                    # Of the uniforms, keep what the rest reads: the
+                    # measurement draw, the Pauli each fired gate picks (0
+                    # where it did not fire) and both readout comparisons.
+                    u_meas = np.empty((m, chunk))
+                    picks = np.zeros((m, chunk, n_noisy), dtype=np.int8)
+                    below_p01 = np.empty((m, chunk, w), dtype=bool)
+                    below_p10 = np.empty((m, chunk, w), dtype=bool)
+                    for lo in range(0, chunk, draw):
+                        hi = min(chunk, lo + draw)
+                        # item i's rows, u[i], come from its own stream; only
+                        # a lone item takes more than one draw, and its
+                        # stream runs on from one draw to the next
+                        u = np.empty((m, hi - lo, columns))
+                        for item, block in zip(batch, u):
+                            if start + lo == 0:
+                                _rekey(rng.bit_generator, seeds[item])
+                            rng.random(out=block)
+                        fired = np.flatnonzero(u[:, :, 0 : 2 * n_noisy : 2] < p_event)
+                        i, row, e = np.unravel_index(fired, (m, hi - lo, n_noisy))
+                        pick = (u[i, row, 2 * e + 1] * options[e]).astype(np.int8) + 1
+                        picks[i, lo + row, e] = pick
+                        u_meas[:, lo:hi] = u[:, :, 2 * n_noisy]
+                        below_p01[:, lo:hi] = u[:, :, 2 * n_noisy + 1 :] < p01[batch]
+                        below_p10[:, lo:hi] = u[:, :, 2 * n_noisy + 1 :] < p10[batch]
+                    codes = self._codes(u_meas.ravel(), picks.reshape(m * chunk, n_noisy), column)
 
-                # a bit reads flipped at p01 where it is 1, at p10 where it is 0
-                ones = (codes.reshape(m, chunk, 1) & weights) != 0
-                u_read = u[:, :, 2 * n_noisy + 1 :]
-                flips = (ones & (u_read < p01[batch])) | (~ones & (u_read < p10[batch]))
-                measured = codes.reshape(m, chunk) ^ (flips @ weights)
-                bins = (measured + (np.arange(m)[:, None] << w)).ravel()  # item's own bins
-                histograms += np.bincount(bins, minlength=m << w).reshape(m, -1)
-            for item, histogram in zip(batch, histograms):
-                nonzero = np.flatnonzero(histogram)
-                tables[item] = CountsTable(shots, w, nonzero, histogram[nonzero], basis_label)
-        return tables
+                    # a bit reads flipped at p01 where it is 1, at p10 where it is 0
+                    ones = (codes.reshape(m, chunk, 1) & weights) != 0
+                    flips = (ones & below_p01) | (~ones & below_p10)
+                    measured = codes.reshape(m, chunk) ^ (flips @ weights)
+                    bins = (measured + (np.arange(m)[:, None] << w)).ravel()  # item's own bins
+                    dense += np.bincount(bins, minlength=m << w).reshape(m, -1)
+                yield batch, dense
 
-    def _codes(self, u: np.ndarray, hits: np.ndarray, column: dict[int, int]) -> np.ndarray:
-        """Pre-readout outcome codes of packed rows ``u`` laid out as the
-        module docstring says; ``hits[:, k]`` says whether noisy gate ``k``
-        fired, and ``column`` maps a gate index to its ``k``."""
+    def _codes(self, u_meas: np.ndarray, picks: np.ndarray, column: dict[int, int]) -> np.ndarray:
+        """Pre-readout outcome codes of packed rows: ``u_meas`` holds each
+        row's measurement draw, ``picks[:, k]`` the Pauli noisy gate ``k``
+        inserted (1-based, 0 where it did not fire), and ``column`` maps a
+        gate index to its ``k``."""
         # Chain rule, qubit 0 first: each segment inverts its own CDF at
         # u_meas, then u_meas is rescaled into the chosen interval. For a
         # product distribution this is the full-register inverse CDF.
-        u_meas = u[:, 2 * len(column)]
-        codes = np.zeros(len(u), dtype=np.int64)
+        codes = np.zeros(len(u_meas), dtype=np.int64)
         for n, inside, gates, text in self._segments:
             events = [(j, column[gi]) for j, gi in enumerate(inside) if gi in column]
-            rows = np.flatnonzero(hits[:, [k for _, k in events]].any(axis=1))
+            fired = picks[:, [k for _, k in events]]
+            rows = np.flatnonzero(fired.any(axis=1))
             u_fired, codes_fired = u_meas[rows], codes[rows]
             u_meas, codes = _invert(_MEMO(text, gates, bytes(len(gates))), u_meas, codes, n)
             if not rows.size:
                 continue
             # Redraw the fired rows from their saved draw, grouped by
-            # insertion pattern through one stable argsort; a gate on t
-            # qubits picks one of 4**t - 1 Paulis.
+            # insertion pattern through one stable argsort.
             patterns = np.zeros((rows.size, len(gates)), dtype=np.int8)
-            for j, k in events:
-                hit, options = hits[rows, k], 4 ** len(gates[j].targets) - 1
-                patterns[hit, j] = (u[rows[hit], 2 * k + 1] * options).astype(np.int8) + 1
+            patterns[:, [j for j, _ in events]] = fired[rows]
             keys = patterns.view(np.dtype((np.void, len(gates))))[:, 0]
             order = np.argsort(keys, kind="stable")
             ends = np.flatnonzero(keys[order[1:]] != keys[order[:-1]]) + 1
@@ -507,4 +600,4 @@ def run_shots(
     directly when sampling the same circuit for many qubit assignments.
     """
     engine = TrajectoryEngine(circuit, basis_change)
-    return engine.sample(device, [physical_map], shots, [seed], basis_label)[0]
+    return engine.tables(device, [physical_map], shots, [seed], basis_label)[0]

@@ -6,12 +6,14 @@ one-qubit basis rotations are replicated across every block, so the group
 count never depends on N, and every subsystem's energy is read from the
 same shots.
 
-Counts are read block by block: ``block_histogram`` turns each counts
-table into an ``(N, 2**width)`` array of shots per (block, block code),
-once, and energies, shot-noise errors and populations read only those
-arrays; it is the one function here that knows ``CountsTable`` or the
-block bit layout. Every histogram row sums to the shots, so the readers
-take the shot count from the histogram itself. A group keeps its
+Counts are read block by block: energies, shot-noise errors and
+populations read ``(N, 2**width)`` arrays of shots per (block, block code),
+as ``TrajectoryEngine.sample`` returns them, or ``(items, N, 2**width)``
+stacks of them, one row per work item, which give ``(items, N)`` results
+equal to one call per item. ``block_histogram`` turns a joint counts table
+into such an array; it is the one function here that knows ``CountsTable``
+or the register bit layout. Every histogram row sums to the shots, so the
+readers take the shot count from the histogram itself. A group keeps its
 subsystem strings, their coefficients and each string's parity sign on
 every block code, so one product ``histogram @ signs / shots`` gives every
 string's mean parity on every block; no string is embedded into the
@@ -154,48 +156,57 @@ def block_histogram(table: CountsTable, width: int, n_blocks: int) -> np.ndarray
     return totals.reshape(n_blocks, -1)
 
 
-def _group_parities(plan: MeasurementPlan, histograms: list[np.ndarray]) -> tuple[list, int]:
-    """Per group, the mean parity of each string on each block, ``(N,
-    strings)``; and the shots every group was measured with."""
+def _group_parities(plan: MeasurementPlan, histograms: list[np.ndarray]) -> tuple[list, np.ndarray]:
+    """Per group, the mean parity of each string on each block, ``(...,
+    N, strings)``; and the shots every group was measured with, ``(...)``,
+    one per item of a leading items axis."""
     if len(histograms) != len(plan.groups):
         raise ValueError(f"expected {len(plan.groups)} histograms, got {len(histograms)}")
     shape = (plan.n_subsystems, 1 << plan.representation)
-    if any(hist.shape != shape for hist in histograms):
-        raise ValueError(f"histogram shapes {[h.shape for h in histograms]} != {shape}")
-    shots = [int(hist[0].sum()) for hist in histograms]
-    if len(set(shots)) != 1:
-        raise ValueError(f"groups measured with unequal shot counts {sorted(set(shots))}")
-    return [hist @ g.signs / shots[0] for g, hist in zip(plan.groups, histograms)], shots[0]
+    shapes = [hist.shape for hist in histograms]
+    if any(s[-2:] != shape or s != shapes[0] for s in shapes):
+        raise ValueError(f"histogram shapes {shapes} differ or do not end in {shape}")
+    shots = np.array([hist[..., 0, :].sum(axis=-1) for hist in histograms], dtype=np.int64)
+    if np.any(shots != shots[0]):
+        counts = sorted(set(shots.ravel().tolist()))
+        raise ValueError(f"groups measured with unequal shot counts {counts}")
+    per_item = shots[0][..., None, None]
+    return [hist @ g.signs / per_item for g, hist in zip(plan.groups, histograms)], shots[0]
 
 
 def estimate_energies(plan: MeasurementPlan, histograms: list[np.ndarray]) -> np.ndarray:
     """Per-subsystem energies (hartree) from one block histogram per group.
 
+    Each histogram is ``(N, 2**width)``, or ``(items, N, 2**width)`` to
+    read many work items at once; the result is ``(N,)`` or ``(items, N)``.
     Each subsystem's energy is its constant term plus the coefficient-
     weighted empirical parity of every string on its block; the total
     compound energy is exactly the sum of the returned entries.
     """
-    energies = np.full(plan.n_subsystems, plan.constant)
-    for group, parities in zip(plan.groups, _group_parities(plan, histograms)[0]):
-        for coefficient, parity in zip(group.coefficients, parities.T):
-            energies += coefficient * parity
+    group_parities, shots = _group_parities(plan, histograms)
+    energies = np.full(shots.shape + (plan.n_subsystems,), plan.constant)
+    for group, parities in zip(plan.groups, group_parities):
+        for s, coefficient in enumerate(group.coefficients):
+            energies += coefficient * parities[..., s]
     return energies
 
 
 def shot_noise_stderr(plan: MeasurementPlan, histograms: list[np.ndarray]) -> np.ndarray:
-    """Binomial-propagated standard error of each subsystem energy.
+    """Binomial-propagated standard error of each subsystem energy, shaped
+    as :func:`estimate_energies` returns the energies.
 
     Treats strings within a group as uncorrelated, which is adequate for
     the zero-variance weight floor it backs.
     """
-    variances = np.zeros(plan.n_subsystems)
     group_parities, shots = _group_parities(plan, histograms)
+    variances = np.zeros(shots.shape + (plan.n_subsystems,))
     for group, parities in zip(plan.groups, group_parities):
-        for coefficient, parity in zip(group.coefficients, parities.T):
-            # squared one scalar at a time, by libm pow: numpy's array
+        for s, coefficient in enumerate(group.coefficients):
+            parity = parities[..., s]
+            # squared one Python float at a time, by libm pow: numpy's array
             # square (p * p) rounds apart from it for ~0.1% of values
-            square = np.array([p**2 for p in parity])
-            variances += coefficient**2 * np.maximum(0.0, 1.0 - square) / shots
+            square = np.array([p**2 for p in parity.ravel().tolist()]).reshape(parity.shape)
+            variances += coefficient**2 * np.maximum(0.0, 1.0 - square) / shots[..., None]
     return np.sqrt(variances)
 
 
@@ -216,23 +227,26 @@ class PopulationBreakdown:
 
 def extract_populations(histogram: np.ndarray) -> PopulationBreakdown:
     """Classify each subsystem block of every computational-basis shot,
-    read from the Z group's ``(N, 2**width)`` block histogram.
+    read from the Z group's ``(N, 2**width)`` block histogram, or from an
+    ``(items, N, 2**width)`` stack of them; each class is then ``(N,)`` or
+    ``(items, N)``.
 
     Single-qubit blocks read 0 as the mean-field reference and 1 as the
     double excitation; two-qubit blocks follow the reduction code words
     (00 reference, 01/10 singles, 11 double); four-qubit blocks classify
     the six half-filled patterns and call everything else number-violating.
     """
-    n_subsystems, n_codes = histogram.shape
+    n_codes = histogram.shape[-1]
     representation = {1 << w: w for w in SUPPORTED_WIDTHS}.get(n_codes)
     if representation is None:
         raise ValueError(f"unsupported representation: {n_codes} codes per block")
-    shots = int(histogram[0].sum())
+    shots = histogram[..., :1, :].sum(axis=-1)
     classes = _CLASSIFICATION[representation]
-    result = {kind: np.zeros(n_subsystems) for kind in (HF, SINGLE, DOUBLE, NUMBER_VIOLATING)}
+    kinds = (HF, SINGLE, DOUBLE, NUMBER_VIOLATING)
+    result = {kind: np.zeros(histogram.shape[:-1]) for kind in kinds}
     # ascending codes; an absent code adds an exact 0.0
     for code in range(n_codes):
-        result[classes.get(code, NUMBER_VIOLATING)] += histogram[:, code] / shots
+        result[classes.get(code, NUMBER_VIOLATING)] += histogram[..., code] / shots
     return PopulationBreakdown(
         hf=result[HF],
         single_excitation=result[SINGLE],

@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sizecon import experiment, tomography
+from sizecon import experiment
 from sizecon.cli import main as cli_main
 from sizecon.config import ConfigError, ExperimentConfig
 from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
 from sizecon.report import analyze, reference_table
 from sizecon.sampling import qubit_score, synthetic_calibration
-from sizecon.simulator import DeviceModel
+from sizecon.simulator import DeviceModel, TrajectoryEngine
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,19 +151,31 @@ class TestRunExperiment:
         # selective k=1: N=2 -> 8 samples x 2 subsystems, N=4 -> 4 x 4
         assert len(rows) == 8 * 2 + 4 * 4
 
-    def test_each_table_becomes_one_histogram(self, tmp_path, monkeypatch):
-        # tomography reads histograms only: every sampled table is reduced
-        # once, so the calls per N are items x groups
-        calls = []
+    def test_one_sample_call_per_n_and_group(self, tmp_path, monkeypatch):
+        # every item of one (N, group) is drawn in one call, straight into
+        # per-block counts, and tomography reads each N's stacks at once
+        calls, reads = [], []
+        sample = TrajectoryEngine.sample
 
-        def counting(table, width, n_blocks):
-            calls.append(n_blocks)
-            return tomography.block_histogram(table, width, n_blocks)
+        def counting_sample(engine, device, maps, shots, seeds, block_width):
+            counts = sample(engine, device, maps, shots, seeds, block_width)
+            calls.append(counts.shape)
+            return counts
 
-        monkeypatch.setattr(experiment, "block_histogram", counting)
+        def counting_reader(reader):
+            def counted(*args):
+                reads.append(reader.__name__)
+                return reader(*args)
+            return counted
+
+        readers = ("estimate_energies", "shot_noise_stderr", "extract_populations")
+        monkeypatch.setattr(TrajectoryEngine, "sample", counting_sample)
+        for name in readers:
+            monkeypatch.setattr(experiment, name, counting_reader(getattr(experiment, name)))
         run_experiment(tiny_config(tmp_path, representation=2, subsystem_counts=(1, 4)))
         # rep-2 has 2 groups; selective k=1: N=1 -> 8 samples, N=4 -> 2
-        assert {n: calls.count(n) for n in set(calls)} == {1: 8 * 2, 4: 2 * 2}
+        assert calls == [(8, 1, 4)] * 2 + [(2, 4, 4)] * 2
+        assert sorted(reads) == sorted(readers * 2)  # once per N each
 
     def test_manifest_records_seeds_and_hash(self, tmp_path):
         out = run_experiment(tiny_config(tmp_path))
@@ -480,6 +492,7 @@ class TestCli:
              "calibration.n_qubits: is not used with calibration.file"),
             ({"master_seed": -1}, "master_seed: must be >= 0, got -1"),
             ({"calibration": {"synthetic_seed": -2}}, "calibration.synthetic_seed: must be >= 0, got -2"),
+            ({"output_dir": ""}, "output_dir: must not be empty"),
         ],
     )
     def test_config_error_names_json_path(self, tmp_path, capsys, monkeypatch, override, message):
@@ -544,6 +557,22 @@ class TestCli:
         assert result.returncode == 1
         assert result.stderr.splitlines() == [
             f"error: config: bond_length: must be positive and finite, got {float(value)}"
+        ]
+        assert not (tmp_path / "run").exists()
+
+    def test_calibration_file_not_json_is_one_line(self, tmp_path):
+        cal = tmp_path / "cal.json"
+        cal.write_text("qubits: 16\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "representation": 1, "subsystem_counts": [2], "calibration": {"file": str(cal)},
+            "output_dir": str(tmp_path / "run"),
+        }))
+        result = run_cli("run", str(config))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error: config: calibration.file: not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)"
         ]
         assert not (tmp_path / "run").exists()
 

@@ -21,7 +21,8 @@ from sizecon.simulator import (
     run_shots,
     statevector,
 )
-from sizecon.stateprep import Circuit, Gate, compose
+from sizecon.stateprep import Circuit, Gate, compose, fci_ground, synthesize
+from sizecon.tomography import block_histogram, build_plan
 
 from oracles import circuit_unitary, density_matrix_probs
 from tables import counts_table, histogram
@@ -170,7 +171,7 @@ class TestRunShots:
         engine = TrajectoryEngine(circuit)
         for seed in (5, 6):
             assert np.array_equal(
-                histogram(engine.sample(device, [[0, 1]], 4000, [seed])[0]),
+                histogram(engine.tables(device, [[0, 1]], 4000, [seed])[0]),
                 histogram(run_shots(circuit, device, [0, 1], None, 4000, seed)),
             )
 
@@ -295,8 +296,26 @@ class TestBatchedSample:
 
     def digest(self, device, maps, shots, seeds):
         engine = TrajectoryEngine(self.circuit, self.basis)
-        tables = engine.sample(device, maps, shots, seeds, "ZXZ")
+        tables = engine.tables(device, maps, shots, seeds, "ZXZ")
         return hashlib.sha256("".join(t.to_csv() for t in tables).encode()).hexdigest()
+
+    # one device whose noisy gates differ between maps: qubit 4 has no
+    # one-qubit error and only neighbouring pairs are listed, so the maps
+    # below drop different gates from the column layout, and items of one
+    # layout are not adjacent
+    mixed_device = DeviceModel(
+        (
+            QubitCalibration(0.02, 0.03, 0.01),
+            QubitCalibration(0.01, 0.02, 0.02),
+            QubitCalibration(0.03, 0.01, 0.015),
+            QubitCalibration(0.02, 0.02, 0.01),
+            QubitCalibration(0.01, 0.04, 0.0),
+        ),
+        {(0, 1): 0.05, (1, 2): 0.04, (2, 3): 0.06, (3, 4): 0.05},
+    )
+    mixed_maps = [
+        [0, 1, 2], [4, 3, 2], [0, 2, 1], [1, 2, 3], [4, 0, 3], [2, 1, 0], [0, 2, 4], [3, 4, 0]
+    ]
 
     @pytest.mark.parametrize(
         "shots, items, expected",
@@ -305,13 +324,18 @@ class TestBatchedSample:
             (1, 20, "09c23eac18971ba9e448cb4f8bdf081b68a34b08a957db8eea47674046a364d8"),
             # two passes of whole items
             (500, 20, "bbaeafc4830877c92c740d4f832ea4bf4707c219ebcc3c1eab160e123a137948"),
-            # one row more than a pass packs (_PACK_ROWS + 1): each item runs alone
+            # one row more than a pass packs (_PACK_ROWS + 1): each item
+            # runs alone, in two draws of at most 1 << 16 uniforms
             (8193, 3, "7bf821309b562870044be86c81cc7a5c3eef28b772e8ed6a478f77e069ec1a7f"),
-            # past one shot chunk: each item runs alone, in two chunks
+            # past one shot chunk: each item runs alone, in two chunks of
+            # thirteen draws in all
             (70_000, 2, "a9bb5c8aad7831736fbcb51ee07a2cff970cc9a4a7ef37e431e276856cbafa59"),
         ],
     )
-    def test_packed_and_chunked_items_equal_one_item_calls(self, shots, items, expected):
+    def test_packed_and_chunked_items_equal_one_item_calls(
+        self, monkeypatch, shots, items, expected
+    ):
+        monkeypatch.setattr(simulator, "_DRAW_ELEMENTS", 1 << 16)
         device = DeviceModel(
             tuple(QubitCalibration(0.02 + 0.01 * q, 0.03, 0.01 + 0.005 * q) for q in range(6)),
             {(a, b): 0.04 + 0.01 * a for a in range(6) for b in range(a + 1, 6)},
@@ -322,33 +346,65 @@ class TestBatchedSample:
         assert self.digest(device, maps, shots, seeds) == expected
 
     def test_items_keep_their_own_noisy_gate_layout(self):
-        # qubit 4 has no one-qubit error and only neighbouring pairs are
-        # listed, so the maps drop different gates from the column layout,
-        # and items of one layout are not adjacent
-        device = DeviceModel(
-            (
-                QubitCalibration(0.02, 0.03, 0.01),
-                QubitCalibration(0.01, 0.02, 0.02),
-                QubitCalibration(0.03, 0.01, 0.015),
-                QubitCalibration(0.02, 0.02, 0.01),
-                QubitCalibration(0.01, 0.04, 0.0),
-            ),
-            {(0, 1): 0.05, (1, 2): 0.04, (2, 3): 0.06, (3, 4): 0.05},
-        )
-        maps = [
-            [0, 1, 2], [4, 3, 2], [0, 2, 1], [1, 2, 3], [4, 0, 3], [2, 1, 0], [0, 2, 4], [3, 4, 0]
-        ]
-        seeds = [7 + i for i in range(len(maps))]
-        assert self.digest(device, maps, 500, seeds) == (
+        seeds = [7 + i for i in range(len(self.mixed_maps))]
+        assert self.digest(self.mixed_device, self.mixed_maps, 500, seeds) == (
             "9ab8e6a57197c2f16e8c0b7b6d44e4edaccd9be38485a3e33f9ec3844f9c51bf"
         )
+
+    @pytest.mark.parametrize(
+        "shots, draw_elements",
+        [
+            (500, None),         # packed passes
+            (8193, None),        # each item alone, in one draw
+            (8193, 1 << 14),     # each item alone, in several draws
+        ],
+    )
+    @pytest.mark.parametrize("representation, n", [(1, 3), (2, 2), (4, 1), (4, 2)])
+    def test_sample_equals_block_histograms_of_tables(
+        self, bundle, monkeypatch, representation, n, shots, draw_elements
+    ):
+        if draw_elements is not None:
+            monkeypatch.setattr(simulator, "_DRAW_ELEMENTS", draw_elements)
+        h_sub = bundle.subsystem_hamiltonian(representation)
+        plan = build_plan(h_sub, n)
+        blocks = [list(range(b * representation, (b + 1) * representation)) for b in range(n)]
+        circuit = compose(synthesize(fci_ground(h_sub)), n, blocks)
+        device = synthetic_calibration(n_qubits=20, seed=3)
+        rng = np.random.default_rng(representation * 10 + n)
+        maps = [[int(q) for q in rng.permutation(20)[: circuit.width]] for _ in range(5)]
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=len(maps))]
+        for group in plan.groups:
+            engine = TrajectoryEngine(circuit, group.basis_change)
+            counts = engine.sample(device, maps, shots, seeds, representation)
+            expected = [
+                block_histogram(t, representation, n).tolist()
+                for t in engine.tables(device, maps, shots, seeds)
+            ]
+            assert counts.dtype == np.int64 and counts.tolist() == expected
+
+    @pytest.mark.parametrize("block_width", [1, 3])
+    def test_sample_keeps_each_items_noisy_gate_layout(self, block_width):
+        engine = TrajectoryEngine(self.circuit, self.basis)
+        seeds = [7 + i for i in range(len(self.mixed_maps))]
+        counts = engine.sample(self.mixed_device, self.mixed_maps, 500, seeds, block_width)
+        expected = [
+            block_histogram(t, block_width, 3 // block_width).tolist()
+            for t in engine.tables(self.mixed_device, self.mixed_maps, 500, seeds)
+        ]
+        assert counts.tolist() == expected
 
     def test_maps_and_seeds_pair_up(self):
         engine = TrajectoryEngine(Circuit(1))
         device = DeviceModel.noiseless(2)
         with pytest.raises(ValueError, match="2 physical maps for 1 seeds"):
-            engine.sample(device, [[0], [1]], 10, [0])
-        assert engine.sample(device, [], 10, []) == []
+            engine.sample(device, [[0], [1]], 10, [0], 1)
+        assert engine.tables(device, [], 10, []) == []
+        assert engine.sample(device, [], 10, [], 1).shape == (0, 1, 2)
+
+    def test_block_width_must_divide_circuit_width(self):
+        engine = TrajectoryEngine(Circuit(4))
+        with pytest.raises(ValueError, match="block width 3 does not divide circuit width 4"):
+            engine.sample(DeviceModel.noiseless(4), [[0, 1, 2, 3]], 10, [0], 3)
 
 
 class TestDistributionMemo:
@@ -369,7 +425,7 @@ class TestDistributionMemo:
         def sample(n, device):
             blocks = [[2 * b, 2 * b + 1] for b in range(n)]
             engine = TrajectoryEngine(compose(block, n, blocks), compose(basis, n, blocks))
-            engine.sample(device, [list(range(2 * n))], 2000, [n])
+            engine.tables(device, [list(range(2 * n))], 2000, [n])
 
         sample(1, DeviceModel.noiseless(8))
         assert len(memo.entries) == 1
@@ -391,7 +447,7 @@ class TestDistributionMemo:
         device = DeviceModel(
             tuple(QubitCalibration() for _ in range(16)), {(q, q + 1): 0.02 for q in range(15)}
         )
-        TrajectoryEngine(Circuit(16, gates)).sample(device, [list(range(16))], 400, [3])
+        TrajectoryEngine(Circuit(16, gates)).tables(device, [list(range(16))], 400, [3])
         entry = 8 * (2**16 + 1)
         assert len(evolved) > simulator._MEMO_BYTES // entry
         assert memo.nbytes == sum(cum.nbytes for cum in memo.entries.values())

@@ -28,7 +28,7 @@ def sample_noiseless(h_sub, n, shots, master_seed):
     counts = []
     for gi, group in enumerate(plan.groups):
         engine = TrajectoryEngine(circuit, group.basis_change)
-        counts += engine.sample(
+        counts += engine.tables(
             device, [list(range(circuit.width))], shots, [master_seed + gi], group.basis
         )
     return plan, counts
@@ -277,16 +277,55 @@ class TestGroupParities:
         with pytest.raises(ValueError, match="expected 2 histograms, got 1"):
             reader(plan, [np.array([[10.0, 0.0]])])
 
-    def test_shape_mismatch(self, bundle, reader):
-        # a one-block histogram must not broadcast over a two-block plan
-        plan = build_plan(bundle.h1q, 2)
+    @pytest.mark.parametrize(
+        "n, shapes",
+        [
+            (2, [(1, 2), (1, 2)]),        # one block must not broadcast over two
+            (1, [(3, 2, 2), (3, 1, 2)]),  # nor within a stack of items
+            (1, [(3, 1, 2), (2, 1, 2)]),  # nor one group's items over another's
+            (1, [(3, 1, 4), (3, 1, 4)]),  # a block holds 2**width codes
+        ],
+    )
+    def test_shape_mismatch(self, bundle, reader, n, shapes):
+        plan = build_plan(bundle.h1q, n)
+        histograms = [np.zeros(shape) for shape in shapes]
+        for hist in histograms:
+            hist[..., 0] = 10.0
         with pytest.raises(ValueError, match="histogram shapes"):
-            reader(plan, [np.array([[10.0, 0.0]])] * 2)
+            reader(plan, histograms)
 
     def test_unequal_shots_rejected(self, bundle, reader):
         plan = build_plan(bundle.h1q, 1)
         with pytest.raises(ValueError, match=r"unequal shot counts \[10, 20\]"):
             reader(plan, [np.array([[10.0, 0.0]]), np.array([[20.0, 0.0]])])
+
+
+class TestStackedItems:
+    """The readers over an ``(items, N, 2**width)`` stack, as the pipeline
+    calls them once per N, equal one call per item."""
+
+    @pytest.mark.parametrize("representation, n", [(1, 1), (1, 6), (2, 3), (4, 1), (4, 2)])
+    def test_stack_equals_per_item_calls(self, bundle, representation, n):
+        plan = build_plan(bundle.subsystem_hamiltonian(representation), n)
+        rng = np.random.default_rng(10 * representation + n)
+        # each item its own shot count: every item divides by its own
+        items = 7
+        shots = 100_003 + np.arange(items)[:, None]
+        stacks = [
+            rng.multinomial(shots, rng.dirichlet(np.ones(1 << representation)), size=(items, n))
+            for _ in plan.groups
+        ]
+        energies = estimate_energies(plan, stacks)
+        stderrs = shot_noise_stderr(plan, stacks)
+        pops = extract_populations(stacks[plan.z_group_index])
+        assert energies.shape == stderrs.shape == pops.hf.shape == (items, n)
+        for i in range(items):
+            one = [stack[i] for stack in stacks]
+            assert energies[i].tolist() == estimate_energies(plan, one).tolist()
+            assert stderrs[i].tolist() == shot_noise_stderr(plan, one).tolist()
+            alone = extract_populations(one[plan.z_group_index])
+            for kind in ("hf", "single_excitation", "double_excitation", "number_violating"):
+                assert getattr(pops, kind)[i].tolist() == getattr(alone, kind).tolist(), kind
 
 
 class TestExtractPopulations:
