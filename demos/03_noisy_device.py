@@ -35,15 +35,15 @@ def main():
     print(f"\nRY({theta}) prepared on different physical qubits, {shots} shots:")
     print(f"  noiseless <Z>      : {math.cos(theta):+.4f}")
     for label, q in (("best", best), ("worst", worst)):
-        counts = run_shots(circuit, device, [q], None, shots, seed=5)
+        zero, one = run_shots(circuit, device, [q], None, shots, seed=5)
         # codes 0 and 1 read +1 and -1 on Z
-        z = float(np.sum(counts.counts * (1 - 2 * counts.codes))) / shots
+        z = float(zero - one) / shots
         print(f"  qubit {q:>3} ({label:>5}) : {z:+.4f}")
 
     print("\nBit-exact reproducibility (same seed, same qubit):")
     a = run_shots(circuit, device, [best], None, 10_000, seed=123)
     b = run_shots(circuit, device, [best], None, 10_000, seed=123)
-    same = np.array_equal(a.codes, b.codes) and np.array_equal(a.counts, b.counts)
+    same = np.array_equal(a, b)
     print(f"  identical counts: {same}")
 
     print("\nReadout confusion alone (empty circuit, p10 = 0.1):")
@@ -51,8 +51,7 @@ def main():
         '{"qubits": [{"readout_p10": 0.1, "readout_p01": 0.0, '
         '"single_qubit_error": 0.0}], "two_qubit_error": []}'
     )
-    counts = run_shots(Circuit(1), lossy, [0], None, shots, seed=9)
-    ones = counts.counts[counts.codes == 1].sum()
+    ones = run_shots(Circuit(1), lossy, [0], None, shots, seed=9)[1]
     print(f"  observed P(1) = {ones / shots:.4f} (expected 0.1)")
 
 

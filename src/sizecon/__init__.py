@@ -48,7 +48,6 @@ from .sampling import (
     synthetic_calibration,
 )
 from .simulator import (
-    CountsTable,
     DeviceModel,
     QubitCalibration,
     apply_gate,
@@ -59,7 +58,6 @@ from .stateprep import Circuit, Gate, PreparedState, compose, fci_ground, synthe
 from .tomography import (
     MeasurementPlan,
     PopulationBreakdown,
-    block_histogram,
     build_plan,
     estimate_energies,
     extract_populations,

@@ -19,10 +19,9 @@ import sys
 from pathlib import Path
 
 from .config import DEFAULT_BOND_LENGTH, ConfigError, ExperimentConfig
-from .experiment import csv_text, dict_table, run_experiment
+from .experiment import csv_text, dict_table, read_calibration, run_experiment
 from .report import analyze, reference_table
 from .sampling import qubit_scores, rank_qubits, synthetic_calibration
-from .simulator import DeviceModel
 
 
 class _UsageError(Exception):
@@ -36,6 +35,22 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``. argparse
+    names the option in the usage error it makes of a failure."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cal_p = sub.add_parser("calibration", help="device calibration utilities")
     cal_sub = cal_p.add_subparsers(dest="calibration_command", required=True)
     gen_p = cal_sub.add_parser("generate", help="emit a synthetic calibration file")
-    gen_p.add_argument("--seed", type=int, required=True)
-    gen_p.add_argument("--n-qubits", type=int, default=156)
+    gen_p.add_argument("--seed", type=_at_least(0), required=True)
+    gen_p.add_argument("--n-qubits", type=_at_least(1), default=156)
     gen_p.add_argument("--output", default="-", help="output path, or - for stdout")
     rank_p = cal_sub.add_parser("rank", help="rank qubits of a calibration file")
     rank_p.add_argument("file", help="calibration JSON file")
@@ -104,10 +119,7 @@ def _cmd_calibration(args: argparse.Namespace) -> int:
         device = synthetic_calibration(n_qubits=args.n_qubits, seed=args.seed)
         _emit(device.to_json(), args.output)
         return 0
-    path = Path(args.file)
-    if not path.exists():
-        raise FileNotFoundError(f"calibration file not found: {path}")
-    device = DeviceModel.from_json(path.read_text())
+    device = read_calibration(args.file, "file")
     scores = qubit_scores(device)
     rows = [
         {"rank": i, "qubit": q, "score": repr(scores[q])}

@@ -15,10 +15,10 @@ figures.
 Work items draw their seeds from (master seed, N, set, sample, group), so
 execution order never matters. One ``TrajectoryEngine.sample`` call takes
 every item of one (N, group) and returns their shots per block code as one
-``(items, N, 2**width)`` array; no counts table is built. Each tomography
-reader then runs once per N on those stacks, and the rows go out as tuples
-in (N, set, sample, subsystem) order; ``populations.csv`` is a column
-subset of the same rows.
+``(items, N, 2**width)`` int64 array, the package's one counts format. Each
+tomography reader then runs once per N on those stacks, and the rows go out
+as tuples in (N, set, sample, subsystem) order; ``populations.csv`` is a
+column subset of the same rows.
 """
 
 from __future__ import annotations
@@ -100,15 +100,21 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def read_calibration(path: str | Path, field_name: str) -> DeviceModel:
+    """The device a calibration file describes. A missing file, or text that
+    is not JSON, raises a ConfigError on ``field_name`` that names the file."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(field_name, f"no such file: {path}")
+    try:
+        return DeviceModel.from_json(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(field_name, f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_device(config: ExperimentConfig) -> DeviceModel:
     if config.calibration_file is not None:
-        path = Path(config.calibration_file)
-        if not path.exists():
-            raise ConfigError("calibration.file", f"no such file: {path}")
-        try:
-            return DeviceModel.from_json(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError("calibration.file", f"not valid JSON: {exc}") from exc
+        return read_calibration(config.calibration_file, "calibration.file")
     return synthetic_calibration(
         n_qubits=config.calibration_qubits, seed=config.calibration_seed
     )
@@ -134,11 +140,7 @@ def sampling_plan(config: ExperimentConfig, pool: list[int], n: int) -> Sampling
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Execute the configured benchmark; returns the output directory."""
-    # the calibration is loaded first, so a config it rejects leaves no run dir
     device = load_device(config)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     calibration_json = device.to_json()
     pool = rank_qubits(device)
 
@@ -187,6 +189,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
                      entry.sample_index, sub, *next(values))
                 )
 
+    # made only now, so a config that fails on the way leaves no run dir
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / SAMPLES_CSV, SAMPLES_HEADER, rows)
     # the populations view is every samples.csv column but the energies
     keep = [i for i, name in enumerate(SAMPLES_HEADER) if not name.startswith("energy_")]

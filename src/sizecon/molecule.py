@@ -28,6 +28,9 @@ STO3G_H = (
 
 SCF_DENSITY_TOL = 1e-10
 SCF_MAX_ITER = 200
+# Smallest overlap eigenvalue symmetric orthogonalization accepts; below it
+# the two 1s functions are numerically one (bond lengths under ~1e-4 A).
+OVERLAP_MIN_EIGENVALUE = 1e-8
 
 
 class ScfConvergenceError(RuntimeError):
@@ -120,6 +123,8 @@ def build_integrals(bond_length: float) -> MolecularSystem:
     if not (math.isfinite(bond_length) and bond_length > 0):
         raise ValueError(f"bond length must be positive and finite, got {bond_length}")
     r_bohr = bond_length * BOHR_PER_ANGSTROM
+    if not math.isfinite(r_bohr * r_bohr):
+        raise ValueError(f"bond length {bond_length} angstrom overflows when squared in bohr")
     centers = [np.zeros(3), np.array([0.0, 0.0, r_bohr])]
 
     # (alpha, total coefficient incl. primitive norm) per primitive per center
@@ -187,8 +192,13 @@ def solve_rhf(system: MolecularSystem, initial_density: np.ndarray | None = None
     h = system.core_hamiltonian
     eri = system.two_electron
 
-    # Symmetric orthogonalization.
+    # Symmetric orthogonalization, which needs linearly independent orbitals.
     s_vals, s_vecs = np.linalg.eigh(s)
+    if s_vals[0] < OVERLAP_MIN_EIGENVALUE:
+        raise ValueError(
+            f"overlap matrix at bond length {system.bond_length} angstrom is singular"
+            f" (smallest eigenvalue {s_vals[0]:.3e})"
+        )
     x = s_vecs @ np.diag(s_vals**-0.5) @ s_vecs.T
 
     density = np.zeros_like(s) if initial_density is None else np.asarray(initial_density, dtype=float)

@@ -51,11 +51,11 @@ its rows from its own Philox block, every row meets the same distribution
 and arithmetic, and its counts are its own, so they are the same whether
 its item was sampled alone or packed.
 
-Outputs: ``TrajectoryEngine.sample`` bins each pass's measured codes
-straight into shots per (item, block, block code), the array the pipeline
-reads; ``TrajectoryEngine.tables`` returns one joint ``CountsTable`` per
-item from the same passes, for ``run_shots`` and for circuits read as a
-whole register.
+Outputs: counts have one format, dense int64 shots per code.
+``TrajectoryEngine.sample`` bins each pass's measured codes into shots per
+(item, block, block code), the array the pipeline reads. A circuit read as
+a whole register is the one-block case, ``block_width = width``, which is
+what ``run_shots`` returns for one item.
 
 Statevector indexing: qubit 0 is the most significant bit of the basis
 index, matching the left-to-right bitstring convention.
@@ -207,33 +207,6 @@ def _probability(entry: object, key: str, where: str) -> float:
     """A number in [0, 1] at ``entry[key]`` of a calibration document."""
     value = _json_field(entry, key, (int, float), where)
     return _unit_interval(value, f"calibration: {where}{key}")
-
-
-@dataclass(eq=False)
-class CountsTable:
-    """Measured histogram for one measurement group: the distinct outcome
-    codes, strictly ascending with qubit 0 as the most significant bit, and
-    the number of shots that read each."""
-
-    shots: int
-    width: int
-    codes: np.ndarray
-    counts: np.ndarray
-    measured_basis: str = ""
-
-    def __post_init__(self) -> None:
-        codes, counts = self.codes, self.counts
-        if codes.ndim != 1 or codes.shape != counts.shape:
-            raise ValueError(f"codes {codes.shape} and counts {counts.shape} do not align")
-        if counts.sum() != self.shots:
-            raise ValueError(f"counts sum {counts.sum()} != shots {self.shots}")
-        if np.any(codes[1:] <= codes[:-1]) or np.any((codes < 0) | (codes >= 1 << self.width)):
-            raise ValueError(f"codes are not strictly ascending in [0, 2**{self.width})")
-
-    def to_csv(self) -> str:
-        """The one place codes become bitstrings: a ``bitstring,count`` row per code."""
-        rows = zip(self.codes.tolist(), self.counts.tolist())
-        return "bitstring,count\n" + "".join(f"{c:0{self.width}b},{n}\n" for c, n in rows)
 
 
 def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
@@ -398,7 +371,6 @@ class TrajectoryEngine:
                 f"basis change width {basis_change.width} != circuit width {circuit.width}"
             )
         self.circuit = circuit
-        self.basis_change = basis_change
         gates = circuit.gates + (basis_change.gates if basis_change is not None else ())
         # Qubits q-1 and q share a segment when some gate touches both sides.
         joined = {q for g in gates for q in range(min(g.targets) + 1, max(g.targets) + 1)}
@@ -425,53 +397,14 @@ class TrajectoryEngine:
         """Shots per (work item, block, block code): an int64 array of shape
         ``(items, width // block_width, 2**block_width)``, items in order.
         Block 0 is the most significant ``block_width`` bits of a register
-        code, and every ``[item, block]`` row sums to ``shots``. Each item (a
-        physical map and its seed) draws its own Philox block, so its counts
-        equal those a call with that item alone returns."""
-        w = self.circuit.width
-        if block_width < 1 or w % block_width:
-            raise ValueError(f"block width {block_width} does not divide circuit width {w}")
-        n_blocks = w // block_width
-        counts = np.zeros((len(seeds), n_blocks, 1 << block_width), dtype=np.int64)
-        for batch, dense in self._histograms(device, physical_maps, shots, seeds):
-            # block b's code is the middle axis of a register code split into
-            # (the blocks before b, block b, the blocks after b)
-            counts[batch] = np.stack([
-                dense.reshape(len(batch), 1 << block_width * b, 1 << block_width, -1).sum((1, 3))
-                for b in range(n_blocks)
-            ], axis=1)
-        return counts
-
-    def tables(
-        self,
-        device: DeviceModel,
-        physical_maps: Sequence[Sequence[int]],
-        shots: int,
-        seeds: Sequence[int],
-        basis_label: str = "",
-    ) -> list[CountsTable]:
-        """One joint counts table of ``shots`` shots per work item, in item
-        order, drawn exactly as :meth:`sample` draws them."""
-        tables: list[CountsTable] = [None] * len(seeds)
-        for batch, dense in self._histograms(device, physical_maps, shots, seeds):
-            for item, histogram in zip(batch, dense):
-                nonzero = np.flatnonzero(histogram)
-                tables[item] = CountsTable(
-                    shots, self.circuit.width, nonzero, histogram[nonzero], basis_label
-                )
-        return tables
-
-    def _histograms(
-        self,
-        device: DeviceModel,
-        physical_maps: Sequence[Sequence[int]],
-        shots: int,
-        seeds: Sequence[int],
-    ):
-        """Per pass: the indices of the items it packs, and their ``(items,
-        2**width)`` counts of every measured register code."""
+        code, and every ``[item, block]`` row sums to ``shots``; with
+        ``block_width = width`` the one block is the whole register. Each
+        item (a physical map and its seed) draws its own Philox block, so its
+        counts equal those a call with that item alone returns."""
         circuit = self.circuit
         w = circuit.width
+        if block_width < 1 or w % block_width:
+            raise ValueError(f"block width {block_width} does not divide circuit width {w}")
         if len(physical_maps) != len(seeds):
             raise ValueError(f"{len(physical_maps)} physical maps for {len(seeds)} seeds")
         for physical_map in physical_maps:
@@ -482,6 +415,8 @@ class TrajectoryEngine:
                     raise ValueError(f"physical qubit {p} absent from device")
         if shots < 1:
             raise ValueError("shots must be >= 1")
+        n_blocks = w // block_width
+        counts = np.zeros((len(seeds), n_blocks, 1 << block_width), dtype=np.int64)
 
         # per item: each gate's depolarizing rate; (item, 1, qubit) readout rates
         qubits = device.qubits
@@ -553,7 +488,13 @@ class TrajectoryEngine:
                     measured = codes.reshape(m, chunk) ^ (flips @ weights)
                     bins = (measured + (np.arange(m)[:, None] << w)).ravel()  # item's own bins
                     dense += np.bincount(bins, minlength=m << w).reshape(m, -1)
-                yield batch, dense
+                # block b's code is the middle axis of a register code split
+                # into (the blocks before b, block b, the blocks after b)
+                counts[batch] = np.stack([
+                    dense.reshape(m, 1 << block_width * b, 1 << block_width, -1).sum((1, 3))
+                    for b in range(n_blocks)
+                ], axis=1)
+        return counts
 
     def _codes(self, u_meas: np.ndarray, picks: np.ndarray, column: dict[int, int]) -> np.ndarray:
         """Pre-readout outcome codes of packed rows: ``u_meas`` holds each
@@ -592,12 +533,13 @@ def run_shots(
     basis_change: Circuit | None,
     shots: int,
     seed: int,
-    basis_label: str = "",
-) -> CountsTable:
-    """Sample measurement outcomes of a circuit under the device's noise.
+) -> np.ndarray:
+    """Sample measurement outcomes of a circuit under the device's noise:
+    the shots that read each register code, as a ``(2**width,)`` int64
+    array (qubit 0 is the most significant bit of a code).
 
     One-off wrapper around :class:`TrajectoryEngine`; use the engine
     directly when sampling the same circuit for many qubit assignments.
     """
     engine = TrajectoryEngine(circuit, basis_change)
-    return engine.tables(device, [physical_map], shots, [seed], basis_label)[0]
+    return engine.sample(device, [physical_map], shots, [seed], circuit.width)[0, 0]

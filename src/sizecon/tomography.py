@@ -8,16 +8,14 @@ same shots.
 
 Counts are read block by block: energies, shot-noise errors and
 populations read ``(N, 2**width)`` arrays of shots per (block, block code),
-as ``TrajectoryEngine.sample`` returns them, or ``(items, N, 2**width)``
-stacks of them, one row per work item, which give ``(items, N)`` results
-equal to one call per item. ``block_histogram`` turns a joint counts table
-into such an array; it is the one function here that knows ``CountsTable``
-or the register bit layout. Every histogram row sums to the shots, so the
-readers take the shot count from the histogram itself. A group keeps its
-subsystem strings, their coefficients and each string's parity sign on
-every block code, so one product ``histogram @ signs / shots`` gives every
-string's mean parity on every block; no string is embedded into the
-N-block register.
+or ``(items, N, 2**width)`` stacks of them, one row per work item, which
+give ``(items, N)`` results equal to one call per item. These are the
+arrays ``TrajectoryEngine.sample`` returns; nothing here knows the register
+bit layout. Every histogram row sums to the shots, so the readers take the
+shot count from the histogram itself. A group keeps its subsystem strings,
+their coefficients and each string's parity sign on every block code, so
+one product ``histogram @ signs / shots`` gives every string's mean parity
+on every block; no string is embedded into the N-block register.
 
 Basis rotations (applied before Z measurement): X -> RY(-pi/2),
 Y -> RZ(-pi/2) then RY(-pi/2).
@@ -31,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString, PauliSum, qubitwise_groups
-from .simulator import CountsTable
 from .stateprep import Circuit, Gate
 
 SUPPORTED_WIDTHS = (1, 2, 4)
@@ -140,20 +137,6 @@ def build_plan(h_sub: PauliSum, n_subsystems: int) -> MeasurementPlan:
         constant=h_sub.constant,
         groups=tuple(groups),
     )
-
-
-def block_histogram(table: CountsTable, width: int, n_blocks: int) -> np.ndarray:
-    """The table's shots per (block, block code) as an ``(n_blocks,
-    2**width)`` array; block 0 is the most significant ``width`` bits of a
-    register code. The table must span ``width * n_blocks`` qubits. Entries
-    are integer sums, exact in float64, and every row sums to the shots."""
-    if table.width != width * n_blocks:
-        raise ValueError(f"counts width {table.width} != {width}x{n_blocks}")
-    shifts = width * np.arange(n_blocks - 1, -1, -1)[:, None]
-    offsets = np.arange(n_blocks)[:, None] << width
-    index = ((table.codes >> shifts) & ((1 << width) - 1)) | offsets
-    totals = np.bincount(index.ravel(), np.tile(table.counts, n_blocks), n_blocks << width)
-    return totals.reshape(n_blocks, -1)
 
 
 def _group_parities(plan: MeasurementPlan, histograms: list[np.ndarray]) -> tuple[list, np.ndarray]:

@@ -22,7 +22,6 @@ from sizecon.stateprep import Circuit, Gate
 from sizecon.tomography import build_plan
 
 from oracles import CiOracle, density_matrix_probs, wls_normal_equations
-from tables import histogram
 
 # Documented seeds for the statistical criteria.
 CONE_CALIBRATION_SEED = 2025      # heterogeneous device behind criterion 7
@@ -297,7 +296,7 @@ def test_criterion_08_noise_channel_correctness():
     for i, (circuit, device, pmap) in enumerate(cases):
         expected = density_matrix_probs(circuit, device, pmap)
         counts = run_shots(circuit, device, pmap, None, shots, seed=100 + i)
-        for code, count in enumerate(histogram(counts)):
+        for code, count in enumerate(counts):
             p = float(expected[code])
             observed = count / shots
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / shots)
@@ -309,7 +308,7 @@ def test_criterion_08_noise_channel_correctness():
     p10 = 0.1
     device = DeviceModel((QubitCalibration(readout_p10=p10),))
     counts = run_shots(Circuit(1), device, [0], None, 100_000, seed=200)
-    ones = histogram(counts)[1] / 100_000
+    ones = counts[1] / 100_000
     sigma = math.sqrt(p10 * (1 - p10) / 100_000)
     assert abs(ones - p10) < 3 * sigma
     report(

@@ -571,10 +571,69 @@ class TestCli:
         result = run_cli("run", str(config))
         assert result.returncode == 1
         assert result.stderr.splitlines() == [
-            "error: config: calibration.file: not valid JSON: "
+            f"error: config: calibration.file: {cal} is not valid JSON: "
             "Expecting value: line 1 column 1 (char 0)"
         ]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1e308", "bond length 1e+308 angstrom overflows when squared in bohr"),
+            ("1e-300", "overlap matrix at bond length 1e-300 angstrom is singular "
+                       "(smallest eigenvalue 0.000e+00)"),
+        ],
+        ids=["1e308", "1e-300"],
+    )
+    def test_extreme_bond_length_is_one_line(self, tmp_path, value, message):
+        # each used to print numpy RuntimeWarnings before its error line
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"representation": 1, "subsystem_counts": [2], "output_dir": "%s", '
+            '"bond_length": %s}' % (tmp_path / "run", value)
+        )
+        result = run_cli("run", str(config))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: value: {message}"]
+        assert not (tmp_path / "run").exists()
+        result = run_cli("reference", "--n-max", "2", f"--bond-length={value}")
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: value: {message}"]
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("qubits: 16\n", "{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (None, "no such file: {path}"),
+        ],
+        ids=["not-json", "missing"],
+    )
+    def test_calibration_rank_file_error_is_one_line(self, tmp_path, text, message):
+        cal = tmp_path / "cal.json"
+        if text is not None:
+            cal.write_text(text)
+        result = run_cli("calibration", "rank", str(cal))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: config: file: {message.format(path=cal)}"]
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+            (("--seed", "x"), "argument --seed: invalid int value: 'x'"),
+            (("--seed", "1", "--n-qubits", "0"), "argument --n-qubits: must be >= 1, got 0"),
+        ],
+        ids=["negative-seed", "text-seed", "zero-qubits"],
+    )
+    def test_calibration_generate_names_bad_option(self, args, message):
+        result = run_cli("calibration", "generate", *args)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            f"error: usage: sizecon calibration generate: {message}"
+        ]
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_non_finite_bond_length_reference_is_one_line(self, value):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,8 +70,22 @@ class TestIntegrals:
             with pytest.raises(ValueError, match="positive and finite"):
                 build_integrals(bond_length)
 
+    @pytest.mark.parametrize("bond_length", [1e154, 1e308])
+    def test_overflowing_bohr_distance_rejected(self, bond_length):
+        # finite in angstrom, but its squared distance in bohr is not
+        message = re.escape(f"bond length {bond_length} angstrom overflows")
+        with pytest.raises(ValueError, match=message):
+            build_integrals(bond_length)
+
 
 class TestRhf:
+    @pytest.mark.parametrize("bond_length", [1e-4, 1e-9, 1e-300])
+    def test_singular_overlap_rejected(self, bond_length):
+        # the two 1s functions coincide to within round-off
+        system = build_integrals(bond_length)
+        with pytest.raises(ValueError, match=r"overlap matrix .* is singular"):
+            solve_rhf(system)
+
     def test_mo_orthonormality(self, system, rhf):
         c = rhf.mo_coefficients
         assert np.allclose(c.T @ system.overlap @ c, np.eye(2), atol=1e-10)

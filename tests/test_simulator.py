@@ -11,7 +11,6 @@ from sizecon import simulator
 from sizecon.sampling import synthetic_calibration
 from sizecon.simulator import (
     _PAULI_1Q,
-    CountsTable,
     DeviceModel,
     QubitCalibration,
     TrajectoryEngine,
@@ -22,10 +21,10 @@ from sizecon.simulator import (
     statevector,
 )
 from sizecon.stateprep import Circuit, Gate, compose, fci_ground, synthesize
-from sizecon.tomography import block_histogram, build_plan
+from sizecon.tomography import build_plan
 
 from oracles import circuit_unitary, density_matrix_probs
-from tables import counts_table, histogram
+from tables import block_histogram, csv_text
 
 
 def random_circuit(width, n_gates, rng):
@@ -139,14 +138,14 @@ class TestRunShots:
     def test_zero_noise_empty_circuit(self):
         device = DeviceModel.noiseless(2)
         counts = run_shots(Circuit(2), device, [0, 1], None, 1000, seed=1)
-        assert histogram(counts).tolist() == [1000, 0, 0, 0]
+        assert counts.tolist() == [1000, 0, 0, 0]
 
     def test_readout_binomial(self):
         p10 = 0.1
         shots = 100_000
         device = DeviceModel((QubitCalibration(readout_p10=p10),))
         counts = run_shots(Circuit(1), device, [0], None, shots, seed=3)
-        ones = histogram(counts)[1]
+        ones = counts[1]
         sigma = math.sqrt(p10 * (1 - p10) / shots)
         assert abs(ones / shots - p10) < 3 * sigma
 
@@ -159,9 +158,9 @@ class TestRunShots:
         circuit = random_circuit(3, 8, rng)
         a = run_shots(circuit, device, [0, 1, 2], None, 5000, seed=11)
         b = run_shots(circuit, device, [0, 1, 2], None, 5000, seed=11)
-        assert np.array_equal(histogram(a), histogram(b))
+        assert np.array_equal(a, b)
         c = run_shots(circuit, device, [0, 1, 2], None, 5000, seed=12)
-        assert not np.array_equal(histogram(c), histogram(a))
+        assert not np.array_equal(c, a)
 
     def test_engine_equals_one_off_wrapper(self):
         device = DeviceModel(
@@ -171,8 +170,8 @@ class TestRunShots:
         engine = TrajectoryEngine(circuit)
         for seed in (5, 6):
             assert np.array_equal(
-                histogram(engine.tables(device, [[0, 1]], 4000, [seed])[0]),
-                histogram(run_shots(circuit, device, [0, 1], None, 4000, seed)),
+                engine.sample(device, [[0, 1]], 4000, [seed], 2)[0, 0],
+                run_shots(circuit, device, [0, 1], None, 4000, seed),
             )
 
     def test_depolarizing_shrinks_z_expectation(self):
@@ -184,7 +183,7 @@ class TestRunShots:
         values = []
         for seed in range(5):
             counts = run_shots(circuit, device, [0], None, shots, seed=seed)
-            zero, one = histogram(counts)
+            zero, one = counts
             z = (zero - one) / shots
             values.append(z)
         assert all(abs(z) <= abs(noiseless) for z in values)
@@ -196,7 +195,7 @@ class TestRunShots:
         probs = np.abs(amps) ** 2
         shots = 50_000
         counts = run_shots(circuit, DeviceModel.noiseless(3), [0, 1, 2], None, shots, seed=8)
-        observed = histogram(counts).astype(float)
+        observed = counts.astype(float)
         keep = probs * shots >= 5
         rest_obs = observed[~keep].sum()
         rest_exp = probs[~keep].sum() * shots
@@ -212,7 +211,7 @@ class TestRunShots:
         prep = Circuit(1, (Gate("RY", (0,), math.pi / 2),))
         basis = Circuit(1, (Gate("RY", (0,), -math.pi / 2),))
         counts = run_shots(prep, DeviceModel.noiseless(1), [0], basis, 2000, seed=9)
-        assert histogram(counts).tolist() == [2000, 0]
+        assert counts.tolist() == [2000, 0]
 
     def test_matches_density_matrix_oracle(self):
         two_qubit = (
@@ -266,11 +265,67 @@ class TestRunShots:
             pmap = list(range(width))
             expected = density_matrix_probs(circuit, device, pmap, basis_change)
             counts = run_shots(circuit, device, pmap, basis_change, shots, seed=seed)
-            for code, count in enumerate(histogram(counts)):
+            for code, count in enumerate(counts):
                 p = expected[code]
                 observed = count / shots
                 sigma = math.sqrt(p * (1 - p) / shots)
                 assert abs(observed - p) < 4 * sigma
+
+    def test_sampled_csv_is_pinned(self):
+        # recorded while tables still held bitstring-keyed dicts
+        device = DeviceModel(
+            tuple(QubitCalibration(0.02, 0.03, 0.01) for _ in range(3)),
+            {(0, 1): 0.05, (1, 2): 0.04, (0, 2): 0.03},
+        )
+        circuit = Circuit(
+            3,
+            (
+                Gate("RY", (0,), 1.1),
+                Gate("CNOT", (0, 1)),
+                Gate("RY", (2,), -0.7),
+                Gate("CZ", (1, 2)),
+            ),
+        )
+        basis = Circuit(3, (Gate("RY", (1,), -math.pi / 2),))
+        counts = run_shots(circuit, device, [0, 1, 2], basis, 5000, seed=11)
+        assert csv_text(counts) == (
+            "bitstring,count\n000,1520\n001,271\n010,1477\n011,266\n"
+            "100,615\n101,122\n110,629\n111,100\n"
+        )
+
+    def test_heavy_noise_csv_is_pinned(self):
+        # recorded before the sampler drew quiet and fired shots apart; at
+        # p = 0.3 per gate most shots fire an event on both two-qubit segments
+        device = DeviceModel(
+            tuple(QubitCalibration(0.01, 0.02, 0.3) for _ in range(4)),
+            {(0, 1): 0.3, (2, 3): 0.3},
+        )
+        circuit = Circuit(
+            4,
+            (
+                Gate("RY", (0,), 1.1),
+                Gate("CNOT", (0, 1)),
+                Gate("RY", (1,), -0.4),
+                Gate("RY", (2,), 0.6),
+                Gate("CZ", (2, 3)),
+                Gate("RY", (3,), 2.0),
+                Gate("X", (2,)),
+            ),
+        )
+        basis = Circuit(
+            4,
+            (
+                Gate("RY", (1,), -math.pi / 2),
+                Gate("RZ", (2,), 0.3),
+                Gate("RY", (2,), math.pi / 2),
+            ),
+        )
+        counts = run_shots(circuit, device, [0, 1, 2, 3], basis, 4000, seed=17)
+        assert csv_text(counts) == (
+            "bitstring,count\n0000,181\n0001,254\n0010,226\n0011,330\n"
+            "0100,249\n0101,340\n0110,320\n0111,459\n1000,179\n1001,243\n"
+            "1010,199\n1011,307\n1100,137\n1101,183\n1110,164\n1111,229\n"
+        )
 
     def test_physical_qubit_absent(self):
         device = DeviceModel.noiseless(2)
@@ -285,8 +340,9 @@ class TestRunShots:
 
 class TestBatchedSample:
     """``sample`` over many work items at once. Each digest is the sha256 of
-    the items' ``to_csv`` texts joined in item order, recorded with one
-    ``sample`` call per item before items shared a pass."""
+    the items' ``bitstring,count`` texts (``tables.csv_text`` of each item's
+    joint counts) joined in item order, recorded with one ``sample`` call
+    per item before items shared a pass."""
 
     circuit = Circuit(
         3,
@@ -296,8 +352,8 @@ class TestBatchedSample:
 
     def digest(self, device, maps, shots, seeds):
         engine = TrajectoryEngine(self.circuit, self.basis)
-        tables = engine.tables(device, maps, shots, seeds, "ZXZ")
-        return hashlib.sha256("".join(t.to_csv() for t in tables).encode()).hexdigest()
+        joints = engine.sample(device, maps, shots, seeds, self.circuit.width)[:, 0]
+        return hashlib.sha256("".join(csv_text(j) for j in joints).encode()).hexdigest()
 
     # one device whose noisy gates differ between maps: qubit 4 has no
     # one-qubit error and only neighbouring pairs are listed, so the maps
@@ -377,8 +433,8 @@ class TestBatchedSample:
             engine = TrajectoryEngine(circuit, group.basis_change)
             counts = engine.sample(device, maps, shots, seeds, representation)
             expected = [
-                block_histogram(t, representation, n).tolist()
-                for t in engine.tables(device, maps, shots, seeds)
+                block_histogram(joint, representation, n).tolist()
+                for joint in engine.sample(device, maps, shots, seeds, circuit.width)[:, 0]
             ]
             assert counts.dtype == np.int64 and counts.tolist() == expected
 
@@ -388,8 +444,8 @@ class TestBatchedSample:
         seeds = [7 + i for i in range(len(self.mixed_maps))]
         counts = engine.sample(self.mixed_device, self.mixed_maps, 500, seeds, block_width)
         expected = [
-            block_histogram(t, block_width, 3 // block_width).tolist()
-            for t in engine.tables(self.mixed_device, self.mixed_maps, 500, seeds)
+            block_histogram(joint, block_width, 3 // block_width).tolist()
+            for joint in engine.sample(self.mixed_device, self.mixed_maps, 500, seeds, 3)[:, 0]
         ]
         assert counts.tolist() == expected
 
@@ -398,7 +454,6 @@ class TestBatchedSample:
         device = DeviceModel.noiseless(2)
         with pytest.raises(ValueError, match="2 physical maps for 1 seeds"):
             engine.sample(device, [[0], [1]], 10, [0], 1)
-        assert engine.tables(device, [], 10, []) == []
         assert engine.sample(device, [], 10, [], 1).shape == (0, 1, 2)
 
     def test_block_width_must_divide_circuit_width(self):
@@ -425,7 +480,7 @@ class TestDistributionMemo:
         def sample(n, device):
             blocks = [[2 * b, 2 * b + 1] for b in range(n)]
             engine = TrajectoryEngine(compose(block, n, blocks), compose(basis, n, blocks))
-            engine.tables(device, [list(range(2 * n))], 2000, [n])
+            engine.sample(device, [list(range(2 * n))], 2000, [n], 2)
 
         sample(1, DeviceModel.noiseless(8))
         assert len(memo.entries) == 1
@@ -447,7 +502,7 @@ class TestDistributionMemo:
         device = DeviceModel(
             tuple(QubitCalibration() for _ in range(16)), {(q, q + 1): 0.02 for q in range(15)}
         )
-        TrajectoryEngine(Circuit(16, gates)).tables(device, [list(range(16))], 400, [3])
+        TrajectoryEngine(Circuit(16, gates)).sample(device, [list(range(16))], 400, [3], 16)
         entry = 8 * (2**16 + 1)
         assert len(evolved) > simulator._MEMO_BYTES // entry
         assert memo.nbytes == sum(cum.nbytes for cum in memo.entries.values())
@@ -532,84 +587,3 @@ class TestDeviceModel:
     def test_from_json_names_bad_key(self, payload, key):
         with pytest.raises(ValueError, match=rf"^calibration: {re.escape(key)} "):
             DeviceModel.from_json(payload)
-
-
-class TestCountsTable:
-    def test_sum_validation(self):
-        with pytest.raises(ValueError, match="counts sum"):
-            counts_table(5, {"0": 4})
-
-    @pytest.mark.parametrize(
-        "codes, counts, match",
-        [
-            ([1, 0], [1, 1], "ascending"),
-            ([1, 1], [1, 1], "ascending"),
-            ([0, 4], [1, 1], r"\[0, 2\*\*2\)"),
-            ([-1, 0], [1, 1], r"\[0, 2\*\*2\)"),
-            ([0, 1], [2], "do not align"),
-        ],
-    )
-    def test_bad_codes_rejected(self, codes, counts, match):
-        # unsorted or repeated codes, a code outside 2 bits, misaligned arrays
-        with pytest.raises(ValueError, match=match):
-            CountsTable(2, 2, np.array(codes), np.array(counts))
-
-    def test_csv_export(self):
-        table = counts_table(3, {"01": 2, "10": 1}, "ZZ")
-        assert table.to_csv() == "bitstring,count\n01,2\n10,1\n"
-
-    def test_sampled_csv_is_pinned(self):
-        # recorded while tables still held bitstring-keyed dicts
-        device = DeviceModel(
-            tuple(QubitCalibration(0.02, 0.03, 0.01) for _ in range(3)),
-            {(0, 1): 0.05, (1, 2): 0.04, (0, 2): 0.03},
-        )
-        circuit = Circuit(
-            3,
-            (
-                Gate("RY", (0,), 1.1),
-                Gate("CNOT", (0, 1)),
-                Gate("RY", (2,), -0.7),
-                Gate("CZ", (1, 2)),
-            ),
-        )
-        basis = Circuit(3, (Gate("RY", (1,), -math.pi / 2),))
-        table = run_shots(circuit, device, [0, 1, 2], basis, 5000, seed=11, basis_label="ZXZ")
-        assert table.to_csv() == (
-            "bitstring,count\n000,1520\n001,271\n010,1477\n011,266\n"
-            "100,615\n101,122\n110,629\n111,100\n"
-        )
-
-    def test_heavy_noise_csv_is_pinned(self):
-        # recorded before the sampler drew quiet and fired shots apart; at
-        # p = 0.3 per gate most shots fire an event on both two-qubit segments
-        device = DeviceModel(
-            tuple(QubitCalibration(0.01, 0.02, 0.3) for _ in range(4)),
-            {(0, 1): 0.3, (2, 3): 0.3},
-        )
-        circuit = Circuit(
-            4,
-            (
-                Gate("RY", (0,), 1.1),
-                Gate("CNOT", (0, 1)),
-                Gate("RY", (1,), -0.4),
-                Gate("RY", (2,), 0.6),
-                Gate("CZ", (2, 3)),
-                Gate("RY", (3,), 2.0),
-                Gate("X", (2,)),
-            ),
-        )
-        basis = Circuit(
-            4,
-            (
-                Gate("RY", (1,), -math.pi / 2),
-                Gate("RZ", (2,), 0.3),
-                Gate("RY", (2,), math.pi / 2),
-            ),
-        )
-        table = run_shots(circuit, device, [0, 1, 2, 3], basis, 4000, seed=17, basis_label="ZXXZ")
-        assert table.to_csv() == (
-            "bitstring,count\n0000,181\n0001,254\n0010,226\n0011,330\n"
-            "0100,249\n0101,340\n0110,320\n0111,459\n1000,179\n1001,243\n"
-            "1010,199\n1011,307\n1100,137\n1101,183\n1110,164\n1111,229\n"
-        )

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 
 from sizecon.pauli import PauliString, PauliSum, embed_string, qubitwise_groups
-from sizecon.simulator import CountsTable, DeviceModel, TrajectoryEngine
+from sizecon.simulator import DeviceModel, TrajectoryEngine
 from sizecon.stateprep import compose, fci_ground, synthesize
 from sizecon.tomography import (
     _CLASSIFICATION,
-    block_histogram,
     build_plan,
     estimate_energies,
     extract_populations,
     shot_noise_stderr,
 )
 
-from tables import block_histograms, counts_table
+from tables import block_histogram, block_histograms, joint_counts
 
 
 def sample_noiseless(h_sub, n, shots, master_seed):
-    """Counts per plan group for N noiseless replicas of the FCI state."""
+    """Joint counts per plan group for N noiseless replicas of the FCI state."""
     plan = build_plan(h_sub, n)
     sub = synthesize(fci_ground(h_sub))
     width = h_sub.width
@@ -28,9 +27,8 @@ def sample_noiseless(h_sub, n, shots, master_seed):
     counts = []
     for gi, group in enumerate(plan.groups):
         engine = TrajectoryEngine(circuit, group.basis_change)
-        counts += engine.tables(
-            device, [list(range(circuit.width))], shots, [master_seed + gi], group.basis
-        )
+        pmap = list(range(circuit.width))
+        counts.append(engine.sample(device, [pmap], shots, [master_seed + gi], circuit.width)[0, 0])
     return plan, counts
 
 
@@ -40,18 +38,20 @@ def embedded_member_loop(h_sub, n, counts):
     string, its register mask applied to each code, one member at a time."""
     energies = np.full(n, h_sub.constant)
     variances = np.zeros(n)
-    for strings, table in zip(qubitwise_groups(h_sub.sorted_strings()), counts):
+    for strings, joint in zip(qubitwise_groups(h_sub.sorted_strings()), counts):
+        codes = np.flatnonzero(joint)
+        shots = int(joint.sum())
         members = [(block, s) for block in range(n) for s in strings]
         masks = np.array([
             int("".join("0" if c == "I" else "1" for c in embed_string(s, block, n).letters), 2)
             for block, s in members
         ])
-        bits = np.bitwise_count(table.codes[:, None] & masks[None, :]) & 1
-        parities = (table.counts[:, None] * (1.0 - 2.0 * bits)).sum(axis=0) / table.shots
+        bits = np.bitwise_count(codes[:, None] & masks[None, :]) & 1
+        parities = (joint[codes][:, None] * (1.0 - 2.0 * bits)).sum(axis=0) / shots
         for (block, s), parity in zip(members, parities):
             coefficient = h_sub.coefficient(s)
             energies[block] += coefficient * parity
-            variances[block] += coefficient**2 * max(0.0, 1.0 - parity**2) / table.shots
+            variances[block] += coefficient**2 * max(0.0, 1.0 - parity**2) / shots
     return energies, np.sqrt(variances)
 
 
@@ -134,11 +134,9 @@ class TestEstimateEnergies:
         plan = build_plan(bundle.h1q, 2)
         shots = 4000
         by_basis = {
-            "Z": counts_table(shots, {"00": shots}, "Z"),
-            "X": counts_table(
-                shots,
-                {"00": shots // 4, "01": shots // 4, "10": shots // 4, "11": shots // 4},
-                "X",
+            "Z": joint_counts({"00": shots}),
+            "X": joint_counts(
+                {"00": shots // 4, "01": shots // 4, "10": shots // 4, "11": shots // 4}
             ),
         }
         counts = [by_basis[g.basis] for g in plan.groups]
@@ -185,20 +183,14 @@ class TestEstimateEnergies:
         plan = build_plan(bundle.h1q, 2)
         shots = 1000
         asym = {
-            "Z": counts_table(shots, {"00": 700, "01": 300}, "Z"),
-            "X": counts_table(shots, {"00": 500, "01": 300, "10": 150, "11": 50}, "X"),
+            "Z": joint_counts({"00": 700, "01": 300}),
+            "X": joint_counts({"00": 500, "01": 300, "10": 150, "11": 50}),
         }
         counts = [asym[g.basis] for g in plan.groups]
         energies = estimate_energies(plan, block_histograms(plan, counts))
 
-        def swap_blocks(table):
-            swapped = ((table.codes & 1) << 1) | (table.codes >> 1)
-            order = np.argsort(swapped)
-            return CountsTable(
-                table.shots, 2, swapped[order], table.counts[order], table.measured_basis
-            )
-
-        permuted = [swap_blocks(t) for t in counts]
+        # codes 01 and 10 trade places when the two one-qubit blocks swap
+        permuted = [joint[[0, 2, 1, 3]] for joint in counts]
         flipped = estimate_energies(plan, block_histograms(plan, permuted))
         assert np.allclose(flipped, energies[::-1], atol=1e-14)
 
@@ -221,7 +213,9 @@ class TestEstimateEnergies:
                 else:
                     codes = np.unique(rng.integers(0, 2**width, size=60))
                     hits = rng.multinomial(shots, rng.dirichlet(np.ones(len(codes))))
-                counts.append(CountsTable(shots, width, codes[hits > 0], hits[hits > 0]))
+                joint = np.zeros(2**width, dtype=np.int64)
+                joint[codes] = hits
+                counts.append(joint)
             energies, stderrs = embedded_member_loop(h_sub, n, counts)
             histograms = block_histograms(plan, counts)
             assert estimate_energies(plan, histograms).tolist() == energies.tolist()
@@ -238,34 +232,15 @@ class TestEstimateEnergies:
         shot_codes = sum(
             (np.arange(shots) < m).astype(np.int64) << (n - 1 - b) for b, m in enumerate(ones)
         )
-        z_codes, z_hits = np.unique(shot_codes, return_counts=True)
-        by_basis = {
-            "Z": CountsTable(shots, n, z_codes, z_hits),
-            "X": CountsTable(shots, n, np.array([0, 2**n - 1]), np.array([shots - 1, 1])),
-        }
+        x_counts = np.zeros(2**n, dtype=np.int64)
+        x_counts[[0, -1]] = shots - 1, 1
+        by_basis = {"Z": np.bincount(shot_codes, minlength=2**n), "X": x_counts}
         plan = build_plan(bundle.h1q, n)
         counts = [by_basis[g.basis] for g in plan.groups]
         energies, stderrs = embedded_member_loop(bundle.h1q, n, counts)
         histograms = block_histograms(plan, counts)
         assert estimate_energies(plan, histograms).tolist() == energies.tolist()
         assert shot_noise_stderr(plan, histograms).tolist() == stderrs.tolist()
-
-
-class TestBlockHistogram:
-    def test_shots_per_block_code(self):
-        # block 0 is the most significant width bits; every row sums to shots
-        table = counts_table(10, {"0001": 3, "0111": 2, "1101": 5})
-        hist = block_histogram(table, 2, 2)
-        assert hist.tolist() == [[3.0, 2.0, 0.0, 5.0], [0.0, 8.0, 0.0, 2.0]]
-        assert block_histogram(table, 1, 4).sum(axis=1).tolist() == [10.0] * 4
-        assert block_histogram(table, 4, 1)[0].tolist() == [
-            3.0 * (c == 1) + 2.0 * (c == 7) + 5.0 * (c == 13) for c in range(16)
-        ]
-
-    @pytest.mark.parametrize("bits, width, n_blocks", [("0", 1, 2), ("00", 4, 1)])
-    def test_width_mismatch(self, bits, width, n_blocks):
-        with pytest.raises(ValueError, match="counts width"):
-            block_histogram(counts_table(10, {bits: 10}), width, n_blocks)
 
 
 @pytest.mark.parametrize("reader", [estimate_energies, shot_noise_stderr])
@@ -331,18 +306,15 @@ class TestStackedItems:
 class TestExtractPopulations:
     def test_all_reference_word(self):
         shots = 500
-        counts = counts_table(shots, {"11001100": shots}, "ZZZZZZZZ")
-        pops = extract_populations(block_histogram(counts, 4, 2))
+        pops = extract_populations(block_histogram(joint_counts({"11001100": shots}), 4, 2))
         assert np.allclose(pops.hf, 1.0)
         assert np.allclose(pops.single_excitation, 0.0)
         assert np.allclose(pops.double_excitation, 0.0)
         assert np.allclose(pops.number_violating, 0.0)
 
     def test_four_qubit_classification(self):
-        counts = counts_table(
-            10,
-            {"1100": 4, "0011": 2, "1001": 1, "0101": 1, "1110": 1, "0000": 1},
-            "ZZZZ",
+        counts = joint_counts(
+            {"1100": 4, "0011": 2, "1001": 1, "0101": 1, "1110": 1, "0000": 1}
         )
         pops = extract_populations(block_histogram(counts, 4, 1))
         assert pops.hf[0] == pytest.approx(0.4)
@@ -351,7 +323,7 @@ class TestExtractPopulations:
         assert pops.number_violating[0] == pytest.approx(0.2)
 
     def test_two_qubit_code_words(self):
-        counts = counts_table(10, {"00": 5, "01": 2, "10": 2, "11": 1}, "ZZ")
+        counts = joint_counts({"00": 5, "01": 2, "10": 2, "11": 1})
         pops = extract_populations(block_histogram(counts, 2, 1))
         assert pops.hf[0] == pytest.approx(0.5)
         assert pops.single_excitation[0] == pytest.approx(0.4)
@@ -360,7 +332,7 @@ class TestExtractPopulations:
 
     def test_single_qubit_never_reports_singles(self, bundle):
         # even with heavy readout noise the 1-qubit encoding cannot produce one
-        counts = counts_table(100, {"0": 55, "1": 45}, "Z")
+        counts = joint_counts({"0": 55, "1": 45})
         pops = extract_populations(block_histogram(counts, 1, 1))
         assert pops.single_excitation[0] == 0.0
         assert pops.number_violating[0] == 0.0
@@ -399,8 +371,9 @@ class TestExtractPopulations:
         width = representation * n
         codes = np.unique(rng.integers(0, 2**width, size=40))
         counts = rng.integers(1, 50, size=len(codes))
-        table = CountsTable(int(counts.sum()), width, codes, counts)
-        pops = extract_populations(block_histogram(table, representation, n))
+        joint = np.zeros(2**width, dtype=np.int64)
+        joint[codes] = counts
+        pops = extract_populations(block_histogram(joint, representation, n))
         kinds = {"hf": pops.hf, "single": pops.single_excitation,
                  "double": pops.double_excitation, "number_violating": pops.number_violating}
         expected = {kind: np.zeros(n) for kind in kinds}
@@ -409,7 +382,7 @@ class TestExtractPopulations:
             block_codes = (codes >> (n - 1 - block) * representation) & (2**representation - 1)
             for code in np.unique(block_codes):
                 kind = classes.get(int(code), "number_violating")
-                expected[kind][block] += counts[block_codes == code].sum() / table.shots
+                expected[kind][block] += counts[block_codes == code].sum() / joint.sum()
         for kind, values in kinds.items():
             assert values.tolist() == expected[kind].tolist(), kind
 
