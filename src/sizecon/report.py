@@ -4,6 +4,15 @@
 ``summary.csv`` (the WLS slope, its error and the chemical-accuracy
 horizon) and the figures ``fig1``, ``fig2a``, ``fig2b`` and ``fig3``.
 
+``load_samples`` reads ``samples.csv`` once, into columns. It sorts the
+rows by (N, set, sample, subsystem), so their order in the file does not
+matter, and checks that they are exactly the subsystems 0..N-1 of each
+(N, set, sample) key the manifest's seeds name. Each N's rows then form a
+``(samples, N)`` array per column, reduced along its rows into one value
+per sample. A row of N contiguous values is summed in numpy's pairwise
+order, as a 1-D array of the same values is, so the sums do not depend on
+how many samples share the array.
+
 Each figure is one table: a list of CSV rows plus the series it plots,
 each naming its y column and the rows it takes. ``_write_figure`` writes
 ``<name>.csv`` from the rows and then ``<name>.svg`` with every point read
@@ -15,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,60 +43,94 @@ from .svgplot import Figure, Series, write as write_svg
 from .units import HARTREE_TO_KCAL_PER_MOL
 
 
-@dataclass
-class SampleAggregate:
-    """Per-(set, sample) values averaged over subsystems."""
+@dataclass(frozen=True)
+class SizeSamples:
+    """The samples of one system size N in key order, each reduced over its
+    N subsystem rows."""
 
-    n_subsystems: int
-    set_index: int
-    sample_index: int
-    energy_per_h2: float        # hartree
-    shot_variance_per_h2: float  # hartree^2
-    p_single: float
-    p_double: float
-
-
-_SAMPLE_COLUMNS = (
-    "n_subsystems", "set_index", "sample_index", "energy_hartree",
-    "energy_shot_stderr_hartree", "p_single", "p_double",
-)
+    keys: np.ndarray                   # (samples, 3): N, set, sample
+    energy_per_h2: np.ndarray          # hartree, the subsystems' mean
+    shot_variance_per_h2: np.ndarray   # hartree^2, squared stderrs summed / N^2
+    p_single: np.ndarray
+    p_double: np.ndarray
 
 
-def load_samples(run_dir: Path, expected_rows: int) -> list[SampleAggregate]:
-    """The run's samples, one aggregate per (N, set, sample); a file that
-    lacks a column it reads or does not hold ``expected_rows`` subsystem rows
-    raises a ValueError."""
-    rows_by_key: dict[tuple[int, int, int], list[dict]] = {}
-    with open(run_dir / SAMPLES_CSV, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in _SAMPLE_COLUMNS:
-            if column not in (reader.fieldnames or ()):
-                raise ValueError(f"{run_dir}/{SAMPLES_CSV} has no column {column}")
-        for row in reader:
-            key = (int(row["n_subsystems"]), int(row["set_index"]), int(row["sample_index"]))
-            rows_by_key.setdefault(key, []).append(row)
-    found = sum(len(rows) for rows in rows_by_key.values())
-    if found != expected_rows:
+_KEY_COLUMNS = ("n_subsystems", "set_index", "sample_index", "subsystem")
+# the columns SizeSamples reduces, in its field order
+_VALUE_COLUMNS = ("energy_hartree", "energy_shot_stderr_hartree", "p_single", "p_double")
+_SEED_KEY = re.compile(r"^N(\d+)/set(\d+)/sample(\d+)/group\d+$", re.MULTILINE)
+
+
+def _numbers(path: Path, name: str, cells: tuple[str, ...], kind: type) -> np.ndarray:
+    """Column ``name`` as ``kind``; a cell that is not one raises a
+    ValueError naming its row (data rows count from 1) and the column."""
+    try:
+        return np.array(cells, dtype=kind)
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    for row, cell in enumerate(cells, 1):
+        try:
+            np.array(cell, dtype=kind)
+        except (ValueError, OverflowError):
+            what = "a 64-bit integer" if kind is np.int64 else "a number"
+            raise ValueError(f"{path} row {row}, column {name}: {cell!r} is not {what}") from None
+    raise error
+
+
+def load_samples(run_dir: Path, keys: list[tuple[int, int, int]]) -> dict[int, SizeSamples]:
+    """The run's samples by N, in ascending N. ``keys`` are the manifest's
+    sorted (N, set, sample) keys. A file that lacks a column it reads, holds
+    a cell that is not a number, or whose rows are not each key's subsystems
+    0..N-1 and no other raises a ValueError."""
+    path = run_dir / SAMPLES_CSV
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for column in _KEY_COLUMNS + _VALUE_COLUMNS:
+            if column not in header:
+                raise ValueError(f"{path} has no column {column}")
+        rows = list(reader)
+    sizes = np.array([key[0] for key in keys], dtype=np.int64)
+    if len(rows) != sizes.sum():
         raise ValueError(
-            f"{run_dir}/{SAMPLES_CSV} has {found} subsystem rows; "
-            f"its manifest expects {expected_rows}"
+            f"{path} has {len(rows)} subsystem rows; its manifest expects {sizes.sum()}"
         )
-    aggregates = []
-    for (n, set_index, sample_index), rows in sorted(rows_by_key.items()):
-        energies = np.array([float(r["energy_hartree"]) for r in rows])
-        stderrs = np.array([float(r["energy_shot_stderr_hartree"]) for r in rows])
-        aggregates.append(
-            SampleAggregate(
-                n_subsystems=n,
-                set_index=set_index,
-                sample_index=sample_index,
-                energy_per_h2=float(energies.mean()),
-                shot_variance_per_h2=float(np.sum(stderrs**2)) / n**2,
-                p_single=float(np.mean([float(r["p_single"]) for r in rows])),
-                p_double=float(np.mean([float(r["p_double"]) for r in rows])),
-            )
+    if not rows:
+        raise ValueError(f"{path} holds no samples")
+    if set(map(len, rows)) != {len(header)}:
+        row = next(i for i, cells in enumerate(rows, 1) if len(cells) != len(header))
+        raise ValueError(f"{path} row {row} has {len(rows[row - 1])} cells, not {len(header)}")
+    cells = dict(zip(header, zip(*rows)))
+    found = np.column_stack([_numbers(path, name, cells[name], np.int64) for name in _KEY_COLUMNS])
+    order = np.lexsort(found.T[::-1])
+    found = found[order]
+    expected = np.column_stack([
+        np.repeat(np.array(keys, dtype=np.int64), sizes, axis=0),
+        np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+    ])
+    if not np.array_equal(found, expected):
+        # the rows agree up to the first that differs, and the lesser of the
+        # two there belongs to a group whose subsystem rows differ
+        first = np.flatnonzero((found != expected).any(axis=1))[0]
+        group = min(found[first].tolist(), expected[first].tolist())[:3]
+        held, listed = (t[(t[:, :3] == group).all(axis=1), 3].tolist() for t in (found, expected))
+        raise ValueError(
+            f"{path} holds subsystem rows {held} for N{group[0]}/set{group[1]}/"
+            f"sample{group[2]}; its manifest expects {listed or 'none'}"
         )
-    return aggregates
+    # each N's rows are one contiguous run of every sorted column, so each
+    # (samples, N) block sums its rows in numpy's pairwise order
+    values = [_numbers(path, name, cells[name], float)[order] for name in _VALUE_COLUMNS]
+    # a sample's values are means over its N subsystems, but its shot
+    # variance is its squared stderrs summed over N^2
+    values[1] **= 2
+    by_n = {}
+    for n in np.unique(sizes).tolist():
+        lo, hi = np.searchsorted(found[:, 0], (n, n + 1))
+        sums = [column[lo:hi].reshape(-1, n).sum(axis=1) for column in values]
+        reduced = (total / n**power for total, power in zip(sums, (1, 2, 1, 1)))
+        by_n[n] = SizeSamples(found[lo:hi:n, :3], *reduced)
+    return by_n
 
 
 @dataclass(frozen=True)
@@ -110,21 +154,10 @@ def _write_figure(
     series from those rows; a series that takes no row is left out."""
     write_csv(run_dir / f"{name}.csv", *dict_table(rows))
     for p in plotted:
-        taken = [
-            r for r in rows
-            if r[p.y] != "" and (p.only is None or r[p.only[0]] == p.only[1])
-        ]
+        taken = [r for r in rows if r[p.y] != "" and (p.only is None or r[p.only[0]] == p.only[1])]
         if taken:
-            figure.series.append(
-                Series(
-                    p.label,
-                    [float(r[x]) for r in taken],
-                    [float(r[p.y]) for r in taken],
-                    p.kind,
-                    p.color,
-                    p.dashed,
-                )
-            )
+            xs, ys = [float(r[x]) for r in taken], [float(r[p.y]) for r in taken]
+            figure.series.append(Series(p.label, xs, ys, p.kind, p.color, p.dashed))
     write_svg(figure, run_dir / f"{name}.svg")
 
 
@@ -153,24 +186,16 @@ def analyze(run_dir: str | Path) -> Path:
         coupling=_manifest_field(manifest, "reference.coupling", run_dir),
     )
     # one seed per (N, set, sample, group) work item; a sample holds N rows
-    samples = {key.rsplit("/", 1)[0] for key in _manifest_field(manifest, "seeds", run_dir)}
-    aggregates = load_samples(run_dir, sum(int(s.split("/")[0][1:]) for s in samples))
-    if not aggregates:
-        raise ValueError(f"{run_dir}/{SAMPLES_CSV} holds no samples")
-
-    by_n: dict[int, list[SampleAggregate]] = {}
-    for agg in aggregates:
-        by_n.setdefault(agg.n_subsystems, []).append(agg)
-    ns = sorted(by_n)
+    seeds = _SEED_KEY.findall("\n".join(_manifest_field(manifest, "seeds", run_dir)))
+    by_n = load_samples(run_dir, sorted({tuple(map(int, key)) for key in set(seeds)}))
 
     # Regression points: x = total qubits, y = mean energy per H2 (kcal/mol),
     # weight from the across-sample variance with a shot-noise floor.
     points = []
-    for n in ns:
-        mean, std = mean_sd([a.energy_per_h2 * HARTREE_TO_KCAL_PER_MOL for a in by_n[n]])
-        shot_floor = math.sqrt(
-            float(np.mean([a.shot_variance_per_h2 for a in by_n[n]]))
-        ) * HARTREE_TO_KCAL_PER_MOL
+    for n, samples in by_n.items():
+        mean, std = mean_sd(samples.energy_per_h2 * HARTREE_TO_KCAL_PER_MOL)
+        shot_variance = float(samples.shot_variance_per_h2.mean())
+        shot_floor = math.sqrt(shot_variance) * HARTREE_TO_KCAL_PER_MOL
         points.append((n * representation, mean, max(std, shot_floor, 1e-12)))
 
     # One system size leaves the slope, its error and the horizon
@@ -197,13 +222,16 @@ def analyze(run_dir: str | Path) -> Path:
     fig1 = [
         {
             "kind": "sample",
-            "n_subsystems": a.n_subsystems,
-            "total_qubits": a.n_subsystems * representation,
-            "set_index": a.set_index,
-            "sample_index": a.sample_index,
-            "energy_per_h2_kcal": repr(a.energy_per_h2 * HARTREE_TO_KCAL_PER_MOL),
+            "n_subsystems": n,
+            "total_qubits": n * representation,
+            "set_index": set_index,
+            "sample_index": sample_index,
+            "energy_per_h2_kcal": repr(energy),
         }
-        for a in aggregates
+        for n, samples in by_n.items()
+        for (_, set_index, sample_index), energy in zip(
+            samples.keys.tolist(), (samples.energy_per_h2 * HARTREE_TO_KCAL_PER_MOL).tolist()
+        )
     ]
     ends = (points[0][0], points[-1][0]) if fit is not None else ()
     fig1 += [
@@ -224,7 +252,7 @@ def analyze(run_dir: str | Path) -> Path:
         Plotted("WLS", "energy_per_h2_kcal", "line", "#888888", dashed=True, only=("kind", "fit")),
     )
 
-    curve_ns = range(1, ns[-1] + 1)
+    curve_ns = range(1, max(by_n) + 1)
     cisd = {n: cisd_reference(levels, n).double_population_per_h2 for n in curve_ns}
     for name, column, fci, cisd_at, title, references in (
         ("fig2a", "double", levels.fci_double_population, cisd,
@@ -235,7 +263,7 @@ def analyze(run_dir: str | Path) -> Path:
          "Single-excitation population per H2",
          [Plotted("FCI = CISD = 0", "fci_single", "line", "#000000")]),
     ):
-        stats = {n: mean_sd([getattr(a, f"p_{column}") for a in by_n[n]]) for n in ns}
+        stats = {n: mean_sd(getattr(samples, f"p_{column}")) for n, samples in by_n.items()}
         rows = [
             {
                 "n_subsystems": n,
@@ -252,11 +280,8 @@ def analyze(run_dir: str | Path) -> Path:
             Plotted("measured", f"measured_mean_{column}"), *references,
         )
 
-    errors, hf_gap = error_stats(
-        [(n, a.energy_per_h2) for n in by_n for a in by_n[n]],
-        e_fci=levels.fci_energy,
-        e_hf=levels.e_hf,
-    )
+    pairs = [(n, e) for n, samples in by_n.items() for e in samples.energy_per_h2.tolist()]
+    errors, hf_gap = error_stats(pairs, e_fci=levels.fci_energy, e_hf=levels.e_hf)
     fig3 = [
         {
             "n_subsystems": n,
@@ -281,20 +306,16 @@ def reference_table(bond_length: float, n_max: int) -> list[dict]:
     """Classical FCI/CISD/HF reference rows for N = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    bundle = build_hamiltonians(bond_length)
-    levels = bundle.levels
-    rows = []
-    for n in range(1, n_max + 1):
-        cisd = cisd_reference(levels, n)
-        rows.append(
-            {
-                "n_subsystems": n,
-                "hf_energy_per_h2": repr(levels.e_hf),
-                "fci_energy_per_h2": repr(levels.fci_energy),
-                "cisd_energy_per_h2": repr(cisd.energy / n),
-                "cisd_correlation_per_h2": repr(cisd.correlation_per_h2),
-                "fci_double_population": repr(levels.fci_double_population),
-                "cisd_double_population": repr(cisd.double_population_per_h2),
-            }
-        )
-    return rows
+    levels = build_hamiltonians(bond_length).levels
+    return [
+        {
+            "n_subsystems": cisd.n_subsystems,
+            "hf_energy_per_h2": repr(levels.e_hf),
+            "fci_energy_per_h2": repr(levels.fci_energy),
+            "cisd_energy_per_h2": repr(cisd.energy / cisd.n_subsystems),
+            "cisd_correlation_per_h2": repr(cisd.correlation_per_h2),
+            "fci_double_population": repr(levels.fci_double_population),
+            "cisd_double_population": repr(cisd.double_population_per_h2),
+        }
+        for cisd in (cisd_reference(levels, n) for n in range(1, n_max + 1))
+    ]

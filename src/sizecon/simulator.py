@@ -88,6 +88,10 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI_1Q = (_X, _Y, _Z)
 
 
+# a qubit's calibration keys, in QubitCalibration's field order
+_QUBIT_KEYS = ("readout_p10", "readout_p01", "single_qubit_error")
+
+
 def _unit_interval(value: float, name: str) -> float:
     """``value`` if it is a probability, else a ValueError naming it ``name``."""
     if not 0.0 <= value <= 1.0:
@@ -165,32 +169,56 @@ class DeviceModel:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceModel":
-        """Parse ``to_json`` output; a missing or mistyped key raises a
-        ``ValueError`` that names it."""
+        """Parse ``to_json`` output; a missing or mistyped key, or a value
+        outside its range, raises a ``ValueError`` that names it.
+
+        One lean pass unpacks the entries and checks only what the
+        constructors do not: that no number is a bool and that pair members
+        are ints. The constructors check the ranges. When any check fails,
+        ``_check_calibration`` walks the document again, in entry order, to
+        name the first entry at fault."""
         payload = json.loads(text)
-        keys = ("readout_p10", "readout_p01", "single_qubit_error")
-        qubits = tuple(
-            QubitCalibration(**{k: _probability(e, k, f"qubits[{i}].") for k in keys})
-            for i, e in enumerate(_json_field(payload, "qubits", list))
-        )
-        pairs = {}
-        for j, entry in enumerate(_json_field(payload, "two_qubit_error", list, default=[])):
-            where = f"two_qubit_error[{j}]."
-            pair = _json_field(entry, "pair", list, where)
-            if len(pair) != 2 or any(type(t) is not int for t in pair):
-                raise ValueError(f"calibration: {where}pair is not two ints: {pair}")
-            error = _probability(entry, "error", where)
-            if pair[0] == pair[1] or not all(0 <= t < len(qubits) for t in pair):
-                raise ValueError(
-                    f"calibration: {where}pair {pair} repeats a qubit or leaves the device"
-                )
-            pairs[(pair[0], pair[1])] = float(error)
-        return cls(qubits, pairs)
+        try:
+            qubits, entries = payload["qubits"], payload.get("two_qubit_error", [])
+            if type(qubits) is not list or type(entries) is not list:
+                raise TypeError
+            rows = [[entry[key] for key in _QUBIT_KEYS] for entry in qubits]
+            if any(type(value) is bool for row in rows for value in row):
+                raise TypeError
+            pairs = {}
+            for entry in entries:
+                (a, b), error = entry["pair"], entry["error"]
+                if type(a) is not int or type(b) is not int or type(error) is bool:
+                    raise TypeError
+                pairs[a, b] = error
+            return cls(tuple(QubitCalibration(*row) for row in rows), pairs)
+        except (KeyError, TypeError, ValueError):
+            _check_calibration(payload)
+            raise
 
 
 def _json_list(items: list[str]) -> str:
     """A list of objects, each already laid out at depth 2, as ``indent=2`` writes it."""
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _check_calibration(payload: object) -> None:
+    """Raise a ``ValueError`` naming the first entry of a calibration
+    document at fault: a missing or mistyped key, or a value out of range."""
+    qubits = _json_field(payload, "qubits", list)
+    for i, entry in enumerate(qubits):
+        for key in _QUBIT_KEYS:
+            _probability(entry, key, f"qubits[{i}].")
+    for j, entry in enumerate(_json_field(payload, "two_qubit_error", list, default=[])):
+        where = f"two_qubit_error[{j}]."
+        pair = _json_field(entry, "pair", list, where)
+        if len(pair) != 2 or any(type(t) is not int for t in pair):
+            raise ValueError(f"calibration: {where}pair is not two ints: {pair}")
+        _probability(entry, "error", where)
+        if pair[0] == pair[1] or not all(0 <= t < len(qubits) for t in pair):
+            raise ValueError(
+                f"calibration: {where}pair {pair} repeats a qubit or leaves the device"
+            )
 
 
 def _json_field(entry: object, key: str, kind: type | tuple, where: str = "", default=None):

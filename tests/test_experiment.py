@@ -32,6 +32,16 @@ def run_cli(*args):
     )
 
 
+def set_cell(text, row, column, value):
+    """``text``, a CSV, with the cell of data row ``row`` (from 1) in
+    ``column`` set to ``value``."""
+    lines = text.split("\n")
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
+
+
 def tiny_config(tmp_path, **overrides):
     settings = dict(
         representation=1,
@@ -343,9 +353,9 @@ class TestAnalyze:
         assert not (out / "summary.csv").exists()
 
     @pytest.mark.parametrize(
-        "representation, counts, expected",
+        "overrides, expected",
         [
-            (1, (1, 2, 4), {
+            (dict(representation=1, subsystem_counts=(1, 2, 4)), {
                 "summary.csv": "346f338d277afec2325b0ea8c988095fbe1b3e5234c90c99cf3f220e96fa7423",
                 "fig1.csv": "6de6dbb994959b61ada7f6e14f58e957397083ad4c3fa2ec8f04dc6d3b8b62d1",
                 "fig2a.csv": "2b604d60fad5c5e767ca8c863620ab4aca035f9857ce87f0fdfb8544bfe2dc12",
@@ -356,7 +366,7 @@ class TestAnalyze:
                 "fig2b.svg": "157cb70253803ceef78cb44e4186f193477b78fc8d7373d0d8248036a37c9413",
                 "fig3.svg": "4673d6c74a2b05fab67365081c6fed8470e1ede11859f18bc9cc65b516ce8f81",
             }),
-            (2, (2,), {
+            (dict(representation=2, subsystem_counts=(2,)), {
                 "summary.csv": "c5d029c0aba0f8a62ad0a8838c06616fd29d1bf7e45fd588dac1e2243d9cc3f5",
                 "fig1.csv": "4ab6553a09dc1cab3c0fb039e6a349b667c5cf68335d1a9b6bac2df0657d8c71",
                 "fig2a.csv": "c60bdada3620a5df0ae78d67302764188956e1929d8568c6fe0ea904d86e4acf",
@@ -367,20 +377,50 @@ class TestAnalyze:
                 "fig2b.svg": "9f3c074004787e9a3f5799cb74b1eb3e9d5736b01bea7140812f309ec3583818",
                 "fig3.svg": "5a89557fadd926cf2bc40cf3f925f87c4ac4a8ce79a65c0dc30a4e709815418c",
             }),
+            # at 8 or more values numpy's pairwise sum changes its order, so
+            # this pins how analyze sums each sample's subsystem rows
+            (dict(representation=1, subsystem_counts=(2, 8, 16), sampling_mode="random",
+                  s_repetitions=6), {
+                "summary.csv": "ba078a6af9b0666d2d18a086f5b7edbf887c79b356fd049c61ed94f769243763",
+                "fig1.csv": "aaaa7c5c79e6c4b864c4e5948e08855311c22197056a4b3a41d32b474cc57b1d",
+                "fig2a.csv": "c39d6ace9f7119a5892b35caff97d2f46d32ed0f10839db22275eb6a4f7595c9",
+                "fig2b.csv": "ac8723877d5e9e806dc3bc9c09e2cde831f0e621837821b8b778f1bf3aa32e6d",
+                "fig3.csv": "4c435c66e516c61dd5ced61d0f638c1462d84c4b6b60db642c4ba9c8edef14e4",
+                "fig1.svg": "2b468016e6987234795dfe058543fd6a2a0d8e4e6281427b18baad6076d52542",
+                "fig2a.svg": "03c409df5c6f428756db778585640570f2e0ab2d98bb392e8eb4d93fceba35a1",
+                "fig2b.svg": "a6e8e7fc1f4ca85508f7c629de239044fc272db14fbf76f7974c5c5d92f42501",
+                "fig3.svg": "74364a84181115576468044d753a90c9d70af06705b9ffd806f74c6f0d48f1d3",
+            }),
         ],
-        ids=["multi-n", "single-n"],
+        ids=["multi-n", "single-n", "random-n-2-8-16"],
     )
-    def test_report_bytes_are_pinned(self, tmp_path, representation, counts, expected):
+    def test_report_bytes_are_pinned(self, tmp_path, overrides, expected):
         # recorded when each figure still built its CSV rows and its SVG
-        # series separately; a change to the report bytes must be deliberate
-        config = tiny_config(
-            tmp_path, representation=representation, subsystem_counts=counts, shots=500
-        )
-        out = analyze(run_experiment(config))
+        # series separately, and (random-n-2-8-16) while analyze still
+        # averaged each sample's rows one sample at a time; a change to the
+        # report bytes must be deliberate
+        out = analyze(run_experiment(tiny_config(tmp_path, shots=500, **overrides)))
         digests = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected
         }
         assert digests == expected
+
+    def test_row_order_does_not_matter(self, tmp_path):
+        # at N=16 a sample's mean over its rows in file order moves in the
+        # last bits when those rows are shuffled
+        config = tiny_config(tmp_path, subsystem_counts=(2, 8, 16), sampling_mode="random",
+                             s_repetitions=4, shots=300)
+        out = analyze(run_experiment(config))
+        names = ["summary.csv"] + [f"fig{f}.{ext}" for f in ("1", "2a", "2b", "3")
+                                   for ext in ("csv", "svg")]
+        before = {name: (out / name).read_bytes() for name in names}
+        header, *rows = (out / "samples.csv").read_text().splitlines(keepends=True)
+        np.random.default_rng(0).shuffle(rows)
+        (out / "samples.csv").write_text(header + "".join(rows))
+        for name in names:
+            (out / name).unlink()
+        analyze(out)
+        assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_analyze_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not a run directory"):
@@ -686,8 +726,29 @@ class TestCli:
              "manifest.json has no key seeds"),
             ("samples.csv", lambda text: text.replace(",p_double,", ",p_doubel,", 1),
              "samples.csv has no column p_double"),
+            # N=2, selective k=1: samples 0..7 of set 0, subsystems 0 and 1
+            ("samples.csv", lambda text: set_cell(text, 1, "sample_index", "1"),
+             "samples.csv holds subsystem rows [1] for N2/set0/sample0; "
+             "its manifest expects [0, 1]"),
+            ("samples.csv", lambda text: set_cell(text, 2, "subsystem", "0"),
+             "samples.csv holds subsystem rows [0, 0] for N2/set0/sample0; "
+             "its manifest expects [0, 1]"),
+            ("samples.csv", lambda text: set_cell(text, 16, "n_subsystems", "1"),
+             "samples.csv holds subsystem rows [1] for N1/set0/sample7; its manifest expects none"),
+            ("samples.csv", lambda text: set_cell(text, 3, "energy_hartree", "abc"),
+             "samples.csv row 3, column energy_hartree: 'abc' is not a number"),
+            ("samples.csv", lambda text: set_cell(text, 5, "set_index", "0.5"),
+             "samples.csv row 5, column set_index: '0.5' is not a 64-bit integer"),
+            ("samples.csv", lambda text: set_cell(text, 4, "sample_index", "9" * 20),
+             f"samples.csv row 4, column sample_index: '{'9' * 20}' is not a 64-bit integer"),
+            ("samples.csv",
+             lambda text: "\n".join(line.rsplit(",", 1)[0] if row == 2 else line
+                                    for row, line in enumerate(text.split("\n"))),
+             "samples.csv row 2 has 12 cells, not 13"),
         ],
-        ids=["empty-manifest", "manifest-without-seeds", "renamed-column"],
+        ids=["empty-manifest", "manifest-without-seeds", "renamed-column", "moved-row",
+             "repeated-subsystem", "unlisted-sample", "not-a-number", "not-an-integer",
+             "too-large-an-integer", "short-row"],
     )
     def test_malformed_run_dir_is_categorized(self, tmp_path, capsys, name, damage, message):
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))

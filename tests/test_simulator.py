@@ -582,6 +582,17 @@ class TestDeviceModel:
             ('{"qubits": [], "two_qubit_error": [{"pair": [0, 1, 2], "error": 0.1}]}',
              "two_qubit_error[0].pair"),
             ('{"qubits": [], "two_qubit_error": [{"pair": [0, 1]}]}', "two_qubit_error[0].error"),
+            ('{"qubits": [{"readout_p10": 0, "readout_p01": null, "single_qubit_error": 0}]}',
+             "qubits[0].readout_p01"),
+            ('{"qubits": [], "two_qubit_error": null}', "two_qubit_error"),
+            ('{"qubits": [], "two_qubit_error": [{"pair": "01", "error": 0.1}]}',
+             "two_qubit_error[0].pair"),
+            ('{"qubits": [], "two_qubit_error": [{"pair": [true, 1], "error": 0.1}]}',
+             "two_qubit_error[0].pair"),
+            ('{"qubits": [{"readout_p10": 0, "readout_p01": 0, "single_qubit_error": 0},'
+             ' {"readout_p10": 0, "readout_p01": 0, "single_qubit_error": 0}],'
+             ' "two_qubit_error": [{"pair": [0, 1], "error": 0.1}, {"pair": [0, 1], "error": false}]}',
+             "two_qubit_error[1].error"),
         ],
     )
     def test_from_json_names_bad_key(self, payload, key):
