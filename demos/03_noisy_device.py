@@ -13,13 +13,14 @@ import math
 import numpy as np
 
 from sizecon import DeviceModel, rank_qubits, run_shots, synthetic_calibration
-from sizecon.sampling import qubit_score
+from sizecon.sampling import qubit_scores
 from sizecon.stateprep import Circuit, Gate
 
 
 def main():
     device = synthetic_calibration(n_qubits=156, seed=11)
     order = rank_qubits(device)
+    scores = qubit_scores(device)
     print("best five qubits   :", order[:5])
     print("worst five qubits  :", order[-5:])
     best, worst = order[0], order[-1]
@@ -27,7 +28,7 @@ def main():
         cal = device.qubits[q]
         print(f"  {label} qubit {q:>3}: p10={cal.readout_p10:.4f} "
               f"p01={cal.readout_p01:.4f} 1q-error={cal.single_qubit_error:.2e} "
-              f"score={qubit_score(device, q):.4f}")
+              f"score={scores[q]:.4f}")
 
     theta = 0.9
     circuit = Circuit(1, (Gate("RY", (0,), theta),))

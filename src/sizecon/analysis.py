@@ -26,7 +26,6 @@ class RegressionResult:
     slope: float          # kcal/mol per qubit
     intercept: float      # kcal/mol
     slope_stderr: float   # kcal/mol per qubit
-    points: tuple[tuple[float, float, float], ...]   # (x, y, weight)
 
 
 def wls_fit(points: Sequence[tuple[float, float, float]]) -> RegressionResult:
@@ -64,7 +63,6 @@ def wls_fit(points: Sequence[tuple[float, float, float]]) -> RegressionResult:
         slope=slope,
         intercept=intercept,
         slope_stderr=stderr,
-        points=tuple((float(a), float(b), float(c)) for a, b, c in zip(x, y, w)),
     )
 
 
@@ -182,7 +180,6 @@ class ErrorStat:
     n_subsystems: int
     mean_error_kcal: float
     std_kcal: float
-    n_samples: int
 
 
 def error_stats(
@@ -208,7 +205,6 @@ def error_stats(
             n_subsystems=n,
             mean_error_kcal=mean,
             std_kcal=std,
-            n_samples=len(by_n[n]),
         )
     hf_gap = (e_hf - e_fci) * HARTREE_TO_KCAL_PER_MOL
     return stats, hf_gap

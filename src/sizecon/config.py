@@ -5,7 +5,9 @@ takes. Every key the file may hold is listed once in ``_SCHEMA`` under its
 JSON path; an unknown key, a key the chosen sampling mode or calibration
 source would ignore, a value of the wrong type or one out of range raises a
 ``ConfigError`` that names the path as the file spells it (``shots``,
-``sampling.k``, ``calibration.file``).
+``sampling.k``, ``calibration.file``). The keys that one sampling mode or
+calibration source does not read are listed once in ``_UNREAD_WITH``;
+``to_dict``, which the manifest records, leaves the same keys out.
 """
 
 from __future__ import annotations
@@ -50,6 +52,21 @@ _SCHEMA = {
     "calibration.synthetic_seed": ("calibration_seed", int, "an integer"),
     "calibration.n_qubits": ("calibration_qubits", int, "an integer"),
 }
+
+# JSON path -> the setting under which the program does not read it. A file
+# that holds such a key with that setting is rejected, and ``to_dict``
+# leaves the key out.
+_UNREAD_WITH = {
+    "sampling.k": "sampling mode 'random'",
+    "sampling.s": "sampling mode 'selective'",
+    "calibration.synthetic_seed": "calibration.file",
+    "calibration.n_qubits": "calibration.file",
+}
+
+
+def _settings(mode, has_file: bool) -> set[str]:
+    """A config's settings, as ``_UNREAD_WITH`` names them."""
+    return {f"sampling mode {mode!r}"} | ({"calibration.file"} if has_file else set())
 
 
 @dataclass(frozen=True)
@@ -140,14 +157,9 @@ class ExperimentConfig:
         unknown = sorted(set(values) - set(_SCHEMA))
         if unknown:
             raise ConfigError(unknown[0], "unknown field")
-        mode = values.get("sampling.mode", "selective")
-        for path, unused, setting in (
-            ("sampling.k", mode == "random", "sampling mode 'random'"),
-            ("sampling.s", mode == "selective", "sampling mode 'selective'"),
-            ("calibration.synthetic_seed", "calibration.file" in values, "calibration.file"),
-            ("calibration.n_qubits", "calibration.file" in values, "calibration.file"),
-        ):
-            if unused and path in values:
+        settings = _settings(values.get("sampling.mode", "selective"), "calibration.file" in values)
+        for path, setting in _UNREAD_WITH.items():
+            if setting in settings and path in values:
                 raise ConfigError(path, f"is not used with {setting}")
         for required in ("representation", "subsystem_counts", "output_dir"):
             if required not in raw:
@@ -168,23 +180,13 @@ class ExperimentConfig:
             raise ConfigError("document", str(exc)) from exc
 
     def to_dict(self) -> dict:
-        sampling = {"mode": self.sampling_mode}
-        if self.sampling_mode == "selective":
-            sampling["k"] = self.k_sets
-        else:
-            sampling["s"] = self.s_repetitions
-        calibration: dict = (
-            {"file": self.calibration_file}
-            if self.calibration_file is not None
-            else {"synthetic_seed": self.calibration_seed, "n_qubits": self.calibration_qubits}
-        )
-        return {
-            "representation": self.representation,
-            "subsystem_counts": list(self.subsystem_counts),
-            "shots": self.shots,
-            "sampling": sampling,
-            "bond_length": self.bond_length,
-            "calibration": calibration,
-            "output_dir": self.output_dir,
-            "master_seed": self.master_seed,
-        }
+        """The config in the JSON layout ``from_json`` reads, holding every
+        key the config's settings read and no other."""
+        settings = _settings(self.sampling_mode, self.calibration_file is not None)
+        out: dict = {}
+        for path, (name, _, _) in _SCHEMA.items():
+            value = getattr(self, name)
+            if value is not None and _UNREAD_WITH.get(path) not in settings:
+                group, _, key = path.rpartition(".")
+                (out.setdefault(group, {}) if group else out)[key] = value
+        return out

@@ -183,12 +183,10 @@ class PauliSum:
         """Coefficient of the identity string (0.0 if absent)."""
         return self._terms.get(identity_string(self._width), 0.0)
 
-    def sorted_strings(self, include_identity: bool = False) -> list[PauliString]:
-        """Strings in lexicographic order; the canonical deterministic order."""
-        strings = sorted(self._terms)
-        if not include_identity:
-            strings = [s for s in strings if not s.is_identity]
-        return strings
+    def sorted_strings(self) -> list[PauliString]:
+        """Non-identity strings in lexicographic order; the canonical
+        deterministic order."""
+        return [s for s in sorted(self._terms) if not s.is_identity]
 
     def coefficient(self, s: PauliString) -> float:
         return self._terms.get(s, 0.0)
@@ -206,9 +204,6 @@ class PauliSum:
         for s, c in other:
             terms[s] = terms.get(s, 0.0) + c
         return PauliSum(terms, width=self._width)
-
-    def scaled(self, factor: float) -> "PauliSum":
-        return PauliSum({s: c * factor for s, c in self}, width=self._width)
 
     def to_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix of the sum (intended for width <= 8)."""

@@ -62,25 +62,32 @@ _SEED_KEY = re.compile(r"^N(\d+)/set(\d+)/sample(\d+)/group\d+$", re.MULTILINE)
 
 
 def _numbers(path: Path, name: str, cells: tuple[str, ...], kind: type) -> np.ndarray:
-    """Column ``name`` as ``kind``; a cell that is not one raises a
-    ValueError naming its row (data rows count from 1) and the column."""
+    """Column ``name`` as ``kind``; a cell that is not one, or not finite,
+    raises a ValueError naming its row (data rows count from 1) and the
+    column."""
     try:
-        return np.array(cells, dtype=kind)
-    except (ValueError, OverflowError) as exc:
-        error = exc
-    for row, cell in enumerate(cells, 1):
-        try:
-            np.array(cell, dtype=kind)
-        except (ValueError, OverflowError):
-            what = "a 64-bit integer" if kind is np.int64 else "a number"
-            raise ValueError(f"{path} row {row}, column {name}: {cell!r} is not {what}") from None
-    raise error
+        numbers = np.array(cells, dtype=kind)
+    except (ValueError, OverflowError):
+        for row, cell in enumerate(cells, 1):
+            try:
+                np.array(cell, dtype=kind)
+            except (ValueError, OverflowError):
+                what = "a 64-bit integer" if kind is np.int64 else "a number"
+                raise ValueError(f"{path} row {row}, column {name}: {cell!r} is not {what}") from None
+        raise
+    bad = np.flatnonzero(~np.isfinite(numbers))
+    if bad.size:
+        row = int(bad[0]) + 1
+        raise ValueError(
+            f"{path} row {row}, column {name}: {cells[row - 1]!r} is not a finite number"
+        )
+    return numbers
 
 
 def load_samples(run_dir: Path, keys: list[tuple[int, int, int]]) -> dict[int, SizeSamples]:
     """The run's samples by N, in ascending N. ``keys`` are the manifest's
     sorted (N, set, sample) keys. A file that lacks a column it reads, holds
-    a cell that is not a number, or whose rows are not each key's subsystems
+    a cell that is not a finite number, or whose rows are not each key's subsystems
     0..N-1 and no other raises a ValueError."""
     path = run_dir / SAMPLES_CSV
     with open(path, newline="") as fh:

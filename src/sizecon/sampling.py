@@ -6,6 +6,12 @@ samples (for single-qubit subsystems, n = 16/N), and the whole set is
 repeated ``k`` times so each physical qubit contributes to each system
 size. The random procedure draws uniformly seeded disjoint blocks instead
 and handles subsystem counts that do not divide the pool.
+
+``rank_qubits`` orders the device's qubits best first by the composite
+score of ``qubit_scores``: mean readout error plus mean incident two-qubit
+error, each weighted 1. ``synthetic_calibration`` draws a device whose rates
+spread log-normally around fixed medians (module constants), in the order
+p10, p01, one-qubit error, then every pair; a seed thus names one device.
 """
 
 from __future__ import annotations
@@ -19,6 +25,11 @@ import numpy as np
 from .simulator import DeviceModel, QubitCalibration
 
 SELECTIVE_POOL_SIZE = 16
+# synthetic_calibration's medians, and the standard deviation of each rate's log
+READOUT_MEDIAN = 1e-2
+SINGLE_QUBIT_MEDIAN = 3e-4
+TWO_QUBIT_MEDIAN = 3e-3
+LOG_SPREAD = 0.75
 
 
 @dataclass(frozen=True)
@@ -36,62 +47,27 @@ class PlanEntry:
 @dataclass(frozen=True)
 class SamplingPlan:
     entries: tuple[PlanEntry, ...]
-    n_samples_per_set: int
-    n_sets: int
-
-    def to_csv(self) -> str:
-        lines = ["set_index,sample_index,subsystem,qubits"]
-        for entry in self.entries:
-            for sub, block in enumerate(entry.blocks):
-                qubits = " ".join(map(str, block))
-                lines.append(f"{entry.set_index},{entry.sample_index},{sub},{qubits}")
-        return "\n".join(lines) + "\n"
 
 
-def qubit_score(
-    device: DeviceModel,
-    qubit: int,
-    readout_weight: float = 1.0,
-    two_qubit_weight: float = 1.0,
-) -> float:
-    """Composite noise score: mean readout error + mean incident pair error."""
-    incident = [p for pair, p in device.two_qubit_error.items() if qubit in pair]
-    return _score(device.qubits[qubit], incident, readout_weight, two_qubit_weight)
-
-
-def _score(
-    cal: QubitCalibration, incident: list[float], readout_weight: float, two_qubit_weight: float
-) -> float:
-    readout = 0.5 * (cal.readout_p10 + cal.readout_p01)
-    two_qubit = float(np.mean(incident)) if incident else 0.0
-    return readout_weight * readout + two_qubit_weight * two_qubit
-
-
-def qubit_scores(
-    device: DeviceModel,
-    readout_weight: float = 1.0,
-    two_qubit_weight: float = 1.0,
-) -> list[float]:
-    """:func:`qubit_score` of every qubit, from one pass over the pairs."""
-    # incident pair errors per qubit, in the order of two_qubit_error, so
-    # each mean adds the same values in the same order as qubit_score
+def qubit_scores(device: DeviceModel) -> list[float]:
+    """Composite noise score of every qubit: its mean readout error plus the
+    mean error of the pairs it belongs to (0 for a qubit in no pair)."""
+    # incident pair errors per qubit, in the order of two_qubit_error,
+    # which fixes the rounding of each mean
     incident: list[list[float]] = [[] for _ in range(device.n_qubits)]
     for (a, b), p in device.two_qubit_error.items():
         incident[a].append(p)
         incident[b].append(p)
     return [
-        _score(cal, incident[q], readout_weight, two_qubit_weight)
+        0.5 * (cal.readout_p10 + cal.readout_p01)
+        + (float(np.mean(incident[q])) if incident[q] else 0.0)
         for q, cal in enumerate(device.qubits)
     ]
 
 
-def rank_qubits(
-    device: DeviceModel,
-    readout_weight: float = 1.0,
-    two_qubit_weight: float = 1.0,
-) -> list[int]:
+def rank_qubits(device: DeviceModel) -> list[int]:
     """Physical qubits ordered best (least noisy) first, ties by index."""
-    scores = qubit_scores(device, readout_weight, two_qubit_weight)
+    scores = qubit_scores(device)
     return [q for _, q in sorted(zip(scores, range(device.n_qubits)))]
 
 
@@ -136,7 +112,7 @@ def selective_plan(
                     blocks=_chunk_blocks(qubits, n_subsystems, width),
                 )
             )
-    return SamplingPlan(tuple(entries), n_samples_per_set=n_samples, n_sets=k)
+    return SamplingPlan(tuple(entries))
 
 
 def random_plan(
@@ -162,20 +138,15 @@ def random_plan(
                 blocks=_chunk_blocks(qubits, n_subsystems, width),
             )
         )
-    return SamplingPlan(tuple(entries), n_samples_per_set=s, n_sets=1)
+    return SamplingPlan(tuple(entries))
 
 
-def synthetic_calibration(
-    n_qubits: int = 156,
-    seed: int = 0,
-    readout_median: float = 1e-2,
-    single_qubit_median: float = 3e-4,
-    two_qubit_median: float = 3e-3,
-    spread: float = 0.75,
-) -> DeviceModel:
+def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:
     """Heterogeneous per-qubit calibration, log-normally spread around medians.
 
-    Defaults echo contemporary superconducting magnitudes. All-to-all
+    The medians (``READOUT_MEDIAN``, ``SINGLE_QUBIT_MEDIAN``,
+    ``TWO_QUBIT_MEDIAN``) echo contemporary superconducting magnitudes, and
+    every rate's log has standard deviation ``LOG_SPREAD``. All-to-all
     coupling is assumed, so every unordered pair gets a two-qubit error.
     Rates are clipped to 0.5 to stay physically sensible.
     """
@@ -184,11 +155,11 @@ def synthetic_calibration(
     rng = np.random.default_rng(seed)
 
     def draw(median: float, size: int) -> np.ndarray:
-        return np.minimum(rng.lognormal(math.log(median), spread, size), 0.5)
+        return np.minimum(rng.lognormal(math.log(median), LOG_SPREAD, size), 0.5)
 
-    p10 = draw(readout_median, n_qubits)
-    p01 = draw(readout_median, n_qubits)
-    p1q = draw(single_qubit_median, n_qubits)
+    p10 = draw(READOUT_MEDIAN, n_qubits)
+    p01 = draw(READOUT_MEDIAN, n_qubits)
+    p1q = draw(SINGLE_QUBIT_MEDIAN, n_qubits)
     qubits = tuple(
         QubitCalibration(
             readout_p10=float(p10[q]),
@@ -198,6 +169,6 @@ def synthetic_calibration(
         for q in range(n_qubits)
     )
     pairs = [(a, b) for a in range(n_qubits) for b in range(a + 1, n_qubits)]
-    p2q = draw(two_qubit_median, len(pairs))
+    p2q = draw(TWO_QUBIT_MEDIAN, len(pairs))
     two_qubit_error = {pair: float(p) for pair, p in zip(pairs, p2q)}
     return DeviceModel(qubits, two_qubit_error)

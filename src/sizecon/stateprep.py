@@ -99,9 +99,6 @@ class Circuit:
     def two_qubit_count(self) -> int:
         return sum(1 for g in self.gates if len(g.targets) == 2)
 
-    def rotation_angles(self) -> list[float]:
-        return [g.angle for g in self.gates if g.kind in ROTATION_KINDS]
-
     def inverse(self) -> "Circuit":
         return Circuit(self.width, tuple(g.inverse() for g in reversed(self.gates)))
 

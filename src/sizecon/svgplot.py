@@ -1,4 +1,7 @@
-"""Minimal SVG plotter: axes, scatter markers, and lines.
+"""Minimal SVG plotter: axes, scatter crosses, and lines.
+
+Each axis has ``TICKS`` evenly spaced labelled ticks; a scatter series draws
+an ``x``-shaped cross at each point, a line series one path.
 
 CSV files remain the authoritative outputs; these plots are lightweight
 visual companions with no third-party plotting dependency.
@@ -12,6 +15,7 @@ from typing import Sequence
 WIDTH, HEIGHT = 640, 440
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 20, 40, 55
 PALETTE = ("#e06c00", "#1f77b4", "#2ca02c", "#9467bd", "#d62728", "#555555")
+TICKS = 5   # labelled ticks per axis, ends included
 
 
 @dataclass
@@ -22,7 +26,6 @@ class Series:
     kind: str = "scatter"          # "scatter" or "line"
     color: str | None = None
     dashed: bool = False
-    marker: str = "cross"          # "cross", "plus", "circle"
 
 
 @dataclass
@@ -33,11 +36,11 @@ class Figure:
     series: list[Series] = field(default_factory=list)
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + i * step for i in range(TICKS)]
 
 
 def _fmt(value: float) -> str:
@@ -48,15 +51,8 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _marker_svg(shape: str, x: float, y: float, color: str) -> str:
+def _cross_svg(x: float, y: float, color: str) -> str:
     r = 4
-    if shape == "circle":
-        return f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r}" fill="none" stroke="{color}"/>'
-    if shape == "plus":
-        return (
-            f'<path d="M {x - r:.1f} {y:.1f} H {x + r:.1f} M {x:.1f} {y - r:.1f} '
-            f'V {y + r:.1f}" stroke="{color}"/>'
-        )
     return (
         f'<path d="M {x - r:.1f} {y - r:.1f} L {x + r:.1f} {y + r:.1f} '
         f'M {x - r:.1f} {y + r:.1f} L {x + r:.1f} {y - r:.1f}" stroke="{color}"/>'
@@ -133,7 +129,7 @@ def render(figure: Figure) -> str:
             parts.append(f'<path d="{path}" fill="none" stroke="{color}"{dash}/>')
         else:
             for x, y in zip(s.xs, s.ys):
-                parts.append(_marker_svg(s.marker, px(x), py(y), color))
+                parts.append(_cross_svg(px(x), py(y), color))
         if s.label:
             lx = MARGIN_LEFT + plot_w - 150
             parts.append(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -149,12 +151,14 @@ class TestCisdReference:
 class TestErrorStats:
     def test_zero_error_for_exact_samples(self, bundle):
         e = bundle.levels.fci_energy
-        stats, hf_gap = error_stats(
-            [(1, e), (1, e), (2, e)], e_fci=e, e_hf=bundle.levels.e_hf
-        )
+        samples = [(1, e), (1, e), (2, e)]
+        stats, hf_gap = error_stats(samples, e_fci=e, e_hf=bundle.levels.e_hf)
         assert stats[1].mean_error_kcal == pytest.approx(0.0, abs=1e-12)
         assert stats[1].std_kcal == 0.0
-        assert stats[2].n_samples == 1
+        # one stat per N of the input; N=2's lone sample has sd 0
+        n_samples = Counter(n for n, _ in samples)
+        assert sorted(stats) == sorted(n_samples)
+        assert n_samples[2] == 1 and stats[2].std_kcal == 0.0
 
     def test_reference_line(self, bundle, ci_oracle):
         _, hf_gap = error_stats(

@@ -14,8 +14,10 @@ from sizecon.cli import main as cli_main
 from sizecon.config import ConfigError, ExperimentConfig
 from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
 from sizecon.report import analyze, reference_table
-from sizecon.sampling import qubit_score, synthetic_calibration
+from sizecon.sampling import synthetic_calibration
 from sizecon.simulator import DeviceModel, TrajectoryEngine
+
+from test_sampling import scanned_score
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -581,7 +583,7 @@ class TestCli:
         assert cli_main(["calibration", "rank", str(cal)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "rank,qubit,score"
-        expected = sorted((qubit_score(device, q), q) for q in range(156))
+        expected = sorted((scanned_score(device, q), q) for q in range(156))
         assert lines[1:] == [
             f"{rank},{q},{score!r}" for rank, (score, q) in enumerate(expected)
         ]
@@ -745,10 +747,14 @@ class TestCli:
              lambda text: "\n".join(line.rsplit(",", 1)[0] if row == 2 else line
                                     for row, line in enumerate(text.split("\n"))),
              "samples.csv row 2 has 12 cells, not 13"),
+            ("samples.csv", lambda text: set_cell(text, 6, "p_double", "inf"),
+             "samples.csv row 6, column p_double: 'inf' is not a finite number"),
+            ("samples.csv", lambda text: set_cell(text, 7, "energy_hartree", "nan"),
+             "samples.csv row 7, column energy_hartree: 'nan' is not a finite number"),
         ],
         ids=["empty-manifest", "manifest-without-seeds", "renamed-column", "moved-row",
              "repeated-subsystem", "unlisted-sample", "not-a-number", "not-an-integer",
-             "too-large-an-integer", "short-row"],
+             "too-large-an-integer", "short-row", "inf-cell", "nan-cell"],
     )
     def test_malformed_run_dir_is_categorized(self, tmp_path, capsys, name, damage, message):
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))

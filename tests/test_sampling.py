@@ -3,13 +3,22 @@ import pytest
 
 from sizecon.sampling import (
     SELECTIVE_POOL_SIZE,
-    qubit_score,
+    qubit_scores,
     random_plan,
     rank_qubits,
     selective_plan,
     synthetic_calibration,
 )
 from sizecon.simulator import DeviceModel, QubitCalibration
+
+
+def scanned_score(device, qubit):
+    """Reference score of one qubit: mean readout error plus the mean error
+    of the pairs that hold it, found by a scan over every pair."""
+    cal = device.qubits[qubit]
+    incident = [p for pair, p in device.two_qubit_error.items() if qubit in pair]
+    two_qubit = float(np.mean(incident)) if incident else 0.0
+    return 0.5 * (cal.readout_p10 + cal.readout_p01) + two_qubit
 
 
 def uniform_device(n, readout=0.01, single=0.001):
@@ -44,7 +53,7 @@ class TestRankQubits:
             }
             device = DeviceModel(qubits, pairs)
             order = rank_qubits(device)
-            scores = [qubit_score(device, q) for q in range(n)]
+            scores = [scanned_score(device, q) for q in range(n)]
             # exhaustive pairwise check of the produced order
             for i in range(len(order) - 1):
                 a, b = order[i], order[i + 1]
@@ -52,11 +61,11 @@ class TestRankQubits:
 
     def test_equals_per_qubit_scores_on_benchmark_device(self):
         # the one-pass index must give every qubit the same score, bit for
-        # bit, as qubit_score's scan, so the ranking cannot move
+        # bit, as the per-qubit scan, so the ranking cannot move
         device = synthetic_calibration(n_qubits=156, seed=7)
-        for weights in ((1.0, 1.0), (0.3, 2.0)):
-            scores = sorted((qubit_score(device, q, *weights), q) for q in range(156))
-            assert rank_qubits(device, *weights) == [q for _, q in scores]
+        scanned = [scanned_score(device, q) for q in range(156)]
+        assert qubit_scores(device) == scanned
+        assert rank_qubits(device) == [q for _, q in sorted(zip(scanned, range(156)))]
 
     def test_two_qubit_error_affects_rank(self):
         device = DeviceModel(
@@ -70,19 +79,19 @@ class TestRankQubits:
 class TestSelectivePlan:
     def test_width1_n16_uses_all_qubits(self):
         plan = selective_plan(list(range(20)), 16, 1, k=3)
-        assert plan.n_samples_per_set == 1
+        assert len(plan.entries) // 3 == 1
         assert len(plan.entries) == 3
         for entry in plan.entries:
             assert sorted(q for b in entry.blocks for q in b) == list(range(16))
 
     def test_width1_n2_paper_counts(self):
         plan = selective_plan(list(range(16)), 2, 1, k=3)
-        assert plan.n_samples_per_set == 8
+        assert len(plan.entries) // 3 == 8
         assert len(plan.entries) == 24
 
     def test_width2_n8_single_sample(self):
         plan = selective_plan(list(range(16)), 8, 2, k=5)
-        assert plan.n_samples_per_set == 1
+        assert len(plan.entries) // 5 == 1
         assert len(plan.entries) == 5
 
     def test_sets_partition_pool_exactly(self):
@@ -103,7 +112,7 @@ class TestSelectivePlan:
     def test_sample_count_matches_16_over_n(self):
         for n in (2, 4, 8, 16):
             plan = selective_plan(list(range(16)), n, 1, k=1)
-            assert plan.n_samples_per_set == 16 // n
+            assert len(plan.entries) == 16 // n
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -179,10 +188,3 @@ class TestSyntheticCalibration:
         device = synthetic_calibration(n_qubits=16, seed=6)
         readout = {q.readout_p10 for q in device.qubits}
         assert len(readout) == 16
-
-    def test_plan_csv_export(self):
-        plan = selective_plan(list(range(16)), 2, 2, k=1)
-        text = plan.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "set_index,sample_index,subsystem,qubits"
-        assert len(lines) == 1 + 4 * 2  # 4 samples x 2 subsystems

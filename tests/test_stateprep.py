@@ -70,7 +70,7 @@ class TestSynthesize:
     def test_reference_target_means_zero_rotations(self):
         state = fci_ground(single_qubit_h(0.0, -0.5, 0.0))
         circuit = synthesize(state)
-        assert circuit.rotation_angles() == [0.0]
+        assert [(g.kind, g.angle) for g in circuit.gates] == [("RY", 0.0)]
         out = statevector(circuit)
         assert abs(out[0]) == pytest.approx(1.0, abs=1e-12)
 
