@@ -41,7 +41,6 @@ from .pauli import (
 )
 from .report import analyze, reference_table
 from .sampling import (
-    SamplingPlan,
     random_plan,
     rank_qubits,
     selective_plan,

@@ -112,6 +112,10 @@ class ExperimentConfig:
         if self.sampling_mode == "selective":
             if self.k_sets < 1:
                 raise ConfigError("sampling.k", "must be >= 1")
+            # a set or sample index is one 32-bit word of a seed key; no
+            # run with 2**32 sets or samples fits in memory anyway
+            if self.k_sets >= 2**32:
+                raise ConfigError("sampling.k", f"must be < 2**32, got {self.k_sets}")
             for n in self.subsystem_counts:
                 if QUBIT_BUDGET % (n * self.representation) != 0:
                     raise ConfigError(
@@ -121,6 +125,8 @@ class ExperimentConfig:
                     )
         elif self.s_repetitions < 1:
             raise ConfigError("sampling.s", "must be >= 1")
+        elif self.s_repetitions >= 2**32:
+            raise ConfigError("sampling.s", f"must be < 2**32, got {self.s_repetitions}")
         if not (math.isfinite(self.bond_length) and self.bond_length > 0):
             raise ConfigError(
                 "bond_length", f"must be positive and finite, got {self.bond_length}"

@@ -13,7 +13,8 @@ The config it takes is parsed and checked in :mod:`sizecon.config`;
 figures.
 
 Work items draw their seeds from (master seed, N, set, sample, group), so
-execution order never matters. One ``TrajectoryEngine.sample`` call takes
+execution order never matters; ``derive_seed`` mixes every key of one
+(N, group) at once. One ``TrajectoryEngine.sample`` call takes
 every item of one (N, group) and returns their shots per block code as one
 ``(items, N, 2**width)`` int64 array, the package's one counts format. Each
 tomography reader then runs once per N on those stacks, and the rows go out
@@ -40,7 +41,7 @@ from .hamiltonians import h1q_parameters, jordan_wigner, taper, to_fermion
 from .molecule import build_integrals, solve_rhf
 from .pauli import PauliSum
 from .sampling import (
-    SamplingPlan,
+    PlanEntry,
     random_plan,
     rank_qubits,
     selective_plan,
@@ -94,10 +95,63 @@ def build_hamiltonians(bond_length: float) -> HamiltonianBundle:
     )
 
 
-def derive_seed(master_seed: int, *key: int) -> int:
-    """Stable per-work-item seed from the master seed and an index tuple."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(p) for p in key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+# numpy's SeedSequence constants: a pool of four 32-bit words, the two
+# hashes' start values and multipliers, and the mix multipliers
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(start: int, mult: int):
+    """The (xor, multiplier) pair of each successive SeedSequence hash step."""
+    while True:
+        following = start * mult & _MASK32
+        yield start, following
+        start = following
+
+
+def _hash(value, xor, mult):
+    """One SeedSequence hash step of 32-bit words: Python ints or uint32 arrays."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, as ``_hash`` takes them."""
+    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return result ^ (result >> 16)
+
+
+def derive_seed(master_seed: int, keys: Sequence[Sequence[int]]) -> list[int]:
+    """Stable per-work-item seeds from the master seed and index tuples:
+    for each key, ``SeedSequence(master_seed, spawn_key=key)
+    .generate_state(1, np.uint64)[0]``. The keys, all of one length, are
+    mixed in together as uint32 columns; each key part must lie in
+    [0, 2**32), which keeps it one entropy word."""
+    # the master seed's 32-bit words, least significant first, padded with
+    # zeros to the pool size as SeedSequence pads it before a spawn key
+    words = [master_seed >> s & _MASK32 for s in range(0, max(32, master_seed.bit_length()), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, *next(consts)) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    # So far the pool is the same for every key. Each later entropy word is
+    # hashed once per pool word and mixed into it: the master seed's last
+    # words, then the key parts, one uint32 column each.
+    pool = np.array(pool, dtype=np.uint32)[:, None].repeat(len(keys), axis=1)
+    parts = np.array(keys, dtype=np.uint32).reshape(len(keys), -1)
+    for word in [*words[_POOL_SIZE:], *parts.T]:
+        xor, mult = np.array([next(consts) for _ in range(_POOL_SIZE)], dtype=np.uint32).T
+        pool = _mix(pool, _hash(word, xor[:, None], mult[:, None]))
+    # generate_state: two words, the first the seed's low half
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    low, high = (_hash(word, *next(consts)).astype(np.uint64) for word in pool[:2])
+    return (low | high << np.uint64(32)).tolist()
 
 
 def read_calibration(path: str | Path, field_name: str) -> DeviceModel:
@@ -124,7 +178,7 @@ def load_device(config: ExperimentConfig) -> DeviceModel:
 _PLAN_SEED_TAG = 101
 
 
-def sampling_plan(config: ExperimentConfig, pool: list[int], n: int) -> SamplingPlan:
+def sampling_plan(config: ExperimentConfig, pool: list[int], n: int) -> tuple[PlanEntry, ...]:
     if config.sampling_mode == "selective":
         return selective_plan(pool, n, config.representation, config.k_sets)
     # random draws come from the same best-ranked sample set the selective
@@ -134,7 +188,7 @@ def sampling_plan(config: ExperimentConfig, pool: list[int], n: int) -> Sampling
         n,
         config.representation,
         config.s_repetitions,
-        seed=derive_seed(config.master_seed, _PLAN_SEED_TAG, n),
+        seed=derive_seed(config.master_seed, [(_PLAN_SEED_TAG, n)])[0],
     )
 
 
@@ -157,16 +211,14 @@ def run_experiment(config: ExperimentConfig) -> Path:
         mplan = build_plan(h_sub, n)
         blocks = [list(range(b * width, (b + 1) * width)) for b in range(n)]
         composed = compose(circuit, n, blocks)
-        maps = [entry.physical_map for entry in plan.entries]
+        maps = [entry.physical_map for entry in plan]
         by_group = []
         for gi, group in enumerate(mplan.groups):
-            group_seeds = []
-            for entry in plan.entries:
-                seed = derive_seed(
-                    config.master_seed, n, entry.set_index, entry.sample_index, gi
-                )
+            group_seeds = derive_seed(
+                config.master_seed, [(n, e.set_index, e.sample_index, gi) for e in plan]
+            )
+            for entry, seed in zip(plan, group_seeds):
                 seeds[f"N{n}/set{entry.set_index}/sample{entry.sample_index}/group{gi}"] = seed
-                group_seeds.append(seed)
             engine = TrajectoryEngine(composed, group.basis_change)
             by_group.append(engine.sample(device, maps, config.shots, group_seeds, width))
         # every reader takes the (items, N, 2**width) stacks at once
@@ -182,7 +234,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             pops.number_violating,
         )
         values = zip(*(map(repr, column.ravel().tolist()) for column in columns))
-        for entry in plan.entries:
+        for entry in plan:
             for sub in range(n):
                 rows.append(
                     (config.run_id, config.representation, n, entry.set_index,

@@ -93,25 +93,16 @@ def _kinetic_ss(a: float, b: float, r2: float) -> float:
     return mu * (3.0 - 2.0 * mu * r2) * (math.pi / p) ** 1.5 * math.exp(-mu * r2)
 
 
-def _nuclear_ss(a: float, b: float, ra, rb, rc) -> float:
+def _nuclear_ss(a: float, b: float, za: float, zb: float, zc: float) -> float:
     p = a + b
-    rab2 = float(np.dot(ra - rb, ra - rb))
-    rp = (a * ra + b * rb) / p
-    rpc2 = float(np.dot(rp - rc, rp - rc))
-    return -2.0 * math.pi / p * math.exp(-a * b / p * rab2) * boys_f0(p * rpc2)
+    zp = (a * za + b * zb) / p
+    return (
+        -2.0 * math.pi / p * math.exp(-a * b / p * ((za - zb) * (za - zb)))
+        * boys_f0(p * ((zp - zc) * (zp - zc)))
+    )
 
 
-def _eri_ssss(a: float, b: float, c: float, d: float, ra, rb, rc, rd) -> float:
-    p = a + b
-    q = c + d
-    rab2 = float(np.dot(ra - rb, ra - rb))
-    rcd2 = float(np.dot(rc - rd, rc - rd))
-    rp = (a * ra + b * rb) / p
-    rq = (c * rc + d * rd) / q
-    rpq2 = float(np.dot(rp - rq, rp - rq))
-    pref = 2.0 * math.pi**2.5 / (p * q * math.sqrt(p + q))
-    expo = math.exp(-a * b / p * rab2 - c * d / q * rcd2)
-    return pref * expo * boys_f0(p * q / (p + q) * rpq2)
+_ERI_PREFACTOR = 2.0 * math.pi**2.5
 
 
 def build_integrals(bond_length: float) -> MolecularSystem:
@@ -119,18 +110,26 @@ def build_integrals(bond_length: float) -> MolecularSystem:
 
     Contracted functions are renormalized to unit self-overlap, so the
     overlap matrix has an exactly unit diagonal.
+
+    Both centres lie on the z axis, at 0 and at the bond length in bohr, so
+    every squared distance is one squared coordinate difference, the value
+    ``np.dot`` gives for the two 3-vectors. Each Gaussian product's
+    exponent, centre and ``a * b / p * r2`` term is formed once per centre
+    pair and primitive pair, and the ERI quartets are summed as ``math``
+    scalars, in the primitive order and with the operation order of the
+    3-vector form, so every integral keeps its bits.
     """
     if not (math.isfinite(bond_length) and bond_length > 0):
         raise ValueError(f"bond length must be positive and finite, got {bond_length}")
     r_bohr = bond_length * BOHR_PER_ANGSTROM
     if not math.isfinite(r_bohr * r_bohr):
         raise ValueError(f"bond length {bond_length} angstrom overflows when squared in bohr")
-    centers = [np.zeros(3), np.array([0.0, 0.0, r_bohr])]
+    centers = (0.0, r_bohr)  # z coordinates
 
     # (alpha, total coefficient incl. primitive norm) per primitive per center
     prims = [(alpha, coeff * _primitive_norm(alpha)) for alpha, coeff in STO3G_H]
 
-    def contracted(fa, fb, kernel) -> float:
+    def contracted(kernel) -> float:
         return sum(
             ca * cb * kernel(aa, ab)
             for aa, ca in prims
@@ -138,38 +137,45 @@ def build_integrals(bond_length: float) -> MolecularSystem:
         )
 
     # Self-overlap of the raw contraction, used to renormalize.
-    self_ovl = contracted(0, 0, lambda a, b: _overlap_ss(a, b, 0.0))
+    self_ovl = contracted(lambda a, b: _overlap_ss(a, b, 0.0))
     norm = 1.0 / math.sqrt(self_ovl)
 
     n = 2
     overlap = np.empty((n, n))
     kinetic = np.empty((n, n))
     nuclear = np.empty((n, n))
+    # per centre pair, per primitive pair in (a, b) order: both
+    # coefficients, p = a + b, the product centre and a * b / p * r2
+    products = {}
     for i in range(n):
         for j in range(n):
-            r2 = float(np.dot(centers[i] - centers[j], centers[i] - centers[j]))
-            overlap[i, j] = norm**2 * contracted(i, j, lambda a, b: _overlap_ss(a, b, r2))
-            kinetic[i, j] = norm**2 * contracted(i, j, lambda a, b: _kinetic_ss(a, b, r2))
+            zi, zj = centers[i], centers[j]
+            r2 = (zi - zj) * (zi - zj)
+            overlap[i, j] = norm**2 * contracted(lambda a, b: _overlap_ss(a, b, r2))
+            kinetic[i, j] = norm**2 * contracted(lambda a, b: _kinetic_ss(a, b, r2))
             nuclear[i, j] = norm**2 * sum(
-                ca * cb * _nuclear_ss(aa, ab, centers[i], centers[j], rc)
+                ca * cb * _nuclear_ss(aa, ab, zi, zj, zc)
                 for aa, ca in prims
                 for ab, cb in prims
-                for rc in centers
+                for zc in centers
             )
+            products[i, j] = [
+                (ca, cb, aa + ab, (aa * zi + ab * zj) / (aa + ab), aa * ab / (aa + ab) * r2)
+                for aa, ca in prims
+                for ab, cb in prims
+            ]
 
     eri = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    eri[i, j, k, l] = norm**4 * sum(
-                        c1 * c2 * c3 * c4
-                        * _eri_ssss(a1, a2, a3, a4, centers[i], centers[j], centers[k], centers[l])
-                        for a1, c1 in prims
-                        for a2, c2 in prims
-                        for a3, c3 in prims
-                        for a4, c4 in prims
-                    )
+    for i, j, k, l in np.ndindex(n, n, n, n):
+        terms = []
+        for c1, c2, p, zp, e_ab in products[i, j]:
+            c12 = c1 * c2
+            for c3, c4, q, zq, e_cd in products[k, l]:
+                pref = _ERI_PREFACTOR / (p * q * math.sqrt(p + q))
+                expo = math.exp(-e_ab - e_cd)
+                boys = boys_f0(p * q / (p + q) * ((zp - zq) * (zp - zq)))
+                terms.append(c12 * c3 * c4 * (pref * expo * boys))
+        eri[i, j, k, l] = norm**4 * sum(terms)
 
     return MolecularSystem(
         bond_length=bond_length,

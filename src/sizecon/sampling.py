@@ -44,11 +44,6 @@ class PlanEntry:
         return tuple(q for block in self.blocks for q in block)
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    entries: tuple[PlanEntry, ...]
-
-
 def qubit_scores(device: DeviceModel) -> list[float]:
     """Composite noise score of every qubit: its mean readout error plus the
     mean error of the pairs it belongs to (0 for a qubit in no pair)."""
@@ -79,7 +74,7 @@ def _chunk_blocks(qubits: Sequence[int], n_subsystems: int, width: int) -> tuple
 
 def selective_plan(
     pool: Sequence[int], n_subsystems: int, width: int, k: int
-) -> SamplingPlan:
+) -> tuple[PlanEntry, ...]:
     """Partition the 16 best pool qubits into disjoint samples, k sets.
 
     Each set covers every one of the top 16 qubits exactly once with
@@ -112,12 +107,12 @@ def selective_plan(
                     blocks=_chunk_blocks(qubits, n_subsystems, width),
                 )
             )
-    return SamplingPlan(tuple(entries))
+    return tuple(entries)
 
 
 def random_plan(
     pool: Sequence[int], n_subsystems: int, width: int, s: int, seed: int
-) -> SamplingPlan:
+) -> tuple[PlanEntry, ...]:
     """s seeded uniform draws of N disjoint width-blocks from the pool."""
     if s < 1:
         raise ValueError("need at least one repetition")
@@ -138,7 +133,7 @@ def random_plan(
                 blocks=_chunk_blocks(qubits, n_subsystems, width),
             )
         )
-    return SamplingPlan(tuple(entries))
+    return tuple(entries)
 
 
 def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:

@@ -27,7 +27,12 @@ module-level memo keyed by the serialized text of the segment's relabelled
 gates and the pattern bytes, not by segment index, so identical H2 blocks
 share entries across segments, engines and system sizes. The memo holds at
 most a fixed byte budget (32 MiB) and drops its least recently used entries
-first.
+first. A pass hands the memo a segment's distinct patterns at once, in
+stacks of at most ``_DRAW_ELEMENTS`` amplitudes (every pattern of a 4-qubit
+block, 8 of a connected 16-qubit segment), and the memo evolves the ones it
+lacks together: each gate acts on the whole stack and each inserted Pauli
+on the rows that picked it, so every row meets the arithmetic of a lone
+statevector.
 
 Reproducibility: all randomness for a work item (a physical map and its
 seed) comes from a Philox counter-based generator keyed by the seed; one
@@ -248,22 +253,28 @@ def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
 
 
 def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
-    if len(state) == 2:
-        # numpy scalars: their complex product can round apart from the
-        # vectorised array loop's (fused multiply-adds), so keep them here
-        a, b = state
-        return np.array([mat[0, 0] * a + mat[0, 1] * b, mat[1, 0] * a + mat[1, 1] * b])
-    # axes: the qubits before q, qubit q, the qubits after it
-    psi = state.reshape(1 << q, 2, -1)
+    """``mat`` on qubit ``q`` of a statevector, or of each row of a stack of
+    them along the last axis."""
+    if state.shape[-1] == 2:
+        # numpy scalars, row by row: their complex product can round apart
+        # from the vectorised array loop's (fused multiply-adds), so keep them
+        rows = [
+            (mat[0, 0] * a + mat[0, 1] * b, mat[1, 0] * a + mat[1, 1] * b)
+            for a, b in state.reshape(-1, 2)
+        ]
+        return np.array(rows).reshape(state.shape)
+    # axes: the rows, the qubits before q, qubit q, the qubits after it
+    psi = state.reshape(-1, 1 << q, 2, state.shape[-1] >> (q + 1))
     out = np.empty_like(psi)
-    out[:, 0] = mat[0, 0] * psi[:, 0] + mat[0, 1] * psi[:, 1]
-    out[:, 1] = mat[1, 0] * psi[:, 0] + mat[1, 1] * psi[:, 1]
-    return out.reshape(-1)
+    out[:, :, 0] = mat[0, 0] * psi[:, :, 0] + mat[0, 1] * psi[:, :, 1]
+    out[:, :, 1] = mat[1, 0] * psi[:, :, 0] + mat[1, 1] * psi[:, :, 1]
+    return out.reshape(state.shape)
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate to a statevector, returning a new array."""
-    dim = state.shape[0]
+    """Apply one gate to a statevector, or to each row of a stack of them
+    along the last axis, returning a new array."""
+    dim = state.shape[-1]
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"state length {dim} is not a power of two")
@@ -273,19 +284,20 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
         return _apply_1q(state, _X, gate.targets[0])
     if gate.kind in ("RY", "RZ"):
         return _apply_1q(state, _rotation_matrix(gate.kind, gate.angle), gate.targets[0])
-    psi = state.reshape([2] * n).copy()
+    # axis 0 holds the rows, axis 1 + t qubit t
+    psi = state.reshape([-1] + [2] * n).copy()
     a, b = gate.targets
-    idx: list = [slice(None)] * n
-    idx[a] = 1  # the half with the control (first target) set
+    idx: list = [slice(None)] * (n + 1)
+    idx[1 + a] = 1  # the half with the control (first target) set
     if gate.kind == "CZ":
-        idx[b] = 1
+        idx[1 + b] = 1
         psi[tuple(idx)] *= -1
     elif gate.kind == "CNOT":
-        # swap the target's 0 and 1 amplitudes; axis a is gone from the half
-        psi[tuple(idx)] = np.flip(psi[tuple(idx)], axis=b - (b > a))
+        # swap the target's 0 and 1 amplitudes; axis 1 + a is gone from the half
+        psi[tuple(idx)] = np.flip(psi[tuple(idx)], axis=1 + b - (b > a))
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return psi.reshape(-1)
+    return psi.reshape(state.shape)
 
 
 def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
@@ -300,22 +312,31 @@ def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarr
     return state
 
 
-def _distribution(gates: tuple[Gate, ...], pattern: bytes) -> np.ndarray:
+def _distributions(gates: tuple[Gate, ...], patterns: Sequence[bytes]) -> list[np.ndarray]:
     """Cumulative distribution, with a leading 0, of a segment's outcomes
-    under one insertion pattern (one code byte per segment gate). The
-    segment's width is one past its highest gate target."""
+    under each insertion pattern (one code byte per segment gate). The
+    segment's width ``n`` is one past its highest gate target.
+
+    The patterns are evolved together, as one ``(P, 2**n)`` stack: each
+    gate acts on the whole stack, and each inserted Pauli on the rows that
+    picked it. Every row meets the arithmetic a lone statevector meets
+    under ``apply_gate``."""
     n = 1 + max((t for g in gates for t in g.targets), default=0)
-    state = np.zeros(2**n, dtype=complex)
-    state[0] = 1.0
-    for gate, code in zip(gates, pattern):
-        state = apply_gate(state, gate)
+    codes = np.frombuffer(b"".join(patterns), dtype=np.uint8).reshape(len(patterns), len(gates))
+    states = np.zeros((len(patterns), 2**n), dtype=complex)
+    states[:, 0] = 1.0
+    for gate, code in zip(gates, codes.T):
+        states = apply_gate(states, gate)
         # code: 1 = X, 2 = Y, 3 = Z; a pair code is 4 * first + second
         letters = divmod(code, 4) if len(gate.targets) == 2 else (code,)
         for letter, q in zip(letters, gate.targets):
-            if letter:
-                state = _apply_1q(state, _PAULI_1Q[letter - 1], q)
-    probs = np.abs(state) ** 2
-    return np.concatenate(([0.0], np.cumsum(probs / probs.sum())))
+            for value in set(letter.tolist()) - {0}:
+                rows = np.flatnonzero(letter == value)
+                states[rows] = _apply_1q(states[rows], _PAULI_1Q[value - 1], q)
+    probs = np.abs(states) ** 2
+    cum = np.zeros((len(patterns), 2**n + 1))
+    np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1, out=cum[:, 1:])
+    return [row.copy() for row in cum]  # each memo entry owns its bytes
 
 
 # Byte budget of the distribution memo: a 4-qubit entry is 136 B, a
@@ -324,26 +345,35 @@ _MEMO_BYTES = 1 << 25
 
 
 class _DistributionMemo:
-    """``_distribution`` results keyed by (segment text, insertion pattern),
-    the text being the segment gates' ``Circuit.serialize()``: exact
-    (angles are written with ``repr``), and a string caches its hash, which
-    a tuple of gates does not. A value depends on its key alone, so one
-    memo serves every segment, engine and system size. Past ``_MEMO_BYTES``
-    of distributions the least recently used go first."""
+    """``_distributions`` results keyed by (segment text, insertion
+    pattern), the text being the segment gates' ``Circuit.serialize()``:
+    exact (angles are written with ``repr``), and a string caches its hash,
+    which a tuple of gates does not. A value depends on its key alone, so
+    one memo serves every segment, engine and system size. Past
+    ``_MEMO_BYTES`` of distributions the least recently used go first."""
 
     def __init__(self):
         self.entries: dict[tuple[str, bytes], np.ndarray] = {}
         self.nbytes = 0
 
-    def __call__(self, text: str, gates: tuple[Gate, ...], pattern: bytes) -> np.ndarray:
-        cum = self.entries.pop((text, pattern), None)
-        if cum is None:
-            cum = _distribution(gates, pattern)
-            self.nbytes += cum.nbytes
-        self.entries[text, pattern] = cum  # most recently used last
-        while self.nbytes > _MEMO_BYTES:
-            self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
-        return cum
+    def __call__(
+        self, text: str, gates: tuple[Gate, ...], patterns: Sequence[bytes]
+    ) -> list[np.ndarray]:
+        """The distribution of each of a segment's distinct ``patterns``;
+        the ones not held are evolved together, in one ``_distributions``
+        call."""
+        cums = [self.entries.get((text, pattern)) for pattern in patterns]
+        missing = [pattern for pattern, cum in zip(patterns, cums) if cum is None]
+        if missing:
+            evolved = iter(_distributions(gates, missing))
+            cums = [next(evolved) if cum is None else cum for cum in cums]
+        for pattern, cum in zip(patterns, cums):
+            if self.entries.pop((text, pattern), None) is None:
+                self.nbytes += cum.nbytes
+            self.entries[text, pattern] = cum  # most recently used last
+            while self.nbytes > _MEMO_BYTES:
+                self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
+        return cums
 
 
 _MEMO = _DistributionMemo()
@@ -537,20 +567,30 @@ class TrajectoryEngine:
             events = [(j, column[gi]) for j, gi in enumerate(inside) if gi in column]
             fired = picks[:, [k for _, k in events]]
             rows = np.flatnonzero(fired.any(axis=1))
+            # The fired rows, grouped by insertion pattern through one
+            # stable argsort; group None, the quiet pattern, is every row.
+            groups, keys = [None], [bytes(len(gates))]
+            if rows.size:
+                patterns = np.zeros((rows.size, len(gates)), dtype=np.int8)
+                patterns[:, [j for j, _ in events]] = fired[rows]
+                row_keys = patterns.view(np.dtype((np.void, len(gates))))[:, 0]
+                order = np.argsort(row_keys, kind="stable")
+                ends = np.flatnonzero(row_keys[order[1:]] != row_keys[order[:-1]]) + 1
+                groups += np.split(order, ends)
+                keys += [row_keys[group[0]].tobytes() for group in groups[1:]]
             u_fired, codes_fired = u_meas[rows], codes[rows]
-            u_meas, codes = _invert(_MEMO(text, gates, bytes(len(gates))), u_meas, codes, n)
-            if not rows.size:
-                continue
-            # Redraw the fired rows from their saved draw, grouped by
-            # insertion pattern through one stable argsort.
-            patterns = np.zeros((rows.size, len(gates)), dtype=np.int8)
-            patterns[:, [j for j, _ in events]] = fired[rows]
-            keys = patterns.view(np.dtype((np.void, len(gates))))[:, 0]
-            order = np.argsort(keys, kind="stable")
-            ends = np.flatnonzero(keys[order[1:]] != keys[order[:-1]]) + 1
-            for group in np.split(order, ends):
-                cum, at = _MEMO(text, gates, keys[group[0]].tobytes()), rows[group]
-                u_meas[at], codes[at] = _invert(cum, u_fired[group], codes_fired[group], n)
+            # The memo takes the pass's patterns at once, in stacks of at
+            # most _DRAW_ELEMENTS amplitudes, which also bounds the
+            # distributions a pass holds outside the memo.
+            per_stack = max(1, _DRAW_ELEMENTS >> n)
+            for k in range(0, len(keys), per_stack):
+                cums = _MEMO(text, gates, keys[k : k + per_stack])
+                for group, cum in zip(groups[k : k + per_stack], cums):
+                    if group is None:  # before any fired row is redrawn
+                        u_meas, codes = _invert(cum, u_meas, codes, n)
+                    else:  # redraw from the saved draw
+                        at = rows[group]
+                        u_meas[at], codes[at] = _invert(cum, u_fired[group], codes_fired[group], n)
         return codes
 
 

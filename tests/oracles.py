@@ -9,13 +9,24 @@ library it checks:
   explicit basis-state rules (no reuse of the library's gate application),
 * the density-matrix simulator evolves the full mixed state through exact
   depolarizing channels and readout confusion matrices,
+* the per-pattern evolution takes one lone statevector per noise-insertion
+  pattern, where the sampler evolves a stack of patterns at once; it keeps
+  the sampler's element-wise arithmetic, so the two agree byte for byte,
+* the 3-vector integrals place both H2 centres in space and take every
+  distance with ``np.dot``, where the library works on the bond axis; the
+  two agree byte for byte,
 * the regression oracle solves the weighted normal equations through a
   design-matrix factorization.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from sizecon.molecule import STO3G_H, boys_f0
+from sizecon.units import BOHR_PER_ANGSTROM
 
 # ---------------------------------------------------------------------------
 # Dense Pauli matrices (independent of sizecon.pauli).
@@ -303,6 +314,135 @@ def density_matrix_probs(circuit, device, physical_map, basis_change=None) -> np
             np.tensordot(confusion, np.moveaxis(tensor, q, 0), axes=([1], [0])), 0, q
         )
     return tensor.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# Per-pattern segment evolution: one lone statevector per insertion pattern.
+# ---------------------------------------------------------------------------
+
+_PAULI_BY_CODE = (PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"])
+
+
+def _lone_1q(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
+    if len(state) == 2:
+        a, b = state  # numpy scalars, as the sampler's width-1 rows
+        return np.array([mat[0, 0] * a + mat[0, 1] * b, mat[1, 0] * a + mat[1, 1] * b])
+    psi = state.reshape(1 << q, 2, -1)
+    out = np.empty_like(psi)
+    out[:, 0] = mat[0, 0] * psi[:, 0] + mat[0, 1] * psi[:, 1]
+    out[:, 1] = mat[1, 0] * psi[:, 0] + mat[1, 1] * psi[:, 1]
+    return out.reshape(-1)
+
+
+def _lone_gate(state: np.ndarray, gate) -> np.ndarray:
+    n = len(state).bit_length() - 1
+    if gate.kind == "X":
+        return _lone_1q(state, PAULI_1Q["X"], gate.targets[0])
+    if gate.kind == "RY":
+        c, s = math.cos(gate.angle / 2.0), math.sin(gate.angle / 2.0)
+        return _lone_1q(state, np.array([[c, -s], [s, c]], dtype=complex), gate.targets[0])
+    if gate.kind == "RZ":
+        phases = [[np.exp(-0.5j * gate.angle), 0], [0, np.exp(0.5j * gate.angle)]]
+        return _lone_1q(state, np.array(phases, dtype=complex), gate.targets[0])
+    psi = state.reshape([2] * n).copy()
+    a, b = gate.targets
+    idx: list = [slice(None)] * n
+    idx[a] = 1
+    if gate.kind == "CZ":
+        idx[b] = 1
+        psi[tuple(idx)] *= -1
+    else:
+        psi[tuple(idx)] = np.flip(psi[tuple(idx)], axis=b - (b > a))
+    return psi.reshape(-1)
+
+
+def pattern_distribution(gates, pattern: bytes) -> np.ndarray:
+    """Cumulative outcome distribution, with a leading 0, of a segment's
+    gates under one insertion pattern: after gate ``g``, code
+    ``pattern[g]`` inserts X (1), Y (2) or Z (3) on a one-qubit gate, and
+    ``4 * first + second`` of them on a pair gate's targets."""
+    n = 1 + max((t for g in gates for t in g.targets), default=0)
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    for gate, code in zip(gates, pattern):
+        state = _lone_gate(state, gate)
+        letters = divmod(code, 4) if len(gate.targets) == 2 else (code,)
+        for letter, q in zip(letters, gate.targets):
+            if letter:
+                state = _lone_1q(state, _PAULI_BY_CODE[letter - 1], q)
+    probs = np.abs(state) ** 2
+    return np.concatenate(([0.0], np.cumsum(probs / probs.sum())))
+
+
+# ---------------------------------------------------------------------------
+# H2 STO-3G integrals with both centres as 3-vectors.
+# ---------------------------------------------------------------------------
+
+
+def _overlap_3d(a, b, ra, rb):
+    p = a + b
+    rab2 = float(np.dot(ra - rb, ra - rb))
+    return (math.pi / p) ** 1.5 * math.exp(-a * b / p * rab2)
+
+
+def _kinetic_3d(a, b, ra, rb):
+    p = a + b
+    mu = a * b / p
+    rab2 = float(np.dot(ra - rb, ra - rb))
+    return mu * (3.0 - 2.0 * mu * rab2) * (math.pi / p) ** 1.5 * math.exp(-mu * rab2)
+
+
+def _nuclear_3d(a, b, ra, rb, rc):
+    p = a + b
+    rab2 = float(np.dot(ra - rb, ra - rb))
+    rp = (a * ra + b * rb) / p
+    rpc2 = float(np.dot(rp - rc, rp - rc))
+    return -2.0 * math.pi / p * math.exp(-a * b / p * rab2) * boys_f0(p * rpc2)
+
+
+def _eri_3d(a, b, c, d, ra, rb, rc, rd):
+    p = a + b
+    q = c + d
+    rab2 = float(np.dot(ra - rb, ra - rb))
+    rcd2 = float(np.dot(rc - rd, rc - rd))
+    rp = (a * ra + b * rb) / p
+    rq = (c * rc + d * rd) / q
+    rpq2 = float(np.dot(rp - rq, rp - rq))
+    pref = 2.0 * math.pi**2.5 / (p * q * math.sqrt(p + q))
+    expo = math.exp(-a * b / p * rab2 - c * d / q * rcd2)
+    return pref * expo * boys_f0(p * q / (p + q) * rpq2)
+
+
+def integrals_3d(bond_length: float) -> dict[str, np.ndarray]:
+    """Overlap, kinetic, nuclear-attraction and (pq|rs) matrices of H2 at
+    ``bond_length`` angstrom, with the centres at the origin and on +z."""
+    r_bohr = bond_length * BOHR_PER_ANGSTROM
+    centers = [np.zeros(3), np.array([0.0, 0.0, r_bohr])]
+    prims = [(alpha, coeff * (2.0 * alpha / math.pi) ** 0.75) for alpha, coeff in STO3G_H]
+    norm = 1.0 / math.sqrt(
+        sum(ca * cb * _overlap_3d(a, b, centers[0], centers[0]) for a, ca in prims for b, cb in prims)
+    )
+    out = {name: np.empty((2, 2)) for name in ("overlap", "kinetic", "nuclear_attraction")}
+    for i in range(2):
+        for j in range(2):
+            ri, rj = centers[i], centers[j]
+            for name, kernel in (("overlap", _overlap_3d), ("kinetic", _kinetic_3d)):
+                out[name][i, j] = norm**2 * sum(
+                    ca * cb * kernel(a, b, ri, rj) for a, ca in prims for b, cb in prims
+                )
+            out["nuclear_attraction"][i, j] = norm**2 * sum(
+                ca * cb * _nuclear_3d(a, b, ri, rj, rc)
+                for a, ca in prims for b, cb in prims for rc in centers
+            )
+    eri = np.empty((2, 2, 2, 2))
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        eri[i, j, k, l] = norm**4 * sum(
+            c1 * c2 * c3 * c4
+            * _eri_3d(a1, a2, a3, a4, centers[i], centers[j], centers[k], centers[l])
+            for a1, c1 in prims for a2, c2 in prims for a3, c3 in prims for a4, c4 in prims
+        )
+    out["two_electron"] = eri
+    return out
 
 
 # ---------------------------------------------------------------------------

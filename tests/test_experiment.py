@@ -137,9 +137,28 @@ class TestConfig:
             ExperimentConfig.from_json("{")
 
     def test_derive_seed_stable(self):
-        assert derive_seed(7, 1, 2, 3) == derive_seed(7, 1, 2, 3)
-        assert derive_seed(7, 1, 2, 3) != derive_seed(7, 1, 2, 4)
-        assert derive_seed(8, 1, 2, 3) != derive_seed(7, 1, 2, 3)
+        assert derive_seed(7, [(1, 2, 3)]) == derive_seed(7, [(1, 2, 3)])
+        assert derive_seed(7, [(1, 2, 3)]) != derive_seed(7, [(1, 2, 4)])
+        assert derive_seed(8, [(1, 2, 3)]) != derive_seed(7, [(1, 2, 3)])
+
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**70, 2**130])
+    @pytest.mark.parametrize("length", [1, 2, 4, 6])
+    def test_derive_seed_equals_seed_sequence(self, master_seed, length):
+        rng = np.random.default_rng([master_seed % 997, length])
+        keys = rng.integers(0, 2**32, size=(200, length)).tolist()
+        keys[:3] = [[0] * length, [2**32 - 1] * length, list(range(length))]
+        expected = [
+            int(np.random.SeedSequence(master_seed, spawn_key=key).generate_state(1, np.uint64)[0])
+            for key in keys
+        ]
+        assert derive_seed(master_seed, keys) == expected
+        assert derive_seed(master_seed, keys[5:6]) == expected[5:6]  # a batch of one
+
+    def test_derive_seed_refuses_a_key_part_past_one_word(self):
+        with pytest.raises(OverflowError):
+            derive_seed(1, [(1, 2**32)])
+        with pytest.raises(OverflowError):
+            derive_seed(1, [(-1, 2)])
 
 
 class TestRunExperiment:
@@ -521,6 +540,9 @@ class TestCli:
         [
             ({"sampling": {"k": 0}}, "sampling.k: must be >= 1"),
             ({"sampling": {"mode": "random", "s": 0}}, "sampling.s: must be >= 1"),
+            ({"sampling": {"k": 2**32}}, "sampling.k: must be < 2**32, got 4294967296"),
+            ({"sampling": {"mode": "random", "s": 2**32}},
+             "sampling.s: must be < 2**32, got 4294967296"),
             ({"sampling": {"mode": "best"}}, "sampling.mode: unknown mode 'best'"),
             ({"calibration": {"n_qubits": 8}}, "calibration.n_qubits: need at least 16 qubits"),
             ({"calibration": {"file": "absent.json"}}, "calibration.file: no such file: absent.json"),

@@ -12,8 +12,17 @@ from sizecon.molecule import (
 )
 from sizecon.units import BOHR_PER_ANGSTROM
 
+from oracles import integrals_3d
+
 
 class TestIntegrals:
+    def test_equal_to_the_three_vector_form(self):
+        # on-axis scalars against the 3-vector form, byte for byte
+        for bond_length in [*np.geomspace(0.05, 10.0, 60).tolist(), 0.3, 0.7414, 1.5, 3.0]:
+            system = build_integrals(bond_length)
+            for name, expected in integrals_3d(bond_length).items():
+                assert getattr(system, name).tobytes() == expected.tobytes(), (bond_length, name)
+
     def test_unit_overlap_diagonal(self, system):
         assert np.allclose(np.diag(system.overlap), 1.0, atol=1e-12)
 

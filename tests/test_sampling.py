@@ -79,20 +79,20 @@ class TestRankQubits:
 class TestSelectivePlan:
     def test_width1_n16_uses_all_qubits(self):
         plan = selective_plan(list(range(20)), 16, 1, k=3)
-        assert len(plan.entries) // 3 == 1
-        assert len(plan.entries) == 3
-        for entry in plan.entries:
+        assert len(plan) // 3 == 1
+        assert len(plan) == 3
+        for entry in plan:
             assert sorted(q for b in entry.blocks for q in b) == list(range(16))
 
     def test_width1_n2_paper_counts(self):
         plan = selective_plan(list(range(16)), 2, 1, k=3)
-        assert len(plan.entries) // 3 == 8
-        assert len(plan.entries) == 24
+        assert len(plan) // 3 == 8
+        assert len(plan) == 24
 
     def test_width2_n8_single_sample(self):
         plan = selective_plan(list(range(16)), 8, 2, k=5)
-        assert len(plan.entries) // 5 == 1
-        assert len(plan.entries) == 5
+        assert len(plan) // 5 == 1
+        assert len(plan) == 5
 
     def test_sets_partition_pool_exactly(self):
         pool = list(range(31, -1, -1))  # descending ranked pool
@@ -101,7 +101,7 @@ class TestSelectivePlan:
         for set_index in range(2):
             covered = [
                 q
-                for e in plan.entries
+                for e in plan
                 if e.set_index == set_index
                 for b in e.blocks
                 for q in b
@@ -112,7 +112,7 @@ class TestSelectivePlan:
     def test_sample_count_matches_16_over_n(self):
         for n in (2, 4, 8, 16):
             plan = selective_plan(list(range(16)), n, 1, k=1)
-            assert len(plan.entries) == 16 // n
+            assert len(plan) == 16 // n
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -128,18 +128,18 @@ class TestSelectivePlan:
 class TestRandomPlan:
     def test_fifty_single_qubit_draws(self):
         plan = random_plan(list(range(16)), 1, 1, s=50, seed=7)
-        assert len(plan.entries) == 50
-        assert all(len(e.blocks) == 1 and len(e.blocks[0]) == 1 for e in plan.entries)
+        assert len(plan) == 50
+        assert all(len(e.blocks) == 1 and len(e.blocks[0]) == 1 for e in plan)
 
     def test_blocks_disjoint(self):
         plan = random_plan(list(range(16)), 4, 2, s=20, seed=8)
-        for entry in plan.entries:
+        for entry in plan:
             flat = [q for b in entry.blocks for q in b]
             assert len(flat) == len(set(flat)) == 8
 
     def test_exact_pool_is_permutation(self):
         plan = random_plan(list(range(8)), 4, 2, s=10, seed=9)
-        for entry in plan.entries:
+        for entry in plan:
             assert sorted(q for b in entry.blocks for q in b) == list(range(8))
 
     def test_deterministic_given_seed(self):
@@ -152,7 +152,7 @@ class TestRandomPlan:
         draws = 10_000
         plan = random_plan(pool, 2, 1, s=draws, seed=11)
         counts = np.zeros(10)
-        for entry in plan.entries:
+        for entry in plan:
             for block in entry.blocks:
                 counts[block[0]] += 1
         expected = draws * 2 / 10

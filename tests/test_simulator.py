@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -23,7 +24,7 @@ from sizecon.simulator import (
 from sizecon.stateprep import Circuit, Gate, compose, fci_ground, synthesize
 from sizecon.tomography import build_plan
 
-from oracles import circuit_unitary, density_matrix_probs
+from oracles import circuit_unitary, density_matrix_probs, pattern_distribution
 from tables import block_histogram, csv_text
 
 
@@ -462,6 +463,75 @@ class TestBatchedSample:
             engine.sample(DeviceModel.noiseless(4), [[0, 1, 2, 3]], 10, [0], 3)
 
 
+def patterns_up_to_two_events(gates, noisy):
+    """Every insertion pattern over ``gates`` whose events, at most two,
+    fall on the first ``noisy`` gates; a gate on t qubits has 4**t - 1 codes."""
+    codes = [range(1, 4 ** len(g.targets)) for g in gates[:noisy]]
+    patterns = [bytes(len(gates))]
+    for events in (1, 2):
+        for at in itertools.combinations(range(noisy), events):
+            for picked in itertools.product(*(codes[i] for i in at)):
+                pattern = bytearray(len(gates))
+                for i, code in zip(at, picked):
+                    pattern[i] = code
+                patterns.append(bytes(pattern))
+    return patterns
+
+
+def assert_stack_matches_lone_evolutions(gates, patterns):
+    stacked = simulator._distributions(tuple(gates), patterns)
+    assert len(stacked) == len(patterns)
+    for pattern, cum in zip(patterns, stacked):
+        assert cum.tobytes() == pattern_distribution(gates, pattern).tobytes(), pattern
+
+
+class TestStackedDistributions:
+    """``_distributions`` evolves many patterns as one stack; every row must
+    equal the lone per-pattern evolution byte for byte."""
+
+    @pytest.mark.parametrize("rep, n_patterns", [(1, 4), (2, 64), (4, 1162)])
+    def test_every_pattern_of_two_events_on_each_group_text(self, bundle, rep, n_patterns):
+        h_sub = bundle.subsystem_hamiltonian(rep)
+        circuit = synthesize(fci_ground(h_sub))
+        for group in build_plan(h_sub, 1).groups:
+            engine = TrajectoryEngine(circuit, group.basis_change)
+            ((_, _, gates, _),) = engine._segments
+            patterns = patterns_up_to_two_events(gates, len(circuit.gates))
+            assert len(patterns) == n_patterns
+            assert_stack_matches_lone_evolutions(gates, patterns)
+
+    def test_seeded_random_block_circuits(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            width = int(rng.integers(1, 6))
+            if width == 1:
+                kinds = rng.choice(["RY", "RZ", "X"], size=int(rng.integers(1, 6)))
+                gates = tuple(
+                    Gate(str(k), (0,), None if k == "X" else float(rng.uniform(-3, 3)))
+                    for k in kinds
+                )
+            else:
+                gates = random_circuit(width, int(rng.integers(1, 10)), rng).gates
+            patterns = [bytes(len(gates))] + [
+                bytes(int(rng.integers(0, 4 ** len(g.targets))) if rng.random() < 0.4 else 0
+                      for g in gates)
+                for _ in range(12)
+            ]
+            assert_stack_matches_lone_evolutions(gates, patterns)
+
+    def test_connected_16_qubit_stack(self):
+        # a connected 16-qubit segment reaches the memo 8 patterns at a time
+        rng = np.random.default_rng(16)
+        gates = tuple(Gate("RY", (q,), float(rng.uniform(-3, 3))) for q in range(16))
+        gates += tuple(Gate("CNOT", (q, q + 1)) for q in range(15)) + (Gate("CZ", (15, 0)),)
+        patterns = [bytes(len(gates))] + [
+            bytes(int(rng.integers(0, 4 ** len(g.targets))) if rng.random() < 0.1 else 0
+                  for g in gates)
+            for _ in range(7)
+        ]
+        assert_stack_matches_lone_evolutions(gates, patterns)
+
+
 class TestDistributionMemo:
     @pytest.fixture
     def memo(self, monkeypatch):
@@ -493,10 +563,10 @@ class TestDistributionMemo:
     def test_connected_16_qubit_entries_stay_within_budget(self, memo, monkeypatch):
         # one 16-qubit distribution is 2**16 + 1 doubles (512 KiB); the
         # distinct fired patterns overrun the budget, so old entries must go
-        evolve = simulator._distribution
-        evolved = []
+        evolve = simulator._distributions
+        stacks = []
         monkeypatch.setattr(
-            simulator, "_distribution", lambda g, p: evolved.append(p) or evolve(g, p)
+            simulator, "_distributions", lambda g, ps: stacks.append(ps) or evolve(g, ps)
         )
         gates = (Gate("RY", (0,), 0.7),) + tuple(Gate("CNOT", (q, q + 1)) for q in range(15))
         device = DeviceModel(
@@ -504,7 +574,10 @@ class TestDistributionMemo:
         )
         TrajectoryEngine(Circuit(16, gates)).sample(device, [list(range(16))], 400, [3], 16)
         entry = 8 * (2**16 + 1)
+        evolved = [pattern for stack in stacks for pattern in stack]
         assert len(evolved) > simulator._MEMO_BYTES // entry
+        # at most 2**19 amplitudes a stack: 8 of 16 qubits
+        assert max(map(len, stacks)) == simulator._DRAW_ELEMENTS >> 16 == 8
         assert memo.nbytes == sum(cum.nbytes for cum in memo.entries.values())
         assert memo.nbytes <= simulator._MEMO_BYTES
         assert len(memo.entries) == simulator._MEMO_BYTES // entry
