@@ -24,17 +24,13 @@ from .hamiltonians import (
     FermionHamiltonian,
     h1q_parameters,
     jordan_wigner,
-    parse_fcidump,
     taper,
     to_fermion,
-    write_fcidump,
 )
 from .molecule import MolecularSystem, RhfSolution, build_integrals, solve_rhf
 from .pauli import (
     PauliString,
     PauliSum,
-    commutes,
-    embed,
     multiply,
     qubitwise_commutes,
     qubitwise_groups,

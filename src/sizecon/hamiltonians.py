@@ -13,16 +13,13 @@ the conventional 1/2 from the Coulomb operator already folded in.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .molecule import MolecularSystem, RhfSolution, mo_integrals
 from .pauli import LETTERS, PauliString, PauliSum, identity_string, multiply
-
-HF_OCCUPATION = (0, 1)
 
 # Computational basis states (qubit 0 = most significant bit) spanning the
 # number- and spin-conserving sector that holds the H2 ground state.
@@ -34,10 +31,6 @@ TAPER_TOL = 1e-10
 
 class TaperingError(RuntimeError):
     """Symmetry-sector projection failed its closure or spectrum check."""
-
-
-class FcidumpError(ValueError):
-    """Malformed FCIDUMP input."""
 
 
 @dataclass
@@ -95,22 +88,6 @@ def to_fermion(system: MolecularSystem, rhf: RhfSolution) -> FermionHamiltonian:
     """MO-basis second-quantized Hamiltonian; constant = nuclear repulsion."""
     h_mo, eri_mo = mo_integrals(system, rhf)
     return spin_orbital_hamiltonian(system.nuclear_repulsion, h_mo, eri_mo)
-
-
-def determinant_expectation(h: FermionHamiltonian, occupied: Iterable[int]) -> float:
-    """<D|H|D> for the Slater determinant occupying the given spin orbitals."""
-    occ = set(occupied)
-    value = h.constant
-    for (p, q), c in h.one_body.items():
-        if p == q and p in occ:
-            value += c
-    for (p, q, r, s), c in h.two_body.items():
-        if p in occ and q in occ and p != q:
-            if (p, q) == (s, r):
-                value += c
-            if (p, q) == (r, s):
-                value -= c
-    return value
 
 
 def _ladder(p: int, n: int, creation: bool) -> dict[PauliString, complex]:
@@ -249,113 +226,3 @@ def h1q_parameters(h1q: PauliSum) -> tuple[float, float, float]:
         h1q.coefficient(PauliString("X")),
     )
 
-
-# ---------------------------------------------------------------------------
-# FCIDUMP ingestion and emission (spatial orbitals, chemist notation).
-# ---------------------------------------------------------------------------
-
-_HEADER_KEY = re.compile(r"(NORB|NELEC|MS2)\s*=\s*(-?\d+)", re.IGNORECASE)
-
-
-def parse_fcidump(text: str) -> FermionHamiltonian:
-    """Read an FCIDUMP stream into the internal spin-orbital convention.
-
-    The header must define NORB, NELEC and MS2; data lines are
-    ``value i j k l`` with 1-based chemist indices, ``i j 0 0`` for one-body
-    terms and ``0 0 0 0`` for the core/nuclear constant. Eight-fold
-    permutational symmetry is applied to every two-electron line.
-    """
-    lines = text.splitlines()
-    header_lines: list[str] = []
-    body_start = None
-    for i, line in enumerate(lines):
-        header_lines.append(line)
-        if "&END" in line.upper() or line.strip() == "/":
-            body_start = i + 1
-            break
-    if body_start is None:
-        raise FcidumpError("missing &END/ terminator in FCIDUMP header")
-    header = " ".join(header_lines)
-    keys = {m.group(1).upper(): int(m.group(2)) for m in _HEADER_KEY.finditer(header)}
-    for required in ("NORB", "NELEC", "MS2"):
-        if required not in keys:
-            raise FcidumpError(f"header missing {required}")
-    norb = keys["NORB"]
-    if norb < 1:
-        raise FcidumpError(f"NORB must be positive, got {norb}")
-
-    constant = 0.0
-    h1 = np.zeros((norb, norb))
-    eri = np.zeros((norb, norb, norb, norb))
-    for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 5:
-            raise FcidumpError(f"line {lineno}: expected 5 fields, got {len(fields)}")
-        try:
-            value = float(fields[0])
-            i, j, k, l = (int(f) for f in fields[1:])
-        except ValueError as exc:
-            raise FcidumpError(f"line {lineno}: non-numeric field in {line!r}") from exc
-        if (i, j, k, l) == (0, 0, 0, 0):
-            constant = value
-            continue
-        if any(not 0 <= idx <= norb for idx in (i, j, k, l)):
-            raise FcidumpError(f"line {lineno}: index out of range 1..{norb}")
-        if k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise FcidumpError(f"line {lineno}: one-body line with zero index")
-            h1[i - 1, j - 1] = value
-            h1[j - 1, i - 1] = value
-            continue
-        if 0 in (i, j, k, l):
-            raise FcidumpError(f"line {lineno}: mixed zero/non-zero indices")
-        p, q, r, s = i - 1, j - 1, k - 1, l - 1
-        for a, b, c, d in (
-            (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-            (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-        ):
-            eri[a, b, c, d] = value
-    return spin_orbital_hamiltonian(constant, h1, eri)
-
-
-def write_fcidump(
-    constant: float, h1: np.ndarray, eri: np.ndarray, n_electrons: int, ms2: int = 0
-) -> str:
-    """Serialize spatial-orbital integrals to FCIDUMP text (unique terms only)."""
-    norb = h1.shape[0]
-    out = [
-        f"&FCI NORB={norb},NELEC={n_electrons},MS2={ms2},",
-        " ORBSYM=" + "1," * norb,
-        " ISYM=1,",
-        "&END",
-    ]
-
-    def fmt(value: float, i: int, j: int, k: int, l: int) -> str:
-        return f"{value: .16e} {i:3d} {j:3d} {k:3d} {l:3d}"
-
-    seen = set()
-    for p in range(norb):
-        for q in range(p + 1):
-            for r in range(norb):
-                for s in range(r + 1):
-                    if (p, q) < (r, s):
-                        continue
-                    key = (p, q, r, s)
-                    if key in seen or abs(eri[p, q, r, s]) < 1e-14:
-                        continue
-                    seen.add(key)
-                    out.append(fmt(eri[p, q, r, s], p + 1, q + 1, r + 1, s + 1))
-    for p in range(norb):
-        for q in range(p + 1):
-            if abs(h1[p, q]) >= 1e-14:
-                out.append(fmt(h1[p, q], p + 1, q + 1, 0, 0))
-    out.append(fmt(constant, 0, 0, 0, 0))
-    return "\n".join(out) + "\n"
-
-
-def h2_fcidump(system: MolecularSystem, rhf: RhfSolution) -> str:
-    """FCIDUMP text for the built-in H2 system in its MO basis."""
-    h_mo, eri_mo = mo_integrals(system, rhf)
-    return write_fcidump(system.nuclear_repulsion, h_mo, eri_mo, n_electrons=2)

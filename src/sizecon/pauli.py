@@ -103,20 +103,12 @@ def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     return PHASES[k % 4], PauliString("".join(out))
 
 
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff [a, b] = 0: an even number of anticommuting positions."""
-    _check_widths(a, b)
-    clashes = sum(
-        1 for ca, cb in zip(a.letters, b.letters) if ca != "I" and cb != "I" and ca != cb
-    )
-    return clashes % 2 == 0
-
-
 def qubitwise_commutes(a: PauliString, b: PauliString) -> bool:
     """True iff every position commutes individually (equal or one is I).
 
-    Strictly stronger than :func:`commutes`; qubit-wise commuting strings can
-    be measured simultaneously after a single layer of one-qubit rotations.
+    Strictly stronger than commuting as operators; qubit-wise commuting
+    strings can be measured simultaneously after a single layer of one-qubit
+    rotations.
     """
     _check_widths(a, b)
     return all(
@@ -145,18 +137,12 @@ def qubitwise_groups(strings: Iterable[PauliString]) -> list[list[PauliString]]:
 class PauliSum:
     """Real-weighted sum of equal-width Pauli strings.
 
-    Duplicate strings are merged on construction and coefficients below
-    ``COEFF_CUTOFF`` are dropped (the identity coefficient is always kept so
-    constant energy offsets survive).
+    Coefficients below ``COEFF_CUTOFF`` are dropped on construction (the
+    identity coefficient is always kept so constant energy offsets survive).
     """
 
-    def __init__(self, terms: Mapping[PauliString, float] | None = None, width: int | None = None):
-        merged: dict[PauliString, float] = {}
-        for s, c in (terms or {}).items():
-            if not isinstance(s, PauliString):
-                s = PauliString(s)
-            merged[s] = merged.get(s, 0.0) + float(c)
-        widths = {s.width for s in merged}
+    def __init__(self, terms: Mapping[PauliString, float], width: int | None = None):
+        widths = {s.width for s in terms}
         if len(widths) > 1:
             raise ValueError(f"mixed widths in PauliSum: {sorted(widths)}")
         if width is None:
@@ -167,16 +153,12 @@ class PauliSum:
             raise ValueError("explicit width disagrees with term width")
         self._width = width
         self._terms = {
-            s: c for s, c in merged.items() if abs(c) > COEFF_CUTOFF or s.is_identity
+            s: float(c) for s, c in terms.items() if abs(c) > COEFF_CUTOFF or s.is_identity
         }
 
     @property
     def width(self) -> int:
         return self._width
-
-    @property
-    def terms(self) -> dict[PauliString, float]:
-        return dict(self._terms)
 
     @property
     def constant(self) -> float:
@@ -197,14 +179,6 @@ class PauliSum:
     def __iter__(self) -> Iterator[tuple[PauliString, float]]:
         return iter(self._terms.items())
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if other.width != self._width:
-            raise ValueError(f"width mismatch: {self._width} vs {other.width}")
-        terms = dict(self._terms)
-        for s, c in other:
-            terms[s] = terms.get(s, 0.0) + c
-        return PauliSum(terms, width=self._width)
-
     def to_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix of the sum (intended for width <= 8)."""
         dim = 2**self._width
@@ -212,50 +186,3 @@ class PauliSum:
         for s, c in self._terms.items():
             mat += c * s.to_matrix()
         return mat
-
-    def serialize(self) -> str:
-        """Stable text form: one line per term, "coefficient<TAB>string"."""
-        lines = [
-            f"{self._terms[s]!r}\t{s.letters}"
-            for s in sorted(self._terms)
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "PauliSum":
-        terms: dict[PauliString, float] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                coeff, letters = line.split("\t")
-                terms[PauliString(letters)] = float(coeff)
-            except ValueError as exc:
-                raise ValueError(f"bad PauliSum line {lineno}: {line!r}") from exc
-        return cls(terms)
-
-
-def embed_string(s: PauliString, subsystem_index: int, n_subsystems: int) -> PauliString:
-    """Pad a subsystem string with identities on all other subsystem blocks."""
-    if not 0 <= subsystem_index < n_subsystems:
-        raise ValueError(
-            f"subsystem_index {subsystem_index} out of range for {n_subsystems} subsystems"
-        )
-    w = s.width
-    left = "I" * (w * subsystem_index)
-    right = "I" * (w * (n_subsystems - subsystem_index - 1))
-    return PauliString(left + s.letters + right)
-
-
-def embed(sub: PauliSum, subsystem_index: int, n_subsystems: int) -> PauliSum:
-    """Tensor a subsystem operator with identity on every other block.
-
-    Block layout is contiguous: subsystem ``b`` owns qubits
-    ``[b*w, (b+1)*w)`` of the composite register of width ``n_subsystems*w``.
-    Coefficients are unchanged.
-    """
-    terms = {
-        embed_string(s, subsystem_index, n_subsystems): c for s, c in sub
-    }
-    return PauliSum(terms, width=sub.width * n_subsystems)

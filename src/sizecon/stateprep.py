@@ -112,25 +112,6 @@ class Circuit:
             lines.append(" ".join(parts))
         return "\n".join(lines) + ("\n" if lines else "")
 
-    @classmethod
-    def deserialize(cls, text: str, width: int) -> "Circuit":
-        gates = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            kind = fields[0]
-            if kind not in GATE_ARITY:
-                raise ValueError(f"line {lineno}: unknown gate {kind!r}")
-            arity = GATE_ARITY[kind]
-            has_angle = kind in ROTATION_KINDS
-            if len(fields) != 1 + arity + int(has_angle):
-                raise ValueError(f"line {lineno}: bad field count for {kind}")
-            targets = tuple(int(f) for f in fields[1 : 1 + arity])
-            angle = float(fields[-1]) if has_angle else None
-            gates.append(Gate(kind, targets, angle))
-        return cls(width, tuple(gates))
-
 
 @dataclass(frozen=True)
 class PreparedState:

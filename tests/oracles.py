@@ -5,6 +5,8 @@ library it checks:
 
 * the configuration-interaction oracle applies ladder operators directly to
   occupation tuples (no Pauli algebra anywhere),
+* the determinant expectation sums the diagonal Slater-Condon terms of a
+  spin-orbital Hamiltonian's integrals (no qubit mapping),
 * the dense Pauli/unitary helpers build matrices from scratch with kron and
   explicit basis-state rules (no reuse of the library's gate application),
 * the density-matrix simulator evolves the full mixed state through exact
@@ -201,6 +203,23 @@ class CiOracle:
     def fci_double_population(self) -> float:
         vals, vecs = np.linalg.eigh(self.matrix)
         return float(vecs[3, 0] ** 2)
+
+
+def determinant_expectation(h, occupied) -> float:
+    """<D|H|D> for the Slater determinant occupying the given spin orbitals
+    of a ``FermionHamiltonian``."""
+    occ = set(occupied)
+    value = h.constant
+    for (p, q), c in h.one_body.items():
+        if p == q and p in occ:
+            value += c
+    for (p, q, r, s), c in h.two_body.items():
+        if p in occ and q in occ and p != q:
+            if (p, q) == (s, r):
+                value += c
+            if (p, q) == (r, s):
+                value -= c
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,6 @@ import pytest
 from sizecon.pauli import (
     PauliString,
     PauliSum,
-    commutes,
-    embed,
-    identity_string,
     multiply,
     qubitwise_commutes,
     qubitwise_groups,
@@ -74,87 +71,6 @@ class TestMultiply:
             multiply(PauliString("X"), PauliString("XX"))
 
 
-class TestCommutes:
-    def test_paper_grouping_example(self):
-        assert commutes(PauliString("ZIZI"), PauliString("ZZII"))
-
-    def test_single_qubit_anticommutation(self):
-        assert not commutes(PauliString("X"), PauliString("Z"))
-
-    def test_disjoint_supports(self):
-        assert commutes(PauliString("XI"), PauliString("IZ"))
-
-    def test_matrix_commutator_oracle_exhaustive(self):
-        for width in (1, 2):
-            for a in all_strings(width):
-                for b in all_strings(width):
-                    ma, mb = pauli_matrix(a), pauli_matrix(b)
-                    expected = np.allclose(ma @ mb - mb @ ma, 0)
-                    assert commutes(PauliString(a), PauliString(b)) == expected
-
-    def test_matrix_commutator_oracle_width3(self):
-        rng = np.random.default_rng(6)
-        strings = all_strings(3)
-        for _ in range(400):
-            a, b = rng.choice(strings, size=2)
-            ma, mb = pauli_matrix(a), pauli_matrix(b)
-            expected = np.allclose(ma @ mb - mb @ ma, 0)
-            assert commutes(PauliString(a), PauliString(b)) == expected
-
-    def test_identity_commutes_with_everything(self):
-        for letters in all_strings(2):
-            assert commutes(identity_string(2), PauliString(letters))
-
-    def test_qubitwise_is_stronger(self):
-        a, b = PauliString("XY"), PauliString("YX")
-        assert commutes(a, b)
-        assert not qubitwise_commutes(a, b)
-
-
-class TestEmbed:
-    def test_direct_padding(self):
-        sub = PauliSum({PauliString("Z"): 0.25})
-        out = embed(sub, 0, 2)
-        assert out.terms == {PauliString("ZI"): 0.25}
-
-    def test_identity_only(self):
-        sub = PauliSum({PauliString("I"): 3.5})
-        out = embed(sub, 2, 4)
-        assert out.terms == {identity_string(4): 3.5}
-
-    def test_index_out_of_range(self):
-        sub = PauliSum({PauliString("Z"): 1.0})
-        with pytest.raises(ValueError, match="out of range"):
-            embed(sub, 2, 2)
-
-    def test_eigenvalue_additivity_1q(self):
-        h = PauliSum({PauliString("I"): -0.3, PauliString("Z"): 0.7, PauliString("X"): 0.2})
-        total = embed(h, 0, 2) + embed(h, 1, 2)
-        sub_vals = np.linalg.eigvalsh(h.to_matrix())
-        expected = np.sort([a + b for a in sub_vals for b in sub_vals])
-        got = np.linalg.eigvalsh(total.to_matrix())
-        assert np.allclose(got, expected, atol=1e-12)
-
-    def test_eigenvalue_additivity_2q(self):
-        rng = np.random.default_rng(7)
-        terms = {
-            PauliString(s): rng.normal()
-            for s in ("IZ", "ZI", "XX", "YY", "ZZ", "II")
-        }
-        h = PauliSum(terms)
-        total = embed(h, 0, 2) + embed(h, 1, 2)
-        sub_vals = np.linalg.eigvalsh(h.to_matrix())
-        expected = np.sort([a + b for a in sub_vals for b in sub_vals])
-        got = np.linalg.eigvalsh(total.to_matrix())
-        assert np.allclose(got, expected, atol=1e-10)
-
-    def test_double_embedding_ground_energy(self, bundle):
-        total = embed(bundle.h1q, 0, 2) + embed(bundle.h1q, 1, 2)
-        e1 = np.linalg.eigvalsh(bundle.h1q.to_matrix())[0]
-        e2 = np.linalg.eigvalsh(total.to_matrix())[0]
-        assert abs(e2 - 2 * e1) < 1e-12
-
-
 class TestQubitwiseGroups:
     def test_paper_strings_one_group(self):
         strings = [PauliString(s) for s in ("ZIZI", "ZZII", "IIZZ")]
@@ -178,7 +94,6 @@ class TestQubitwiseGroups:
         for group in qubitwise_groups(strings):
             for a, b in itertools.combinations(group, 2):
                 assert qubitwise_commutes(a, b)
-                assert commutes(a, b)
 
     def test_h2_hamiltonian_grouping(self, bundle):
         strings = bundle.h4.sorted_strings()
@@ -191,28 +106,13 @@ class TestQubitwiseGroups:
 
 
 class TestPauliSum:
-    def test_merges_duplicates(self):
-        s = PauliSum({PauliString("Z"): 1.0})
-        t = PauliSum({PauliString("Z"): 2.0, PauliString("X"): 0.5})
-        total = s + t
-        assert total.coefficient(PauliString("Z")) == 3.0
-
     def test_drops_tiny_terms(self):
         total = PauliSum({PauliString("Z"): 1e-16, PauliString("X"): 1.0})
-        assert PauliString("Z") not in total.terms
+        assert dict(total) == {PauliString("X"): 1.0}
 
     def test_mixed_width_rejected(self):
         with pytest.raises(ValueError, match="mixed widths"):
             PauliSum({PauliString("Z"): 1.0, PauliString("ZZ"): 1.0})
-
-    def test_serialization_round_trip(self, bundle):
-        text = bundle.h4.serialize()
-        back = PauliSum.deserialize(text)
-        assert back.terms == bundle.h4.terms
-        for line in text.strip().splitlines():
-            coeff, letters = line.split("\t")
-            float(coeff)  # parses
-            assert set(letters) <= set("IXYZ")
 
     def test_invalid_letters_rejected(self):
         with pytest.raises(ValueError, match="invalid Pauli letters"):

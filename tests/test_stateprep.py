@@ -187,11 +187,22 @@ class TestCompose:
 
 
 class TestCircuitPlumbing:
-    def test_serialization_round_trip(self, bundle):
+    def test_serialize_shows_every_angle_bit(self):
+        # the distribution memo keys on this text, so angles one ulp apart
+        # must not share an entry
+        angle = 0.3
+        near = math.nextafter(angle, 1.0)
+        assert Circuit(1, (Gate("RY", (0,), angle),)).serialize() != (
+            Circuit(1, (Gate("RY", (0,), near),)).serialize()
+        )
+
+    def test_rep4_template_text(self, bundle):
+        # README: one "KIND targets [angle]" line per gate, angle as repr
         circuit = synthesize(fci_ground(bundle.h4))
-        text = circuit.serialize()
-        back = Circuit.deserialize(text, circuit.width)
-        assert back == circuit
+        theta = circuit.gates[2].angle
+        assert circuit.serialize() == (
+            f"X 0\nX 1\nRY 2 {theta!r}\nCNOT 2 3\nCNOT 2 0\nCNOT 3 1\n"
+        )
 
     def test_gate_validation(self):
         with pytest.raises(ValueError, match="unknown gate kind"):

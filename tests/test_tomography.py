@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sizecon.pauli import PauliString, PauliSum, embed_string, qubitwise_groups
+from sizecon.pauli import PauliString, PauliSum, qubitwise_groups
 from sizecon.simulator import DeviceModel, TrajectoryEngine
 from sizecon.stateprep import compose, fci_ground, synthesize
 from sizecon.tomography import (
@@ -36,15 +36,19 @@ def embedded_member_loop(h_sub, n, counts):
     """Energies and shot-noise errors computed the way the plan did before
     per-block histograms: every subsystem string embedded into an N-block
     string, its register mask applied to each code, one member at a time."""
+    width = h_sub.width
     energies = np.full(n, h_sub.constant)
     variances = np.zeros(n)
     for strings, joint in zip(qubitwise_groups(h_sub.sorted_strings()), counts):
         codes = np.flatnonzero(joint)
         shots = int(joint.sum())
         members = [(block, s) for block in range(n) for s in strings]
-        masks = np.array([
-            int("".join("0" if c == "I" else "1" for c in embed_string(s, block, n).letters), 2)
+        registers = [
+            "I" * (width * block) + s.letters + "I" * (width * (n - block - 1))
             for block, s in members
+        ]
+        masks = np.array([
+            int("".join("0" if c == "I" else "1" for c in letters), 2) for letters in registers
         ])
         bits = np.bitwise_count(codes[:, None] & masks[None, :]) & 1
         parities = (joint[codes][:, None] * (1.0 - 2.0 * bits)).sum(axis=0) / shots
