@@ -78,6 +78,10 @@ class TestToFermion:
         with pytest.raises(ValueError, match="out of range"):
             FermionHamiltonian(0.0, {(0, 4): 1.0}, {}, n_spin_orbitals=4)
 
+    def test_two_body_index_validation(self):
+        with pytest.raises(ValueError, match="two-body index"):
+            FermionHamiltonian(0.0, {}, {(0, 1, 1, -1): 1.0}, n_spin_orbitals=4)
+
 
 class TestJordanWigner:
     def test_number_operator_identity(self):
@@ -117,6 +121,12 @@ class TestJordanWigner:
         for _, coeff in h4:
             assert isinstance(coeff, float)
 
+    def test_rejects_non_hermitian_input(self):
+        # a+_0 a_1 without its adjoint maps to complex Pauli weights
+        h = FermionHamiltonian(0.0, {(0, 1): 1.0}, {}, n_spin_orbitals=2)
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            jordan_wigner(h)
+
 
 class TestTaper:
     def test_spectral_agreement(self, bundle):
@@ -140,6 +150,12 @@ class TestTaper:
         with pytest.raises(TaperingError, match="width"):
             taper(bundle.h1q)
 
+    def test_one_orbital_system_rejected(self):
+        # one spatial orbital gives a 2-qubit operator, not the 4-qubit H2 form
+        h = spin_orbital_hamiltonian(0.3, np.array([[-1.0]]), np.full((1, 1, 1, 1), 0.5))
+        with pytest.raises(TaperingError, match="width 2"):
+            taper(jordan_wigner(h))
+
     def test_rejects_sector_breaking_hamiltonian(self, bundle):
         broken = PauliSum({**dict(bundle.h4), PauliString("XIII"): 0.1})
         with pytest.raises(TaperingError, match="not closed"):
@@ -150,4 +166,42 @@ class TestTaper:
         back = matrix_to_pauli_sum(mat.real, 2)
         for s, c in bundle.h2q:
             assert back.coefficient(s) == pytest.approx(c, abs=1e-12)
+
+
+class TestMatrixToPauliSum:
+    def test_random_hermitian_matches_oracle(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        mat = a + a.conj().T
+        out = matrix_to_pauli_sum(mat, 3)
+        for letters, coeff in pauli_decompose(mat, 3).items():
+            assert out.coefficient(PauliString(letters)) == pytest.approx(
+                coeff.real, abs=1e-12
+            )
+        assert np.allclose(out.to_matrix(), mat, atol=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="does not match width"):
+            matrix_to_pauli_sum(np.eye(4), 1)
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            matrix_to_pauli_sum(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+
+
+class TestH1qParameters:
+    def test_reads_identity_z_and_x(self):
+        h = PauliSum(
+            {PauliString("I"): -0.3, PauliString("Z"): -0.8, PauliString("X"): 0.18}
+        )
+        assert h1q_parameters(h) == (-0.3, -0.8, 0.18)
+
+    def test_rejects_wider_operator(self, bundle):
+        with pytest.raises(ValueError, match="expected width 1"):
+            h1q_parameters(bundle.h2q)
+
+    def test_rejects_y_component(self):
+        h = PauliSum({PauliString("Z"): 1.0, PauliString("Y"): 0.1})
+        with pytest.raises(ValueError, match="unexpected Y"):
+            h1q_parameters(h)
 

@@ -204,6 +204,13 @@ class TestCircuitPlumbing:
             f"X 0\nX 1\nRY 2 {theta!r}\nCNOT 2 3\nCNOT 2 0\nCNOT 3 1\n"
         )
 
+    def test_serialize_gates_without_angles(self):
+        circuit = Circuit(3, (Gate("CZ", (2, 0)), Gate("X", (1,)), Gate("RZ", (1,), -0.5)))
+        assert circuit.serialize() == "CZ 2 0\nX 1\nRZ 1 -0.5\n"
+
+    def test_serialize_empty_circuit(self):
+        assert Circuit(2).serialize() == ""
+
     def test_gate_validation(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
             Gate("H", (0,))
