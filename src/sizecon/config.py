@@ -16,7 +16,10 @@ import json
 import math
 from dataclasses import dataclass
 
+# the most qubits one sample may take, and the size of the best-ranked pool
+# that the selective and random procedures draw from
 QUBIT_BUDGET = 16
+REPRESENTATIONS = (1, 2, 4)  # qubits per H2
 DEFAULT_SHOTS = 100_000
 DEFAULT_BOND_LENGTH = 0.7414   # angstrom, experimental equilibrium
 
@@ -86,7 +89,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subsystem_counts", tuple(self.subsystem_counts))
-        if self.representation not in (1, 2, 4):
+        if self.representation not in REPRESENTATIONS:
             raise ConfigError("representation", f"must be 1, 2 or 4, got {self.representation}")
         if not self.subsystem_counts:
             raise ConfigError("subsystem_counts", "must not be empty")

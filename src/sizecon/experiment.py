@@ -73,8 +73,6 @@ SAMPLES_HEADER = (
 class HamiltonianBundle:
     """Everything the pipeline derives from one bond length."""
 
-    bond_length: float
-    e_hf: float
     h4: PauliSum
     h2q: PauliSum
     h1q: PauliSum
@@ -90,9 +88,7 @@ def build_hamiltonians(bond_length: float) -> HamiltonianBundle:
     h4 = jordan_wigner(to_fermion(system, rhf))
     h2q, h1q = taper(h4)
     levels = SubsystemLevels.from_single_qubit_terms(*h1q_parameters(h1q))
-    return HamiltonianBundle(
-        bond_length=bond_length, e_hf=rhf.e_hf, h4=h4, h2q=h2q, h1q=h1q, levels=levels
-    )
+    return HamiltonianBundle(h4=h4, h2q=h2q, h1q=h1q, levels=levels)
 
 
 # numpy's SeedSequence constants: a pool of four 32-bit words, the two

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import SubsystemLevels, cisd_reference, error_stats, horizon, mean_sd, wls_fit
+from .config import REPRESENTATIONS
 from .experiment import (
     MANIFEST_JSON,
     SAMPLES_CSV,
@@ -168,14 +169,26 @@ def _write_figure(
     write_svg(figure, run_dir / f"{name}.svg")
 
 
-def _manifest_field(manifest: object, path: str, run_dir: Path):
-    """The manifest's value at the dotted ``path``; a missing key raises a
-    ValueError that names it."""
+# what analyze requires of a manifest value, by the words a fault uses for it
+_MANIFEST_VALUES = {
+    "1, 2 or 4": lambda value: type(value) is int and value in REPRESENTATIONS,
+    "a finite number": lambda value: type(value) in (int, float) and math.isfinite(value),
+    "an object": lambda value: type(value) is dict,
+}
+
+
+def _manifest_field(manifest: object, path: str, run_dir: Path, what: str):
+    """The manifest's value at the dotted ``path``, which must be ``what``
+    (a key of ``_MANIFEST_VALUES``; a bool is not a number); a missing key
+    or another value raises a ValueError that names the key."""
     value = manifest
     for key in path.split("."):
         if not isinstance(value, dict) or key not in value:
             raise ValueError(f"{run_dir}/{MANIFEST_JSON} has no key {path}")
         value = value[key]
+    if not _MANIFEST_VALUES[what](value):
+        shown = {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
+        raise ValueError(f"{run_dir}/{MANIFEST_JSON} key {path} must be {what}, not {shown}")
     return value
 
 
@@ -185,15 +198,17 @@ def analyze(run_dir: str | Path) -> Path:
     manifest_path = run_dir / MANIFEST_JSON
     if not manifest_path.exists():
         raise FileNotFoundError(f"{run_dir} has no {MANIFEST_JSON}; not a run directory")
-    manifest = json.loads(manifest_path.read_text())
-    representation = int(_manifest_field(manifest, "config.representation", run_dir))
-    levels = SubsystemLevels(
-        e_hf=_manifest_field(manifest, "reference.e_hf_sub", run_dir),
-        e_double=_manifest_field(manifest, "reference.e_double_sub", run_dir),
-        coupling=_manifest_field(manifest, "reference.coupling", run_dir),
-    )
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(f"{manifest_path} is not valid JSON: {exc}") from None
+    representation = _manifest_field(manifest, "config.representation", run_dir, "1, 2 or 4")
+    levels = SubsystemLevels(*(
+        _manifest_field(manifest, f"reference.{key}", run_dir, "a finite number")
+        for key in ("e_hf_sub", "e_double_sub", "coupling")
+    ))
     # one seed per (N, set, sample, group) work item; a sample holds N rows
-    seeds = _SEED_KEY.findall("\n".join(_manifest_field(manifest, "seeds", run_dir)))
+    seeds = _SEED_KEY.findall("\n".join(_manifest_field(manifest, "seeds", run_dir, "an object")))
     by_n = load_samples(run_dir, sorted({tuple(map(int, key)) for key in set(seeds)}))
 
     # Regression points: x = total qubits, y = mean energy per H2 (kcal/mol),

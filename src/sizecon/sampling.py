@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import QUBIT_BUDGET
 from .simulator import DeviceModel, QubitCalibration
 
-SELECTIVE_POOL_SIZE = 16
 # synthetic_calibration's medians, and the standard deviation of each rate's log
 READOUT_MEDIAN = 1e-2
 SINGLE_QUBIT_MEDIAN = 3e-4
@@ -83,19 +83,19 @@ def selective_plan(
     """
     if k < 1:
         raise ValueError("need at least one set")
-    if len(pool) < SELECTIVE_POOL_SIZE:
+    if len(pool) < QUBIT_BUDGET:
         raise ValueError(
             f"pool of {len(pool)} qubits is smaller than the "
-            f"{SELECTIVE_POOL_SIZE}-qubit selective pool"
+            f"{QUBIT_BUDGET}-qubit selective pool"
         )
     block_qubits = n_subsystems * width
-    if block_qubits < 1 or SELECTIVE_POOL_SIZE % block_qubits != 0:
+    if block_qubits < 1 or QUBIT_BUDGET % block_qubits != 0:
         raise ValueError(
             f"{n_subsystems} subsystems x {width} qubits does not divide the "
-            f"{SELECTIVE_POOL_SIZE}-qubit pool; use the random procedure"
+            f"{QUBIT_BUDGET}-qubit pool; use the random procedure"
         )
-    top = list(pool[:SELECTIVE_POOL_SIZE])
-    n_samples = SELECTIVE_POOL_SIZE // block_qubits
+    top = list(pool[:QUBIT_BUDGET])
+    n_samples = QUBIT_BUDGET // block_qubits
     entries = []
     for set_index in range(k):
         for sample_index in range(n_samples):

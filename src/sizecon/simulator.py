@@ -95,6 +95,7 @@ _PAULI_1Q = (_X, _Y, _Z)
 
 # a qubit's calibration keys, in QubitCalibration's field order
 _QUBIT_KEYS = ("readout_p10", "readout_p01", "single_qubit_error")
+_NUMBER = (int, float)  # the types of a rate in a calibration document; not bool
 
 
 def _unit_interval(value: float, name: str) -> float:
@@ -113,13 +114,16 @@ class QubitCalibration:
     single_qubit_error: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("readout_p10", "readout_p01", "single_qubit_error"):
+        for name in _QUBIT_KEYS:
             _unit_interval(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Calibrated device: per-qubit rates plus per-pair two-qubit rates."""
+    """Calibrated device: per-qubit rates plus per-pair two-qubit rates.
+
+    ``two_qubit_error`` may give a pair in either order, but only once; it is
+    stored keyed by the ordered pair, in the order given."""
 
     qubits: tuple[QubitCalibration, ...]
     two_qubit_error: dict[tuple[int, int], float] = field(default_factory=dict)
@@ -128,11 +132,14 @@ class DeviceModel:
         object.__setattr__(self, "qubits", tuple(self.qubits))
         n, normalized = len(self.qubits), {}
         for (a, b), p in self.two_qubit_error.items():
-            if not 0.0 <= p <= 1.0:  # name the pair only when it fails
-                _unit_interval(p, f"pair ({a}, {b}) error")
+            if not 0.0 <= p <= 1.0:  # _unit_interval only on a fault: this runs per pair
+                _unit_interval(p, "error")
+            key = (a, b) if a < b else (b, a)
             if a == b or not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"bad qubit pair ({a}, {b})")
-            normalized[(a, b) if a < b else (b, a)] = float(p)
+                raise ValueError(f"pair {[a, b]} repeats a qubit or leaves the device")
+            if key in normalized:
+                raise ValueError(f"pair {[a, b]} is listed twice")
+            normalized[key] = float(p)
         object.__setattr__(self, "two_qubit_error", normalized)
 
     @property
@@ -152,10 +159,7 @@ class DeviceModel:
         times longer on a 156-qubit device. Each number is written by the C
         encoder, so it reads exactly as ``json`` writes it."""
         pairs = sorted(self.two_qubit_error.items())
-        numbers = [
-            v for q in self.qubits
-            for v in (q.readout_p10, q.readout_p01, q.single_qubit_error)
-        ]
+        numbers = [getattr(q, key) for q in self.qubits for key in _QUBIT_KEYS]
         numbers += [v for (a, b), p in pairs for v in (a, b, p)]
         text = iter(json.dumps(numbers)[1:-1].split(", "))
         qubits = [
@@ -174,32 +178,17 @@ class DeviceModel:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceModel":
-        """Parse ``to_json`` output; a missing or mistyped key, or a value
-        outside its range, raises a ``ValueError`` that names it.
-
-        One lean pass unpacks the entries and checks only what the
-        constructors do not: that no number is a bool and that pair members
-        are ints. The constructors check the ranges. When any check fails,
-        ``_check_calibration`` walks the document again, in entry order, to
-        name the first entry at fault."""
-        payload = json.loads(text)
+        """Parse ``to_json`` output in one walk over its entries, in file
+        order. The first entry at fault raises a ``ValueError`` that names
+        it: a missing or mistyped key, a rate outside [0, 1], or a pair that
+        repeats a qubit, leaves the device or is listed twice (in either
+        order)."""
+        walk = _CalibrationWalk(json.loads(text))
         try:
-            qubits, entries = payload["qubits"], payload.get("two_qubit_error", [])
-            if type(qubits) is not list or type(entries) is not list:
-                raise TypeError
-            rows = [[entry[key] for key in _QUBIT_KEYS] for entry in qubits]
-            if any(type(value) is bool for row in rows for value in row):
-                raise TypeError
-            pairs = {}
-            for entry in entries:
-                (a, b), error = entry["pair"], entry["error"]
-                if type(a) is not int or type(b) is not int or type(error) is bool:
-                    raise TypeError
-                pairs[a, b] = error
-            return cls(tuple(QubitCalibration(*row) for row in rows), pairs)
-        except (KeyError, TypeError, ValueError):
-            _check_calibration(payload)
-            raise
+            return cls(tuple(walk.qubits()), walk)
+        except ValueError as error:
+            where = f"{walk.list}[{walk.index}]." if walk.list else ""
+            raise ValueError(f"calibration: {where}{error}") from None
 
 
 def _json_list(items: list[str]) -> str:
@@ -207,39 +196,53 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-def _check_calibration(payload: object) -> None:
-    """Raise a ``ValueError`` naming the first entry of a calibration
-    document at fault: a missing or mistyped key, or a value out of range."""
-    qubits = _json_field(payload, "qubits", list)
-    for i, entry in enumerate(qubits):
-        for key in _QUBIT_KEYS:
-            _probability(entry, key, f"qubits[{i}].")
-    for j, entry in enumerate(_json_field(payload, "two_qubit_error", list, default=[])):
-        where = f"two_qubit_error[{j}]."
-        pair = _json_field(entry, "pair", list, where)
-        if len(pair) != 2 or any(type(t) is not int for t in pair):
-            raise ValueError(f"calibration: {where}pair is not two ints: {pair}")
-        _probability(entry, "error", where)
-        if pair[0] == pair[1] or not all(0 <= t < len(qubits) for t in pair):
-            raise ValueError(
-                f"calibration: {where}pair {pair} repeats a qubit or leaves the device"
-            )
+class _CalibrationWalk:
+    """The entries of a calibration document, read once, in file order.
+
+    The walk checks types; the constructors check ranges and pair indices.
+    ``items()`` yields the pair entries as a dict's would, so
+    ``DeviceModel`` reads them from the walk itself, one entry at a time:
+    whatever the walk or a constructor raises is about the entry at
+    ``list[index]``, or about a whole list while ``list`` is empty."""
+
+    def __init__(self, payload: object):
+        self.payload, self.list, self.index = payload, "", 0
+
+    def qubits(self):
+        for i, entry in enumerate(_json_field(self.payload, "qubits", (list,))):
+            self.list, self.index = "qubits", i
+            yield QubitCalibration(*(_json_field(entry, key, _NUMBER) for key in _QUBIT_KEYS))
+        self.list = ""
+
+    def items(self):
+        for j, entry in enumerate(_json_field(self.payload, "two_qubit_error", (list,), [])):
+            self.list, self.index = "two_qubit_error", j
+            try:  # a well-formed entry's types, inline; _pair_entry raises a fault
+                pair, error = entry["pair"], entry["error"]
+                (a, b), kind = pair, type(error)  # only a JSON list unpacks to two ints
+                well_formed = type(a) is type(b) is int and kind in _NUMBER
+            except (KeyError, TypeError, ValueError):
+                well_formed = False
+            yield (pair, error) if well_formed else _pair_entry(entry)
 
 
-def _json_field(entry: object, key: str, kind: type | tuple, where: str = "", default=None):
-    """``entry[key]`` of a calibration document, required to be a ``kind`` (not a bool)."""
-    value = entry.get(key, default) if isinstance(entry, dict) else None
+def _pair_entry(entry: object) -> tuple[list, float]:
+    """The pair and error of a ``two_qubit_error`` entry, checked by type."""
+    pair = _json_field(entry, "pair", (list,))
+    if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+        raise ValueError(f"pair is not two ints: {pair}")
+    return pair, _json_field(entry, "error", _NUMBER)
+
+
+def _json_field(entry: object, key: str, kinds: tuple, default=None):
+    """``entry[key]`` of a calibration document, required to be of one of
+    the types ``kinds`` (so a bool is not an int)."""
+    value = entry.get(key, default) if type(entry) is dict else None
     if value is None:
-        raise ValueError(f"calibration: {where}{key} is missing")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"calibration: {where}{key} has the wrong type {type(value).__name__}")
+        raise ValueError(f"{key} is missing")
+    if type(value) not in kinds:
+        raise ValueError(f"{key} has the wrong type {type(value).__name__}")
     return value
-
-
-def _probability(entry: object, key: str, where: str) -> float:
-    """A number in [0, 1] at ``entry[key]`` of a calibration document."""
-    value = _json_field(entry, key, (int, float), where)
-    return _unit_interval(value, f"calibration: {where}{key}")
 
 
 def _rotation_matrix(kind: str, angle: float) -> np.ndarray:

@@ -44,6 +44,18 @@ def set_cell(text, row, column, value):
     return "\n".join(lines)
 
 
+def set_key(text, path, value):
+    """``text``, a JSON object, with the value at the dotted ``path`` set to
+    ``value``."""
+    document = json.loads(text)
+    *parents, last = path.split(".")
+    node = document
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(document)
+
+
 def tiny_config(tmp_path, **overrides):
     settings = dict(
         representation=1,
@@ -748,6 +760,24 @@ class TestCli:
             ("manifest.json",
              lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "seeds"}),
              "manifest.json has no key seeds"),
+            ("manifest.json", lambda text: set_key(text, "seeds", [1, 2]),
+             "manifest.json key seeds must be an object, not an array"),
+            ("manifest.json", lambda text: set_key(text, "seeds", 5),
+             "manifest.json key seeds must be an object, not 5"),
+            ("manifest.json", lambda text: set_key(text, "config.representation", None),
+             "manifest.json key config.representation must be 1, 2 or 4, not null"),
+            ("manifest.json", lambda text: set_key(text, "config.representation", 3),
+             "manifest.json key config.representation must be 1, 2 or 4, not 3"),
+            ("manifest.json", lambda text: set_key(text, "config.representation", True),
+             "manifest.json key config.representation must be 1, 2 or 4, not true"),
+            ("manifest.json", lambda text: set_key(text, "reference.coupling", None),
+             "manifest.json key reference.coupling must be a finite number, not null"),
+            ("manifest.json", lambda text: set_key(text, "reference.e_hf_sub", float("nan")),
+             "manifest.json key reference.e_hf_sub must be a finite number, not NaN"),
+            ("manifest.json", lambda text: set_key(text, "reference.e_double_sub", False),
+             "manifest.json key reference.e_double_sub must be a finite number, not false"),
+            ("manifest.json", lambda text: "",
+             "manifest.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
             ("samples.csv", lambda text: text.replace(",p_double,", ",p_doubel,", 1),
              "samples.csv has no column p_double"),
             # N=2, selective k=1: samples 0..7 of set 0, subsystems 0 and 1
@@ -774,7 +804,10 @@ class TestCli:
             ("samples.csv", lambda text: set_cell(text, 7, "energy_hartree", "nan"),
              "samples.csv row 7, column energy_hartree: 'nan' is not a finite number"),
         ],
-        ids=["empty-manifest", "manifest-without-seeds", "renamed-column", "moved-row",
+        ids=["empty-manifest", "manifest-without-seeds", "seeds-array", "seeds-number",
+             "null-representation", "representation-3", "bool-representation",
+             "null-coupling", "nan-reference", "bool-reference", "manifest-not-json",
+             "renamed-column", "moved-row",
              "repeated-subsystem", "unlisted-sample", "not-a-number", "not-an-integer",
              "too-large-an-integer", "short-row", "inf-cell", "nan-cell"],
     )

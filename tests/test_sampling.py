@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from sizecon.config import QUBIT_BUDGET
 from sizecon.sampling import (
-    SELECTIVE_POOL_SIZE,
     qubit_scores,
     random_plan,
     rank_qubits,
@@ -106,7 +106,7 @@ class TestSelectivePlan:
                 for b in e.blocks
                 for q in b
             ]
-            assert len(covered) == len(set(covered)) == SELECTIVE_POOL_SIZE
+            assert len(covered) == len(set(covered)) == QUBIT_BUDGET
             assert set(covered) == top16
 
     def test_sample_count_matches_16_over_n(self):

@@ -599,11 +599,19 @@ class TestDeviceModel:
         with pytest.raises(ValueError, match="outside"):
             DeviceModel((QubitCalibration(), QubitCalibration()), {(0, 1): -0.1})
 
-    def test_json_round_trip(self):
-        device = DeviceModel(
-            (QubitCalibration(0.01, 0.02, 0.003), QubitCalibration(0.04, 0.05, 0.006)),
-            {(0, 1): 0.07},
-        )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DeviceModel(
+                (QubitCalibration(0.01, 0.02, 0.003), QubitCalibration(0.04, 0.05, 0.006)),
+                {(0, 1): 0.07},
+            ),
+            lambda: synthetic_calibration(n_qubits=156, seed=7),
+        ],
+        ids=["two-qubits", "synthetic-seed7-156"],
+    )
+    def test_json_round_trip(self, make):
+        device = make()
         back = DeviceModel.from_json(device.to_json())
         assert back == device
 
@@ -671,3 +679,89 @@ class TestDeviceModel:
     def test_from_json_names_bad_key(self, payload, key):
         with pytest.raises(ValueError, match=rf"^calibration: {re.escape(key)} "):
             DeviceModel.from_json(payload)
+
+    @staticmethod
+    def calibration_text(pairs, faults=None):
+        """A three-qubit calibration document listing ``pairs``, each a
+        (pair, error) entry, with each entry of ``faults`` merged into the
+        qubit or pair entry its (list, index) key names."""
+        qubit = {"readout_p10": 0.01, "readout_p01": 0.02, "single_qubit_error": 0.001}
+        payload = {
+            "qubits": [dict(qubit) for _ in range(3)],
+            "two_qubit_error": [{"pair": list(pair), "error": p} for pair, p in pairs],
+        }
+        for (name, index), fault in (faults or {}).items():
+            payload[name][index].update(fault)
+        return json.dumps(payload)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([((0, 1), 0.01), ((1, 2), 0.02), ((0, 1), 0.2)],
+             "two_qubit_error[2].pair [0, 1] is listed twice"),
+            ([((0, 1), 0.01), ((1, 0), 0.3), ((0, 1), 0.2)],
+             "two_qubit_error[1].pair [1, 0] is listed twice"),
+        ],
+        ids=["same-order", "reverse-order"],
+    )
+    def test_from_json_rejects_repeated_pair(self, pairs, message):
+        with pytest.raises(ValueError) as caught:
+            DeviceModel.from_json(self.calibration_text(pairs))
+        assert str(caught.value) == f"calibration: {message}"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"pair": [0, 1], "error": None}, "error is missing"),
+            ({"pair": [0, 1], "error": "0.1"}, "error has the wrong type str"),
+            ({"pair": [0, 1], "error": [0.1]}, "error has the wrong type list"),
+            ({"pair": None, "error": 0.1}, "pair is missing"),
+            ({"pair": {"0": 0, "1": 1}, "error": 0.1}, "pair has the wrong type dict"),
+            ({"pair": [0, "1"], "error": 0.1}, "pair is not two ints: [0, '1']"),
+            ({"pair": [0], "error": 0.1}, "pair is not two ints: [0]"),
+            ([[0, 1], 0.1], "pair is missing"),
+        ],
+    )
+    def test_from_json_names_bad_pair_entry(self, entry, message):
+        payload = json.loads(self.calibration_text([((0, 1), 0.01)]))
+        payload["two_qubit_error"].append(entry)
+        with pytest.raises(ValueError) as caught:
+            DeviceModel.from_json(json.dumps(payload))
+        assert str(caught.value) == f"calibration: two_qubit_error[1].{message}"
+
+    def test_from_json_names_pair_list_after_qubits(self):
+        payload = json.loads(self.calibration_text([]))
+        payload["two_qubit_error"] = None
+        with pytest.raises(ValueError) as caught:
+            DeviceModel.from_json(json.dumps(payload))
+        assert str(caught.value) == "calibration: two_qubit_error is missing"
+
+    def test_constructor_rejects_repeated_pair(self):
+        qubits = (QubitCalibration(), QubitCalibration())
+        with pytest.raises(ValueError, match=r"^pair \[1, 0\] is listed twice$"):
+            DeviceModel(qubits, {(0, 1): 0.1, (1, 0): 0.2})
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            ({("qubits", 0): {"readout_p01": 2.0}, ("qubits", 1): {"readout_p10": "0"}},
+             "qubits[0].readout_p01 = 2.0 outside [0, 1]"),
+            ({("qubits", 0): {"single_qubit_error": None}, ("qubits", 1): {"readout_p10": -1}},
+             "qubits[0].single_qubit_error is missing"),
+            ({("two_qubit_error", 0): {"error": 1.5}, ("two_qubit_error", 1): {"error": "x"}},
+             "two_qubit_error[0].error = 1.5 outside [0, 1]"),
+            ({("two_qubit_error", 0): {"pair": [0, 3]}, ("two_qubit_error", 1): {"pair": 7}},
+             "two_qubit_error[0].pair [0, 3] repeats a qubit or leaves the device"),
+            ({("two_qubit_error", 0): {"pair": [0, 1.0]}, ("two_qubit_error", 1): {"error": 2}},
+             "two_qubit_error[0].pair is not two ints: [0, 1.0]"),
+            ({("two_qubit_error", 0): {"error": True}, ("two_qubit_error", 1): {"pair": [2, 2]}},
+             "two_qubit_error[0].error has the wrong type bool"),
+        ],
+        ids=["range-then-type", "missing-then-range", "pair-range-then-type",
+             "index-then-type", "type-then-range", "bool-then-index"],
+    )
+    def test_from_json_names_first_fault_in_file_order(self, faults, message):
+        text = self.calibration_text([((0, 1), 0.01), ((1, 2), 0.02)], faults)
+        with pytest.raises(ValueError) as caught:
+            DeviceModel.from_json(text)
+        assert str(caught.value) == f"calibration: {message}"
