@@ -96,7 +96,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.config)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    config = ExperimentConfig.from_json(path.read_text())
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("document", f"{path} is not valid UTF-8: {exc}") from exc
+    config = ExperimentConfig.from_json(text)
     out = run_experiment(config)
     print(f"run complete: {out}")
     return 0

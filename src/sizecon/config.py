@@ -16,10 +16,11 @@ import json
 import math
 from dataclasses import dataclass
 
+from .hamiltonians import BLOCK_DETERMINANTS
+
 # the most qubits one sample may take, and the size of the best-ranked pool
 # that the selective and random procedures draw from
 QUBIT_BUDGET = 16
-REPRESENTATIONS = (1, 2, 4)  # qubits per H2
 DEFAULT_SHOTS = 100_000
 DEFAULT_BOND_LENGTH = 0.7414   # angstrom, experimental equilibrium
 
@@ -89,7 +90,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subsystem_counts", tuple(self.subsystem_counts))
-        if self.representation not in REPRESENTATIONS:
+        if self.representation not in BLOCK_DETERMINANTS:
             raise ConfigError("representation", f"must be 1, 2 or 4, got {self.representation}")
         if not self.subsystem_counts:
             raise ConfigError("subsystem_counts", "must not be empty")
@@ -130,7 +131,11 @@ class ExperimentConfig:
             raise ConfigError("sampling.s", "must be >= 1")
         elif self.s_repetitions >= 2**32:
             raise ConfigError("sampling.s", f"must be < 2**32, got {self.s_repetitions}")
-        if not (math.isfinite(self.bond_length) and self.bond_length > 0):
+        try:
+            finite = math.isfinite(self.bond_length)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not (finite and self.bond_length > 0):
             raise ConfigError(
                 "bond_length", f"must be positive and finite, got {self.bond_length}"
             )

@@ -151,13 +151,16 @@ def derive_seed(master_seed: int, keys: Sequence[Sequence[int]]) -> list[int]:
 
 
 def read_calibration(path: str | Path, field_name: str) -> DeviceModel:
-    """The device a calibration file describes. A missing file, or text that
-    is not JSON, raises a ConfigError on ``field_name`` that names the file."""
+    """The device a calibration file describes. A missing file, or bytes
+    that are not UTF-8 JSON, raise a ConfigError on ``field_name`` that
+    names the file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(field_name, f"no such file: {path}")
     try:
         return DeviceModel.from_json(path.read_text())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(field_name, f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(field_name, f"{path} is not valid JSON: {exc}") from exc
 

@@ -21,10 +21,25 @@ import numpy as np
 from .molecule import MolecularSystem, RhfSolution, mo_integrals
 from .pauli import LETTERS, PauliString, PauliSum, identity_string, multiply
 
-# Computational basis states (qubit 0 = most significant bit) spanning the
-# number- and spin-conserving sector that holds the H2 ground state.
-SECTOR_STATES_2Q = (0b1100, 0b1001, 0b0110, 0b0011)   # HF, two singles, double
-SECTOR_STATES_1Q = (0b1100, 0b0011)                   # HF, double
+# The code book of one H2 block: per representation (qubits per H2), the
+# 4-qubit determinant (qubit 0 = most significant bit) that each block code
+# stands for, in code order. Widths 1 and 2 are the symmetry sectors
+# ``taper`` projects onto; width 4 is the Jordan-Wigner register itself.
+BLOCK_DETERMINANTS = {
+    1: (0b1100, 0b0011),                   # HF, double
+    2: (0b1100, 0b1001, 0b0110, 0b0011),   # HF, two singles, double
+    4: tuple(range(16)),
+}
+
+
+def excitation_level(determinant: int) -> int | None:
+    """Electrons a 4-qubit determinant holds in sigma_u (spin orbitals 2 and
+    3, the two low bits): 0 for the mean-field reference, 1 for a single, 2
+    for the double; None if it does not hold two electrons."""
+    if determinant.bit_count() != 2:
+        return None
+    return (determinant & 0b11).bit_count()
+
 
 TAPER_TOL = 1e-10
 
@@ -117,7 +132,9 @@ def _op_product(
 def jordan_wigner(h: FermionHamiltonian) -> PauliSum:
     """Map to qubits, one per spin orbital; output has real coefficients.
 
-    Imaginary residue above 1e-12 signals a non-Hermitian input and raises.
+    Imaginary residue above 1e-12 of the largest coefficient signals a
+    non-Hermitian input and raises; the bound is relative because the
+    integrals grow as 1/r at short bonds.
     """
     n = h.n_spin_orbitals
     total: dict[PauliString, complex] = {identity_string(n): complex(h.constant)}
@@ -141,8 +158,8 @@ def jordan_wigner(h: FermionHamiltonian) -> PauliSum:
             coeff,
         )
 
-    worst_imag = max((abs(c.imag) for c in total.values()), default=0.0)
-    if worst_imag > 1e-12:
+    worst_imag = max(abs(c.imag) for c in total.values())
+    if worst_imag > 1e-12 * max(abs(c) for c in total.values()):
         raise ValueError(f"non-Hermitian input: imaginary Pauli weight {worst_imag:.3e}")
     return PauliSum({s: c.real for s, c in total.items()}, width=n)
 
@@ -200,8 +217,8 @@ def taper(h4: PauliSum) -> tuple[PauliSum, PauliSum]:
         raise TaperingError("input Hamiltonian has an imaginary matrix part")
     mat = mat.real
 
-    h2q = matrix_to_pauli_sum(_project(mat, SECTOR_STATES_2Q), 2)
-    h1q = matrix_to_pauli_sum(_project(mat, SECTOR_STATES_1Q), 1)
+    h2q = matrix_to_pauli_sum(_project(mat, BLOCK_DETERMINANTS[2]), 2)
+    h1q = matrix_to_pauli_sum(_project(mat, BLOCK_DETERMINANTS[1]), 1)
 
     ground4 = np.linalg.eigvalsh(mat)[0]
     for reduced in (h2q, h1q):

@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import SubsystemLevels, cisd_reference, error_stats, horizon, mean_sd, wls_fit
-from .config import REPRESENTATIONS
 from .experiment import (
     MANIFEST_JSON,
     SAMPLES_CSV,
@@ -40,6 +39,7 @@ from .experiment import (
     dict_table,
     write_csv,
 )
+from .hamiltonians import BLOCK_DETERMINANTS
 from .svgplot import Figure, Series, write as write_svg
 from .units import HARTREE_TO_KCAL_PER_MOL
 
@@ -171,7 +171,7 @@ def _write_figure(
 
 # what analyze requires of a manifest value, by the words a fault uses for it
 _MANIFEST_VALUES = {
-    "1, 2 or 4": lambda value: type(value) is int and value in REPRESENTATIONS,
+    "1, 2 or 4": lambda value: type(value) is int and value in BLOCK_DETERMINANTS,
     "a finite number": lambda value: type(value) in (int, float) and math.isfinite(value),
     "an object": lambda value: type(value) is dict,
 }

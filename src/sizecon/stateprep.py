@@ -19,15 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .hamiltonians import BLOCK_DETERMINANTS, excitation_level
 from .pauli import PauliSum
 
 ROTATION_KINDS = ("RY", "RZ")
 GATE_ARITY = {"RY": 1, "RZ": 1, "X": 1, "CZ": 2, "CNOT": 2}
-
-# Amplitude indices of the mean-field reference and the doubly excited
-# determinant in each representation's encoding.
-HF_INDEX = {1: 0b0, 2: 0b00, 4: 0b1100}
-DOUBLE_INDEX = {1: 0b1, 2: 0b11, 4: 0b0011}
 
 SYNTHESIS_FIDELITY = 1.0 - 1e-12
 DEGENERACY_TOL = 1e-12
@@ -141,11 +137,18 @@ def fci_ground(h: PauliSum) -> PreparedState:
     if vals[1] - vals[0] < DEGENERACY_TOL:
         raise DegenerateGroundStateError(float(vals[0]), float(vals[1]))
     vec = vecs[:, 0].astype(complex)
-    anchor = HF_INDEX.get(h.width, int(np.argmax(np.abs(vec))))
+    known = h.width in BLOCK_DETERMINANTS
+    anchor = _code_at_level(h.width, 0) if known else int(np.argmax(np.abs(vec)))
     ref = vec[anchor]
     if abs(ref) > 0:
         vec = vec * (ref.conjugate() / abs(ref))
     return PreparedState(representation=h.width, amplitudes=vec, energy=float(vals[0]))
+
+
+def _code_at_level(width: int, level: int) -> int:
+    """The block code whose determinant has this excitation level: 0 gives
+    the mean-field reference, 2 the double excitation."""
+    return [excitation_level(d) for d in BLOCK_DETERMINANTS[width]].index(level)
 
 
 def _template(width: int, theta: float) -> Circuit:
@@ -176,11 +179,11 @@ def synthesize(target: PreparedState) -> Circuit:
     amplitudes, e.g. for a state outside the two-determinant manifold.
     """
     width = target.representation
-    if width not in HF_INDEX:
+    if width not in BLOCK_DETERMINANTS:
         raise ValueError(f"unsupported representation width {width}")
     amps = target.amplitudes
-    c_hf = amps[HF_INDEX[width]]
-    c_double = amps[DOUBLE_INDEX[width]]
+    c_hf = amps[_code_at_level(width, 0)]
+    c_double = amps[_code_at_level(width, 2)]
     if max(abs(c_hf.imag), abs(c_double.imag)) > 1e-9:
         raise SynthesisError("target amplitudes are not real after phase fixing")
     theta = 2.0 * math.atan2(c_double.real, c_hf.real)

@@ -28,25 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonians import BLOCK_DETERMINANTS, excitation_level
 from .pauli import PauliString, PauliSum, qubitwise_groups
 from .stateprep import Circuit, Gate
-
-SUPPORTED_WIDTHS = (1, 2, 4)
-
-# Block-level code words per representation: code -> determinant class.
-HF, SINGLE, DOUBLE, NUMBER_VIOLATING = "hf", "single", "double", "number_violating"
-_CLASSIFICATION = {
-    1: {0b0: HF, 0b1: DOUBLE},
-    2: {0b00: HF, 0b01: SINGLE, 0b10: SINGLE, 0b11: DOUBLE},
-    4: {
-        0b1100: HF,
-        0b0011: DOUBLE,
-        0b1001: SINGLE,
-        0b0110: SINGLE,
-        0b1010: SINGLE,
-        0b0101: SINGLE,
-    },
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +99,7 @@ def build_plan(h_sub: PauliSum, n_subsystems: int) -> MeasurementPlan:
     measurement whose basis rotations repeat across blocks. Group count is
     therefore the subsystem group count, independent of N.
     """
-    if h_sub.width not in SUPPORTED_WIDTHS:
+    if h_sub.width not in BLOCK_DETERMINANTS:
         raise ValueError(f"unsupported subsystem width {h_sub.width}")
     if n_subsystems < 1:
         raise ValueError("need at least one subsystem")
@@ -214,25 +198,21 @@ def extract_populations(histogram: np.ndarray) -> PopulationBreakdown:
     ``(items, N, 2**width)`` stack of them; each class is then ``(N,)`` or
     ``(items, N)``.
 
-    Single-qubit blocks read 0 as the mean-field reference and 1 as the
-    double excitation; two-qubit blocks follow the reduction code words
-    (00 reference, 01/10 singles, 11 double); four-qubit blocks classify
+    A code's class is the excitation level of the determinant it stands
+    for in ``BLOCK_DETERMINANTS``: single-qubit blocks read 0 as the
+    mean-field reference and 1 as the double excitation; two-qubit blocks
+    read 00 reference, 01/10 singles, 11 double; four-qubit blocks classify
     the six half-filled patterns and call everything else number-violating.
     """
     n_codes = histogram.shape[-1]
-    representation = {1 << w: w for w in SUPPORTED_WIDTHS}.get(n_codes)
+    representation = {1 << w: w for w in BLOCK_DETERMINANTS}.get(n_codes)
     if representation is None:
         raise ValueError(f"unsupported representation: {n_codes} codes per block")
     shots = histogram[..., :1, :].sum(axis=-1)
-    classes = _CLASSIFICATION[representation]
-    kinds = (HF, SINGLE, DOUBLE, NUMBER_VIOLATING)
-    result = {kind: np.zeros(histogram.shape[:-1]) for kind in kinds}
+    # excitation level -> population, in PopulationBreakdown's field order;
+    # None is number-violating
+    result = {level: np.zeros(histogram.shape[:-1]) for level in (0, 1, 2, None)}
     # ascending codes; an absent code adds an exact 0.0
-    for code in range(n_codes):
-        result[classes.get(code, NUMBER_VIOLATING)] += histogram[..., code] / shots
-    return PopulationBreakdown(
-        hf=result[HF],
-        single_excitation=result[SINGLE],
-        double_excitation=result[DOUBLE],
-        number_violating=result[NUMBER_VIOLATING],
-    )
+    for code, determinant in enumerate(BLOCK_DETERMINANTS[representation]):
+        result[excitation_level(determinant)] += histogram[..., code] / shots
+    return PopulationBreakdown(*result.values())

@@ -18,7 +18,10 @@ library it checks:
   distance with ``np.dot``, where the library works on the bond axis; the
   two agree byte for byte,
 * the regression oracle solves the weighted normal equations through a
-  design-matrix factorization.
+  design-matrix factorization,
+* the block-code classes are written out by hand, code by code, where the
+  library derives them from one determinant table and an excitation-level
+  rule.
 """
 
 from __future__ import annotations
@@ -220,6 +223,25 @@ def determinant_expectation(h, occupied) -> float:
             if (p, q) == (r, s):
                 value -= c
     return value
+
+
+# ---------------------------------------------------------------------------
+# Determinant class of every block code, by representation (qubits per H2);
+# a code not listed is number-violating.
+# ---------------------------------------------------------------------------
+
+CLASSIFICATION = {
+    1: {0b0: "hf", 0b1: "double"},
+    2: {0b00: "hf", 0b01: "single", 0b10: "single", 0b11: "double"},
+    4: {
+        0b1100: "hf",
+        0b0011: "double",
+        0b1001: "single",
+        0b0110: "single",
+        0b1010: "single",
+        0b0101: "single",
+    },
+}
 
 
 # ---------------------------------------------------------------------------

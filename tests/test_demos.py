@@ -1,7 +1,10 @@
-"""Every demo script runs to completion against the library in ``src``.
+"""Every demo script runs to completion against the library in ``src`` and
+prints exactly the text recorded in ``demo_stdout/<demo>.txt``.
 
 Each runs in a fresh interpreter with a temporary working directory, since
-some demos write output files under the current directory.
+some demos write output files under the current directory. The recorded
+text holds no path or timing; its numbers depend on numpy's random streams,
+so it holds for the numpy version CI pins.
 """
 
 import os
@@ -13,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = Path(__file__).resolve().parent / "demo_stdout"
 
 
 def test_demos_found():
@@ -33,3 +37,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stdout == (RECORDED / f"{demo.stem}.txt").read_text()

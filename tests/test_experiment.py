@@ -569,6 +569,8 @@ class TestCli:
             ({"master_seed": -1}, "master_seed: must be >= 0, got -1"),
             ({"calibration": {"synthetic_seed": -2}}, "calibration.synthetic_seed: must be >= 0, got -2"),
             ({"output_dir": ""}, "output_dir: must not be empty"),
+            # past the float range, where math.isfinite raises OverflowError
+            ({"bond_length": 10**400}, f"bond_length: must be positive and finite, got {10**400}"),
         ],
     )
     def test_config_error_names_json_path(self, tmp_path, capsys, monkeypatch, override, message):
@@ -652,6 +654,41 @@ class TestCli:
         ]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("broken", ["config", "calibration"])
+    def test_file_not_utf8_is_one_line(self, tmp_path, broken):
+        cal = tmp_path / "cal.json"
+        cal.write_text(synthetic_calibration(n_qubits=16, seed=7).to_json())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "representation": 1, "subsystem_counts": [2], "calibration": {"file": str(cal)},
+            "output_dir": str(tmp_path / "run"),
+        }))
+        path, field = {"config": (config, "document"), "calibration": (cal, "calibration.file")}[broken]
+        path.write_bytes(b"\xff" + path.read_bytes())
+        result = run_cli("run", str(config))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            f"error: config: {field}: {path} is not valid UTF-8: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte"
+        ]
+        assert not (tmp_path / "run").exists()
+
+    def test_too_short_bond_length_is_one_line(self, tmp_path):
+        # 0.01 angstrom builds; at 0.001 the MO integrals lose so many digits
+        # that the Jordan-Wigner image is non-Hermitian past its bound
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "representation": 1, "subsystem_counts": [2], "output_dir": str(tmp_path / "run"),
+            "bond_length": 0.001,
+        }))
+        for result in (run_cli("run", str(config)),
+                       run_cli("reference", "--n-max", "2", "--bond-length=0.001")):
+            assert result.returncode == 1
+            assert result.stdout == ""
+            [line] = result.stderr.splitlines()
+            assert line.startswith("error: value: non-Hermitian input: imaginary Pauli weight ")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "value, message",
         [
@@ -680,15 +717,17 @@ class TestCli:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("qubits: 16\n", "{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (b"qubits: 16\n", "{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (b"\xff{}", "{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                        "in position 0: invalid start byte"),
             (None, "no such file: {path}"),
         ],
-        ids=["not-json", "missing"],
+        ids=["not-json", "not-utf8", "missing"],
     )
     def test_calibration_rank_file_error_is_one_line(self, tmp_path, text, message):
         cal = tmp_path / "cal.json"
         if text is not None:
-            cal.write_text(text)
+            cal.write_bytes(text)
         result = run_cli("calibration", "rank", str(cal))
         assert result.returncode == 1
         assert result.stderr.splitlines() == [f"error: config: file: {message.format(path=cal)}"]

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from sizecon.experiment import build_hamiltonians
 from sizecon.hamiltonians import (
+    BLOCK_DETERMINANTS,
     FermionHamiltonian,
     TaperingError,
+    excitation_level,
     h1q_parameters,
     jordan_wigner,
     matrix_to_pauli_sum,
@@ -11,10 +14,12 @@ from sizecon.hamiltonians import (
     taper,
     to_fermion,
 )
-from sizecon.molecule import mo_integrals
+from sizecon.molecule import build_integrals, mo_integrals, solve_rhf
 from sizecon.pauli import PauliString, PauliSum
 
-from oracles import determinant_expectation, pauli_decompose
+from oracles import CLASSIFICATION, CiOracle, determinant_expectation, pauli_decompose
+
+LEVEL_CLASSES = {0: "hf", 1: "single", 2: "double", None: "number_violating"}
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +131,41 @@ class TestJordanWigner:
         h = FermionHamiltonian(0.0, {(0, 1): 1.0}, {}, n_spin_orbitals=2)
         with pytest.raises(ValueError, match="non-Hermitian"):
             jordan_wigner(h)
+
+    @pytest.mark.parametrize(
+        "constant, weight", [(0.0, 1e-8), (0.0, 1e6), (1e6, 1.0)],
+        ids=["tiny", "huge", "huge-constant"],
+    )
+    def test_rejects_non_hermitian_input_at_any_scale(self, constant, weight):
+        # the bound is relative to the largest coefficient, so neither small
+        # integrals nor a large constant let a one-way hopping term through
+        h = FermionHamiltonian(constant, {(0, 1): weight}, {}, n_spin_orbitals=2)
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            jordan_wigner(h)
+
+    def test_short_bond_builds(self):
+        # the integrals grow as 1/r, and their rounding residue with them: at
+        # 0.01 angstrom it is an 8.5e-12 imaginary weight, over a fixed 1e-12
+        bundle = build_hamiltonians(0.01)
+        system = build_integrals(0.01)
+        e_fci = CiOracle(system, solve_rhf(system)).e_fci
+        for h in (bundle.h4, bundle.h2q, bundle.h1q):
+            assert np.linalg.eigvalsh(h.to_matrix())[0] == pytest.approx(e_fci, abs=1e-10)
+
+
+class TestBlockDeterminants:
+    @pytest.mark.parametrize("determinant", range(16))
+    def test_excitation_level_of_every_determinant(self, determinant):
+        expected = CLASSIFICATION[4].get(determinant, "number_violating")
+        assert LEVEL_CLASSES[excitation_level(determinant)] == expected
+
+    @pytest.mark.parametrize("width", sorted(CLASSIFICATION))
+    def test_every_code_classed_by_its_determinant(self, width):
+        determinants = BLOCK_DETERMINANTS[width]
+        assert len(determinants) == 2**width
+        classes = [LEVEL_CLASSES[excitation_level(d)] for d in determinants]
+        expected = [CLASSIFICATION[width].get(code, "number_violating") for code in range(2**width)]
+        assert classes == expected
 
 
 class TestTaper:

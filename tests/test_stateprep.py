@@ -11,6 +11,7 @@ from sizecon.stateprep import (
     Gate,
     PreparedState,
     SynthesisError,
+    _code_at_level,
     compose,
     fci_ground,
     synthesize,
@@ -47,6 +48,13 @@ class TestFciGround:
             amp = state.amplitudes[hf_idx]
             assert amp.imag == pytest.approx(0.0, abs=1e-12)
             assert amp.real > 0
+
+    @pytest.mark.parametrize(
+        "width, reference, double", [(1, 0, 1), (2, 0b00, 0b11), (4, 0b1100, 0b0011)]
+    )
+    def test_reference_and_double_codes(self, width, reference, double):
+        assert _code_at_level(width, 0) == reference
+        assert _code_at_level(width, 2) == double
 
     def test_degenerate_ground_reported(self):
         h = PauliSum({PauliString("ZZ"): 1.0, PauliString("II"): 0.0})

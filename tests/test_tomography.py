@@ -7,13 +7,13 @@ from sizecon.pauli import PauliString, PauliSum, qubitwise_groups
 from sizecon.simulator import DeviceModel, TrajectoryEngine
 from sizecon.stateprep import compose, fci_ground, synthesize
 from sizecon.tomography import (
-    _CLASSIFICATION,
     build_plan,
     estimate_energies,
     extract_populations,
     shot_noise_stderr,
 )
 
+from oracles import CLASSIFICATION
 from tables import block_histogram, block_histograms, joint_counts
 
 
@@ -381,7 +381,7 @@ class TestExtractPopulations:
         kinds = {"hf": pops.hf, "single": pops.single_excitation,
                  "double": pops.double_excitation, "number_violating": pops.number_violating}
         expected = {kind: np.zeros(n) for kind in kinds}
-        classes = _CLASSIFICATION[representation]
+        classes = CLASSIFICATION[representation]
         for block in range(n):
             block_codes = (codes >> (n - 1 - block) * representation) & (2**representation - 1)
             for code in np.unique(block_codes):
