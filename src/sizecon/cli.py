@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_BOND_LENGTH, ConfigError, ExperimentConfig
+from .config import DEFAULT_BOND_LENGTH, MAX_QUBITS, ConfigError, ExperimentConfig
 from .experiment import csv_text, dict_table, read_calibration, run_experiment
 from .report import analyze, reference_table
 from .sampling import qubit_scores, rank_qubits, synthetic_calibration
@@ -37,17 +37,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``. argparse
-    names the option in the usage error it makes of a failure."""
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer from ``low`` up to ``high``, if given.
+    argparse names the option in the usage error it makes of a failure."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -77,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cal_p = sub.add_parser("calibration", help="device calibration utilities")
     cal_sub = cal_p.add_subparsers(dest="calibration_command", required=True)
     gen_p = cal_sub.add_parser("generate", help="emit a synthetic calibration file")
-    gen_p.add_argument("--seed", type=_at_least(0), required=True)
-    gen_p.add_argument("--n-qubits", type=_at_least(1), default=156)
+    gen_p.add_argument("--seed", type=_int_in(0), required=True)
+    gen_p.add_argument("--n-qubits", type=_int_in(1, MAX_QUBITS), default=156)
     gen_p.add_argument("--output", default="-", help="output path, or - for stdout")
     rank_p = cal_sub.add_parser("rank", help="rank qubits of a calibration file")
     rank_p.add_argument("file", help="calibration JSON file")

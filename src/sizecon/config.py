@@ -1,19 +1,19 @@
 """Experiment configuration: the JSON schema, its types and its ranges.
 
 ``ExperimentConfig.from_json`` reads the config file that ``sizecon run``
-takes. Every key the file may hold is listed once in ``_SCHEMA`` under its
-JSON path; an unknown key, a key the chosen sampling mode or calibration
+takes. Every key the file may hold has one row in ``_SCHEMA`` under its JSON
+path: its type, its bounds and the setting under which the program does not
+read it. An unknown key, a key the chosen sampling mode or calibration
 source would ignore, a value of the wrong type or one out of range raises a
 ``ConfigError`` that names the path as the file spells it (``shots``,
-``sampling.k``, ``calibration.file``). The keys that one sampling mode or
-calibration source does not read are listed once in ``_UNREAD_WITH``;
-``to_dict``, which the manifest records, leaves the same keys out.
+``sampling.k``, ``calibration.file``); ``to_dict``, which the manifest
+records, leaves the unread keys out.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 from .hamiltonians import BLOCK_DETERMINANTS
@@ -23,6 +23,15 @@ from .hamiltonians import BLOCK_DETERMINANTS
 QUBIT_BUDGET = 16
 DEFAULT_SHOTS = 100_000
 DEFAULT_BOND_LENGTH = 0.7414   # angstrom, experimental equilibrium
+# a work item's shot counts are int64
+MAX_SHOTS = 2**63 - 1
+# the largest synthetic device: its all-to-all pairs grow as the square of
+# the qubits, and at 1024 qubits `sizecon calibration generate` takes about
+# 0.8 s and 500 MB and writes a 52 MB file
+MAX_QUBITS = 1024
+# a set or sample index is one 32-bit word of a work item's seed key; no run
+# with 2**32 sets or samples fits in memory anyway
+_MAX_INDEX = 2**32 - 1
 
 
 class ConfigError(ValueError):
@@ -41,36 +50,31 @@ def _typed(value, field_name: str, kind: type | tuple, what: str = "an integer")
     return value
 
 
-# JSON path -> (config field, required type, what an error says it must be)
+# JSON path -> (config field, required type, what an error says it must be,
+# least value, greatest value, the setting under which the program does not
+# read the key). A file that holds a key with that setting is rejected, and
+# ``to_dict`` leaves the key out.
+_FILE = "calibration.file"
 _SCHEMA = {
-    "representation": ("representation", int, "an integer"),
-    "subsystem_counts": ("subsystem_counts", list, "a list of integers"),
-    "output_dir": ("output_dir", str, "a string"),
-    "shots": ("shots", int, "an integer"),
-    "master_seed": ("master_seed", int, "an integer"),
-    "bond_length": ("bond_length", (int, float), "a number"),
-    "sampling.mode": ("sampling_mode", str, "a string"),
-    "sampling.k": ("k_sets", int, "an integer"),
-    "sampling.s": ("s_repetitions", int, "an integer"),
-    "calibration.file": ("calibration_file", str, "a string"),
-    "calibration.synthetic_seed": ("calibration_seed", int, "an integer"),
-    "calibration.n_qubits": ("calibration_qubits", int, "an integer"),
-}
-
-# JSON path -> the setting under which the program does not read it. A file
-# that holds such a key with that setting is rejected, and ``to_dict``
-# leaves the key out.
-_UNREAD_WITH = {
-    "sampling.k": "sampling mode 'random'",
-    "sampling.s": "sampling mode 'selective'",
-    "calibration.synthetic_seed": "calibration.file",
-    "calibration.n_qubits": "calibration.file",
+    "representation": ("representation", int, "an integer", None, None, None),
+    "subsystem_counts": ("subsystem_counts", list, "a list of integers", None, None, None),
+    "output_dir": ("output_dir", str, "a string", None, None, None),
+    "shots": ("shots", int, "an integer", 1, MAX_SHOTS, None),
+    "master_seed": ("master_seed", int, "an integer", 0, None, None),
+    "bond_length": ("bond_length", (int, float), "a number", None, None, None),
+    "sampling.mode": ("sampling_mode", str, "a string", None, None, None),
+    "sampling.k": ("k_sets", int, "an integer", 1, _MAX_INDEX, "sampling mode 'random'"),
+    "sampling.s": ("s_repetitions", int, "an integer", 1, _MAX_INDEX, "sampling mode 'selective'"),
+    "calibration.file": ("calibration_file", str, "a string", None, None, None),
+    "calibration.synthetic_seed": ("calibration_seed", int, "an integer", 0, None, _FILE),
+    "calibration.n_qubits": (
+        "calibration_qubits", int, "an integer", QUBIT_BUDGET, MAX_QUBITS, _FILE),
 }
 
 
 def _settings(mode, has_file: bool) -> set[str]:
-    """A config's settings, as ``_UNREAD_WITH`` names them."""
-    return {f"sampling mode {mode!r}"} | ({"calibration.file"} if has_file else set())
+    """A config's settings, as the last column of ``_SCHEMA`` names them."""
+    return {f"sampling mode {mode!r}"} | ({_FILE} if has_file else set())
 
 
 @dataclass(frozen=True)
@@ -109,17 +113,18 @@ class ExperimentConfig:
                 )
         if not self.output_dir:
             raise ConfigError("output_dir", "must not be empty")
-        if self.shots < 1:
-            raise ConfigError("shots", f"must be >= 1, got {self.shots}")
         if self.sampling_mode not in ("selective", "random"):
             raise ConfigError("sampling.mode", f"unknown mode {self.sampling_mode!r}")
+        settings = _settings(self.sampling_mode, self.calibration_file is not None)
+        for path, (name, _, _, low, high, unread_with) in _SCHEMA.items():
+            value = getattr(self, name)
+            if unread_with in settings:
+                continue
+            if low is not None and value < low:
+                raise ConfigError(path, f"must be >= {low}, got {value}")
+            if high is not None and value > high:
+                raise ConfigError(path, f"must be <= {high}, got {value}")
         if self.sampling_mode == "selective":
-            if self.k_sets < 1:
-                raise ConfigError("sampling.k", "must be >= 1")
-            # a set or sample index is one 32-bit word of a seed key; no
-            # run with 2**32 sets or samples fits in memory anyway
-            if self.k_sets >= 2**32:
-                raise ConfigError("sampling.k", f"must be < 2**32, got {self.k_sets}")
             for n in self.subsystem_counts:
                 if QUBIT_BUDGET % (n * self.representation) != 0:
                     raise ConfigError(
@@ -127,26 +132,11 @@ class ExperimentConfig:
                         f"N={n} x width {self.representation} does not divide the "
                         f"{QUBIT_BUDGET}-qubit pool; use random sampling",
                     )
-        elif self.s_repetitions < 1:
-            raise ConfigError("sampling.s", "must be >= 1")
-        elif self.s_repetitions >= 2**32:
-            raise ConfigError("sampling.s", f"must be < 2**32, got {self.s_repetitions}")
-        try:
-            finite = math.isfinite(self.bond_length)
-        except OverflowError:  # an integer past the float range
-            finite = False
-        if not (finite and self.bond_length > 0):
+        # false for NaN, and exact for an integer past the float range
+        if not 0 < self.bond_length <= sys.float_info.max:
             raise ConfigError(
                 "bond_length", f"must be positive and finite, got {self.bond_length}"
             )
-        if self.calibration_file is None and self.calibration_qubits < QUBIT_BUDGET:
-            raise ConfigError(
-                "calibration.n_qubits", f"need at least {QUBIT_BUDGET} qubits"
-            )
-        for path, seed in (("master_seed", self.master_seed),
-                           ("calibration.synthetic_seed", self.calibration_seed)):
-            if seed < 0:
-                raise ConfigError(path, f"must be >= 0, got {seed}")
 
     @property
     def run_id(self) -> str:
@@ -156,7 +146,7 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
             raise ConfigError("document", f"not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("document", "top level must be an object")
@@ -171,16 +161,16 @@ class ExperimentConfig:
         unknown = sorted(set(values) - set(_SCHEMA))
         if unknown:
             raise ConfigError(unknown[0], "unknown field")
-        settings = _settings(values.get("sampling.mode", "selective"), "calibration.file" in values)
-        for path, setting in _UNREAD_WITH.items():
-            if setting in settings and path in values:
-                raise ConfigError(path, f"is not used with {setting}")
+        settings = _settings(values.get("sampling.mode", "selective"), _FILE in values)
+        for path in values:
+            if _SCHEMA[path][-1] in settings:
+                raise ConfigError(path, f"is not used with {_SCHEMA[path][-1]}")
         for required in ("representation", "subsystem_counts", "output_dir"):
             if required not in raw:
                 raise ConfigError(required, "missing required field")
 
         kwargs = {
-            _SCHEMA[path][0]: _typed(value, path, *_SCHEMA[path][1:])
+            _SCHEMA[path][0]: _typed(value, path, *_SCHEMA[path][1:3])
             for path, value in values.items()
         }
         kwargs["subsystem_counts"] = [
@@ -198,9 +188,9 @@ class ExperimentConfig:
         key the config's settings read and no other."""
         settings = _settings(self.sampling_mode, self.calibration_file is not None)
         out: dict = {}
-        for path, (name, _, _) in _SCHEMA.items():
+        for path, (name, *_, unread_with) in _SCHEMA.items():
             value = getattr(self, name)
-            if value is not None and _UNREAD_WITH.get(path) not in settings:
+            if value is not None and unread_with not in settings:
                 group, _, key = path.rpartition(".")
                 (out.setdefault(group, {}) if group else out)[key] = value
         return out

@@ -161,7 +161,9 @@ def read_calibration(path: str | Path, field_name: str) -> DeviceModel:
         return DeviceModel.from_json(path.read_text())
     except UnicodeDecodeError as exc:
         raise ConfigError(field_name, f"{path} is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
+        if str(exc).startswith("calibration: "):  # an entry at fault, not the text
+            raise
         raise ConfigError(field_name, f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -209,7 +209,12 @@ def analyze(run_dir: str | Path) -> Path:
     ))
     # one seed per (N, set, sample, group) work item; a sample holds N rows
     seeds = _SEED_KEY.findall("\n".join(_manifest_field(manifest, "seeds", run_dir, "an object")))
-    by_n = load_samples(run_dir, sorted({tuple(map(int, key)) for key in set(seeds)}))
+    keys = sorted({tuple(map(int, key)) for key in set(seeds)})
+    if keys and max(map(max, keys)) > np.iinfo(np.int64).max:
+        n, s, i = max(keys, key=max)
+        raise ValueError(f"{run_dir}/{MANIFEST_JSON} key seeds names N{n}/set{s}/sample{i}, "
+                         "an index past a 64-bit integer")
+    by_n = load_samples(run_dir, keys)
 
     # Regression points: x = total qubits, y = mean energy per H2 (kcal/mol),
     # weight from the across-sample variance with a shot-noise floor.

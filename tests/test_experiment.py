@@ -11,7 +11,7 @@ import pytest
 
 from sizecon import experiment
 from sizecon.cli import main as cli_main
-from sizecon.config import ConfigError, ExperimentConfig
+from sizecon.config import MAX_QUBITS, ConfigError, ExperimentConfig
 from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
 from sizecon.report import analyze, reference_table
 from sizecon.sampling import synthetic_calibration
@@ -550,13 +550,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"sampling": {"k": 0}}, "sampling.k: must be >= 1"),
-            ({"sampling": {"mode": "random", "s": 0}}, "sampling.s: must be >= 1"),
-            ({"sampling": {"k": 2**32}}, "sampling.k: must be < 2**32, got 4294967296"),
+            ({"sampling": {"k": 0}}, "sampling.k: must be >= 1, got 0"),
+            ({"sampling": {"mode": "random", "s": 0}}, "sampling.s: must be >= 1, got 0"),
+            ({"sampling": {"k": 2**32}}, "sampling.k: must be <= 4294967295, got 4294967296"),
             ({"sampling": {"mode": "random", "s": 2**32}},
-             "sampling.s: must be < 2**32, got 4294967296"),
+             "sampling.s: must be <= 4294967295, got 4294967296"),
             ({"sampling": {"mode": "best"}}, "sampling.mode: unknown mode 'best'"),
-            ({"calibration": {"n_qubits": 8}}, "calibration.n_qubits: need at least 16 qubits"),
+            ({"calibration": {"n_qubits": 8}}, "calibration.n_qubits: must be >= 16, got 8"),
             ({"calibration": {"file": "absent.json"}}, "calibration.file: no such file: absent.json"),
             ({"subsystem_counts": [2, 2, 4]}, "subsystem_counts: lists an N more than once: [2, 2, 4]"),
             ({"sampling": {"mode": "random", "s": 4, "k": 2}},
@@ -571,6 +571,9 @@ class TestCli:
             ({"output_dir": ""}, "output_dir: must not be empty"),
             # past the float range, where math.isfinite raises OverflowError
             ({"bond_length": 10**400}, f"bond_length: must be positive and finite, got {10**400}"),
+            # a count past int64, and a device past config.MAX_QUBITS
+            ({"shots": 2**63}, "shots: must be <= 9223372036854775807, got 9223372036854775808"),
+            ({"calibration": {"n_qubits": 1025}}, "calibration.n_qubits: must be <= 1024, got 1025"),
         ],
     )
     def test_config_error_names_json_path(self, tmp_path, capsys, monkeypatch, override, message):
@@ -673,6 +676,29 @@ class TestCli:
         ]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="json reads integers of any length before Python 3.11")
+    @pytest.mark.parametrize("broken", ["config", "calibration"])
+    def test_integer_past_digit_limit_is_one_line(self, tmp_path, capsys, broken):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, there
+        long_int = "9" * (sys.get_int_max_str_digits() + 1)
+        cal = tmp_path / "cal.json"
+        cal.write_text(synthetic_calibration(n_qubits=16, seed=7).to_json())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "representation": 1, "subsystem_counts": [2], "calibration": {"file": str(cal)},
+            "output_dir": str(tmp_path / "run"),
+        }))
+        path, key, message = {
+            "config": (config, '"representation"', "document: not valid JSON"),
+            "calibration": (cal, '"error"', f"calibration.file: {cal} is not valid JSON"),
+        }[broken]
+        path.write_text(path.read_text().replace(f"{key}: ", f"{key}: {long_int}, {key}: ", 1))
+        assert cli_main(["run", str(config)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: config: {message}: Exceeds the limit")
+        assert not (tmp_path / "run").exists()
+
     def test_too_short_bond_length_is_one_line(self, tmp_path):
         # 0.01 angstrom builds; at 0.001 the MO integrals lose so many digits
         # that the Jordan-Wigner image is non-Hermitian past its bound
@@ -739,8 +765,12 @@ class TestCli:
             (("--seed", "-1"), "argument --seed: must be >= 0, got -1"),
             (("--seed", "x"), "argument --seed: invalid int value: 'x'"),
             (("--seed", "1", "--n-qubits", "0"), "argument --n-qubits: must be >= 1, got 0"),
+            (("--seed", "1", "--n-qubits", str(MAX_QUBITS + 1)),
+             f"argument --n-qubits: must be <= {MAX_QUBITS}, got {MAX_QUBITS + 1}"),
+            (("--seed", "1", "--n-qubits", str(10**29)),
+             f"argument --n-qubits: must be <= {MAX_QUBITS}, got {10**29}"),
         ],
-        ids=["negative-seed", "text-seed", "zero-qubits"],
+        ids=["negative-seed", "text-seed", "zero-qubits", "too-many-qubits", "10**29-qubits"],
     )
     def test_calibration_generate_names_bad_option(self, args, message):
         result = run_cli("calibration", "generate", *args)
@@ -817,6 +847,10 @@ class TestCli:
              "manifest.json key reference.e_double_sub must be a finite number, not false"),
             ("manifest.json", lambda text: "",
              "manifest.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("manifest.json",
+             lambda text: set_key(text, "seeds.N99999999999999999999999/set0/sample0/group0", 1),
+             "manifest.json key seeds names N99999999999999999999999/set0/sample0, "
+             "an index past a 64-bit integer"),
             ("samples.csv", lambda text: text.replace(",p_double,", ",p_doubel,", 1),
              "samples.csv has no column p_double"),
             # N=2, selective k=1: samples 0..7 of set 0, subsystems 0 and 1
@@ -846,6 +880,7 @@ class TestCli:
         ids=["empty-manifest", "manifest-without-seeds", "seeds-array", "seeds-number",
              "null-representation", "representation-3", "bool-representation",
              "null-coupling", "nan-reference", "bool-reference", "manifest-not-json",
+             "seed-key-past-int64",
              "renamed-column", "moved-row",
              "repeated-subsystem", "unlisted-sample", "not-a-number", "not-an-integer",
              "too-large-an-integer", "short-row", "inf-cell", "nan-cell"],
