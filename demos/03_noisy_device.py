@@ -20,14 +20,14 @@ from sizecon.stateprep import Circuit, Gate
 def main():
     device = synthetic_calibration(n_qubits=156, seed=11)
     order = rank_qubits(device)
-    scores = qubit_scores(device)
+    scores = qubit_scores(device).tolist()
     print("best five qubits   :", order[:5])
     print("worst five qubits  :", order[-5:])
     best, worst = order[0], order[-1]
     for label, q in (("best", best), ("worst", worst)):
-        cal = device.qubits[q]
-        print(f"  {label} qubit {q:>3}: p10={cal.readout_p10:.4f} "
-              f"p01={cal.readout_p01:.4f} 1q-error={cal.single_qubit_error:.2e} "
+        # a qubit's row: readout_p10, readout_p01, single_qubit_error
+        p10, p01, single = device.qubits[q].tolist()
+        print(f"  {label} qubit {q:>3}: p10={p10:.4f} p01={p01:.4f} 1q-error={single:.2e} "
               f"score={scores[q]:.4f}")
 
     theta = 0.9

@@ -44,7 +44,6 @@ from .sampling import (
 )
 from .simulator import (
     DeviceModel,
-    QubitCalibration,
     apply_gate,
     run_shots,
     statevector,

@@ -126,7 +126,7 @@ def _cmd_calibration(args: argparse.Namespace) -> int:
         _emit(device.to_json(), args.output)
         return 0
     device = read_calibration(args.file, "file")
-    scores = qubit_scores(device)
+    scores = qubit_scores(device).tolist()
     rows = [
         {"rank": i, "qubit": q, "score": repr(scores[q])}
         for i, q in enumerate(rank_qubits(device))

@@ -150,15 +150,15 @@ def derive_seed(master_seed: int, keys: Sequence[Sequence[int]]) -> list[int]:
     return (low | high << np.uint64(32)).tolist()
 
 
-def read_calibration(path: str | Path, field_name: str) -> DeviceModel:
-    """The device a calibration file describes. A missing file, or bytes
-    that are not UTF-8 JSON, raise a ConfigError on ``field_name`` that
-    names the file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(field_name, f"no such file: {path}")
+def read_calibration(path: str, field_name: str) -> DeviceModel:
+    """The device a calibration file describes. A missing file, a path that
+    is not a file (a directory, or the empty path), or bytes that are not
+    UTF-8 JSON raise a ConfigError on ``field_name`` that names the path."""
+    if not (path and Path(path).is_file()):  # Path("") is the current directory
+        missing = not Path(path).exists()
+        raise ConfigError(field_name, f"no such file: {path}" if missing else f"{path!r} is not a file")
     try:
-        return DeviceModel.from_json(path.read_text())
+        return DeviceModel.from_json(Path(path).read_text())
     except UnicodeDecodeError as exc:
         raise ConfigError(field_name, f"{path} is not valid UTF-8: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import QUBIT_BUDGET
-from .simulator import DeviceModel, QubitCalibration
+from .simulator import DeviceModel
 
 # synthetic_calibration's medians, and the standard deviation of each rate's log
 READOUT_MEDIAN = 1e-2
@@ -44,26 +44,27 @@ class PlanEntry:
         return tuple(q for block in self.blocks for q in block)
 
 
-def qubit_scores(device: DeviceModel) -> list[float]:
+def qubit_scores(device: DeviceModel) -> np.ndarray:
     """Composite noise score of every qubit: its mean readout error plus the
     mean error of the pairs it belongs to (0 for a qubit in no pair)."""
-    # incident pair errors per qubit, in the order of two_qubit_error,
-    # which fixes the rounding of each mean
-    incident: list[list[float]] = [[] for _ in range(device.n_qubits)]
-    for (a, b), p in device.two_qubit_error.items():
-        incident[a].append(p)
-        incident[b].append(p)
-    return [
-        0.5 * (cal.readout_p10 + cal.readout_p01)
-        + (float(np.mean(incident[q])) if incident[q] else 0.0)
-        for q, cal in enumerate(device.qubits)
-    ]
+    # each qubit's incident pair errors in the order the pairs are listed,
+    # which fixes the rounding of each mean: one stable sort by qubit
+    ends = device.pairs.ravel()
+    incident = np.repeat(device.pair_errors, 2)[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=device.n_qubits)
+    start = np.cumsum(degree) - degree
+    mean = np.zeros(device.n_qubits)
+    # a row sum of a contiguous (qubits, degree) table adds each row as
+    # np.mean adds one qubit's list, pairwise
+    for d in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():
+        qubits = np.flatnonzero(degree == d)
+        mean[qubits] = incident[start[qubits, None] + np.arange(d)].sum(axis=1) / d
+    return 0.5 * (device.qubits[:, 0] + device.qubits[:, 1]) + mean
 
 
 def rank_qubits(device: DeviceModel) -> list[int]:
     """Physical qubits ordered best (least noisy) first, ties by index."""
-    scores = qubit_scores(device)
-    return [q for _, q in sorted(zip(scores, range(device.n_qubits)))]
+    return np.argsort(qubit_scores(device), kind="stable").tolist()
 
 
 def _chunk_blocks(qubits: Sequence[int], n_subsystems: int, width: int) -> tuple[tuple[int, ...], ...]:
@@ -152,18 +153,6 @@ def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:
     def draw(median: float, size: int) -> np.ndarray:
         return np.minimum(rng.lognormal(math.log(median), LOG_SPREAD, size), 0.5)
 
-    p10 = draw(READOUT_MEDIAN, n_qubits)
-    p01 = draw(READOUT_MEDIAN, n_qubits)
-    p1q = draw(SINGLE_QUBIT_MEDIAN, n_qubits)
-    qubits = tuple(
-        QubitCalibration(
-            readout_p10=float(p10[q]),
-            readout_p01=float(p01[q]),
-            single_qubit_error=float(p1q[q]),
-        )
-        for q in range(n_qubits)
-    )
-    pairs = [(a, b) for a in range(n_qubits) for b in range(a + 1, n_qubits)]
-    p2q = draw(TWO_QUBIT_MEDIAN, len(pairs))
-    two_qubit_error = {pair: float(p) for pair, p in zip(pairs, p2q)}
-    return DeviceModel(qubits, two_qubit_error)
+    qubits = [draw(median, n_qubits) for median in (READOUT_MEDIAN, READOUT_MEDIAN, SINGLE_QUBIT_MEDIAN)]
+    pairs = np.column_stack(np.triu_indices(n_qubits, 1))
+    return DeviceModel(np.transpose(qubits), pairs, draw(TWO_QUBIT_MEDIAN, len(pairs)))

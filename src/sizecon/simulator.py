@@ -62,6 +62,16 @@ Outputs: counts have one format, dense int64 shots per code.
 a whole register is the one-block case, ``block_width = width``, which is
 what ``run_shots`` returns for one item.
 
+Device: ``DeviceModel`` holds its calibration as numpy columns, not one
+object per qubit or pair: an ``(n, 3)`` float64 table of qubit rates
+(readout_p10, readout_p01, single_qubit_error), an ``(m, 2)`` int64 array
+of the listed pairs, each as (min, max) in the order given, and their
+``(m,)`` float64 errors. ``TrajectoryEngine.sample`` reads every item's
+gate and readout rates from them by fancy indexing, and looks pairs up by
+binary search over their sorted ``lo * n + hi`` keys, so no array grows as
+the square of the qubits. Rates are validated on whole columns; the first
+entry at fault, in the order given, is the one an error names.
+
 Statevector indexing: qubit 0 is the most significant bit of the basis
 index, matching the left-to-right bitstring convention.
 """
@@ -70,7 +80,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -93,155 +104,192 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI_1Q = (_X, _Y, _Z)
 
 
-# a qubit's calibration keys, in QubitCalibration's field order
+# a qubit's calibration keys: the columns of DeviceModel.qubits, in order
 _QUBIT_KEYS = ("readout_p10", "readout_p01", "single_qubit_error")
-_NUMBER = (int, float)  # the types of a rate in a calibration document; not bool
+_NUMBER = {int, float}  # the types of a rate in a calibration document; not bool
+_KINDS = {"qubits": {list}, "two_qubit_error": {list}, "pair": {list}}  # else _NUMBER
 
 
-def _unit_interval(value: float, name: str) -> float:
-    """``value`` if it is a probability, else a ValueError naming it ``name``."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} = {value} outside [0, 1]")
-    return value
-
-
-@dataclass(frozen=True)
-class QubitCalibration:
-    """Per-qubit error rates: readout confusion and one-qubit depolarizing."""
-
-    readout_p10: float = 0.0        # P(read 1 | prepared 0)
-    readout_p01: float = 0.0        # P(read 0 | prepared 1)
-    single_qubit_error: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in _QUBIT_KEYS:
-            _unit_interval(getattr(self, name), name)
-
-
-@dataclass(frozen=True)
 class DeviceModel:
-    """Calibrated device: per-qubit rates plus per-pair two-qubit rates.
+    """Calibrated device: per-qubit rates plus per-pair two-qubit rates, held
+    as three read-only arrays:
 
-    ``two_qubit_error`` may give a pair in either order, but only once; it is
-    stored keyed by the ordered pair, in the order given."""
+    * ``qubits``, ``(n, 3)`` float64: one row per qubit, with the columns
+      readout_p10 (P(read 1 | prepared 0)), readout_p01 (P(read 0 |
+      prepared 1)) and single_qubit_error, in ``_QUBIT_KEYS`` order;
+    * ``pairs``, ``(m, 2)`` int64: each listed pair as (min, max), in the
+      order given;
+    * ``pair_errors``, ``(m,)`` float64: each pair's two-qubit error.
 
-    qubits: tuple[QubitCalibration, ...]
-    two_qubit_error: dict[tuple[int, int], float] = field(default_factory=dict)
+    Unlisted pairs are noiseless. A pair may be given in either order, but
+    only once; the constructor rejects the first entry at fault. Lookups go
+    through the pairs' sorted ``lo * n + hi`` keys, so no array grows as the
+    square of the qubits."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        n, normalized = len(self.qubits), {}
-        for (a, b), p in self.two_qubit_error.items():
-            if not 0.0 <= p <= 1.0:  # _unit_interval only on a fault: this runs per pair
-                _unit_interval(p, "error")
-            key = (a, b) if a < b else (b, a)
-            if a == b or not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"pair {[a, b]} repeats a qubit or leaves the device")
-            if key in normalized:
-                raise ValueError(f"pair {[a, b]} is listed twice")
-            normalized[key] = float(p)
-        object.__setattr__(self, "two_qubit_error", normalized)
+    def __init__(self, qubits, pairs=(), pair_errors=()):
+        rates = np.array(qubits, dtype=float).reshape(-1, 3)
+        listed = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        errors = np.array(pair_errors, dtype=float).reshape(-1)
+        fault = _first_fault(rates, listed, errors)
+        if fault is not None:
+            raise ValueError(fault[1])
+        self.qubits, self.pair_errors, self.n_qubits = rates, errors, len(rates)
+        self.pairs = np.column_stack([np.minimum(*listed.T), np.maximum(*listed.T)])
+        keys = self.pairs @ np.array([self.n_qubits, 1])
+        self._order = np.argsort(keys, kind="stable")  # the pairs by key
+        # the sorted keys, closed by one past any key, and their errors
+        self._keys = np.append(keys[self._order], np.iinfo(np.int64).max)
+        self._key_errors = np.append(errors[self._order], 0.0)
+        self.qubits.flags.writeable = self.pairs.flags.writeable = False
+        self.pair_errors.flags.writeable = False
 
-    @property
-    def n_qubits(self) -> int:
-        return len(self.qubits)
-
-    def pair_error(self, a: int, b: int) -> float:
-        return self.two_qubit_error.get((min(a, b), max(a, b)), 0.0)
+    def pair_error(self, a, b):
+        """The two-qubit error of each pair (a, b), given in either order; 0
+        where the pair is not listed. ``a`` and ``b`` may be arrays."""
+        key = np.minimum(a, b) * self.n_qubits + np.maximum(a, b)
+        at = np.searchsorted(self._keys, key)
+        return np.where(self._keys[at] == key, self._key_errors[at], 0.0)
 
     @classmethod
     def noiseless(cls, n_qubits: int) -> "DeviceModel":
-        return cls(tuple(QubitCalibration() for _ in range(n_qubits)))
+        return cls(np.zeros((n_qubits, 3)))
 
     def to_json(self) -> str:
-        """The text of ``json.dumps(payload, indent=2) + "\\n"``, laid out by
-        hand: ``indent`` forces the pure-Python encoder, which takes several
-        times longer on a 156-qubit device. Each number is written by the C
-        encoder, so it reads exactly as ``json`` writes it."""
-        pairs = sorted(self.two_qubit_error.items())
-        numbers = [getattr(q, key) for q in self.qubits for key in _QUBIT_KEYS]
-        numbers += [v for (a, b), p in pairs for v in (a, b, p)]
-        text = iter(json.dumps(numbers)[1:-1].split(", "))
-        qubits = [
-            '    {\n      "readout_p10": %s,\n      "readout_p01": %s,\n'
-            '      "single_qubit_error": %s\n    }' % (next(text), next(text), next(text))
-            for _ in self.qubits
-        ]
-        two_qubit = [
-            '    {\n      "pair": [\n        %s,\n        %s\n      ],\n'
-            '      "error": %s\n    }' % (next(text), next(text), next(text))
-            for _ in pairs
-        ]
-        return '{\n  "qubits": %s,\n  "two_qubit_error": %s\n}\n' % (
-            _json_list(qubits), _json_list(two_qubit)
+        """The text of ``json.dumps(payload, indent=2) + "\\n"``, pairs
+        sorted, laid out by hand through one template per list: ``indent``
+        forces the pure-Python encoder, which takes several times longer on
+        a 156-qubit device. A rate is written by ``repr``, as ``json``
+        writes a float."""
+        qubits = _json_list(
+            '    {\n      "readout_p10": %r,\n      "readout_p01": %r,\n'
+            '      "single_qubit_error": %r\n    }', *self.qubits.T.tolist()
         )
+        two_qubit = _json_list(
+            '    {\n      "pair": [\n        %d,\n        %d\n      ],\n      "error": %r\n    }',
+            *self.pairs[self._order].T.tolist(), self.pair_errors[self._order].tolist(),
+        )
+        return '{\n  "qubits": %s,\n  "two_qubit_error": %s\n}\n' % (qubits, two_qubit)
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceModel":
-        """Parse ``to_json`` output in one walk over its entries, in file
-        order. The first entry at fault raises a ``ValueError`` that names
-        it: a missing or mistyped key, a rate outside [0, 1], or a pair that
-        repeats a qubit, leaves the device or is listed twice (in either
-        order)."""
-        walk = _CalibrationWalk(json.loads(text))
+        """Parse ``to_json`` output. The entries are read in file order, up
+        to the first one of the wrong shape or type; vectorised checks then
+        find the first rate outside [0, 1] and the first pair that repeats
+        a qubit, leaves the device or is listed twice (in either order).
+        The first entry at fault, in file order, raises a ``ValueError``
+        that names it."""
+        payload = json.loads(text)
+        given, fault = _read_list(payload, "qubits", _QUBIT_KEYS)
+        if fault is None:
+            pair_columns, fault = _read_list(payload, "two_qubit_error", ("pair", "error"), [])
+            given.update(pair_columns)
+        rates = _array([given[key] for key in _QUBIT_KEYS], float).T
+        pairs = _array(given.get("pair", []), np.int64).reshape(-1, 2)
+        errors = _array(given.get("error", []), float)
+        # a value fault comes before any type fault the read met
+        fault = _first_fault(rates, pairs, errors, given) or fault
+        if fault is not None:
+            raise ValueError("calibration: " + "".join(fault))
+        return cls(rates, pairs, errors)
+
+
+# (key, what) of each value fault of a pair entry, in the order checked; a
+# qubit's rate outside [0, 1] reads as the first
+_PAIR_FAULTS = (("error", "= {} outside [0, 1]"), ("pair", "{} repeats a qubit or leaves the device"),
+                ("pair", "{} is listed twice"))
+
+
+def _first_fault(rates: np.ndarray, pairs: np.ndarray, errors: np.ndarray, given=None):
+    """The first entry at fault, in file order, as ``(where, message)``, or
+    None: a rate outside [0, 1], or a pair that repeats a qubit, leaves the
+    device or is listed before. The message quotes the values ``given``,
+    one list per key; by default the arrays' own."""
+    outside = ~((rates >= 0.0) & (rates <= 1.0))  # NaN too
+    if outside.any():
+        index, column = divmod(int(np.argmax(outside)), 3)
+        name, key, what = "qubits", _QUBIT_KEYS[column], _PAIR_FAULTS[0][1]
+    else:
+        n, lo, hi = len(rates), np.minimum(*pairs.T), np.maximum(*pairs.T)
+        bad_index = (lo == hi) | (lo < 0) | (hi >= n)
+        # a bad pair gets a key of its own, below every good key
+        keys = np.where(bad_index, -1 - np.arange(len(pairs)), lo * n + hi)
+        order = np.argsort(keys, kind="stable")
+        twice = np.zeros(len(pairs), dtype=bool)
+        twice[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        faults = np.stack([~((errors >= 0.0) & (errors <= 1.0)), bad_index, twice])
+        if not faults.any():
+            return None
+        index = int(np.argmax(faults.any(axis=0)))
+        name, (key, what) = "two_qubit_error", _PAIR_FAULTS[np.argmax(faults[:, index])]
+    columns = (*rates.T.tolist(), pairs.tolist(), errors.tolist())
+    given = given or dict(zip((*_QUBIT_KEYS, "pair", "error"), columns))
+    return f"{name}[{index}].", f"{key} " + what.format(given[key][index])
+
+
+def _array(values: list, dtype) -> np.ndarray:
+    """``values`` as an array of ``dtype``. A number too large for it
+    becomes -1, which every check rejects; messages quote ``values``."""
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        bound = np.frompyfunc(lambda v: -1 if abs(v) >= 2**62 else v, 1, 1)
+        return bound(np.array(values, dtype=object)).astype(dtype)
+
+
+def _json_list(template: str, *columns: list) -> str:
+    """A list of objects laid out at depth 2 as ``indent=2`` writes it, the
+    ``i``-th object being ``template`` filled from the ``i``-th value of
+    each column."""
+    rows = ",\n".join([template] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+    return "[\n" + rows + "\n  ]" if rows else "[]"
+
+
+def _read_list(payload: object, name: str, keys: tuple, default=None) -> tuple:
+    """``(columns, fault)``: for each key, the list of the values that the
+    entries of list ``name`` hold, up to the first entry of the wrong shape
+    or type, and that entry's fault as ``(where, message)``, or None. A
+    well-formed list is read in one go; only a list with a fault is walked
+    entry by entry."""
+    try:
+        entries, fault = _json_field(payload, name, default), None
+    except ValueError as error:
+        entries, fault = [], ("", str(error))
+    try:
+        columns = {key: [entry[key] for entry in entries] for key in keys}
+        if all(map(_well_typed, keys, columns.values())):
+            return columns, fault
+    except (KeyError, TypeError):
+        pass
+    for index, entry in enumerate(entries):
         try:
-            return cls(tuple(walk.qubits()), walk)
+            for key in keys:
+                _json_field(entry, key)
         except ValueError as error:
-            where = f"{walk.list}[{walk.index}]." if walk.list else ""
-            raise ValueError(f"calibration: {where}{error}") from None
+            entries, fault = entries[:index], (f"{name}[{index}].", str(error))
+            break
+    return {key: [entry[key] for entry in entries] for key in keys}, fault
 
 
-def _json_list(items: list[str]) -> str:
-    """A list of objects, each already laid out at depth 2, as ``indent=2`` writes it."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _well_typed(key: str, column: list) -> bool:
+    """Whether every value of a column has the type ``_json_field`` asks of
+    ``key``. Only a JSON list of length 2 holds two ints: a string holds
+    strings, and an object's keys are strings."""
+    if key != "pair":
+        return set(map(type, column)) <= _NUMBER
+    return set(map(len, column)) <= {2} and set(map(type, chain.from_iterable(column))) <= {int}
 
 
-class _CalibrationWalk:
-    """The entries of a calibration document, read once, in file order.
-
-    The walk checks types; the constructors check ranges and pair indices.
-    ``items()`` yields the pair entries as a dict's would, so
-    ``DeviceModel`` reads them from the walk itself, one entry at a time:
-    whatever the walk or a constructor raises is about the entry at
-    ``list[index]``, or about a whole list while ``list`` is empty."""
-
-    def __init__(self, payload: object):
-        self.payload, self.list, self.index = payload, "", 0
-
-    def qubits(self):
-        for i, entry in enumerate(_json_field(self.payload, "qubits", (list,))):
-            self.list, self.index = "qubits", i
-            yield QubitCalibration(*(_json_field(entry, key, _NUMBER) for key in _QUBIT_KEYS))
-        self.list = ""
-
-    def items(self):
-        for j, entry in enumerate(_json_field(self.payload, "two_qubit_error", (list,), [])):
-            self.list, self.index = "two_qubit_error", j
-            try:  # a well-formed entry's types, inline; _pair_entry raises a fault
-                pair, error = entry["pair"], entry["error"]
-                (a, b), kind = pair, type(error)  # only a JSON list unpacks to two ints
-                well_formed = type(a) is type(b) is int and kind in _NUMBER
-            except (KeyError, TypeError, ValueError):
-                well_formed = False
-            yield (pair, error) if well_formed else _pair_entry(entry)
-
-
-def _pair_entry(entry: object) -> tuple[list, float]:
-    """The pair and error of a ``two_qubit_error`` entry, checked by type."""
-    pair = _json_field(entry, "pair", (list,))
-    if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
-        raise ValueError(f"pair is not two ints: {pair}")
-    return pair, _json_field(entry, "error", _NUMBER)
-
-
-def _json_field(entry: object, key: str, kinds: tuple, default=None):
-    """``entry[key]`` of a calibration document, required to be of one of
-    the types ``kinds`` (so a bool is not an int)."""
+def _json_field(entry: object, key: str, default=None):
+    """``entry[key]`` of a calibration document, of the type ``key`` takes:
+    a list for the two lists and a pair, which holds two ints, else a number
+    (so a bool is not an int)."""
     value = entry.get(key, default) if type(entry) is dict else None
     if value is None:
         raise ValueError(f"{key} is missing")
-    if type(value) not in kinds:
+    if type(value) not in _KINDS.get(key, _NUMBER):
         raise ValueError(f"{key} has the wrong type {type(value).__name__}")
+    if key == "pair" and (len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int):
+        raise ValueError(f"pair is not two ints: {value}")
     return value
 
 
@@ -471,23 +519,21 @@ class TrajectoryEngine:
         for physical_map in physical_maps:
             if len(physical_map) != w:
                 raise ValueError(f"physical map length {len(physical_map)} != circuit width {w}")
-            for p in physical_map:
-                if not 0 <= p < device.n_qubits:
-                    raise ValueError(f"physical qubit {p} absent from device")
+        maps = np.array(physical_maps, dtype=np.int64).reshape(len(seeds), w)
+        absent = maps[(maps < 0) | (maps >= device.n_qubits)].tolist()
+        if absent:
+            raise ValueError(f"physical qubit {absent[0]} absent from device")
         if shots < 1:
             raise ValueError("shots must be >= 1")
         n_blocks = w // block_width
         counts = np.zeros((len(seeds), n_blocks, 1 << block_width), dtype=np.int64)
 
-        # per item: each gate's depolarizing rate; (item, 1, qubit) readout rates
-        qubits = device.qubits
-        rates = np.array([
-            [qubits[pm[g.targets[0]]].single_qubit_error if len(g.targets) == 1
-             else device.pair_error(*(pm[t] for t in g.targets)) for g in circuit.gates]
-            for pm in physical_maps
-        ]).reshape(len(seeds), len(circuit.gates))
-        p10 = np.array([[[qubits[q].readout_p10 for q in pm]] for pm in physical_maps])
-        p01 = np.array([[[qubits[q].readout_p01 for q in pm]] for pm in physical_maps])
+        # per item: each gate's depolarizing rate, read from its first and
+        # last mapped qubit; (item, 1, qubit) readout rates
+        first, last = (maps[:, [g.targets[end] for g in circuit.gates]] for end in (0, -1))
+        single = np.array([len(g.targets) == 1 for g in circuit.gates], dtype=bool)
+        rates = np.where(single, device.qubits[first, 2], device.pair_error(first, last))
+        p10, p01 = (device.qubits[maps, column][:, None, :] for column in (0, 1))
         # A gate of rate 0 takes no columns, so only items with the same
         # noisy gates share a pass.
         layouts: dict[bytes, list[int]] = {}

@@ -21,11 +21,16 @@ library it checks:
   design-matrix factorization,
 * the block-code classes are written out by hand, code by code, where the
   library derives them from one determinant table and an excitation-level
-  rule.
+  rule,
+* the calibration references hold a device as Python lists and a pair dict,
+  walk a document one entry at a time and average each qubit's pair errors
+  per qubit, where the library holds numpy columns, checks them vectorised
+  and scores every qubit at once; the two agree byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -308,13 +313,16 @@ def density_matrix_probs(circuit, device, physical_map, basis_change=None) -> np
     """Exact measured-bitstring distribution under the depolarizing + readout model."""
     n = circuit.width
     dim = 2**n
+    # rates read by a scan of the device's plain lists, not its key lookup
+    p10, p01, single = device.qubits.T.tolist()
+    pair_errors = dict(zip(map(frozenset, device.pairs.tolist()), device.pair_errors.tolist()))
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     for gate in circuit.gates:
         u = gate_unitary(gate, n)
         rho = u @ rho @ u.conj().T
         if len(gate.targets) == 1:
-            p = device.qubits[physical_map[gate.targets[0]]].single_qubit_error
+            p = single[physical_map[gate.targets[0]]]
             if p > 0:
                 q = gate.targets[0]
                 mixed = sum(
@@ -323,7 +331,7 @@ def density_matrix_probs(circuit, device, physical_map, basis_change=None) -> np
                 rho = (1 - p) * rho + (p / 3.0) * mixed
         else:
             a, b = gate.targets
-            p = device.pair_error(physical_map[a], physical_map[b])
+            p = pair_errors.get(frozenset((physical_map[a], physical_map[b])), 0.0)
             if p > 0:
                 mixed = np.zeros_like(rho)
                 for ca in "IXYZ":
@@ -344,13 +352,8 @@ def density_matrix_probs(circuit, device, physical_map, basis_change=None) -> np
     # Readout confusion, one 2x2 stochastic matrix per qubit.
     tensor = probs.reshape([2] * n)
     for q in range(n):
-        cal = device.qubits[physical_map[q]]
-        confusion = np.array(
-            [
-                [1 - cal.readout_p10, cal.readout_p01],
-                [cal.readout_p10, 1 - cal.readout_p01],
-            ]
-        )
+        r10, r01 = p10[physical_map[q]], p01[physical_map[q]]
+        confusion = np.array([[1 - r10, r01], [r10, 1 - r01]])
         tensor = np.moveaxis(
             np.tensordot(confusion, np.moveaxis(tensor, q, 0), axes=([1], [0])), 0, q
         )
@@ -514,3 +517,93 @@ def wls_normal_equations(points) -> tuple[float, float, float]:
     else:
         stderr = 0.0
     return float(beta[0]), float(beta[1]), stderr
+
+
+# ---------------------------------------------------------------------------
+# Calibration: a device as plain Python data, read one entry at a time.
+# ---------------------------------------------------------------------------
+
+CALIBRATION_KEYS = ("readout_p10", "readout_p01", "single_qubit_error")
+
+
+def _calibration_field(entry, key, kinds, default=None):
+    value = entry.get(key, default) if type(entry) is dict else None
+    if value is None:
+        raise ValueError(f"{key} is missing")
+    if type(value) not in kinds:
+        raise ValueError(f"{key} has the wrong type {type(value).__name__}")
+    return value
+
+
+def _unit_interval(value, name):
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} = {value} outside [0, 1]")
+
+
+def reference_read_calibration(text: str) -> tuple[list, dict]:
+    """``(qubits, pairs)`` of a calibration document: one rate triple per
+    qubit and a dict from (min, max) pair to error, in file order, each
+    value as written. Walks the entries in file order and checks each
+    fully (types, then ranges, indices and repeats) before the next, so the
+    first entry at fault raises the ``ValueError`` that names it."""
+    payload, where = json.loads(text), ""
+    try:
+        qubits = []
+        for i, entry in enumerate(_calibration_field(payload, "qubits", (list,))):
+            where = f"qubits[{i}]."
+            rates = [_calibration_field(entry, key, (int, float)) for key in CALIBRATION_KEYS]
+            for key, value in zip(CALIBRATION_KEYS, rates):
+                _unit_interval(value, key)
+            qubits.append(tuple(rates))
+        where, pairs = "", {}
+        for j, entry in enumerate(_calibration_field(payload, "two_qubit_error", (list,), [])):
+            where = f"two_qubit_error[{j}]."
+            pair = _calibration_field(entry, "pair", (list,))
+            if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+                raise ValueError(f"pair is not two ints: {pair}")
+            error = _calibration_field(entry, "error", (int, float))
+            _unit_interval(error, "error")
+            a, b = pair
+            if a == b or not (0 <= a < len(qubits) and 0 <= b < len(qubits)):
+                raise ValueError(f"pair {pair} repeats a qubit or leaves the device")
+            if (min(a, b), max(a, b)) in pairs:
+                raise ValueError(f"pair {pair} is listed twice")
+            pairs[min(a, b), max(a, b)] = error
+    except ValueError as error:
+        raise ValueError(f"calibration: {where}{error}") from None
+    return qubits, pairs
+
+
+def reference_calibration_json(qubits: list, pairs: dict) -> str:
+    """The calibration document of ``reference_read_calibration``'s data,
+    pairs sorted, laid out as ``json.dumps(payload, indent=2)`` does: every
+    number is written by the C encoder, then placed into the layout."""
+    ordered = sorted(pairs.items())
+    numbers = [v for rates in qubits for v in rates] + [v for (a, b), p in ordered for v in (a, b, p)]
+    text = iter(json.dumps(numbers)[1:-1].split(", "))
+    rows = [
+        '    {\n      "readout_p10": %s,\n      "readout_p01": %s,\n'
+        '      "single_qubit_error": %s\n    }' % (next(text), next(text), next(text))
+        for _ in qubits
+    ]
+    pair_rows = [
+        '    {\n      "pair": [\n        %s,\n        %s\n      ],\n'
+        '      "error": %s\n    }' % (next(text), next(text), next(text))
+        for _ in ordered
+    ]
+    lists = ["[\n" + ",\n".join(items) + "\n  ]" if items else "[]" for items in (rows, pair_rows)]
+    return '{\n  "qubits": %s,\n  "two_qubit_error": %s\n}\n' % tuple(lists)
+
+
+def reference_scores(qubits: list, pairs: dict) -> list[float]:
+    """Each qubit's mean readout error plus the mean of the errors of the
+    pairs that hold it, gathered per qubit in the order the pairs are listed
+    and averaged by ``np.mean``; 0 for a qubit in no pair."""
+    incident = [[] for _ in qubits]
+    for (a, b), p in pairs.items():
+        incident[a].append(p)
+        incident[b].append(p)
+    return [
+        0.5 * (p10 + p01) + (float(np.mean(incident[q])) if incident[q] else 0.0)
+        for q, (p10, p01, _) in enumerate(qubits)
+    ]

@@ -17,10 +17,11 @@ from sizecon.experiment import build_hamiltonians, run_experiment
 from sizecon.report import analyze
 from sizecon.hamiltonians import jordan_wigner, to_fermion, taper
 from sizecon.molecule import build_integrals, solve_rhf
-from sizecon.simulator import DeviceModel, QubitCalibration, run_shots
+from sizecon.simulator import DeviceModel, run_shots
 from sizecon.stateprep import Circuit, Gate
 from sizecon.tomography import build_plan
 
+from devices import make_device
 from oracles import CiOracle, density_matrix_probs, wls_normal_equations
 
 # Documented seeds for the statistical criteria.
@@ -264,15 +265,12 @@ def test_criterion_08_noise_channel_correctness():
     cases = [
         (
             Circuit(1, (Gate("RY", (0,), 1.1),)),
-            DeviceModel((QubitCalibration(0.04, 0.02, 0.05),)),
+            make_device([(0.04, 0.02, 0.05)]),
             [0],
         ),
         (
             Circuit(2, (Gate("RY", (0,), 0.7), Gate("CNOT", (0, 1)))),
-            DeviceModel(
-                (QubitCalibration(0.03, 0.01, 0.02), QubitCalibration(0.02, 0.05, 0.04)),
-                {(0, 1): 0.06},
-            ),
+            make_device([(0.03, 0.01, 0.02), (0.02, 0.05, 0.04)], {(0, 1): 0.06}),
             [0, 1],
         ),
         (
@@ -285,10 +283,7 @@ def test_criterion_08_noise_channel_correctness():
                     Gate("CZ", (1, 2)),
                 ),
             ),
-            DeviceModel(
-                tuple(QubitCalibration(0.01, 0.03, 0.03) for _ in range(3)),
-                {(0, 1): 0.05, (1, 2): 0.02},
-            ),
+            make_device([(0.01, 0.03, 0.03)] * 3, {(0, 1): 0.05, (1, 2): 0.02}),
             [0, 1, 2],
         ),
     ]
@@ -306,7 +301,7 @@ def test_criterion_08_noise_channel_correctness():
 
     # readout confusion against the binomial prediction
     p10 = 0.1
-    device = DeviceModel((QubitCalibration(readout_p10=p10),))
+    device = make_device([(p10, 0.0, 0.0)])
     counts = run_shots(Circuit(1), device, [0], None, 100_000, seed=200)
     ones = counts[1] / 100_000
     sigma = math.sqrt(p10 * (1 - p10) / 100_000)

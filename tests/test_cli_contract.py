@@ -5,7 +5,10 @@ value of another type, one past a bound, or 10**400 must end ``sizecon run``
 in exactly one ``error: config: <path>: ...`` line, with exit 1 and no
 output directory; a bound itself must parse. Every key of a calibration
 entry that is missing, of the wrong type or outside [0, 1] must end in one
-``error: value: calibration: ...`` line. The cases run in-process through
+``error: value: calibration: ...`` line. The string and float keys
+``output_dir``, ``calibration.file`` and ``bond_length`` also take the empty
+string, 0, -0.0, 1e-320, NaN and Infinity, each ending in one ``error:``
+line. The cases run in-process through
 ``cli.main``: an uncaught exception fails the test, and pytest's
 ``filterwarnings = error`` turns any warning into one.
 """
@@ -91,6 +94,53 @@ def test_config_lower_bound_runs(tmp_path, capsys, monkeypatch, path):
     (tmp_path / "config.json").write_text(json.dumps(config_with(path, _SCHEMA[path][3])))
     assert cli_main(["run", "config.json"]) == 0
     assert capsys.readouterr() == ("run complete: run\n", "")
+
+
+EDGE_VALUES = {"empty": "", "0": 0, "-0.0": -0.0, "1e-320": 1e-320, "NaN": float("nan"),
+               "Infinity": float("inf")}
+
+
+def edge_error(path, value):
+    """The start of the one line that ``value`` at ``path`` ends in: each is a
+    config error on its own path, but an empty output_dir and the empty
+    calibration path say why, and 1e-320 angstrom is a valid bond length
+    whose overlap matrix is singular."""
+    if path == "bond_length" and value == 1e-320:
+        return "error: value: overlap matrix at bond length 1e-320 angstrom is singular"
+    if value == "":
+        return {"output_dir": "error: config: output_dir: must not be empty",
+                "calibration.file": "error: config: calibration.file: '' is not a file",
+                "bond_length": "error: config: bond_length: must be a number, got ''"}[path]
+    return f"error: config: {path}: "
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [pytest.param(path, value, id=f"{path}-{name}")
+     for path in ("output_dir", "calibration.file", "bond_length")
+     for name, value in EDGE_VALUES.items()],
+)
+def test_empty_zero_and_non_finite_values_are_one_line(tmp_path, capsys, monkeypatch, path, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config_with(path, value)))
+    assert cli_main(["run", "config.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith(edge_error(path, value))
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("path", ["", ".", "calibrations"], ids=["empty", "dot", "directory"])
+def test_calibration_path_that_is_not_a_file_is_one_line(tmp_path, capsys, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "calibrations").mkdir()
+    (tmp_path / "config.json").write_text(json.dumps(config_with("calibration.file", path)))
+    for args, field in ((["run", "config.json"], "calibration.file"),
+                        (["calibration", "rank", path], "file")):
+        assert cli_main(args) == 1
+        assert capsys.readouterr() == ("", f"error: config: {field}: {path!r} is not a file\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["calibrations", "config.json"]
 
 
 QUBIT = {"readout_p10": 0.01, "readout_p01": 0.02, "single_qubit_error": 0.001}

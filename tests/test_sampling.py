@@ -9,22 +9,22 @@ from sizecon.sampling import (
     selective_plan,
     synthetic_calibration,
 )
-from sizecon.simulator import DeviceModel, QubitCalibration
+
+from devices import make_device
 
 
 def scanned_score(device, qubit):
     """Reference score of one qubit: mean readout error plus the mean error
     of the pairs that hold it, found by a scan over every pair."""
-    cal = device.qubits[qubit]
-    incident = [p for pair, p in device.two_qubit_error.items() if qubit in pair]
+    p10, p01, _ = device.qubits[qubit].tolist()
+    pairs = zip(device.pairs.tolist(), device.pair_errors.tolist())
+    incident = [p for pair, p in pairs if qubit in pair]
     two_qubit = float(np.mean(incident)) if incident else 0.0
-    return 0.5 * (cal.readout_p10 + cal.readout_p01) + two_qubit
+    return 0.5 * (p10 + p01) + two_qubit
 
 
 def uniform_device(n, readout=0.01, single=0.001):
-    return DeviceModel(
-        tuple(QubitCalibration(readout, readout, single) for _ in range(n))
-    )
+    return make_device([(readout, readout, single)] * n)
 
 
 class TestRankQubits:
@@ -33,25 +33,23 @@ class TestRankQubits:
         assert rank_qubits(device) == list(range(20))
 
     def test_bad_readout_ranked_last(self):
-        qubits = [QubitCalibration(0.01, 0.01, 0.001) for _ in range(16)]
-        qubits[5] = QubitCalibration(0.5, 0.5, 0.001)
-        device = DeviceModel(tuple(qubits))
+        qubits = [(0.01, 0.01, 0.001)] * 16
+        qubits[5] = (0.5, 0.5, 0.001)
+        device = make_device(qubits)
         assert rank_qubits(device)[-1] == 5
 
     def test_matches_pairwise_comparison_oracle(self):
         rng = np.random.default_rng(5)
         for trial in range(5):
             n = 12
-            qubits = tuple(
-                QubitCalibration(*rng.uniform(0, 0.2, size=3)) for _ in range(n)
-            )
+            qubits = [rng.uniform(0, 0.2, size=3) for _ in range(n)]
             pairs = {
                 (a, b): float(rng.uniform(0, 0.2))
                 for a in range(n)
                 for b in range(a + 1, n)
                 if rng.random() < 0.4
             }
-            device = DeviceModel(qubits, pairs)
+            device = make_device(qubits, pairs)
             order = rank_qubits(device)
             scores = [scanned_score(device, q) for q in range(n)]
             # exhaustive pairwise check of the produced order
@@ -64,14 +62,11 @@ class TestRankQubits:
         # bit, as the per-qubit scan, so the ranking cannot move
         device = synthetic_calibration(n_qubits=156, seed=7)
         scanned = [scanned_score(device, q) for q in range(156)]
-        assert qubit_scores(device) == scanned
+        assert qubit_scores(device).tolist() == scanned
         assert rank_qubits(device) == [q for _, q in sorted(zip(scanned, range(156)))]
 
     def test_two_qubit_error_affects_rank(self):
-        device = DeviceModel(
-            tuple(QubitCalibration(0.01, 0.01, 0.0) for _ in range(3)),
-            {(0, 1): 0.4},
-        )
+        device = make_device([(0.01, 0.01, 0.0)] * 3, {(0, 1): 0.4})
         order = rank_qubits(device)
         assert order[0] == 2  # only qubit with no noisy neighbor
 
@@ -168,23 +163,22 @@ class TestSyntheticCalibration:
     def test_deterministic_and_in_range(self):
         a = synthetic_calibration(n_qubits=24, seed=3)
         b = synthetic_calibration(n_qubits=24, seed=3)
-        assert a == b
-        for q in a.qubits:
-            assert 0 < q.readout_p10 <= 0.5
-            assert 0 < q.readout_p01 <= 0.5
-            assert 0 < q.single_qubit_error <= 0.5
+        for name in ("qubits", "pairs", "pair_errors"):
+            assert getattr(a, name).tolist() == getattr(b, name).tolist()
+        # every rate of every qubit: readout_p10, readout_p01, single_qubit_error
+        assert np.all((0 < a.qubits) & (a.qubits <= 0.5))
 
     def test_all_pairs_present(self):
         device = synthetic_calibration(n_qubits=10, seed=4)
-        assert len(device.two_qubit_error) == 45
+        assert len(device.pairs) == 45
 
     def test_medians_roughly_respected(self):
         device = synthetic_calibration(n_qubits=156, seed=5)
-        readout = np.array([q.readout_p10 for q in device.qubits])
+        readout = device.qubits[:, 0]
         # log-normal median should land near the configured one
         assert 0.005 < np.median(readout) < 0.02
 
     def test_heterogeneous(self):
         device = synthetic_calibration(n_qubits=16, seed=6)
-        readout = {q.readout_p10 for q in device.qubits}
+        readout = set(device.qubits[:, 0].tolist())
         assert len(readout) == 16

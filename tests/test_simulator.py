@@ -13,7 +13,6 @@ from sizecon.sampling import synthetic_calibration
 from sizecon.simulator import (
     _PAULI_1Q,
     DeviceModel,
-    QubitCalibration,
     TrajectoryEngine,
     _apply_1q,
     _rotation_matrix,
@@ -24,6 +23,7 @@ from sizecon.simulator import (
 from sizecon.stateprep import Circuit, Gate, compose, fci_ground, synthesize
 from sizecon.tomography import build_plan
 
+from devices import make_device
 from oracles import circuit_unitary, density_matrix_probs, pattern_distribution
 from tables import block_histogram, csv_text
 
@@ -144,17 +144,14 @@ class TestRunShots:
     def test_readout_binomial(self):
         p10 = 0.1
         shots = 100_000
-        device = DeviceModel((QubitCalibration(readout_p10=p10),))
+        device = make_device([(p10, 0.0, 0.0)])
         counts = run_shots(Circuit(1), device, [0], None, shots, seed=3)
         ones = counts[1]
         sigma = math.sqrt(p10 * (1 - p10) / shots)
         assert abs(ones / shots - p10) < 3 * sigma
 
     def test_bit_exact_reproducibility(self):
-        device = DeviceModel(
-            tuple(QubitCalibration(0.02, 0.03, 0.01) for _ in range(3)),
-            {(0, 1): 0.05, (1, 2): 0.04, (0, 2): 0.03},
-        )
+        device = make_device([(0.02, 0.03, 0.01)] * 3, {(0, 1): 0.05, (1, 2): 0.04, (0, 2): 0.03})
         rng = np.random.default_rng(4)
         circuit = random_circuit(3, 8, rng)
         a = run_shots(circuit, device, [0, 1, 2], None, 5000, seed=11)
@@ -164,9 +161,7 @@ class TestRunShots:
         assert not np.array_equal(c, a)
 
     def test_engine_equals_one_off_wrapper(self):
-        device = DeviceModel(
-            tuple(QubitCalibration(0.01, 0.01, 0.02) for _ in range(2)), {(0, 1): 0.03}
-        )
+        device = make_device([(0.01, 0.01, 0.02)] * 2, {(0, 1): 0.03})
         circuit = Circuit(2, (Gate("RY", (0,), 1.1), Gate("CNOT", (0, 1))))
         engine = TrajectoryEngine(circuit)
         for seed in (5, 6):
@@ -179,7 +174,7 @@ class TestRunShots:
         theta = 0.9
         circuit = Circuit(1, (Gate("RY", (0,), theta),))
         noiseless = math.cos(theta)
-        device = DeviceModel((QubitCalibration(single_qubit_error=0.2),))
+        device = make_device([(0.0, 0.0, 0.2)])
         shots = 60_000
         values = []
         for seed in range(5):
@@ -220,13 +215,7 @@ class TestRunShots:
                 2, (Gate("RY", (0,), 1.2), Gate("CNOT", (0, 1)), Gate("RY", (1,), -0.6))
             ),
             None,
-            DeviceModel(
-                (
-                    QubitCalibration(0.03, 0.05, 0.04),
-                    QubitCalibration(0.02, 0.01, 0.06),
-                ),
-                {(0, 1): 0.08},
-            ),
+            make_device([(0.03, 0.05, 0.04), (0.02, 0.01, 0.06)], {(0, 1): 0.08}),
             10,
         )
         # three independent segments, (0, 1), (2, 3) and (4,), measured in a
@@ -251,11 +240,8 @@ class TestRunShots:
                     Gate("RY", (4,), -math.pi / 2),
                 ),
             ),
-            DeviceModel(
-                tuple(
-                    QubitCalibration(0.01 * (q + 1), 0.02 + 0.01 * q, 0.03 + 0.01 * q)
-                    for q in range(5)
-                ),
+            make_device(
+                [(0.01 * (q + 1), 0.02 + 0.01 * q, 0.03 + 0.01 * q) for q in range(5)],
                 {(0, 1): 0.08, (2, 3): 0.06},
             ),
             21,
@@ -274,10 +260,7 @@ class TestRunShots:
 
     def test_sampled_csv_is_pinned(self):
         # recorded while tables still held bitstring-keyed dicts
-        device = DeviceModel(
-            tuple(QubitCalibration(0.02, 0.03, 0.01) for _ in range(3)),
-            {(0, 1): 0.05, (1, 2): 0.04, (0, 2): 0.03},
-        )
+        device = make_device([(0.02, 0.03, 0.01)] * 3, {(0, 1): 0.05, (1, 2): 0.04, (0, 2): 0.03})
         circuit = Circuit(
             3,
             (
@@ -297,10 +280,7 @@ class TestRunShots:
     def test_heavy_noise_csv_is_pinned(self):
         # recorded before the sampler drew quiet and fired shots apart; at
         # p = 0.3 per gate most shots fire an event on both two-qubit segments
-        device = DeviceModel(
-            tuple(QubitCalibration(0.01, 0.02, 0.3) for _ in range(4)),
-            {(0, 1): 0.3, (2, 3): 0.3},
-        )
+        device = make_device([(0.01, 0.02, 0.3)] * 4, {(0, 1): 0.3, (2, 3): 0.3})
         circuit = Circuit(
             4,
             (
@@ -360,14 +340,9 @@ class TestBatchedSample:
     # one-qubit error and only neighbouring pairs are listed, so the maps
     # below drop different gates from the column layout, and items of one
     # layout are not adjacent
-    mixed_device = DeviceModel(
-        (
-            QubitCalibration(0.02, 0.03, 0.01),
-            QubitCalibration(0.01, 0.02, 0.02),
-            QubitCalibration(0.03, 0.01, 0.015),
-            QubitCalibration(0.02, 0.02, 0.01),
-            QubitCalibration(0.01, 0.04, 0.0),
-        ),
+    mixed_device = make_device(
+        [(0.02, 0.03, 0.01), (0.01, 0.02, 0.02), (0.03, 0.01, 0.015), (0.02, 0.02, 0.01),
+         (0.01, 0.04, 0.0)],
         {(0, 1): 0.05, (1, 2): 0.04, (2, 3): 0.06, (3, 4): 0.05},
     )
     mixed_maps = [
@@ -393,8 +368,8 @@ class TestBatchedSample:
         self, monkeypatch, shots, items, expected
     ):
         monkeypatch.setattr(simulator, "_DRAW_ELEMENTS", 1 << 16)
-        device = DeviceModel(
-            tuple(QubitCalibration(0.02 + 0.01 * q, 0.03, 0.01 + 0.005 * q) for q in range(6)),
+        device = make_device(
+            [(0.02 + 0.01 * q, 0.03, 0.01 + 0.005 * q) for q in range(6)],
             {(a, b): 0.04 + 0.01 * a for a in range(6) for b in range(a + 1, 6)},
         )
         rng = np.random.default_rng(0)
@@ -542,10 +517,7 @@ class TestDistributionMemo:
     def test_replicas_share_entries_across_system_sizes(self, memo):
         block = Circuit(2, (Gate("RY", (0,), 0.9), Gate("CNOT", (0, 1)), Gate("RY", (1,), -0.3)))
         basis = Circuit(2, (Gate("RY", (1,), -math.pi / 2),))
-        device = DeviceModel(
-            tuple(QubitCalibration(0.01, 0.02, 0.003) for _ in range(8)),
-            {(q, q + 1): 0.02 for q in range(7)},
-        )
+        device = make_device([(0.01, 0.02, 0.003)] * 8, {(q, q + 1): 0.02 for q in range(7)})
 
         def sample(n, device):
             blocks = [[2 * b, 2 * b + 1] for b in range(n)]
@@ -569,9 +541,7 @@ class TestDistributionMemo:
             simulator, "_distributions", lambda g, ps: stacks.append(ps) or evolve(g, ps)
         )
         gates = (Gate("RY", (0,), 0.7),) + tuple(Gate("CNOT", (q, q + 1)) for q in range(15))
-        device = DeviceModel(
-            tuple(QubitCalibration() for _ in range(16)), {(q, q + 1): 0.02 for q in range(15)}
-        )
+        device = make_device([(0.0, 0.0, 0.0)] * 16, {(q, q + 1): 0.02 for q in range(15)})
         TrajectoryEngine(Circuit(16, gates)).sample(device, [list(range(16))], 400, [3], 16)
         entry = 8 * (2**16 + 1)
         evolved = [pattern for stack in stacks for pattern in stack]
@@ -585,27 +555,21 @@ class TestDistributionMemo:
 
 class TestDeviceModel:
     def test_pair_error_symmetric_lookup(self):
-        device = DeviceModel(
-            (QubitCalibration(), QubitCalibration(), QubitCalibration()),
-            {(1, 0): 0.25},
-        )
+        device = make_device([(0.0, 0.0, 0.0)] * 3, {(1, 0): 0.25})
         assert device.pair_error(0, 1) == 0.25
         assert device.pair_error(1, 0) == 0.25
         assert device.pair_error(1, 2) == 0.0  # unlisted pairs are noiseless
 
     def test_probability_bounds_validated(self):
         with pytest.raises(ValueError, match="outside"):
-            QubitCalibration(readout_p10=1.5)
+            make_device([(1.5, 0.0, 0.0)])
         with pytest.raises(ValueError, match="outside"):
-            DeviceModel((QubitCalibration(), QubitCalibration()), {(0, 1): -0.1})
+            make_device([(0.0, 0.0, 0.0)] * 2, {(0, 1): -0.1})
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: DeviceModel(
-                (QubitCalibration(0.01, 0.02, 0.003), QubitCalibration(0.04, 0.05, 0.006)),
-                {(0, 1): 0.07},
-            ),
+            lambda: make_device([(0.01, 0.02, 0.003), (0.04, 0.05, 0.006)], {(0, 1): 0.07}),
             lambda: synthetic_calibration(n_qubits=156, seed=7),
         ],
         ids=["two-qubits", "synthetic-seed7-156"],
@@ -613,7 +577,8 @@ class TestDeviceModel:
     def test_json_round_trip(self, make):
         device = make()
         back = DeviceModel.from_json(device.to_json())
-        assert back == device
+        for name in ("qubits", "pairs", "pair_errors"):
+            assert getattr(back, name).tolist() == getattr(device, name).tolist()
 
     @pytest.mark.parametrize(
         "make",
@@ -632,16 +597,12 @@ class TestDeviceModel:
         device = make()
         payload = {
             "qubits": [
-                {
-                    "readout_p10": q.readout_p10,
-                    "readout_p01": q.readout_p01,
-                    "single_qubit_error": q.single_qubit_error,
-                }
-                for q in device.qubits
+                {"readout_p10": p10, "readout_p01": p01, "single_qubit_error": single}
+                for p10, p01, single in device.qubits.tolist()
             ],
             "two_qubit_error": [
-                {"pair": list(pair), "error": p}
-                for pair, p in sorted(device.two_qubit_error.items())
+                {"pair": pair, "error": p}
+                for pair, p in sorted(zip(device.pairs.tolist(), device.pair_errors.tolist()))
             ],
         }
         assert device.to_json() == json.dumps(payload, indent=2) + "\n"
@@ -737,9 +698,8 @@ class TestDeviceModel:
         assert str(caught.value) == "calibration: two_qubit_error is missing"
 
     def test_constructor_rejects_repeated_pair(self):
-        qubits = (QubitCalibration(), QubitCalibration())
         with pytest.raises(ValueError, match=r"^pair \[1, 0\] is listed twice$"):
-            DeviceModel(qubits, {(0, 1): 0.1, (1, 0): 0.2})
+            make_device([(0.0, 0.0, 0.0)] * 2, {(0, 1): 0.1, (1, 0): 0.2})
 
     @pytest.mark.parametrize(
         "faults, message",
