@@ -14,6 +14,11 @@ library it checks:
 * the per-pattern evolution takes one lone statevector per noise-insertion
   pattern, where the sampler evolves a stack of patterns at once; it keeps
   the sampler's element-wise arithmetic, so the two agree byte for byte,
+* the chain-rule step binary-searches a segment's whole table, clamps to
+  its last outcome and rescales every draw, where the sampler compares a
+  one-qubit segment's draws with its middle bound, searches only the inner
+  bounds and rescales only when a segment follows; the two agree byte for
+  byte,
 * the 3-vector integrals place both H2 centres in space and take every
   distance with ``np.dot``, where the library works on the bond axis; the
   two agree byte for byte,
@@ -416,6 +421,18 @@ def pattern_distribution(gates, pattern: bytes) -> np.ndarray:
                 state = _lone_1q(state, _PAULI_BY_CODE[letter - 1], q)
     probs = np.abs(state) ** 2
     return np.concatenate(([0.0], np.cumsum(probs / probs.sum())))
+
+
+def reference_invert(cum: np.ndarray, u_meas: np.ndarray, codes: np.ndarray, n: int) -> tuple:
+    """One chain-rule step over a segment's cumulative table ``cum`` (with
+    a leading 0): each draw's outcome, the last one whose lower bound is at
+    most the draw, appended to its code as ``n`` bits, and the draw
+    rescaled into the chosen interval (1 where that interval is empty)."""
+    x = np.minimum(np.searchsorted(cum, u_meas, side="right") - 1, 2**n - 1)
+    lower = cum[x]
+    span = cum[x + 1] - lower
+    rescaled = np.divide(u_meas - lower, span, out=np.ones_like(lower), where=span > 0)
+    return rescaled, (codes << n) | x
 
 
 # ---------------------------------------------------------------------------

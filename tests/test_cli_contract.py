@@ -10,16 +10,19 @@ entry that is missing, of the wrong type or outside [0, 1] must end in one
 string, 0, -0.0, 1e-320, NaN and Infinity, each ending in one ``error:``
 line. The cases run in-process through
 ``cli.main``: an uncaught exception fails the test, and pytest's
-``filterwarnings = error`` turns any warning into one.
+``filterwarnings = error`` turns any warning into one. The valid edges of
+every key, each at its least value and at its greatest where a run there is
+cheap, must run: exit 0, one ``run complete`` line and a ``samples.csv``.
 """
 
 import copy
+import itertools
 import json
 
 import pytest
 
 from sizecon.cli import main as cli_main
-from sizecon.config import _SCHEMA, ExperimentConfig
+from sizecon.config import _SCHEMA, QUBIT_BUDGET, ExperimentConfig
 
 BASE = {"representation": 1, "subsystem_counts": [2], "output_dir": "run", "shots": 10}
 WRONG_TYPES = {"string": "1", "float": 1.5, "true": True, "null": None, "list": [1]}
@@ -94,6 +97,57 @@ def test_config_lower_bound_runs(tmp_path, capsys, monkeypatch, path):
     (tmp_path / "config.json").write_text(json.dumps(config_with(path, _SCHEMA[path][3])))
     assert cli_main(["run", "config.json"]) == 0
     assert capsys.readouterr() == ("run complete: run\n", "")
+    assert len((tmp_path / "run" / "samples.csv").read_text().splitlines()) > 1
+
+
+# The valid edges that test_config_lower_bound_runs leaves: a key without
+# bounds in _SCHEMA at its least and greatest valid values, and a bounded key
+# at its upper bound where a run there is cheap. The two calibration files
+# hold QUBIT_BUDGET qubits with every rate at 0 and no pair listed, and with
+# every rate at 1 and every pair listed. Not run:
+# * shots at MAX_SHOTS: each work item would draw 2**63 - 1 shots, which
+#   takes centuries;
+# * sampling.k and sampling.s at 2**32 - 1: a plan of that many sets or
+#   samples does not fit in memory;
+# * bond lengths past 5.7 angstrom, where the SCF of solve_rhf stops
+#   converging, and below 0.01, where jordan_wigner starts to reject the
+#   Hamiltonian as non-Hermitian by round-off (from about 0.005).
+VALID_EDGES = [
+    ("representation", 1), ("representation", 4),
+    ("subsystem_counts", [1]), ("subsystem_counts", [QUBIT_BUDGET]),
+    ("output_dir", "r"), ("output_dir", "parents/made/run"),
+    ("master_seed", 10**400),
+    ("bond_length", 0.01), ("bond_length", 5.7),
+    ("sampling.mode", "selective"), ("sampling.mode", "random"),
+    ("calibration.file", "rates-0.json"), ("calibration.file", "rates-1.json"),
+    ("calibration.synthetic_seed", 10**400),
+    ("calibration.n_qubits", _SCHEMA["calibration.n_qubits"][4]),
+]
+
+
+def test_valid_edges_cover_every_key():
+    bounded_below = {path for path, (*_, low, _, _) in _SCHEMA.items() if low is not None}
+    assert {path for path, _ in VALID_EDGES} | bounded_below == set(_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [pytest.param(path, value, id=f"{path}-{str(value)[:16]}") for path, value in VALID_EDGES],
+)
+def test_valid_edge_runs(tmp_path, capsys, monkeypatch, path, value):
+    monkeypatch.chdir(tmp_path)
+    for rate in (0, 1):
+        pairs = itertools.combinations(range(QUBIT_BUDGET), 2) if rate else ()
+        calibration = {
+            "qubits": [dict.fromkeys(QUBIT, float(rate))] * QUBIT_BUDGET,
+            "two_qubit_error": [{"pair": list(pair), "error": 1.0} for pair in pairs],
+        }
+        (tmp_path / f"rates-{rate}.json").write_text(json.dumps(calibration))
+    config = config_with(path, value)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli_main(["run", "config.json"]) == 0
+    assert capsys.readouterr() == (f"run complete: {config['output_dir']}\n", "")
+    assert len((tmp_path / config["output_dir"] / "samples.csv").read_text().splitlines()) > 1
 
 
 EDGE_VALUES = {"empty": "", "0": 0, "-0.0": -0.0, "1e-320": 1e-320, "NaN": float("nan"),

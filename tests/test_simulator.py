@@ -15,6 +15,7 @@ from sizecon.simulator import (
     DeviceModel,
     TrajectoryEngine,
     _apply_1q,
+    _invert,
     _rotation_matrix,
     apply_gate,
     run_shots,
@@ -24,7 +25,7 @@ from sizecon.stateprep import Circuit, Gate, compose, fci_ground, synthesize
 from sizecon.tomography import build_plan
 
 from devices import make_device
-from oracles import circuit_unitary, density_matrix_probs, pattern_distribution
+from oracles import circuit_unitary, density_matrix_probs, pattern_distribution, reference_invert
 from tables import block_histogram, csv_text
 
 
@@ -318,6 +319,26 @@ class TestRunShots:
         with pytest.raises(ValueError, match="map length"):
             run_shots(Circuit(2), device, [0], None, 10, seed=0)
 
+    def test_map_repeating_a_qubit(self):
+        # read as noiseless, pair (0, 0) would hide the listed pair's error
+        device = make_device([(0.0, 0.0, 0.0)] * 2, {(0, 1): 0.5})
+        circuit = Circuit(2, (Gate("RY", (0,), 0.0), Gate("CNOT", (0, 1))))
+        with pytest.raises(ValueError, match=r"^physical map \[0, 0\] repeats a qubit$"):
+            run_shots(circuit, device, [0, 0], None, 10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2**128, 2**200])
+    def test_seed_outside_the_philox_key(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed {seed} outside \[0, 2\*\*128\)$"):
+            run_shots(Circuit(1), DeviceModel.noiseless(1), [0], None, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64, 2**128 - 1])
+    def test_seed_at_the_philox_key_bounds(self, seed):
+        device = make_device([(0.3, 0.0, 0.0)])
+        counts = run_shots(Circuit(1), device, [0], None, 1000, seed=seed)
+        bit_generator = np.random.Philox(key=seed)
+        ones = (np.random.Generator(bit_generator).random((1000, 2))[:, 1] < 0.3).sum()
+        assert counts.tolist() == [1000 - ones, ones]
+
 
 class TestBatchedSample:
     """``sample`` over many work items at once. Each digest is the sha256 of
@@ -437,6 +458,16 @@ class TestBatchedSample:
         with pytest.raises(ValueError, match="block width 3 does not divide circuit width 4"):
             engine.sample(DeviceModel.noiseless(4), [[0, 1, 2, 3]], 10, [0], 3)
 
+    def test_first_item_at_fault_is_named(self):
+        engine = TrajectoryEngine(Circuit(2))
+        device = DeviceModel.noiseless(3)
+        maps = [[0, 1], [2, 1], [1, 1], [2, 2]]
+        with pytest.raises(ValueError, match=r"^physical map \[1, 1\] repeats a qubit$"):
+            engine.sample(device, maps, 10, [0, 1, 2, 3], 1)
+        seeds = [0, 2**128 - 1, 2**128, -1]
+        with pytest.raises(ValueError, match=rf"^seed {2**128} outside"):
+            engine.sample(device, maps[:2] * 2, 10, seeds, 1)
+
 
 def patterns_up_to_two_events(gates, noisy):
     """Every insertion pattern over ``gates`` whose events, at most two,
@@ -505,6 +536,137 @@ class TestStackedDistributions:
             for _ in range(7)
         ]
         assert_stack_matches_lone_evolutions(gates, patterns)
+
+
+def cumulative(probs):
+    """A segment's table as ``_distributions`` builds it: a leading 0, then
+    the running sum of the normalised probabilities."""
+    probs = np.asarray(probs, dtype=float)
+    cum = np.zeros(len(probs) + 1)
+    np.cumsum(probs / probs.sum(), out=cum[1:])
+    return cum
+
+
+def table_ending_below_one(rng, n, last_outcome_zero=False):
+    """A table whose last bound is below 1 by round-off: the first seeded
+    random distribution that gives one."""
+    for _ in range(1000):
+        probs = rng.random(2**n)
+        if last_outcome_zero:
+            probs[-1] = 0.0
+        cum = cumulative(probs)
+        if cum[-1] < 1.0:
+            return cum
+    raise AssertionError("no table ends below 1")
+
+
+def edge_draws(cum, rng):
+    """Random draws, every bound of the table and the doubles either side
+    of it, and draws from the table's end up to the largest double below 1."""
+    ends = np.array([cum[-1], np.nextafter(cum[-1], 1.0), 1.0 - 2.0**-53])
+    draws = np.concatenate(
+        [rng.random(300), cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), ends]
+    )
+    return draws[(draws >= 0.0) & (draws < 1.0)]
+
+
+class TestInvert:
+    """``_invert``, the chain-rule step, against ``oracles.reference_invert``,
+    which searches the whole table and rescales every draw: the codes and the
+    rescaled draws must agree byte for byte. The last segment skips the
+    rescale, so there only the codes are compared, and the draw comes back as
+    given."""
+
+    @staticmethod
+    def assert_matches_reference(cum, draws, n):
+        codes = np.arange(len(draws), dtype=np.int64) % 5  # earlier segments' bits
+        expected_draws, expected_codes = reference_invert(cum, draws, codes, n)
+        rescaled, got = _invert(cum, draws, codes, n)
+        assert got.tobytes() == expected_codes.tobytes()
+        assert rescaled.tobytes() == expected_draws.tobytes()
+        given, got = _invert(cum, draws, codes, n, rescale=False)
+        assert got.tobytes() == expected_codes.tobytes()
+        assert given.tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_tables(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            # spread from flat to one dominant outcome
+            probs = rng.random(2**n) ** rng.uniform(0.5, 8.0)
+            cum = cumulative(probs)
+            self.assert_matches_reference(cum, edge_draws(cum, rng), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_probability_and_deterministic_outcomes(self, n):
+        rng = np.random.default_rng(10 + n)
+        for outcome in range(2**n):
+            deterministic = cumulative(np.eye(2**n)[outcome])
+            self.assert_matches_reference(deterministic, edge_draws(deterministic, rng), n)
+            probs = rng.random(2**n)
+            probs[outcome] = 0.0
+            probs[rng.random(2**n) < 0.3] = 0.0
+            if probs.any():
+                cum = cumulative(probs)
+                self.assert_matches_reference(cum, edge_draws(cum, rng), n)
+
+    @pytest.mark.parametrize(
+        "n, last_outcome_zero",
+        # one qubit with outcome 1 at probability 0 sums to 1 exactly
+        [(1, False), (2, False), (3, False), (4, False), (2, True), (3, True), (4, True)],
+    )
+    def test_table_ending_below_one(self, n, last_outcome_zero):
+        # a draw at or past the end takes the last outcome; when that
+        # outcome has probability 0 its interval is empty, and the draw
+        # rescales to 1
+        rng = np.random.default_rng(20 + n)
+        cum = table_ending_below_one(rng, n, last_outcome_zero)
+        draws = edge_draws(cum, rng)
+        assert (draws >= cum[-1]).sum() >= 2
+        self.assert_matches_reference(cum, draws, n)
+        rescaled, codes = _invert(cum, draws, np.zeros(len(draws), dtype=np.int64), n)
+        past = draws >= cum[-1]
+        assert (codes[past] == 2**n - 1).all()
+        if last_outcome_zero:
+            assert (rescaled[past] == 1.0).all()
+
+    @pytest.mark.parametrize(
+        "circuit, basis",
+        [
+            # two 2-qubit segments at heavy noise
+            (
+                Circuit(4, (Gate("RY", (0,), 1.1), Gate("CNOT", (0, 1)), Gate("RY", (2,), 0.6),
+                            Gate("CZ", (2, 3)), Gate("X", (2,)))),
+                Circuit(4, (Gate("RY", (1,), -math.pi / 2), Gate("RY", (2,), math.pi / 2))),
+            ),
+            # one-qubit segments, one of them deterministic
+            (
+                Circuit(3, (Gate("RY", (0,), 0.9), Gate("X", (1,)), Gate("RY", (2,), -2.0))),
+                Circuit(3, (Gate("RY", (2,), math.pi / 2),)),
+            ),
+            # one connected segment
+            (
+                Circuit(3, (Gate("RY", (0,), 0.4), Gate("CNOT", (0, 2)), Gate("RY", (1,), 1.3))),
+                None,
+            ),
+        ],
+    )
+    def test_sample_equals_reference_chain_rule(self, monkeypatch, circuit, basis):
+        # the whole sampler, with each step taken by the reference
+        w = circuit.width
+        device = make_device(
+            [(0.02 * (q + 1), 0.03, 0.2) for q in range(w + 1)],
+            {(a, b): 0.3 for a in range(w + 1) for b in range(a + 1, w + 1)},
+        )
+        maps = [list(range(w)), list(range(w, 0, -1)), list(range(1, w + 1))]
+        engine = TrajectoryEngine(circuit, basis)
+        counts = engine.sample(device, maps, 3000, [5, 6, 7], w)
+
+        def reference_step(cum, u_meas, codes, n, rescale=True):  # rescales every segment
+            return reference_invert(cum, u_meas, codes, n)
+
+        monkeypatch.setattr(simulator, "_invert", reference_step)
+        assert counts.tolist() == engine.sample(device, maps, 3000, [5, 6, 7], w).tolist()
 
 
 class TestDistributionMemo:
