@@ -464,10 +464,7 @@ def _invert(cum: np.ndarray, u_meas: np.ndarray, codes: np.ndarray, n: int, resc
     codes = (codes << n) | x
     if not rescale:
         return u_meas, codes
-    span = np.diff(cum)
-    lower, width = cum[x], span[x]
-    if span.all():
-        return (u_meas - lower) / width, codes
+    lower, width = cum[x], np.diff(cum)[x]
     # a zero-width interval is only chosen past the table's end; later
     # segments then take their last outcome
     return np.divide(u_meas - lower, width, out=np.ones_like(lower), where=width > 0), codes
@@ -536,11 +533,12 @@ class TrajectoryEngine:
         for physical_map, seed in zip(physical_maps, seeds):
             if len(physical_map) != w:
                 raise ValueError(f"physical map length {len(physical_map)} != circuit width {w}")
-            if len(set(physical_map)) != w:
-                raise ValueError(f"physical map {list(physical_map)} repeats a qubit")
             if not 0 <= seed < 2**128:  # a Philox key is 128 bits
                 raise ValueError(f"seed {seed} outside [0, 2**128)")
         maps = np.array(physical_maps, dtype=np.int64).reshape(len(seeds), w)
+        repeats = (np.diff(np.sort(maps, axis=1), axis=1) == 0).any(axis=1)
+        if repeats.any():
+            raise ValueError(f"physical map {maps[np.argmax(repeats)].tolist()} repeats a qubit")
         absent = maps[(maps < 0) | (maps >= device.n_qubits)].tolist()
         if absent:
             raise ValueError(f"physical qubit {absent[0]} absent from device")
@@ -635,10 +633,10 @@ class TrajectoryEngine:
         # product distribution this is the full-register inverse CDF.
         codes = np.zeros(len(u_meas), dtype=np.int64)
         hot = np.flatnonzero(picks.any(axis=0))  # the rows where any gate fired
-        last = len(self._segments) - 1
         for index, (n, inside, gates, text) in enumerate(self._segments):
+            rescale = index < len(self._segments) - 1  # nothing reads the last one's draw
             events = [(j, column[gi]) for j, gi in enumerate(inside) if gi in column]
-            fired = picks[[[k] for _, k in events], hot]  # (segment event, hot row)
+            fired = picks[np.ix_([k for _, k in events], hot)]  # (segment event, hot row)
             on = fired.any(axis=0)
             rows = hot[on]
             # The fired rows, grouped by insertion pattern through one
@@ -661,11 +659,11 @@ class TrajectoryEngine:
                 cums = _MEMO(text, gates, keys[k : k + per_stack])
                 for group, cum in zip(groups[k : k + per_stack], cums):
                     if group is None:  # before any fired row is redrawn
-                        u_meas, codes = _invert(cum, u_meas, codes, n, index < last)
+                        u_meas, codes = _invert(cum, u_meas, codes, n, rescale)
                     else:  # redraw from the saved draw
                         at = rows[group]
                         u_meas[at], codes[at] = _invert(cum, u_fired[group], codes_fired[group],
-                                                        n, index < last)
+                                                        n, rescale)
         return codes
 
 

@@ -136,13 +136,14 @@ def test_valid_edges_cover_every_key():
 )
 def test_valid_edge_runs(tmp_path, capsys, monkeypatch, path, value):
     monkeypatch.chdir(tmp_path)
-    for rate in (0, 1):
+    if path == "calibration.file":  # rates-0.json or rates-1.json
+        rate = int(value[len("rates-")])
         pairs = itertools.combinations(range(QUBIT_BUDGET), 2) if rate else ()
         calibration = {
             "qubits": [dict.fromkeys(QUBIT, float(rate))] * QUBIT_BUDGET,
             "two_qubit_error": [{"pair": list(pair), "error": 1.0} for pair in pairs],
         }
-        (tmp_path / f"rates-{rate}.json").write_text(json.dumps(calibration))
+        (tmp_path / value).write_text(json.dumps(calibration))
     config = config_with(path, value)
     (tmp_path / "config.json").write_text(json.dumps(config))
     assert cli_main(["run", "config.json"]) == 0

@@ -259,6 +259,12 @@ class TestRunShots:
                 sigma = math.sqrt(p * (1 - p) / shots)
                 assert abs(observed - p) < 4 * sigma
 
+    def test_idle_qubit_beside_a_noisy_one_is_pinned(self):
+        # recorded before the chain-rule step was reworked
+        circuit = Circuit(2, (Gate("RY", (0,), 1.0),))
+        counts = run_shots(circuit, make_device([(0, 0, 0.3)] * 2), [0, 1], None, 1000, seed=0)
+        assert counts.tolist() == [660, 0, 340, 0]
+
     def test_sampled_csv_is_pinned(self):
         # recorded while tables still held bitstring-keyed dicts
         device = make_device([(0.02, 0.03, 0.01)] * 3, {(0, 1): 0.05, (1, 2): 0.04, (0, 2): 0.03})
@@ -464,6 +470,10 @@ class TestBatchedSample:
         maps = [[0, 1], [2, 1], [1, 1], [2, 2]]
         with pytest.raises(ValueError, match=r"^physical map \[1, 1\] repeats a qubit$"):
             engine.sample(device, maps, 10, [0, 1, 2, 3], 1)
+        # a repeat that is not between neighbours
+        wide = [[0, 1, 2], [2, 0, 1], [1, 2, 1], [0, 2, 0]]
+        with pytest.raises(ValueError, match=r"^physical map \[1, 2, 1\] repeats a qubit$"):
+            TrajectoryEngine(Circuit(3)).sample(device, wide, 10, [0, 1, 2, 3], 1)
         seeds = [0, 2**128 - 1, 2**128, -1]
         with pytest.raises(ValueError, match=rf"^seed {2**128} outside"):
             engine.sample(device, maps[:2] * 2, 10, seeds, 1)
@@ -667,6 +677,41 @@ class TestInvert:
 
         monkeypatch.setattr(simulator, "_invert", reference_step)
         assert counts.tolist() == engine.sample(device, maps, 3000, [5, 6, 7], w).tolist()
+
+    @pytest.mark.parametrize(
+        "circuit, basis, single_rates",
+        [
+            # qubit 1 has no gate
+            (Circuit(3, (Gate("RY", (0,), 1.1), Gate("RY", (2,), 0.6))), None, (0.3, 0.3, 0.3)),
+            # qubit 1's gates have rate 0
+            (
+                Circuit(3, (Gate("RY", (0,), 1.1), Gate("RY", (1,), 2.0), Gate("RY", (2,), 0.6))),
+                None,
+                (0.3, 0.0, 0.3),
+            ),
+            # qubit 2 has only a basis-change gate, which is noiseless
+            (
+                Circuit(3, (Gate("RY", (0,), 0.8), Gate("RY", (1,), 2.0))),
+                Circuit(3, (Gate("RY", (2,), math.pi / 2),)),
+                (0.3, 0.3, 0.3),
+            ),
+        ],
+    )
+    def test_quiet_segment_beside_noisy_ones(self, monkeypatch, circuit, basis, single_rates):
+        # a segment with no noisy gate, while the other segments fire in
+        # hundreds of shots
+        device = make_device([(0.02, 0.03, rate) for rate in single_rates])
+        shots = 100_000
+        counts = run_shots(circuit, device, [0, 1, 2], basis, shots, seed=3)
+        expected = density_matrix_probs(circuit, device, [0, 1, 2], basis)
+        sigma = np.sqrt(expected * (1 - expected) / shots)
+        assert (np.abs(counts / shots - expected) < 4 * sigma + 1e-12).all()
+
+        def reference_step(cum, u_meas, codes, n, rescale=True):  # rescales every segment
+            return reference_invert(cum, u_meas, codes, n)
+
+        monkeypatch.setattr(simulator, "_invert", reference_step)
+        assert counts.tolist() == run_shots(circuit, device, [0, 1, 2], basis, shots, 3).tolist()
 
 
 class TestDistributionMemo:
