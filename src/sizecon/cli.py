@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .config import DEFAULT_BOND_LENGTH, MAX_QUBITS, ConfigError, ExperimentConfig
 from .experiment import csv_text, dict_table, read_calibration, run_experiment
-from .report import analyze, reference_table
+from .report import REFERENCE_N_MAX, analyze, reference_table
 from .sampling import qubit_scores, rank_qubits, synthetic_calibration
 
 
@@ -69,7 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("directory", help="run directory written by `run`")
 
     ref_p = sub.add_parser("reference", help="classical FCI/CISD/HF reference curves")
-    ref_p.add_argument("--n-max", type=int, required=True, help="largest subsystem count")
+    ref_p.add_argument(
+        "--n-max", type=_int_in(1, REFERENCE_N_MAX), required=True,
+        help=f"largest subsystem count, at most {REFERENCE_N_MAX}",
+    )
     ref_p.add_argument(
         "--bond-length", type=float, default=DEFAULT_BOND_LENGTH,
         help=f"H-H distance in angstrom (default {DEFAULT_BOND_LENGTH})",

@@ -17,9 +17,13 @@ execution order never matters; ``derive_seed`` mixes every key of one
 (N, group) at once. One ``TrajectoryEngine.sample`` call takes
 every item of one (N, group) and returns their shots per block code as one
 ``(items, N, 2**width)`` int64 array, the package's one counts format. Each
-tomography reader then runs once per N on those stacks, and the rows go out
-as tuples in (N, set, sample, subsystem) order; ``populations.csv`` is a
-column subset of the same rows.
+tomography reader then runs once per N on those stacks. Of each N's seven
+value columns, ``format_floats`` calls ``repr`` once per distinct value, and
+the rows go out as joined lines in (N, set, sample, subsystem) order:
+the six key cells as one prefix per row, then the values.
+``populations.csv`` is a column subset of the same rows. No cell of these
+tables needs CSV quoting, so ``write_lines`` writes them without the csv
+module; its text is what ``csv_text`` makes of the same rows.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ SAMPLES_HEADER = (
     "energy_hartree", "energy_kcal_mol", "energy_shot_stderr_hartree",
     "p_hf", "p_single", "p_double", "p_number_violating",
 )
+# the populations view is every samples.csv column but the energies
+POPULATIONS_HEADER = tuple(name for name in SAMPLES_HEADER if not name.startswith("energy_"))
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     circuit = synthesize(target)
     width = config.representation
 
-    rows: list[tuple] = []
+    samples: list[str] = []
+    populations: list[str] = []
     seeds: dict[str, int] = {}
     for n in config.subsystem_counts:
         plan = sampling_plan(config, pool, n)
@@ -234,25 +241,17 @@ def run_experiment(config: ExperimentConfig) -> Path:
             pops.double_excitation,
             pops.number_violating,
         )
-        values = zip(*(map(repr, column.ravel().tolist()) for column in columns))
-        for entry in plan:
-            for sub in range(n):
-                rows.append(
-                    (config.run_id, config.representation, n, entry.set_index,
-                     entry.sample_index, sub, *next(values))
-                )
+        texts = [format_floats(column) for column in columns]
+        head = f"{config.run_id},{config.representation},{n},"
+        keys = [f"{head}{e.set_index},{e.sample_index},{sub}" for e in plan for sub in range(n)]
+        samples += map(",".join, zip(keys, *texts))
+        populations += map(",".join, zip(keys, *texts[3:]))
 
     # made only now, so a config that fails on the way leaves no run dir
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / SAMPLES_CSV, SAMPLES_HEADER, rows)
-    # the populations view is every samples.csv column but the energies
-    keep = [i for i, name in enumerate(SAMPLES_HEADER) if not name.startswith("energy_")]
-    write_csv(
-        out / POPULATIONS_CSV,
-        [SAMPLES_HEADER[i] for i in keep],
-        [[row[i] for i in keep] for row in rows],
-    )
+    write_lines(out / SAMPLES_CSV, SAMPLES_HEADER, samples)
+    write_lines(out / POPULATIONS_CSV, POPULATIONS_HEADER, populations)
     (out / CALIBRATION_JSON).write_text(calibration_json)
     manifest = {
         "run_id": config.run_id,
@@ -287,6 +286,26 @@ def write_csv(path: Path, header: Sequence[str], rows: list[Sequence]) -> None:
         raise ValueError(f"refusing to write empty {path.name}")
     with open(path, "w", newline="\n") as fh:
         fh.write(csv_text(header, rows))
+
+
+def write_lines(path: Path, header: Sequence[str], lines: list[str]) -> None:
+    """``write_csv`` of rows already joined into lines, for cells that never
+    need CSV quoting: decimal ints, float reprs and the run id."""
+    if not lines:
+        raise ValueError(f"refusing to write empty {path.name}")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([",".join(header), *lines, ""]))
+
+
+def format_floats(values: np.ndarray) -> list[str]:
+    """``list(map(repr, values.ravel().tolist()))`` of a float64 array, with
+    ``repr`` called once per distinct bit pattern: the run's value columns
+    repeat most of their values. Bit patterns, not float equality, keep
+    -0.0, 0.0 and each NaN apart."""
+    bits = np.asarray(values, dtype=np.float64).ravel().view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def dict_table(rows: list[dict]) -> tuple[list[str], list]:

@@ -329,6 +329,11 @@ def analyze(run_dir: str | Path) -> Path:
     return run_dir
 
 
+# the largest N ``reference --n-max`` takes: the paper's horizon is 118 H2,
+# and the CISD solve of every N up to n_max costs about n_max**4
+REFERENCE_N_MAX = 256
+
+
 def reference_table(bond_length: float, n_max: int) -> list[dict]:
     """Classical FCI/CISD/HF reference rows for N = 1..n_max."""
     if n_max < 1:

@@ -67,10 +67,11 @@ def rank_qubits(device: DeviceModel) -> list[int]:
     return np.argsort(qubit_scores(device), kind="stable").tolist()
 
 
-def _chunk_blocks(qubits: Sequence[int], n_subsystems: int, width: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(qubits[b * width : (b + 1) * width]) for b in range(n_subsystems)
-    )
+def _entries(qubits: np.ndarray, n_subsystems: int, width: int, set_index: int = 0) -> list[PlanEntry]:
+    """One entry per row of ``qubits``, its blocks that row cut into
+    ``n_subsystems`` blocks of ``width``; the row index is the sample index."""
+    blocks = qubits.reshape(len(qubits), n_subsystems, width).tolist()
+    return [PlanEntry(set_index, i, tuple(map(tuple, sample))) for i, sample in enumerate(blocks)]
 
 
 def selective_plan(
@@ -95,20 +96,8 @@ def selective_plan(
             f"{n_subsystems} subsystems x {width} qubits does not divide the "
             f"{QUBIT_BUDGET}-qubit pool; use the random procedure"
         )
-    top = list(pool[:QUBIT_BUDGET])
-    n_samples = QUBIT_BUDGET // block_qubits
-    entries = []
-    for set_index in range(k):
-        for sample_index in range(n_samples):
-            qubits = top[sample_index * block_qubits : (sample_index + 1) * block_qubits]
-            entries.append(
-                PlanEntry(
-                    set_index=set_index,
-                    sample_index=sample_index,
-                    blocks=_chunk_blocks(qubits, n_subsystems, width),
-                )
-            )
-    return tuple(entries)
+    samples = np.reshape(pool[:QUBIT_BUDGET], (-1, block_qubits))
+    return tuple(e for set_index in range(k) for e in _entries(samples, n_subsystems, width, set_index))
 
 
 def random_plan(
@@ -122,19 +111,10 @@ def random_plan(
         raise ValueError(
             f"pool of {len(pool)} qubits cannot host {n_subsystems} x {width} blocks"
         )
+    # one choice per sample, in sample order: the plan stream fixes the bytes
     rng = np.random.default_rng(seed)
-    entries = []
-    for sample_index in range(s):
-        chosen = rng.choice(len(pool), size=block_qubits, replace=False)
-        qubits = [pool[int(i)] for i in chosen]
-        entries.append(
-            PlanEntry(
-                set_index=0,
-                sample_index=sample_index,
-                blocks=_chunk_blocks(qubits, n_subsystems, width),
-            )
-        )
-    return tuple(entries)
+    draws = np.stack([rng.choice(len(pool), size=block_qubits, replace=False) for _ in range(s)])
+    return tuple(_entries(np.asarray(pool)[draws], n_subsystems, width))
 
 
 def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:

@@ -30,7 +30,10 @@ library it checks:
 * the calibration references hold a device as Python lists and a pair dict,
   walk a document one entry at a time and average each qubit's pair errors
   per qubit, where the library holds numpy columns, checks them vectorised
-  and scores every qubit at once; the two agree byte for byte.
+  and scores every qubit at once; the two agree byte for byte,
+* the random-plan reference maps each drawn index through the pool one at
+  a time and slices each block, where the library maps all of a plan's
+  draws with one index and reshapes them.
 """
 
 from __future__ import annotations
@@ -624,3 +627,23 @@ def reference_scores(qubits: list, pairs: dict) -> list[float]:
         0.5 * (p10 + p01) + (float(np.mean(incident[q])) if incident[q] else 0.0)
         for q, (p10, p01, _) in enumerate(qubits)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Sampling plans, built one sample and one qubit at a time.
+# ---------------------------------------------------------------------------
+
+
+def reference_random_plan(pool, n_subsystems: int, width: int, s: int, seed: int) -> list[tuple]:
+    """``(set_index, sample_index, blocks)`` of each random-plan sample: one
+    ``choice`` per sample, each drawn index mapped through the pool on its
+    own and the blocks cut by slicing, where the library maps every draw at
+    once and reshapes."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for sample_index in range(s):
+        chosen = rng.choice(len(pool), size=n_subsystems * width, replace=False)
+        qubits = [pool[int(i)] for i in chosen]
+        blocks = tuple(tuple(qubits[b * width : (b + 1) * width]) for b in range(n_subsystems))
+        entries.append((0, sample_index, blocks))
+    return entries

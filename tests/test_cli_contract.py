@@ -13,6 +13,9 @@ line. The cases run in-process through
 ``filterwarnings = error`` turns any warning into one. The valid edges of
 every key, each at its least value and at its greatest where a run there is
 cheap, must run: exit 0, one ``run complete`` line and a ``samples.csv``.
+``reference --n-max`` past its bounds, 10**400 included, must end in one
+``error: usage:`` line, rejected by the parser before any work starts; the
+bound itself must run.
 """
 
 import copy
@@ -23,6 +26,7 @@ import pytest
 
 from sizecon.cli import main as cli_main
 from sizecon.config import _SCHEMA, QUBIT_BUDGET, ExperimentConfig
+from sizecon.report import REFERENCE_N_MAX
 
 BASE = {"representation": 1, "subsystem_counts": [2], "output_dir": "run", "shots": 10}
 WRONG_TYPES = {"string": "1", "float": 1.5, "true": True, "null": None, "list": [1]}
@@ -230,3 +234,25 @@ def test_invalid_calibration_entry_is_one_line(tmp_path, capsys, monkeypatch, en
         [line] = err.splitlines()
         assert line.startswith(f"error: value: calibration: {entry}[0].{key} ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.json", "config.json"]
+
+
+@pytest.mark.parametrize("value", [0, -1, REFERENCE_N_MAX + 1, 10**8, 10**400])
+def test_reference_n_max_past_a_bound_is_one_line(capsys, monkeypatch, value):
+    def no_work(*args):
+        raise AssertionError("reference_table ran")
+
+    monkeypatch.setattr("sizecon.cli.reference_table", no_work)
+    assert cli_main(["reference", "--n-max", str(value)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    bound = ">= 1" if value < 1 else f"<= {REFERENCE_N_MAX}"
+    assert err.splitlines() == [
+        f"error: usage: sizecon reference: argument --n-max: must be {bound}, got {value}"
+    ]
+
+
+def test_reference_n_max_bound_runs(capsys):
+    assert cli_main(["reference", "--n-max", str(REFERENCE_N_MAX)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + REFERENCE_N_MAX
+    assert lines[-1].startswith(f"{REFERENCE_N_MAX},")

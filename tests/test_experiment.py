@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,16 @@ import pytest
 from sizecon import experiment
 from sizecon.cli import main as cli_main
 from sizecon.config import MAX_QUBITS, ConfigError, ExperimentConfig
-from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
+from sizecon.experiment import (
+    POPULATIONS_HEADER,
+    SAMPLES_HEADER,
+    build_hamiltonians,
+    csv_text,
+    derive_seed,
+    format_floats,
+    run_experiment,
+    write_lines,
+)
 from sizecon.report import analyze, reference_table
 from sizecon.sampling import synthetic_calibration
 from sizecon.simulator import DeviceModel, TrajectoryEngine
@@ -309,6 +319,86 @@ class TestRunExperiment:
     def test_missing_calibration_file(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^calibration\.file: no such file"):
             run_experiment(tiny_config(tmp_path, calibration_file=str(tmp_path / "nope.json")))
+
+
+def _bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+class TestRunTables:
+    """``samples.csv`` and ``populations.csv`` are written as joined lines,
+    each distinct value formatted once; their text must be what ``repr``
+    and the csv module make of the same rows."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(
+                np.concatenate([[0.0, -0.0, 0.0], _bits(
+                    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                    0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF, 0x7FF8000000000000,
+                ), [-0.0]]),
+                id="signed-zeros-and-nan-payloads",
+            ),
+            pytest.param(
+                [np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+                 2.2250738585072014e-308, np.inf, 5e-324],
+                id="infinities-and-subnormals",
+            ),
+            pytest.param(
+                [np.nextafter(x, d) for x in (0.1, 1.0, 1e16, -0.3) for d in (-np.inf, np.inf)]
+                + [0.1, 1.0, 1e16, -0.3],
+                id="neighbours-one-ulp-apart",
+            ),
+            pytest.param(
+                [1e-05, 1e16, -1e-05, 1.5e-05, 0.0001, 9999999999999998.0, 1e22,
+                 1.7976931348623157e308, 1e-05, 123456789012345680.0],
+                id="exponent-form",
+            ),
+            pytest.param(np.full(50, 0.123), id="every-value-repeats"),
+            pytest.param(
+                np.round(np.random.default_rng(3).normal(size=(40, 6)), 2), id="items-by-subsystems"
+            ),
+        ],
+    )
+    def test_format_floats_is_repr(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        assert format_floats(values) == list(map(repr, values.ravel().tolist()))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(representation=1, subsystem_counts=(2, 4), sampling_mode="selective", k_sets=2),
+            dict(representation=1, subsystem_counts=(3, 5), sampling_mode="random", s_repetitions=4),
+            dict(representation=2, subsystem_counts=(1, 3), sampling_mode="random", s_repetitions=5),
+            dict(representation=2, subsystem_counts=(2,), sampling_mode="selective", k_sets=1),
+            dict(representation=4, subsystem_counts=(1, 2, 4), sampling_mode="selective", k_sets=1,
+                 master_seed=10**400),
+            dict(representation=4, subsystem_counts=(3,), sampling_mode="random", s_repetitions=3,
+                 master_seed=10**400),
+        ],
+        ids=["rep1-selective", "rep1-random", "rep2-random", "rep2-selective",
+             "rep4-selective-seed-10**400", "rep4-random-seed-10**400"],
+    )
+    def test_tables_equal_csv_module_text(self, tmp_path, overrides):
+        config = tiny_config(tmp_path, shots=40, **overrides)
+        out = run_experiment(config)
+        samples = (out / "samples.csv").read_bytes().decode()
+        rows = list(csv.reader(io.StringIO(samples, newline="")))[1:]
+        # the rows as the tables were once built: the run id, five ints and
+        # the repr of each value, written by the csv module
+        rows = [[cells[0], *map(int, cells[1:6]), *(repr(float(c)) for c in cells[6:])] for cells in rows]
+        assert {row[0] for row in rows} == {config.run_id}
+        assert samples == csv_text(SAMPLES_HEADER, rows)
+        keep = [SAMPLES_HEADER.index(name) for name in POPULATIONS_HEADER]
+        assert (out / "populations.csv").read_bytes().decode() == csv_text(
+            POPULATIONS_HEADER, [[row[i] for i in keep] for row in rows]
+        )
+
+    def test_write_lines_refuses_an_empty_table(self, tmp_path):
+        with pytest.raises(ValueError, match="refusing to write empty samples.csv"):
+            write_lines(tmp_path / "samples.csv", SAMPLES_HEADER, [])
+        assert not (tmp_path / "samples.csv").exists()
 
 
 @pytest.fixture(scope="module")

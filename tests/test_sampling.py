@@ -11,6 +11,7 @@ from sizecon.sampling import (
 )
 
 from devices import make_device
+from oracles import reference_random_plan
 
 
 def scanned_score(device, qubit):
@@ -119,6 +120,16 @@ class TestSelectivePlan:
         with pytest.raises(ValueError, match="smaller than"):
             selective_plan(list(range(8)), 2, 1, k=1)
 
+    def test_blocks_follow_pool_order(self):
+        pool = list(range(40, 0, -1))
+        plan = selective_plan(pool, 2, 2, k=2)
+        expected = [
+            (set_index, i, ((pool[4 * i], pool[4 * i + 1]), (pool[4 * i + 2], pool[4 * i + 3])))
+            for set_index in range(2)
+            for i in range(4)
+        ]
+        assert [(e.set_index, e.sample_index, e.blocks) for e in plan] == expected
+
 
 class TestRandomPlan:
     def test_fifty_single_qubit_draws(self):
@@ -157,6 +168,23 @@ class TestRandomPlan:
     def test_pool_too_small(self):
         with pytest.raises(ValueError, match="cannot host"):
             random_plan(list(range(3)), 2, 2, s=1, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+    @pytest.mark.parametrize(
+        "pool_size, n, width, s",
+        [(16, 1, 1, 1), (16, 6, 1, 300), (16, 3, 2, 17), (16, 4, 4, 5),
+         (8, 4, 2, 9), (16, 16, 1, 4), (156, 5, 4, 30), (5, 2, 2, 40)],
+    )
+    def test_equals_per_sample_reference(self, seed, pool_size, n, width, s):
+        # the plan stream fixes which qubits every work item runs on, so the
+        # plan must equal the one-choice-per-sample construction, entry for
+        # entry; the pools are permuted so a pool lookup cannot be skipped,
+        # and some are filled exactly (N * width == len(pool))
+        pool = np.random.default_rng(pool_size).permutation(200)[:pool_size].tolist()
+        plan = random_plan(pool, n, width, s=s, seed=seed)
+        assert [(e.set_index, e.sample_index, e.blocks) for e in plan] == \
+            reference_random_plan(pool, n, width, s, seed)
+        assert all(type(q) is int for e in plan for block in e.blocks for q in block)
 
 
 class TestSyntheticCalibration:
