@@ -4,14 +4,23 @@
 ``summary.csv`` (the WLS slope, its error and the chemical-accuracy
 horizon) and the figures ``fig1``, ``fig2a``, ``fig2b`` and ``fig3``.
 
-``load_samples`` reads ``samples.csv`` once, into columns. It sorts the
-rows by (N, set, sample, subsystem), so their order in the file does not
-matter, and checks that they are exactly the subsystems 0..N-1 of each
-(N, set, sample) key the manifest's seeds name. Each N's rows then form a
-``(samples, N)`` array per column, reduced along its rows into one value
-per sample. A row of N contiguous values is summed in numpy's pairwise
-order, as a 1-D array of the same values is, so the sums do not depend on
-how many samples share the array.
+``load_samples`` reads ``samples.csv`` once, into columns. It checks the
+header's column names, each row's cell count by the csv module's rules (a
+quoted cell may hold a comma or a line break, and a blank or ``#`` line is
+a row of 0 or 1 cells), and then the row count against the manifest.
+numpy's C text reader parses the eight columns it uses in one call, four
+int64 keys and four float64 values; a cell may hold what Python's ``int``
+or ``float`` takes. When that reader rejects a cell, or reads a value that
+is not finite, ``_numbers`` converts each column cell by cell and names the
+first cell that fails. The messages are those of the csv-module reader this
+replaced, in its order but for the cell counts, which it checked after the
+row count. The rows are sorted by (N, set, sample, subsystem), so their
+order in the file does not matter, and checked to be exactly the
+subsystems 0..N-1 of each (N, set, sample) key the manifest's seeds name.
+Each N's rows then form a ``(samples, N)`` array per column, reduced along
+its rows into one value per sample. A row of N contiguous values is summed
+in numpy's pairwise order, as a 1-D array of the same values is, so the
+sums do not depend on how many samples share the array.
 
 Each figure is one table: a list of CSV rows plus the series it plots,
 each naming its y column and the rows it takes. ``_write_figure`` writes
@@ -21,6 +30,7 @@ back from those same rows, so a plotted value cannot differ from its CSV.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -59,13 +69,19 @@ class SizeSamples:
 _KEY_COLUMNS = ("n_subsystems", "set_index", "sample_index", "subsystem")
 # the columns SizeSamples reduces, in its field order
 _VALUE_COLUMNS = ("energy_hartree", "energy_shot_stderr_hartree", "p_single", "p_double")
+_COLUMNS = _KEY_COLUMNS + _VALUE_COLUMNS
+_TABLE = np.dtype([(name, np.int64 if name in _KEY_COLUMNS else float) for name in _COLUMNS])
+# the csv module's dialect: a quoted cell may hold a comma or a line break,
+# and no line is a comment
+_CSV = dict(delimiter=",", comments=None, quotechar='"')
 _SEED_KEY = re.compile(r"^N(\d+)/set(\d+)/sample(\d+)/group\d+$", re.MULTILINE)
 
 
-def _numbers(path: Path, name: str, cells: tuple[str, ...], kind: type) -> np.ndarray:
-    """Column ``name`` as ``kind``; a cell that is not one, or not finite,
-    raises a ValueError naming its row (data rows count from 1) and the
-    column."""
+def _numbers(path: Path, name: str, cells: list[str]) -> np.ndarray:
+    """Column ``name`` as its ``_TABLE`` type; a cell that is not one, or
+    not finite, raises a ValueError naming its row (data rows count from 1)
+    and the column."""
+    kind = _TABLE[name].type
     try:
         numbers = np.array(cells, dtype=kind)
     except (ValueError, OverflowError):
@@ -76,45 +92,69 @@ def _numbers(path: Path, name: str, cells: tuple[str, ...], kind: type) -> np.nd
                 what = "a 64-bit integer" if kind is np.int64 else "a number"
                 raise ValueError(f"{path} row {row}, column {name}: {cell!r} is not {what}") from None
         raise
-    bad = np.flatnonzero(~np.isfinite(numbers))
-    if bad.size:
-        row = int(bad[0]) + 1
-        raise ValueError(
-            f"{path} row {row}, column {name}: {cells[row - 1]!r} is not a finite number"
-        )
+    finite = np.isfinite(numbers)
+    if not finite.all():
+        row = int(finite.argmin())
+        raise ValueError(f"{path} row {row + 1}, column {name}: {cells[row]!r} is not a finite number")
     return numbers
+
+
+def _columns(path: Path, lines: list[str], usecols: list[int]):
+    """The ``_COLUMNS`` of ``lines`` in order, the keys as int64 and the
+    values as finite floats. numpy's C reader parses them all at once; when
+    it rejects a cell, or a value is not finite, ``_numbers`` walks each
+    column as it is taken, takes every cell Python's ``int`` or ``float``
+    takes, and names the first cell it does not."""
+    # the C reader gets ASCII text only, and none with a NUL or \x1c-\x1f: it
+    # ends a number at a NUL, takes \x1c-\x1f for spaces, and has crashed on
+    # an integer cell that starts with some characters past U+FFFF, where
+    # Python's int and float reject all three
+    text = "".join(lines)
+    if text.isascii() and not any(c in text for c in "\0\x1c\x1d\x1e\x1f"):
+        with contextlib.suppress(ValueError):
+            table = np.loadtxt(lines, _TABLE, usecols=usecols, ndmin=1, **_CSV)
+            if all(np.isfinite(table[name]).all() for name in _VALUE_COLUMNS):
+                yield from (table[name] for name in _COLUMNS)
+                return
+    # Python strings, where a numpy string would drop a trailing NUL
+    cells = np.loadtxt(lines, object, usecols=usecols, ndmin=2, **_CSV)
+    for j, name in enumerate(_COLUMNS):
+        yield _numbers(path, name, cells[:, j].tolist())
 
 
 def load_samples(run_dir: Path, keys: list[tuple[int, int, int]]) -> dict[int, SizeSamples]:
     """The run's samples by N, in ascending N. ``keys`` are the manifest's
-    sorted (N, set, sample) keys. A file that lacks a column it reads, holds
-    a cell that is not a finite number, or whose rows are not each key's subsystems
-    0..N-1 and no other raises a ValueError."""
+    sorted (N, set, sample) keys. A file that lacks a column it reads, has a
+    row (a blank line included) of another cell count than its header,
+    holds a cell that is not a finite number, or whose rows are not each
+    key's subsystems 0..N-1 and no other raises a ValueError."""
     path = run_dir / SAMPLES_CSV
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for column in _KEY_COLUMNS + _VALUE_COLUMNS:
+    with open(path) as fh:
+        header = next(csv.reader(fh), [])
+        for column in _COLUMNS:
             if column not in header:
                 raise ValueError(f"{path} has no column {column}")
-        rows = list(reader)
+        lines = fh.readlines()
+    # the cells of each csv row; a row is one line unless a quoted cell holds
+    # a line break
+    widths = (list(map(len, csv.reader(lines))) if any('"' in line for line in lines)
+              else [line.count(",") + (line != "\n") for line in lines])
+    if set(widths) - {len(header)}:
+        row = next(i for i, width in enumerate(widths, 1) if width != len(header))
+        raise ValueError(f"{path} row {row} has {widths[row - 1]} cells, not {len(header)}")
     sizes = np.array([key[0] for key in keys], dtype=np.int64)
-    if len(rows) != sizes.sum():
-        raise ValueError(
-            f"{path} has {len(rows)} subsystem rows; its manifest expects {sizes.sum()}"
-        )
-    if not rows:
+    if len(widths) != sizes.sum():
+        raise ValueError(f"{path} has {len(widths)} subsystem rows; its manifest expects {sizes.sum()}")
+    if not widths:
         raise ValueError(f"{path} holds no samples")
-    if set(map(len, rows)) != {len(header)}:
-        row = next(i for i, cells in enumerate(rows, 1) if len(cells) != len(header))
-        raise ValueError(f"{path} row {row} has {len(rows[row - 1])} cells, not {len(header)}")
-    cells = dict(zip(header, zip(*rows)))
-    found = np.column_stack([_numbers(path, name, cells[name], np.int64) for name in _KEY_COLUMNS])
+    # a name the header repeats is read from its last column
+    columns = _columns(path, lines, list(map({c: i for i, c in enumerate(header)}.get, _COLUMNS)))
+    found = np.column_stack([next(columns) for _ in _KEY_COLUMNS])
     order = np.lexsort(found.T[::-1])
     found = found[order]
     expected = np.column_stack([
         np.repeat(np.array(keys, dtype=np.int64), sizes, axis=0),
-        np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+        np.arange(len(widths)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
     ])
     if not np.array_equal(found, expected):
         # the rows agree up to the first that differs, and the lesser of the
@@ -128,7 +168,7 @@ def load_samples(run_dir: Path, keys: list[tuple[int, int, int]]) -> dict[int, S
         )
     # each N's rows are one contiguous run of every sorted column, so each
     # (samples, N) block sums its rows in numpy's pairwise order
-    values = [_numbers(path, name, cells[name], float)[order] for name in _VALUE_COLUMNS]
+    values = [column[order] for column in columns]
     # a sample's values are means over its N subsystems, but its shot
     # variance is its squared stderrs summed over N^2
     values[1] **= 2

@@ -1,7 +1,10 @@
 """Minimal SVG plotter: axes, scatter crosses, and lines.
 
 Each axis has ``TICKS`` evenly spaced labelled ticks; a scatter series draws
-an ``x``-shaped cross at each point, a line series one path.
+an ``x``-shaped cross at each point, a line series one path. A series'
+crosses are computed from arrays by ``px`` and ``py``, whose element-wise
+arithmetic rounds as it does on one value, and each cross's four
+coordinate texts are formatted once.
 
 CSV files remain the authoritative outputs; these plots are lightweight
 visual companions with no third-party plotting dependency.
@@ -11,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 20, 40, 55
@@ -51,14 +56,6 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _cross_svg(x: float, y: float, color: str) -> str:
-    r = 4
-    return (
-        f'<path d="M {x - r:.1f} {y - r:.1f} L {x + r:.1f} {y + r:.1f} '
-        f'M {x - r:.1f} {y + r:.1f} L {x + r:.1f} {y - r:.1f}" stroke="{color}"/>'
-    )
-
-
 def render(figure: Figure) -> str:
     """Render a figure to an SVG document string."""
     xs = [x for s in figure.series for x in s.xs]
@@ -79,10 +76,11 @@ def render(figure: Figure) -> str:
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # px and py map a value, or an array of values element by element
+    def px(x):
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -128,8 +126,12 @@ def render(figure: Figure) -> str:
             dash = ' stroke-dasharray="6 4"' if s.dashed else ""
             parts.append(f'<path d="{path}" fill="none" stroke="{color}"{dash}/>')
         else:
-            for x, y in zip(s.xs, s.ys):
-                parts.append(_cross_svg(px(x), py(y), color))
+            # a cross 4 px each way: its left, right, top and bottom
+            # coordinate texts, each formatted once, fill its two strokes
+            x, y = px(np.asarray(s.xs, dtype=float)), py(np.asarray(s.ys, dtype=float))
+            texts = (map("%.1f".__mod__, v.tolist()) for v in (x - 4, x + 4, y - 4, y + 4))
+            parts.extend(f'<path d="M {x0} {y0} L {x1} {y1} M {x0} {y1} L {x1} {y0}" stroke="{color}"/>'
+                         for x0, x1, y0, y1 in zip(*texts))
         if s.label:
             lx = MARGIN_LEFT + plot_w - 150
             parts.append(

@@ -33,17 +33,25 @@ library it checks:
   and scores every qubit at once; the two agree byte for byte,
 * the random-plan reference maps each drawn index through the pool one at
   a time and slices each block, where the library maps all of a plan's
-  draws with one index and reshapes them.
+  draws with one index and reshapes them,
+* the samples reader splits ``samples.csv`` into rows with the csv module,
+  transposes them and converts each column of cell strings with
+  ``np.array``, where the library parses the columns it reads with numpy's
+  C text reader and walks the cells only when that reader rejects one.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
+from sizecon.experiment import SAMPLES_CSV
 from sizecon.molecule import STO3G_H, boys_f0
+from sizecon.report import SizeSamples
 from sizecon.units import BOHR_PER_ANGSTROM
 
 # ---------------------------------------------------------------------------
@@ -647,3 +655,86 @@ def reference_random_plan(pool, n_subsystems: int, width: int, s: int, seed: int
         blocks = tuple(tuple(qubits[b * width : (b + 1) * width]) for b in range(n_subsystems))
         entries.append((0, sample_index, blocks))
     return entries
+
+
+# ---------------------------------------------------------------------------
+# The samples reader, through the csv module and one column at a time.
+# ---------------------------------------------------------------------------
+
+_KEY_COLUMNS = ("n_subsystems", "set_index", "sample_index", "subsystem")
+_VALUE_COLUMNS = ("energy_hartree", "energy_shot_stderr_hartree", "p_single", "p_double")
+
+
+def _numbers(path: Path, name: str, cells: tuple[str, ...], kind: type) -> np.ndarray:
+    """Column ``name`` as ``kind``; a cell that is not one, or not finite,
+    raises a ValueError naming its row (data rows count from 1) and the
+    column."""
+    try:
+        numbers = np.array(cells, dtype=kind)
+    except (ValueError, OverflowError):
+        for row, cell in enumerate(cells, 1):
+            try:
+                np.array(cell, dtype=kind)
+            except (ValueError, OverflowError):
+                what = "a 64-bit integer" if kind is np.int64 else "a number"
+                raise ValueError(f"{path} row {row}, column {name}: {cell!r} is not {what}") from None
+        raise
+    bad = np.flatnonzero(~np.isfinite(numbers))
+    if bad.size:
+        row = int(bad[0]) + 1
+        raise ValueError(
+            f"{path} row {row}, column {name}: {cells[row - 1]!r} is not a finite number"
+        )
+    return numbers
+
+
+def reference_load_samples(
+    run_dir: Path, keys: list[tuple[int, int, int]]
+) -> dict[int, SizeSamples]:
+    """``report.load_samples`` as it read ``samples.csv`` through
+    ``csv.reader``, ``zip(*rows)`` and one ``np.array`` per column of cell
+    strings; it counted the rows before their cells, so a blank line is one
+    row too many here where the library names it as a row of 0 cells."""
+    path = run_dir / SAMPLES_CSV
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for column in _KEY_COLUMNS + _VALUE_COLUMNS:
+            if column not in header:
+                raise ValueError(f"{path} has no column {column}")
+        rows = list(reader)
+    sizes = np.array([key[0] for key in keys], dtype=np.int64)
+    if len(rows) != sizes.sum():
+        raise ValueError(
+            f"{path} has {len(rows)} subsystem rows; its manifest expects {sizes.sum()}"
+        )
+    if not rows:
+        raise ValueError(f"{path} holds no samples")
+    if set(map(len, rows)) != {len(header)}:
+        row = next(i for i, cells in enumerate(rows, 1) if len(cells) != len(header))
+        raise ValueError(f"{path} row {row} has {len(rows[row - 1])} cells, not {len(header)}")
+    cells = dict(zip(header, zip(*rows)))
+    found = np.column_stack([_numbers(path, name, cells[name], np.int64) for name in _KEY_COLUMNS])
+    order = np.lexsort(found.T[::-1])
+    found = found[order]
+    expected = np.column_stack([
+        np.repeat(np.array(keys, dtype=np.int64), sizes, axis=0),
+        np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+    ])
+    if not np.array_equal(found, expected):
+        first = np.flatnonzero((found != expected).any(axis=1))[0]
+        group = min(found[first].tolist(), expected[first].tolist())[:3]
+        held, listed = (t[(t[:, :3] == group).all(axis=1), 3].tolist() for t in (found, expected))
+        raise ValueError(
+            f"{path} holds subsystem rows {held} for N{group[0]}/set{group[1]}/"
+            f"sample{group[2]}; its manifest expects {listed or 'none'}"
+        )
+    values = [_numbers(path, name, cells[name], float)[order] for name in _VALUE_COLUMNS]
+    values[1] **= 2
+    by_n = {}
+    for n in np.unique(sizes).tolist():
+        lo, hi = np.searchsorted(found[:, 0], (n, n + 1))
+        sums = [column[lo:hi].reshape(-1, n).sum(axis=1) for column in values]
+        reduced = (total / n**power for total, power in zip(sums, (1, 2, 1, 1)))
+        by_n[n] = SizeSamples(found[lo:hi:n, :3], *reduced)
+    return by_n

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,10 +24,11 @@ from sizecon.experiment import (
     run_experiment,
     write_lines,
 )
-from sizecon.report import analyze, reference_table
+from sizecon.report import analyze, load_samples, reference_table
 from sizecon.sampling import synthetic_calibration
 from sizecon.simulator import DeviceModel, TrajectoryEngine
 
+from oracles import reference_load_samples
 from test_sampling import scanned_score
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +54,37 @@ def set_cell(text, row, column, value):
     cells[lines[0].split(",").index(column)] = value
     lines[row] = ",".join(cells)
     return "\n".join(lines)
+
+
+def insert_line(text, row, line):
+    """``text``, a CSV, with ``line`` inserted as data row ``row`` (from 1)."""
+    lines = text.split("\n")
+    return "\n".join(lines[:row] + [line] + lines[row:])
+
+
+def sample_keys(run_dir):
+    """The sorted (N, set, sample) keys of the run's manifest seeds, each
+    seed key read as ``N<n>/set<s>/sample<i>/group<g>``."""
+    seeds = json.loads((run_dir / "manifest.json").read_text())["seeds"]
+    return sorted({tuple(map(int, re.findall(r"\d+", key)[:3])) for key in seeds})
+
+
+def read_verdict(reader, run_dir):
+    """``reader``'s samples of ``run_dir``, or the message of the ValueError
+    it raises."""
+    try:
+        return reader(run_dir, sample_keys(run_dir))
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_samples(got, expected):
+    """Equal SizeSamples by N, field by field and byte for byte."""
+    assert list(got) == list(expected)
+    for n in expected:
+        for field in ("keys", "energy_per_h2", "shot_variance_per_h2", "p_single", "p_double"):
+            a, b = getattr(got[n], field), getattr(expected[n], field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (n, field)
 
 
 def set_key(text, path, value):
@@ -514,15 +547,31 @@ class TestAnalyze:
                 "fig2b.svg": "a6e8e7fc1f4ca85508f7c629de239044fc272db14fbf76f7974c5c5d92f42501",
                 "fig3.svg": "74364a84181115576468044d753a90c9d70af06705b9ffd806f74c6f0d48f1d3",
             }),
+            # the per-item workload's shape: fig1 holds 240 crosses on six
+            # repeated x values
+            (dict(representation=1, subsystem_counts=(1, 2, 3, 4, 5, 6), sampling_mode="random",
+                  s_repetitions=40, shots=200), {
+                "summary.csv": "c3a7eb2ec70865723abfa62f73ed63ddfa5d7efd0fa4154ac67a0aa0e014c2bc",
+                "fig1.csv": "5eacc2275219f5d2b1a6bdd50540a01cd8de7924553b303c9a524d280e8a65c6",
+                "fig2a.csv": "4acc1174401d9062b92bf765597cf0f00a29aaaf9876670d12a29de4150ca48f",
+                "fig2b.csv": "fa2cfc969f34dd07a4f226e826367a20acf19fd83a5043f0b482befb70dfc252",
+                "fig3.csv": "cb106df87386965719782f5aa19596856240cf2de59f210a0332128a1aa8dca6",
+                "fig1.svg": "ab73f6013b137cece3021af26269efe261c9585649177731dcbacd33ebb58c40",
+                "fig2a.svg": "27ec845516bb09c506b8f2a2f8fa04eedd5ec54d28a296977f193dd0e65c616f",
+                "fig2b.svg": "1ea2f59624b36633406c4e168d6da0856ce12f4f0734684bd76f3eb71a5748d9",
+                "fig3.svg": "47d6c5909443b6e72b78f4d66057f42d28ce5eb4ebec6a267358ee713fe1db93",
+            }),
         ],
-        ids=["multi-n", "single-n", "random-n-2-8-16"],
+        ids=["multi-n", "single-n", "random-n-2-8-16", "random-n-1-6-s40"],
     )
     def test_report_bytes_are_pinned(self, tmp_path, overrides, expected):
         # recorded when each figure still built its CSV rows and its SVG
-        # series separately, and (random-n-2-8-16) while analyze still
-        # averaged each sample's rows one sample at a time; a change to the
-        # report bytes must be deliberate
-        out = analyze(run_experiment(tiny_config(tmp_path, shots=500, **overrides)))
+        # series separately, (random-n-2-8-16) while analyze still averaged
+        # each sample's rows one sample at a time, and (random-n-1-6-s40)
+        # while analyze still read samples.csv with the csv module and drew
+        # each cross point by point; a change to the report bytes must be
+        # deliberate
+        out = analyze(run_experiment(tiny_config(tmp_path, **{"shots": 500, **overrides})))
         digests = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected
         }
@@ -544,6 +593,90 @@ class TestAnalyze:
             (out / name).unlink()
         analyze(out)
         assert {name: (out / name).read_bytes() for name in names} == before
+
+    @pytest.mark.parametrize(
+        "overrides, shuffle",
+        [
+            (dict(representation=1, subsystem_counts=(2, 4)), False),
+            (dict(representation=1, subsystem_counts=(1, 2, 3), sampling_mode="random",
+                  s_repetitions=5), False),
+            (dict(representation=2, subsystem_counts=(1, 2)), False),
+            (dict(representation=2, subsystem_counts=(2, 3), sampling_mode="random",
+                  s_repetitions=3, master_seed=10**400), False),
+            (dict(representation=4, subsystem_counts=(1, 2)), False),
+            (dict(representation=4, subsystem_counts=(1, 2), sampling_mode="random",
+                  s_repetitions=3), False),
+            (dict(representation=1, subsystem_counts=(2, 8, 16), sampling_mode="random",
+                  s_repetitions=4), True),
+        ],
+        ids=["rep1-selective", "rep1-random", "rep2-selective", "rep2-random-long-run-id",
+             "rep4-selective", "rep4-random", "rep1-random-shuffled"],
+    )
+    def test_load_samples_equals_reference(self, tmp_path, overrides, shuffle):
+        out = run_experiment(tiny_config(tmp_path, shots=200, **overrides))
+        if shuffle:
+            header, *rows = (out / "samples.csv").read_text().splitlines(keepends=True)
+            np.random.default_rng(1).shuffle(rows)
+            (out / "samples.csv").write_text(header + "".join(rows))
+        expected = reference_load_samples(out, sample_keys(out))
+        assert_same_samples(load_samples(out, sample_keys(out)), expected)
+
+    # N=2, selective k=1: 16 rows, every set_index 0. Each verdict is the
+    # one the csv-module reader gives; None means the file is accepted.
+    @pytest.mark.parametrize(
+        "row, column, cell, verdict",
+        [
+            (1, "energy_hartree", " -1.1 ", None),
+            (2, "set_index", " 0 ", None),
+            (3, "p_single", '"0.5"', None),
+            (4, "set_index", '"0"', None),
+            (5, "p_double", "0_0", None),
+            (6, "set_index", "0_0", None),
+            (7, "set_index", "+0", None),
+            (8, "p_single", "+0", None),
+            (9, "set_index", '"0\n"', None),
+            (None, None, None, None),  # CRLF line ends
+            # a name the header repeats is read from its last column
+            (0, "p_hf", "p_double", None),
+            (10, "energy_hartree", "", "row 10, column energy_hartree: '' is not a number"),
+            (11, "sample_index", "", "row 11, column sample_index: '' is not a 64-bit integer"),
+            (12, "p_double", "0x0p0", "row 12, column p_double: '0x0p0' is not a number"),
+            (13, "set_index", "0.0", "row 13, column set_index: '0.0' is not a 64-bit integer"),
+            (14, "set_index", "0x0", "row 14, column set_index: '0x0' is not a 64-bit integer"),
+            (15, "energy_shot_stderr_hartree", "1e400",
+             "row 15, column energy_shot_stderr_hartree: '1e400' is not a finite number"),
+            (16, "p_single", "Infinity",
+             "row 16, column p_single: 'Infinity' is not a finite number"),
+            (3, "energy_hartree", '"1,5"', "row 3, column energy_hartree: '1,5' is not a number"),
+            (5, "set_index", "#0", "row 5, column set_index: '#0' is not a 64-bit integer"),
+            # numpy's C reader reads no digit past ASCII, ends a number at a
+            # NUL and takes \x1c-\x1f for spaces; Python's int and float do not
+            (6, "set_index", "\u0660", None),
+            (7, "p_single", "0\x00", "row 7, column p_single: '0\\x00' is not a number"),
+            (8, "set_index", "\x1c0",
+             "row 8, column set_index: '\\x1c0' is not a 64-bit integer"),
+            (9, "energy_hartree", "-1.1\x1f",
+             "row 9, column energy_hartree: '-1.1\\x1f' is not a number"),
+        ],
+        ids=["spaced-float", "spaced-int", "quoted-float", "quoted-int", "underscore-float",
+             "underscore-int", "plus-zero-int", "plus-zero-float", "quoted-line-break", "crlf",
+             "repeated-header-name",
+             "empty-float", "empty-int", "hex-float", "float-in-int-column", "hex-int",
+             "overflowing-float", "infinity", "quoted-comma", "hash-int", "arabic-indic-zero",
+             "nul-float", "separator-int", "separator-float"],
+    )
+    def test_hand_edited_cell_verdicts_are_pinned(self, tmp_path, row, column, cell, verdict):
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
+        text = (out / "samples.csv").read_text()
+        if row is None:  # CRLF line ends
+            (out / "samples.csv").write_bytes(text.replace("\n", "\r\n").encode())
+        else:
+            (out / "samples.csv").write_text(set_cell(text, row, column, cell))
+        got, expected = read_verdict(load_samples, out), read_verdict(reference_load_samples, out)
+        if verdict is None:
+            assert_same_samples(got, expected)
+        else:
+            assert got == expected == f"{out}/samples.csv {verdict}"
 
     def test_analyze_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not a run directory"):
@@ -962,6 +1095,13 @@ class TestCli:
              lambda text: "\n".join(line.rsplit(",", 1)[0] if row == 2 else line
                                     for row, line in enumerate(text.split("\n"))),
              "samples.csv row 2 has 12 cells, not 13"),
+            # a blank or comment line is a row of 0 or 1 cells, counted
+            # before the rows are
+            ("samples.csv", lambda text: text + "\n", "samples.csv row 17 has 0 cells, not 13"),
+            ("samples.csv", lambda text: insert_line(text, 3, ""),
+             "samples.csv row 3 has 0 cells, not 13"),
+            ("samples.csv", lambda text: insert_line(text, 3, "#x"),
+             "samples.csv row 3 has 1 cells, not 13"),
             ("samples.csv", lambda text: set_cell(text, 6, "p_double", "inf"),
              "samples.csv row 6, column p_double: 'inf' is not a finite number"),
             ("samples.csv", lambda text: set_cell(text, 7, "energy_hartree", "nan"),
@@ -973,7 +1113,8 @@ class TestCli:
              "seed-key-past-int64",
              "renamed-column", "moved-row",
              "repeated-subsystem", "unlisted-sample", "not-a-number", "not-an-integer",
-             "too-large-an-integer", "short-row", "inf-cell", "nan-cell"],
+             "too-large-an-integer", "short-row", "trailing-blank-line", "blank-line",
+             "comment-line", "inf-cell", "nan-cell"],
     )
     def test_malformed_run_dir_is_categorized(self, tmp_path, capsys, name, damage, message):
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
