@@ -2,9 +2,10 @@
 
 Because the replicas do not interact, every subsystem's copy of a Pauli
 string commutes with every other copy, so one tensor-product measurement
-serves all N subsystems at once. The plan's group count therefore depends
-only on the representation, never on N, and every subsystem's energy is
-estimated from the same shots.
+serves all N subsystems at once. The plan is built for one block, and each
+group's basis change is laid on every block of the register: the number of
+measurement settings therefore depends only on the representation, never on
+N, and every subsystem's energy is estimated from the same shots.
 
 Run:  python demos/04_constant_cost_measurement.py
 """
@@ -27,13 +28,19 @@ from sizecon.simulator import TrajectoryEngine
 def main():
     bundle = build_hamiltonians(0.7414)
 
+    # one plan per representation serves every N: each group's basis change
+    # is laid on every block of the register, one measurement setting each
+    plans = [build_plan(h) for h in (bundle.h1q, bundle.h2q, bundle.h4)]
     print("group count vs system size:")
     print(f"{'N':>4} {'1-qubit':>8} {'2-qubit':>8} {'4-qubit':>8}")
     for n in (1, 2, 4, 8, 16):
         row = [f"{n:>4}"]
-        for h in (bundle.h1q, bundle.h2q, bundle.h4):
-            if n * h.width <= 16:
-                row.append(f"{len(build_plan(h, n).groups):>8}")
+        for plan in plans:
+            width = plan.representation
+            if n * width <= 16:
+                blocks = [range(b * width, (b + 1) * width) for b in range(n)]
+                settings = {compose(g.basis_change, n, blocks).serialize() for g in plan.groups}
+                row.append(f"{len(settings):>8}")
             else:
                 row.append(f"{'-':>8}")
         print(" ".join(row))
@@ -41,16 +48,17 @@ def main():
     h = bundle.h1q
     n = 8
     shots = 50_000
-    plan = build_plan(h, n)
+    plan = plans[0]
     print(f"\n1-qubit representation, N = {n}: "
           f"{len(plan.groups)} groups ({[g.basis for g in plan.groups]})")
 
     sub = synthesize(fci_ground(h))
-    circuit = compose(sub, n, [[q] for q in range(n)])
+    blocks = [[q] for q in range(n)]
+    circuit = compose(sub, n, blocks)
     device = DeviceModel.noiseless(n)
     histograms = []
     for gi, group in enumerate(plan.groups):
-        engine = TrajectoryEngine(circuit, group.basis_change)
+        engine = TrajectoryEngine(circuit, compose(group.basis_change, n, blocks))
         # one (N, 2) array of shots per subsystem block and block code
         (histogram,) = engine.sample(device, [list(range(n))], shots, [40 + gi], h.width)
         histograms.append(histogram)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import DEFAULT_BOND_LENGTH, MAX_QUBITS, ConfigError, ExperimentConfig
-from .experiment import csv_text, dict_table, read_calibration, run_experiment
+from .experiment import csv_text, read_calibration, run_experiment
 from .report import REFERENCE_N_MAX, analyze, reference_table
 from .sampling import qubit_scores, rank_qubits, synthetic_calibration
 
@@ -119,7 +119,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     rows = reference_table(args.bond_length, args.n_max)
-    _emit(csv_text(*dict_table(rows)), args.output)
+    _emit(csv_text(rows), args.output)
     return 0
 
 
@@ -134,7 +134,7 @@ def _cmd_calibration(args: argparse.Namespace) -> int:
         {"rank": i, "qubit": q, "score": repr(scores[q])}
         for i, q in enumerate(rank_qubits(device))
     ]
-    _emit(csv_text(*dict_table(rows)), "-")
+    _emit(csv_text(rows), "-")
     return 0
 
 

@@ -12,6 +12,14 @@ The config it takes is parsed and checked in :mod:`sizecon.config`;
 :mod:`sizecon.report` turns a finished run directory into the summary and
 figures.
 
+Both plans are plain data. The measurement plan covers one block and is
+built once per run. Each N's sampling plan is two int64 arrays: ``keys``,
+one ``(set, sample)`` row per work item, and ``maps``, its physical qubits,
+which go to the sampler as they are. The pipeline's N-block register has
+block ``b`` on qubits ``b * width`` to ``(b + 1) * width - 1``, and
+``stateprep.compose`` is the one place a block meets it: it lays the
+preparation circuit and each group's basis change on every block.
+
 Work items draw their seeds from (master seed, N, set, sample, group), so
 execution order never matters; ``derive_seed`` mixes every key of one
 (N, group) at once. One ``TrajectoryEngine.sample`` call takes
@@ -21,20 +29,19 @@ tomography reader then runs once per N on those stacks. Of each N's seven
 value columns, ``format_floats`` calls ``repr`` once per distinct value, and
 the rows go out as joined lines in (N, set, sample, subsystem) order:
 the six key cells as one prefix per row, then the values.
-``populations.csv`` is a column subset of the same rows. No cell of these
-tables needs CSV quoting, so ``write_lines`` writes them without the csv
-module; its text is what ``csv_text`` makes of the same rows.
+``populations.csv`` is a column subset of the same rows. No cell the
+package writes needs CSV quoting, so every table is ``str`` cells joined
+by commas: ``write_lines`` takes the run tables' rows already joined, and
+``csv_text`` joins the report's rows.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,13 +51,7 @@ from .config import ConfigError, ExperimentConfig, QUBIT_BUDGET
 from .hamiltonians import h1q_parameters, jordan_wigner, taper, to_fermion
 from .molecule import build_integrals, solve_rhf
 from .pauli import PauliSum
-from .sampling import (
-    PlanEntry,
-    random_plan,
-    rank_qubits,
-    selective_plan,
-    synthetic_calibration,
-)
+from .sampling import random_plan, rank_qubits, selective_plan, synthetic_calibration
 from .simulator import DeviceModel, TrajectoryEngine
 from .stateprep import compose, fci_ground, synthesize
 from .tomography import (
@@ -185,7 +186,7 @@ def load_device(config: ExperimentConfig) -> DeviceModel:
 _PLAN_SEED_TAG = 101
 
 
-def sampling_plan(config: ExperimentConfig, pool: list[int], n: int) -> tuple[PlanEntry, ...]:
+def sampling_plan(config: ExperimentConfig, pool: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     if config.sampling_mode == "selective":
         return selective_plan(pool, n, config.representation, config.k_sets)
     # random draws come from the same best-ranked sample set the selective
@@ -209,25 +210,23 @@ def run_experiment(config: ExperimentConfig) -> Path:
     h_sub = bundle.subsystem_hamiltonian(config.representation)
     target = fci_ground(h_sub)
     circuit = synthesize(target)
+    mplan = build_plan(h_sub)
     width = config.representation
 
     samples: list[str] = []
     populations: list[str] = []
     seeds: dict[str, int] = {}
     for n in config.subsystem_counts:
-        plan = sampling_plan(config, pool, n)
-        mplan = build_plan(h_sub, n)
+        keys, maps = sampling_plan(config, pool, n)
+        items = keys.tolist()
         blocks = [list(range(b * width, (b + 1) * width)) for b in range(n)]
         composed = compose(circuit, n, blocks)
-        maps = [entry.physical_map for entry in plan]
         by_group = []
         for gi, group in enumerate(mplan.groups):
-            group_seeds = derive_seed(
-                config.master_seed, [(n, e.set_index, e.sample_index, gi) for e in plan]
-            )
-            for entry, seed in zip(plan, group_seeds):
-                seeds[f"N{n}/set{entry.set_index}/sample{entry.sample_index}/group{gi}"] = seed
-            engine = TrajectoryEngine(composed, group.basis_change)
+            group_seeds = derive_seed(config.master_seed, [(n, s, i, gi) for s, i in items])
+            for (s, i), seed in zip(items, group_seeds):
+                seeds[f"N{n}/set{s}/sample{i}/group{gi}"] = seed
+            engine = TrajectoryEngine(composed, compose(group.basis_change, n, blocks))
             by_group.append(engine.sample(device, maps, config.shots, group_seeds, width))
         # every reader takes the (items, N, 2**width) stacks at once
         energies = estimate_energies(mplan, by_group)
@@ -243,9 +242,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
         )
         texts = [format_floats(column) for column in columns]
         head = f"{config.run_id},{config.representation},{n},"
-        keys = [f"{head}{e.set_index},{e.sample_index},{sub}" for e in plan for sub in range(n)]
-        samples += map(",".join, zip(keys, *texts))
-        populations += map(",".join, zip(keys, *texts[3:]))
+        prefixes = [f"{head}{s},{i},{sub}" for s, i in items for sub in range(n)]
+        samples += map(",".join, zip(prefixes, *texts))
+        populations += map(",".join, zip(prefixes, *texts[3:]))
 
     # made only now, so a config that fails on the way leaves no run dir
     out = Path(config.output_dir)
@@ -271,26 +270,24 @@ def run_experiment(config: ExperimentConfig) -> Path:
     return out
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A header line, then one line per row, all with LF line ends. Every
-    CSV the package writes is this."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def csv_text(rows: list[dict]) -> str:
+    """A header line of the first row's keys, then each row's ``str`` cells,
+    all joined by commas, with LF line ends. Every cell the package writes
+    is an int, a float ``repr``, a bool, ``""`` or a fixed label, and none
+    needs CSV quoting."""
+    lines = [",".join(map(str, row.values())) for row in rows]
+    return "\n".join([",".join(rows[0]), *lines, ""])
 
 
-def write_csv(path: Path, header: Sequence[str], rows: list[Sequence]) -> None:
+def write_csv(path: Path, rows: list[dict]) -> None:
     if not rows:
         raise ValueError(f"refusing to write empty {path.name}")
     with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(header, rows))
+        fh.write(csv_text(rows))
 
 
 def write_lines(path: Path, header: Sequence[str], lines: list[str]) -> None:
-    """``write_csv`` of rows already joined into lines, for cells that never
-    need CSV quoting: decimal ints, float reprs and the run id."""
+    """``write_csv`` of rows already joined into lines: the run tables."""
     if not lines:
         raise ValueError(f"refusing to write empty {path.name}")
     with open(path, "w", newline="\n") as fh:
@@ -306,9 +303,3 @@ def format_floats(values: np.ndarray) -> list[str]:
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
-
-
-def dict_table(rows: list[dict]) -> tuple[list[str], list]:
-    """The header (the first row's keys) and value rows of ``rows``, as
-    ``csv_text`` and ``write_csv`` take them."""
-    return list(rows[0]), [list(row.values()) for row in rows]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -46,7 +47,6 @@ from .experiment import (
     SAMPLES_CSV,
     SUMMARY_CSV,
     build_hamiltonians,
-    dict_table,
     write_csv,
 )
 from .hamiltonians import BLOCK_DETERMINANTS
@@ -127,14 +127,20 @@ def load_samples(run_dir: Path, keys: list[tuple[int, int, int]]) -> dict[int, S
     sorted (N, set, sample) keys. A file that lacks a column it reads, has a
     row (a blank line included) of another cell count than its header,
     holds a cell that is not a finite number, or whose rows are not each
-    key's subsystems 0..N-1 and no other raises a ValueError."""
+    key's subsystems 0..N-1 and no other, or that is not UTF-8, raises a
+    ValueError."""
     path = run_dir / SAMPLES_CSV
-    with open(path) as fh:
-        header = next(csv.reader(fh), [])
-        for column in _COLUMNS:
-            if column not in header:
-                raise ValueError(f"{path} has no column {column}")
-        lines = fh.readlines()
+    try:
+        # read whole, so that a decode error counts its position from the
+        # start of the file, not from the start of a read chunk
+        fh = io.StringIO(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not valid UTF-8: {exc}") from None
+    header = next(csv.reader(fh), [])
+    for column in _COLUMNS:
+        if column not in header:
+            raise ValueError(f"{path} has no column {column}")
+    lines = fh.readlines()
     # the cells of each csv row; a row is one line unless a quoted cell holds
     # a line break
     widths = (list(map(len, csv.reader(lines))) if any('"' in line for line in lines)
@@ -200,7 +206,7 @@ def _write_figure(
 ) -> None:
     """Write ``<name>.csv`` from ``rows``, then ``<name>.svg`` plotting each
     series from those rows; a series that takes no row is left out."""
-    write_csv(run_dir / f"{name}.csv", *dict_table(rows))
+    write_csv(run_dir / f"{name}.csv", rows)
     for p in plotted:
         taken = [r for r in rows if r[p.y] != "" and (p.only is None or r[p.only[0]] == p.only[1])]
         if taken:
@@ -272,7 +278,7 @@ def analyze(run_dir: str | Path) -> Path:
     hz = horizon(fit.slope, representation) if fit is not None else None
     write_csv(
         run_dir / SUMMARY_CSV,
-        *dict_table([
+        [
             {
                 "representation": representation,
                 "n_points": len(points),
@@ -283,7 +289,7 @@ def analyze(run_dir: str | Path) -> Path:
                 "horizon_n_h2": hz.n_h2 if hz is not None else "",
                 "horizon_unbounded": hz.unbounded if hz is not None else "",
             }
-        ]),
+        ],
     )
 
     fig1 = [

@@ -7,6 +7,12 @@ repeated ``k`` times so each physical qubit contributes to each system
 size. The random procedure draws uniformly seeded disjoint blocks instead
 and handles subsystem counts that do not divide the pool.
 
+A plan is two int64 arrays, one row per sample: ``keys``, ``(items, 2)``,
+holds each sample's ``(set_index, sample_index)``, and ``maps``,
+``(items, N * width)``, its physical qubits, block ``b`` in columns
+``b * width`` to ``(b + 1) * width - 1``. ``maps`` is the physical-map
+array ``TrajectoryEngine.sample`` takes.
+
 ``rank_qubits`` orders the device's qubits best first by the composite
 score of ``qubit_scores``: mean readout error plus mean incident two-qubit
 error, each weighted 1. ``synthetic_calibration`` draws a device whose rates
@@ -17,7 +23,6 @@ p10, p01, one-qubit error, then every pair; a seed thus names one device.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,18 +35,6 @@ READOUT_MEDIAN = 1e-2
 SINGLE_QUBIT_MEDIAN = 3e-4
 TWO_QUBIT_MEDIAN = 3e-3
 LOG_SPREAD = 0.75
-
-
-@dataclass(frozen=True)
-class PlanEntry:
-    set_index: int
-    sample_index: int
-    blocks: tuple[tuple[int, ...], ...]   # one physical-qubit block per subsystem
-
-    @property
-    def physical_map(self) -> tuple[int, ...]:
-        """Flattened block qubits, subsystem 0 first."""
-        return tuple(q for block in self.blocks for q in block)
 
 
 def qubit_scores(device: DeviceModel) -> np.ndarray:
@@ -67,16 +60,16 @@ def rank_qubits(device: DeviceModel) -> list[int]:
     return np.argsort(qubit_scores(device), kind="stable").tolist()
 
 
-def _entries(qubits: np.ndarray, n_subsystems: int, width: int, set_index: int = 0) -> list[PlanEntry]:
-    """One entry per row of ``qubits``, its blocks that row cut into
-    ``n_subsystems`` blocks of ``width``; the row index is the sample index."""
-    blocks = qubits.reshape(len(qubits), n_subsystems, width).tolist()
-    return [PlanEntry(set_index, i, tuple(map(tuple, sample))) for i, sample in enumerate(blocks)]
+def _plan(samples: np.ndarray, sets: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` and ``maps`` of ``sets`` copies of the rows of ``samples``,
+    set by set; a row's index in ``samples`` is its sample index."""
+    keys = np.indices((sets, len(samples))).reshape(2, -1).T
+    return keys, np.tile(samples, (sets, 1))
 
 
 def selective_plan(
     pool: Sequence[int], n_subsystems: int, width: int, k: int
-) -> tuple[PlanEntry, ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Partition the 16 best pool qubits into disjoint samples, k sets.
 
     Each set covers every one of the top 16 qubits exactly once with
@@ -96,13 +89,12 @@ def selective_plan(
             f"{n_subsystems} subsystems x {width} qubits does not divide the "
             f"{QUBIT_BUDGET}-qubit pool; use the random procedure"
         )
-    samples = np.reshape(pool[:QUBIT_BUDGET], (-1, block_qubits))
-    return tuple(e for set_index in range(k) for e in _entries(samples, n_subsystems, width, set_index))
+    return _plan(np.reshape(pool[:QUBIT_BUDGET], (-1, block_qubits)), k)
 
 
 def random_plan(
     pool: Sequence[int], n_subsystems: int, width: int, s: int, seed: int
-) -> tuple[PlanEntry, ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """s seeded uniform draws of N disjoint width-blocks from the pool."""
     if s < 1:
         raise ValueError("need at least one repetition")
@@ -114,7 +106,7 @@ def random_plan(
     # one choice per sample, in sample order: the plan stream fixes the bytes
     rng = np.random.default_rng(seed)
     draws = np.stack([rng.choice(len(pool), size=block_qubits, replace=False) for _ in range(s)])
-    return tuple(_entries(np.asarray(pool)[draws], n_subsystems, width))
+    return _plan(np.asarray(pool)[draws])
 
 
 def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:

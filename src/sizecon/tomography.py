@@ -1,10 +1,12 @@
 """Constant-cost measurement plans and count post-processing.
 
-A plan for N replicated subsystems measures the N-fold tensor product of
-each qubit-wise commuting group of the subsystem Hamiltonian: the same
-one-qubit basis rotations are replicated across every block, so the group
-count never depends on N, and every subsystem's energy is read from the
-same shots.
+A plan covers one subsystem block. ``build_plan(h_sub)`` groups the
+subsystem Hamiltonian's strings by qubit-wise commutation, once per run;
+each group's basis change is a circuit on the block's own ``width``
+qubits. The pipeline lays it on every block of an N-block register with
+``stateprep.compose``, as it lays the state-preparation circuit, so the
+group count never depends on N, and every subsystem's energy is read from
+the same shots.
 
 Counts are read block by block: energies, shot-noise errors and
 populations read ``(N, 2**width)`` arrays of shots per (block, block code),
@@ -12,10 +14,11 @@ or ``(items, N, 2**width)`` stacks of them, one row per work item, which
 give ``(items, N)`` results equal to one call per item. These are the
 arrays ``TrajectoryEngine.sample`` returns; nothing here knows the register
 bit layout. Every histogram row sums to the shots, so the readers take the
-shot count from the histogram itself. A group keeps its subsystem strings,
-their coefficients and each string's parity sign on every block code, so
-one product ``histogram @ signs / shots`` gives every string's mean parity
-on every block; no string is embedded into the N-block register.
+shot count, and N, from the histogram itself. A group keeps its subsystem
+strings, their coefficients and each string's parity sign on every block
+code, so one product ``histogram @ signs / shots`` gives every string's
+mean parity on every block; no string is embedded into the N-block
+register.
 
 Basis rotations (applied before Z measurement): X -> RY(-pi/2),
 Y -> RZ(-pi/2) then RY(-pi/2).
@@ -39,13 +42,12 @@ class MeasurementGroup:
     coefficients: tuple[float, ...]        # one per string (hartree)
     signs: np.ndarray          # (2**width, strings): each string's parity sign per block code
     basis: str                 # per-qubit axis on one subsystem block
-    basis_change: Circuit      # one-qubit rotations on the full register
+    basis_change: Circuit      # one-qubit rotations on one block
 
 
 @dataclass(frozen=True)
 class MeasurementPlan:
     representation: int
-    n_subsystems: int
     constant: float            # subsystem identity coefficient (hartree)
     groups: tuple[MeasurementGroup, ...]
 
@@ -69,18 +71,15 @@ def _group_basis(strings: list[PauliString], width: int) -> str:
     return "".join(letters)
 
 
-def _basis_change_circuit(basis: str, n_subsystems: int) -> Circuit:
-    width = len(basis)
+def _basis_change_circuit(basis: str) -> Circuit:
     gates: list[Gate] = []
-    for block in range(n_subsystems):
-        for pos, letter in enumerate(basis):
-            q = block * width + pos
-            if letter == "X":
-                gates.append(Gate("RY", (q,), -math.pi / 2))
-            elif letter == "Y":
-                gates.append(Gate("RZ", (q,), -math.pi / 2))
-                gates.append(Gate("RY", (q,), -math.pi / 2))
-    return Circuit(width * n_subsystems, tuple(gates))
+    for q, letter in enumerate(basis):
+        if letter == "X":
+            gates.append(Gate("RY", (q,), -math.pi / 2))
+        elif letter == "Y":
+            gates.append(Gate("RZ", (q,), -math.pi / 2))
+            gates.append(Gate("RY", (q,), -math.pi / 2))
+    return Circuit(len(basis), tuple(gates))
 
 
 def _parity_signs(strings: list[PauliString], width: int) -> np.ndarray:
@@ -91,18 +90,17 @@ def _parity_signs(strings: list[PauliString], width: int) -> np.ndarray:
     return np.array(signs).T
 
 
-def build_plan(h_sub: PauliSum, n_subsystems: int) -> MeasurementPlan:
-    """Measurement plan covering every term of h_sub on all N blocks.
+def build_plan(h_sub: PauliSum) -> MeasurementPlan:
+    """Measurement plan covering every term of h_sub on one block.
 
     The subsystem's non-identity strings are grouped by qubit-wise
-    commutation in lexicographic order; each group becomes one full-register
-    measurement whose basis rotations repeat across blocks. Group count is
-    therefore the subsystem group count, independent of N.
+    commutation in lexicographic order; each group becomes one measurement
+    whose basis rotations act on the block's own qubits, and which serves
+    every block of an N-block register at once. The group count is
+    therefore independent of N.
     """
     if h_sub.width not in BLOCK_DETERMINANTS:
         raise ValueError(f"unsupported subsystem width {h_sub.width}")
-    if n_subsystems < 1:
-        raise ValueError("need at least one subsystem")
     groups = []
     for strings in qubitwise_groups(h_sub.sorted_strings()):
         basis = _group_basis(strings, h_sub.width)
@@ -112,12 +110,11 @@ def build_plan(h_sub: PauliSum, n_subsystems: int) -> MeasurementPlan:
                 coefficients=tuple(h_sub.coefficient(s) for s in strings),
                 signs=_parity_signs(strings, h_sub.width),
                 basis=basis,
-                basis_change=_basis_change_circuit(basis, n_subsystems),
+                basis_change=_basis_change_circuit(basis),
             )
         )
     return MeasurementPlan(
         representation=h_sub.width,
-        n_subsystems=n_subsystems,
         constant=h_sub.constant,
         groups=tuple(groups),
     )
@@ -129,10 +126,10 @@ def _group_parities(plan: MeasurementPlan, histograms: list[np.ndarray]) -> tupl
     one per item of a leading items axis."""
     if len(histograms) != len(plan.groups):
         raise ValueError(f"expected {len(plan.groups)} histograms, got {len(histograms)}")
-    shape = (plan.n_subsystems, 1 << plan.representation)
+    codes = 1 << plan.representation
     shapes = [hist.shape for hist in histograms]
-    if any(s[-2:] != shape or s != shapes[0] for s in shapes):
-        raise ValueError(f"histogram shapes {shapes} differ or do not end in {shape}")
+    if any(len(s) < 2 or s[-1] != codes or s != shapes[0] for s in shapes):
+        raise ValueError(f"histogram shapes {shapes} differ or do not end in (N, {codes})")
     shots = np.array([hist[..., 0, :].sum(axis=-1) for hist in histograms], dtype=np.int64)
     if np.any(shots != shots[0]):
         counts = sorted(set(shots.ravel().tolist()))
@@ -151,7 +148,7 @@ def estimate_energies(plan: MeasurementPlan, histograms: list[np.ndarray]) -> np
     compound energy is exactly the sum of the returned entries.
     """
     group_parities, shots = _group_parities(plan, histograms)
-    energies = np.full(shots.shape + (plan.n_subsystems,), plan.constant)
+    energies = np.full(group_parities[0].shape[:-1], plan.constant)
     for group, parities in zip(plan.groups, group_parities):
         for s, coefficient in enumerate(group.coefficients):
             energies += coefficient * parities[..., s]
@@ -166,7 +163,7 @@ def shot_noise_stderr(plan: MeasurementPlan, histograms: list[np.ndarray]) -> np
     the zero-variance weight floor it backs.
     """
     group_parities, shots = _group_parities(plan, histograms)
-    variances = np.zeros(shots.shape + (plan.n_subsystems,))
+    variances = np.zeros(group_parities[0].shape[:-1])
     for group, parities in zip(plan.groups, group_parities):
         for s, coefficient in enumerate(group.coefficients):
             parity = parities[..., s]

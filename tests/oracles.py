@@ -37,12 +37,18 @@ library it checks:
 * the samples reader splits ``samples.csv`` into rows with the csv module,
   transposes them and converts each column of cell strings with
   ``np.array``, where the library parses the columns it reads with numpy's
-  C text reader and walks the cells only when that reader rejects one.
+  C text reader and walks the cells only when that reader rejects one,
+* the register basis change writes every block's rotations onto register
+  qubits by index arithmetic, where the library builds one block's
+  rotations and lays them on each block with ``stateprep.compose``,
+* the CSV text goes through ``csv.writer``, which quotes any cell that
+  needs it, where the library joins ``str`` cells with commas.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -52,6 +58,7 @@ import numpy as np
 from sizecon.experiment import SAMPLES_CSV
 from sizecon.molecule import STO3G_H, boys_f0
 from sizecon.report import SizeSamples
+from sizecon.stateprep import Circuit, Gate
 from sizecon.units import BOHR_PER_ANGSTROM
 
 # ---------------------------------------------------------------------------
@@ -638,7 +645,7 @@ def reference_scores(qubits: list, pairs: dict) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Sampling plans, built one sample and one qubit at a time.
+# Sampling and measurement plans, built one sample, block and qubit at a time.
 # ---------------------------------------------------------------------------
 
 
@@ -655,6 +662,37 @@ def reference_random_plan(pool, n_subsystems: int, width: int, s: int, seed: int
         blocks = tuple(tuple(qubits[b * width : (b + 1) * width]) for b in range(n_subsystems))
         entries.append((0, sample_index, blocks))
     return entries
+
+
+def reference_basis_change(basis: str, n_subsystems: int) -> Circuit:
+    """One group's basis rotations on the whole N-block register, each
+    block's qubits at ``block * width + pos``."""
+    width = len(basis)
+    gates: list[Gate] = []
+    for block in range(n_subsystems):
+        for pos, letter in enumerate(basis):
+            q = block * width + pos
+            if letter == "X":
+                gates.append(Gate("RY", (q,), -math.pi / 2))
+            elif letter == "Y":
+                gates.append(Gate("RZ", (q,), -math.pi / 2))
+                gates.append(Gate("RY", (q,), -math.pi / 2))
+    return Circuit(width * n_subsystems, tuple(gates))
+
+
+# ---------------------------------------------------------------------------
+# CSV text through the csv module.
+# ---------------------------------------------------------------------------
+
+
+def reference_csv_text(header, rows) -> str:
+    """A header line, then one line per row, all with LF line ends, written
+    by ``csv.writer``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------

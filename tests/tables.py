@@ -44,5 +44,8 @@ def block_histogram(joint: np.ndarray, width: int, n_blocks: int) -> np.ndarray:
 
 
 def block_histograms(plan: MeasurementPlan, joints: list[np.ndarray]) -> list[np.ndarray]:
-    """One per-block histogram per group's joint counts, as tomography reads a plan."""
-    return [block_histogram(j, plan.representation, plan.n_subsystems) for j in joints]
+    """One per-block histogram per group's joint counts, as tomography reads a
+    plan; N is the register width, read from the code count, over the
+    plan's block width."""
+    width = plan.representation
+    return [block_histogram(j, width, (len(j).bit_length() - 1) // width) for j in joints]

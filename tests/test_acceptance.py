@@ -18,7 +18,7 @@ from sizecon.report import analyze
 from sizecon.hamiltonians import jordan_wigner, to_fermion, taper
 from sizecon.molecule import build_integrals, solve_rhf
 from sizecon.simulator import DeviceModel, run_shots
-from sizecon.stateprep import Circuit, Gate
+from sizecon.stateprep import Circuit, Gate, compose
 from sizecon.tomography import build_plan
 
 from devices import make_device
@@ -340,7 +340,14 @@ def test_criterion_10_measurement_cost_constancy():
         (bundle.h2q, (1, 2, 4, 8)),
         (bundle.h4, (1, 2, 4)),
     ):
-        counts = [len(build_plan(h_sub, n).groups) for n in ns]
-        assert len(set(counts)) == 1, (h_sub.width, counts)
+        # the distinct measurement settings of the N-block register: each
+        # group's one-block basis change laid on every block
+        plan = build_plan(h_sub)
+        width = h_sub.width
+        counts = []
+        for n in ns:
+            blocks = [range(b * width, (b + 1) * width) for b in range(n)]
+            counts.append(len({compose(g.basis_change, n, blocks).serialize() for g in plan.groups}))
+        assert counts == [len(plan.groups)] * len(ns), (h_sub.width, counts)
         details.append(f"{h_sub.width}q: {counts[0]} groups")
     report("criterion 10 (measurement-cost constancy)", True, "; ".join(details))

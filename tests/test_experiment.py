@@ -11,24 +11,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sizecon import experiment
+from sizecon import cli, experiment
 from sizecon.cli import main as cli_main
 from sizecon.config import MAX_QUBITS, ConfigError, ExperimentConfig
 from sizecon.experiment import (
     POPULATIONS_HEADER,
     SAMPLES_HEADER,
     build_hamiltonians,
-    csv_text,
     derive_seed,
     format_floats,
     run_experiment,
+    write_csv,
     write_lines,
 )
 from sizecon.report import analyze, load_samples, reference_table
 from sizecon.sampling import synthetic_calibration
 from sizecon.simulator import DeviceModel, TrajectoryEngine
 
-from oracles import reference_load_samples
+from oracles import reference_csv_text, reference_load_samples
 from test_sampling import scanned_score
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -360,8 +360,9 @@ def _bits(*patterns):
 
 class TestRunTables:
     """``samples.csv`` and ``populations.csv`` are written as joined lines,
-    each distinct value formatted once; their text must be what ``repr``
-    and the csv module make of the same rows."""
+    each distinct value formatted once, and the other tables by
+    ``csv_text``; their text must be what ``repr`` and the csv module make
+    of the same rows."""
 
     @pytest.mark.parametrize(
         "values",
@@ -422,9 +423,9 @@ class TestRunTables:
         # the repr of each value, written by the csv module
         rows = [[cells[0], *map(int, cells[1:6]), *(repr(float(c)) for c in cells[6:])] for cells in rows]
         assert {row[0] for row in rows} == {config.run_id}
-        assert samples == csv_text(SAMPLES_HEADER, rows)
+        assert samples == reference_csv_text(SAMPLES_HEADER, rows)
         keep = [SAMPLES_HEADER.index(name) for name in POPULATIONS_HEADER]
-        assert (out / "populations.csv").read_bytes().decode() == csv_text(
+        assert (out / "populations.csv").read_bytes().decode() == reference_csv_text(
             POPULATIONS_HEADER, [[row[i] for i in keep] for row in rows]
         )
 
@@ -432,6 +433,38 @@ class TestRunTables:
         with pytest.raises(ValueError, match="refusing to write empty samples.csv"):
             write_lines(tmp_path / "samples.csv", SAMPLES_HEADER, [])
         assert not (tmp_path / "samples.csv").exists()
+        with pytest.raises(ValueError, match="refusing to write empty fig1.csv"):
+            write_csv(tmp_path / "fig1.csv", [])
+        assert not (tmp_path / "fig1.csv").exists()
+
+    def test_every_table_equals_csv_module_text(self, tmp_path, monkeypatch, capsys):
+        # each table csv_text writes (summary, the figures, the reference
+        # curves and a calibration ranking) must be what csv.writer makes of
+        # the same rows: ints, float reprs, bools, "" and fixed labels
+        tables = []
+        real = experiment.csv_text
+
+        def recorded(rows):
+            text = real(rows)
+            assert text == reference_csv_text(list(rows[0]), [list(row.values()) for row in rows])
+            tables.append(text)
+            return text
+
+        monkeypatch.setattr(experiment, "csv_text", recorded)
+        monkeypatch.setattr(cli, "csv_text", recorded)
+        names = ("summary", "fig1", "fig2a", "fig2b", "fig3")
+        # two sizes fill every summary column; one leaves its fit cells ""
+        for counts in ((2, 4), (2,)):
+            out = analyze(run_experiment(tiny_config(tmp_path / str(counts), subsystem_counts=counts)))
+            assert tables[-5:] == [(out / f"{name}.csv").read_text() for name in names]
+        # a bool cell (horizon_unbounded), and blank ones
+        assert tables[0].endswith(("True\n", "False\n")) and ",,," in tables[5]
+        cal = tmp_path / "cal.json"
+        cal.write_text(synthetic_calibration(n_qubits=16, seed=4).to_json())
+        for args in (["reference", "--n-max", "3"], ["calibration", "rank", str(cal)]):
+            assert cli_main(args) == 0
+            assert capsys.readouterr().out == tables[-1]
+        assert len(tables) == 12
 
 
 @pytest.fixture(scope="module")
@@ -1106,6 +1139,13 @@ class TestCli:
              "samples.csv row 6, column p_double: 'inf' is not a finite number"),
             ("samples.csv", lambda text: set_cell(text, 7, "energy_hartree", "nan"),
              "samples.csv row 7, column energy_hartree: 'nan' is not a finite number"),
+            # a lone surrogate is written as the byte 0xff
+            ("samples.csv", lambda text: text[:1136] + "\udcff" + text[1136:],
+             "samples.csv is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+             "in position 1136: invalid start byte"),
+            ("samples.csv", lambda text: text + "\udcff",
+             "samples.csv is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+             "in position 1701: invalid start byte"),
         ],
         ids=["empty-manifest", "manifest-without-seeds", "seeds-array", "seeds-number",
              "null-representation", "representation-3", "bool-representation",
@@ -1114,11 +1154,11 @@ class TestCli:
              "renamed-column", "moved-row",
              "repeated-subsystem", "unlisted-sample", "not-a-number", "not-an-integer",
              "too-large-an-integer", "short-row", "trailing-blank-line", "blank-line",
-             "comment-line", "inf-cell", "nan-cell"],
+             "comment-line", "inf-cell", "nan-cell", "byte-0xff-mid-file", "byte-0xff-at-end"],
     )
     def test_malformed_run_dir_is_categorized(self, tmp_path, capsys, name, damage, message):
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
-        (out / name).write_text(damage((out / name).read_text()))
+        (out / name).write_text(damage((out / name).read_text()), errors="surrogateescape")
         assert cli_main(["analyze", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: value: {out}/{message}"]
 

@@ -72,43 +72,45 @@ class TestRankQubits:
         assert order[0] == 2  # only qubit with no noisy neighbor
 
 
+def flattened(entries):
+    """The ``keys`` and ``maps`` rows of ``(set_index, sample_index, blocks)``
+    entries: each entry's blocks laid end to end, block 0 first."""
+    keys = [[set_index, sample_index] for set_index, sample_index, _ in entries]
+    maps = [[q for block in blocks for q in block] for _, _, blocks in entries]
+    return keys, maps
+
+
 class TestSelectivePlan:
     def test_width1_n16_uses_all_qubits(self):
-        plan = selective_plan(list(range(20)), 16, 1, k=3)
-        assert len(plan) // 3 == 1
-        assert len(plan) == 3
-        for entry in plan:
-            assert sorted(q for b in entry.blocks for q in b) == list(range(16))
+        keys, maps = selective_plan(list(range(20)), 16, 1, k=3)
+        assert keys.tolist() == [[0, 0], [1, 0], [2, 0]]
+        for row in maps.tolist():
+            assert sorted(row) == list(range(16))
 
     def test_width1_n2_paper_counts(self):
-        plan = selective_plan(list(range(16)), 2, 1, k=3)
-        assert len(plan) // 3 == 8
-        assert len(plan) == 24
+        keys, maps = selective_plan(list(range(16)), 2, 1, k=3)
+        assert keys.shape == (24, 2) and maps.shape == (24, 2)
+        assert np.bincount(keys[:, 0]).tolist() == [8, 8, 8]
 
     def test_width2_n8_single_sample(self):
-        plan = selective_plan(list(range(16)), 8, 2, k=5)
-        assert len(plan) // 5 == 1
-        assert len(plan) == 5
+        keys, maps = selective_plan(list(range(16)), 8, 2, k=5)
+        assert keys.tolist() == [[set_index, 0] for set_index in range(5)]
+        assert maps.shape == (5, 16)
 
     def test_sets_partition_pool_exactly(self):
         pool = list(range(31, -1, -1))  # descending ranked pool
-        plan = selective_plan(pool, 4, 1, k=2)
+        keys, maps = selective_plan(pool, 4, 1, k=2)
         top16 = set(pool[:16])
         for set_index in range(2):
-            covered = [
-                q
-                for e in plan
-                if e.set_index == set_index
-                for b in e.blocks
-                for q in b
-            ]
+            covered = maps[keys[:, 0] == set_index].ravel().tolist()
             assert len(covered) == len(set(covered)) == QUBIT_BUDGET
             assert set(covered) == top16
 
     def test_sample_count_matches_16_over_n(self):
         for n in (2, 4, 8, 16):
-            plan = selective_plan(list(range(16)), n, 1, k=1)
-            assert len(plan) == 16 // n
+            keys, maps = selective_plan(list(range(16)), n, 1, k=1)
+            assert keys.tolist() == [[0, i] for i in range(16 // n)]
+            assert maps.shape == (16 // n, n)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -122,45 +124,43 @@ class TestSelectivePlan:
 
     def test_blocks_follow_pool_order(self):
         pool = list(range(40, 0, -1))
-        plan = selective_plan(pool, 2, 2, k=2)
-        expected = [
+        keys, maps = selective_plan(pool, 2, 2, k=2)
+        entries = [
             (set_index, i, ((pool[4 * i], pool[4 * i + 1]), (pool[4 * i + 2], pool[4 * i + 3])))
             for set_index in range(2)
             for i in range(4)
         ]
-        assert [(e.set_index, e.sample_index, e.blocks) for e in plan] == expected
+        assert keys.dtype == maps.dtype == np.int64
+        assert (keys.tolist(), maps.tolist()) == flattened(entries)
 
 
 class TestRandomPlan:
     def test_fifty_single_qubit_draws(self):
-        plan = random_plan(list(range(16)), 1, 1, s=50, seed=7)
-        assert len(plan) == 50
-        assert all(len(e.blocks) == 1 and len(e.blocks[0]) == 1 for e in plan)
+        keys, maps = random_plan(list(range(16)), 1, 1, s=50, seed=7)
+        assert keys.tolist() == [[0, i] for i in range(50)]
+        assert maps.shape == (50, 1)
 
     def test_blocks_disjoint(self):
-        plan = random_plan(list(range(16)), 4, 2, s=20, seed=8)
-        for entry in plan:
-            flat = [q for b in entry.blocks for q in b]
-            assert len(flat) == len(set(flat)) == 8
+        _, maps = random_plan(list(range(16)), 4, 2, s=20, seed=8)
+        assert maps.shape == (20, 8)
+        for row in maps.tolist():
+            assert len(set(row)) == 8
 
     def test_exact_pool_is_permutation(self):
-        plan = random_plan(list(range(8)), 4, 2, s=10, seed=9)
-        for entry in plan:
-            assert sorted(q for b in entry.blocks for q in b) == list(range(8))
+        _, maps = random_plan(list(range(8)), 4, 2, s=10, seed=9)
+        for row in maps.tolist():
+            assert sorted(row) == list(range(8))
 
     def test_deterministic_given_seed(self):
         a = random_plan(list(range(16)), 2, 1, s=5, seed=10)
         b = random_plan(list(range(16)), 2, 1, s=5, seed=10)
-        assert a == b
+        assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
     def test_uniform_selection_frequency(self):
         pool = list(range(10))
         draws = 10_000
-        plan = random_plan(pool, 2, 1, s=draws, seed=11)
-        counts = np.zeros(10)
-        for entry in plan:
-            for block in entry.blocks:
-                counts[block[0]] += 1
+        _, maps = random_plan(pool, 2, 1, s=draws, seed=11)
+        counts = np.bincount(maps.ravel(), minlength=10)
         expected = draws * 2 / 10
         sigma = np.sqrt(draws * (2 / 10) * (1 - 2 / 10))
         assert np.all(np.abs(counts - expected) < 4 * sigma)
@@ -177,14 +177,14 @@ class TestRandomPlan:
     )
     def test_equals_per_sample_reference(self, seed, pool_size, n, width, s):
         # the plan stream fixes which qubits every work item runs on, so the
-        # plan must equal the one-choice-per-sample construction, entry for
-        # entry; the pools are permuted so a pool lookup cannot be skipped,
+        # plan must equal the one-choice-per-sample construction, sample for
+        # sample; the pools are permuted so a pool lookup cannot be skipped,
         # and some are filled exactly (N * width == len(pool))
         pool = np.random.default_rng(pool_size).permutation(200)[:pool_size].tolist()
-        plan = random_plan(pool, n, width, s=s, seed=seed)
-        assert [(e.set_index, e.sample_index, e.blocks) for e in plan] == \
-            reference_random_plan(pool, n, width, s, seed)
-        assert all(type(q) is int for e in plan for block in e.blocks for q in block)
+        keys, maps = random_plan(pool, n, width, s=s, seed=seed)
+        assert keys.dtype == maps.dtype == np.int64
+        assert (keys.tolist(), maps.tolist()) == \
+            flattened(reference_random_plan(pool, n, width, s, seed))
 
 
 class TestSyntheticCalibration:

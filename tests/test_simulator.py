@@ -425,15 +425,16 @@ class TestBatchedSample:
         if draw_elements is not None:
             monkeypatch.setattr(simulator, "_DRAW_ELEMENTS", draw_elements)
         h_sub = bundle.subsystem_hamiltonian(representation)
-        plan = build_plan(h_sub, n)
+        plan = build_plan(h_sub)
         blocks = [list(range(b * representation, (b + 1) * representation)) for b in range(n)]
         circuit = compose(synthesize(fci_ground(h_sub)), n, blocks)
         device = synthetic_calibration(n_qubits=20, seed=3)
         rng = np.random.default_rng(representation * 10 + n)
-        maps = [[int(q) for q in rng.permutation(20)[: circuit.width]] for _ in range(5)]
+        # the (items, N * width) int64 array a sampling plan gives
+        maps = np.array([rng.permutation(20)[: circuit.width] for _ in range(5)], dtype=np.int64)
         seeds = [int(s) for s in rng.integers(0, 2**63, size=len(maps))]
         for group in plan.groups:
-            engine = TrajectoryEngine(circuit, group.basis_change)
+            engine = TrajectoryEngine(circuit, compose(group.basis_change, n, blocks))
             counts = engine.sample(device, maps, shots, seeds, representation)
             expected = [
                 block_histogram(joint, representation, n).tolist()
@@ -509,7 +510,7 @@ class TestStackedDistributions:
     def test_every_pattern_of_two_events_on_each_group_text(self, bundle, rep, n_patterns):
         h_sub = bundle.subsystem_hamiltonian(rep)
         circuit = synthesize(fci_ground(h_sub))
-        for group in build_plan(h_sub, 1).groups:
+        for group in build_plan(h_sub).groups:
             engine = TrajectoryEngine(circuit, group.basis_change)
             ((_, _, gates, _),) = engine._segments
             patterns = patterns_up_to_two_events(gates, len(circuit.gates))

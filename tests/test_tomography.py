@@ -13,20 +13,25 @@ from sizecon.tomography import (
     shot_noise_stderr,
 )
 
-from oracles import CLASSIFICATION
+from oracles import CLASSIFICATION, reference_basis_change
 from tables import block_histogram, block_histograms, joint_counts
+
+
+def register_blocks(n, width):
+    """The pipeline's block layout: block b on qubits b*width .. (b+1)*width - 1."""
+    return [list(range(b * width, (b + 1) * width)) for b in range(n)]
 
 
 def sample_noiseless(h_sub, n, shots, master_seed):
     """Joint counts per plan group for N noiseless replicas of the FCI state."""
-    plan = build_plan(h_sub, n)
+    plan = build_plan(h_sub)
     sub = synthesize(fci_ground(h_sub))
-    width = h_sub.width
-    circuit = compose(sub, n, [list(range(b * width, (b + 1) * width)) for b in range(n)])
+    blocks = register_blocks(n, h_sub.width)
+    circuit = compose(sub, n, blocks)
     device = DeviceModel.noiseless(circuit.width)
     counts = []
     for gi, group in enumerate(plan.groups):
-        engine = TrajectoryEngine(circuit, group.basis_change)
+        engine = TrajectoryEngine(circuit, compose(group.basis_change, n, blocks))
         pmap = list(range(circuit.width))
         counts.append(engine.sample(device, [pmap], shots, [master_seed + gi], circuit.width)[0, 0])
     return plan, counts
@@ -59,28 +64,37 @@ def embedded_member_loop(h_sub, n, counts):
     return energies, np.sqrt(variances)
 
 
+def gate_bits(circuit):
+    """Each gate's kind, targets and angle bits (None for no angle)."""
+    return [
+        (g.kind, g.targets, None if g.angle is None else np.float64(g.angle).tobytes())
+        for g in circuit.gates
+    ]
+
+
 class TestBuildPlan:
     def test_single_qubit_two_groups_any_n(self, bundle):
+        plan = build_plan(bundle.h1q)
+        assert [g.basis for g in plan.groups] == ["X", "Z"]
+        # laid on N blocks, the X group rotates every qubit and the Z group none
         for n in (1, 2, 4, 8, 16):
-            plan = build_plan(bundle.h1q, n)
-            assert len(plan.groups) == 2
-            assert {g.basis for g in plan.groups} == {"X", "Z"}
+            blocks = register_blocks(n, 1)
+            x_group, z_group = (compose(g.basis_change, n, blocks) for g in plan.groups)
+            assert [g.targets for g in x_group.gates] == [(q,) for q in range(n)]
+            assert z_group.gates == () and z_group.width == n
 
     def test_n1_plan_is_subsystem_plan(self, bundle):
-        # groups hold subsystem strings whatever N is: only the basis change
-        # grows with the register
-        plan = build_plan(bundle.h4, 1)
-        wide = build_plan(bundle.h4, 3)
-        assert [g.strings for g in plan.groups] == [g.strings for g in wide.groups]
-        for group, wide_group in zip(plan.groups, wide.groups):
-            assert all(s.width == bundle.h4.width for s in group.strings)
-            assert group.coefficients == wide_group.coefficients
-            assert np.array_equal(group.signs, wide_group.signs)
-            assert group.basis_change.width == bundle.h4.width
-            assert wide_group.basis_change.width == 3 * bundle.h4.width
+        # groups hold subsystem strings and one block's basis change; only
+        # compose lays that change on a wider register
+        plan = build_plan(bundle.h4)
+        width = bundle.h4.width
+        for group in plan.groups:
+            assert all(s.width == width for s in group.strings)
+            assert group.basis_change.width == width
+            assert compose(group.basis_change, 3, register_blocks(3, width)).width == 3 * width
 
     def test_four_qubit_coverage(self, bundle):
-        plan = build_plan(bundle.h4, 2)
+        plan = build_plan(bundle.h4)
         assert len(plan.groups) <= 5
         seen = {}
         for group in plan.groups:
@@ -93,17 +107,36 @@ class TestBuildPlan:
         assert all(count == 1 for count in seen.values())
 
     def test_group_count_constant_in_n(self, bundle):
+        # every group is one distinct measurement setting of the register at
+        # every N
         for h_sub, ns in (
             (bundle.h1q, (1, 2, 4, 8, 16)),
             (bundle.h2q, (1, 2, 4, 8)),
             (bundle.h4, (1, 2, 4)),
         ):
-            sizes = {len(build_plan(h_sub, n).groups) for n in ns}
-            assert len(sizes) == 1
+            plan = build_plan(h_sub)
+            for n in ns:
+                blocks = register_blocks(n, h_sub.width)
+                settings = {compose(g.basis_change, n, blocks).serialize() for g in plan.groups}
+                assert len(settings) == len(plan.groups), (h_sub.width, n)
+
+    @pytest.mark.parametrize("representation", [1, 2, 4])
+    def test_composed_basis_change_equals_register_reference(self, bundle, representation):
+        # compose lays one block's rotations on every block exactly as the
+        # register-wide reference writes them, gate for gate, at every N
+        # that fits the 16-qubit pool
+        plan = build_plan(bundle.subsystem_hamiltonian(representation))
+        for n in range(1, 16 // representation + 1):
+            blocks = register_blocks(n, representation)
+            for group in plan.groups:
+                composed = compose(group.basis_change, n, blocks)
+                reference = reference_basis_change(group.basis, n)
+                assert composed.width == reference.width == n * representation
+                assert gate_bits(composed) == gate_bits(reference), (group.basis, n)
 
     def test_members_qubitwise_consistent_with_basis(self, bundle):
         width = bundle.h4.width
-        plan = build_plan(bundle.h4, 2)
+        plan = build_plan(bundle.h4)
         for group in plan.groups:
             for j, s in enumerate(group.strings):
                 for pos, letter in enumerate(s.letters):
@@ -119,23 +152,27 @@ class TestBuildPlan:
     def test_unsupported_width(self):
         h3 = PauliSum({PauliString("ZZZ"): 1.0})
         with pytest.raises(ValueError, match="unsupported"):
-            build_plan(h3, 2)
+            build_plan(h3)
 
     def test_basis_change_rotations(self, bundle):
-        plan = build_plan(bundle.h2q, 2)
+        plan = build_plan(bundle.h2q)
         y_group = next(g for g in plan.groups if "Y" in g.basis)
-        kinds = [g.kind for g in y_group.basis_change.gates]
-        # every Y-measured qubit (2 per block, 2 blocks) gets RZ then RY
-        assert kinds == ["RZ", "RY"] * 4
+        # every Y-measured qubit (2 per block) gets RZ then RY, on the block
+        assert [(g.kind, g.targets) for g in y_group.basis_change.gates] == [
+            ("RZ", (0,)), ("RY", (0,)), ("RZ", (1,)), ("RY", (1,))
+        ]
         for gate in y_group.basis_change.gates:
             assert gate.angle == pytest.approx(-math.pi / 2)
+        # and on 2 blocks, block by block
+        composed = compose(y_group.basis_change, 2, register_blocks(2, 2))
+        assert [g.kind for g in composed.gates] == ["RZ", "RY"] * 4
 
 
 class TestEstimateEnergies:
     def test_exact_reference_counts(self, bundle, rhf):
         # counts that realize the mean-field expectations exactly: Z block
         # reads the reference word, X parities balance to zero
-        plan = build_plan(bundle.h1q, 2)
+        plan = build_plan(bundle.h1q)
         shots = 4000
         by_basis = {
             "Z": joint_counts({"00": shots}),
@@ -184,7 +221,7 @@ class TestEstimateEnergies:
         assert len(energies) == 3
 
     def test_block_permutation_permutes_energies(self, bundle):
-        plan = build_plan(bundle.h1q, 2)
+        plan = build_plan(bundle.h1q)
         shots = 1000
         asym = {
             "Z": joint_counts({"00": 700, "01": 300}),
@@ -204,7 +241,7 @@ class TestEstimateEnergies:
     )
     def test_equals_embedded_member_loop(self, bundle, representation, n, every_code):
         h_sub = bundle.subsystem_hamiltonian(representation)
-        plan = build_plan(h_sub, n)
+        plan = build_plan(h_sub)
         width = representation * n
         shots = 100_003
         rng = np.random.default_rng(100 * representation + 10 * n + every_code)
@@ -239,7 +276,7 @@ class TestEstimateEnergies:
         x_counts = np.zeros(2**n, dtype=np.int64)
         x_counts[[0, -1]] = shots - 1, 1
         by_basis = {"Z": np.bincount(shot_codes, minlength=2**n), "X": x_counts}
-        plan = build_plan(bundle.h1q, n)
+        plan = build_plan(bundle.h1q)
         counts = [by_basis[g.basis] for g in plan.groups]
         energies, stderrs = embedded_member_loop(bundle.h1q, n, counts)
         histograms = block_histograms(plan, counts)
@@ -252,21 +289,21 @@ class TestGroupParities:
     """The checks both energy readers share, made once per call."""
 
     def test_group_count_mismatch(self, bundle, reader):
-        plan = build_plan(bundle.h1q, 1)
+        plan = build_plan(bundle.h1q)
         with pytest.raises(ValueError, match="expected 2 histograms, got 1"):
             reader(plan, [np.array([[10.0, 0.0]])])
 
     @pytest.mark.parametrize(
-        "n, shapes",
+        "shapes",
         [
-            (2, [(1, 2), (1, 2)]),        # one block must not broadcast over two
-            (1, [(3, 2, 2), (3, 1, 2)]),  # nor within a stack of items
-            (1, [(3, 1, 2), (2, 1, 2)]),  # nor one group's items over another's
-            (1, [(3, 1, 4), (3, 1, 4)]),  # a block holds 2**width codes
+            [(3, 2, 2), (3, 1, 2)],  # one group's blocks must not broadcast over another's
+            [(3, 1, 2), (2, 1, 2)],  # nor one group's items over another's
+            [(3, 1, 4), (3, 1, 4)],  # a block holds 2**width codes
+            [(2,), (2,)],            # a histogram holds N blocks
         ],
     )
-    def test_shape_mismatch(self, bundle, reader, n, shapes):
-        plan = build_plan(bundle.h1q, n)
+    def test_shape_mismatch(self, bundle, reader, shapes):
+        plan = build_plan(bundle.h1q)
         histograms = [np.zeros(shape) for shape in shapes]
         for hist in histograms:
             hist[..., 0] = 10.0
@@ -274,7 +311,7 @@ class TestGroupParities:
             reader(plan, histograms)
 
     def test_unequal_shots_rejected(self, bundle, reader):
-        plan = build_plan(bundle.h1q, 1)
+        plan = build_plan(bundle.h1q)
         with pytest.raises(ValueError, match=r"unequal shot counts \[10, 20\]"):
             reader(plan, [np.array([[10.0, 0.0]]), np.array([[20.0, 0.0]])])
 
@@ -285,7 +322,7 @@ class TestStackedItems:
 
     @pytest.mark.parametrize("representation, n", [(1, 1), (1, 6), (2, 3), (4, 1), (4, 2)])
     def test_stack_equals_per_item_calls(self, bundle, representation, n):
-        plan = build_plan(bundle.subsystem_hamiltonian(representation), n)
+        plan = build_plan(bundle.subsystem_hamiltonian(representation))
         rng = np.random.default_rng(10 * representation + n)
         # each item its own shot count: every item divides by its own
         items = 7
