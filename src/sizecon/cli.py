@@ -129,6 +129,8 @@ def _cmd_calibration(args: argparse.Namespace) -> int:
         _emit(device.to_json(), args.output)
         return 0
     device = read_calibration(args.file, "file")
+    if not device.n_qubits:
+        raise ValueError(f"{args.file} holds no qubits to rank")
     scores = qubit_scores(device).tolist()
     rows = [
         {"rank": i, "qubit": q, "score": repr(scores[q])}

@@ -1,13 +1,15 @@
 """Experiment configuration: the JSON schema, its types and its ranges.
 
 ``ExperimentConfig.from_json`` reads the config file that ``sizecon run``
-takes. Every key the file may hold has one row in ``_SCHEMA`` under its JSON
-path: its type, its bounds and the setting under which the program does not
-read it. An unknown key, a key the chosen sampling mode or calibration
-source would ignore, a value of the wrong type or one out of range raises a
-``ConfigError`` that names the path as the file spells it (``shots``,
-``sampling.k``, ``calibration.file``); ``to_dict``, which the manifest
-records, leaves the unread keys out.
+takes, and ``from_dict`` the same document once parsed: ``analyze`` reads
+the copy a run's manifest holds with it. Every key the file may hold has
+one row in ``_SCHEMA`` under its JSON path: its type, its bounds and the
+setting under which the program does not read it. An unknown key, a key
+the chosen sampling mode or calibration source would ignore, a value of
+the wrong type or one out of range raises a ``ConfigError`` that names the
+path as the file spells it (``shots``, ``sampling.k``,
+``calibration.file``); ``to_dict``, which the manifest records, leaves the
+unread keys out.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
+        self.reason = message
 
 
 def _typed(value, field_name: str, kind: type | tuple, what: str = "an integer"):
@@ -148,6 +151,12 @@ class ExperimentConfig:
             raw = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
             raise ConfigError("document", f"not valid JSON: {exc}") from exc
+        return cls.from_dict(raw)
+
+    @classmethod
+    def from_dict(cls, raw: object) -> "ExperimentConfig":
+        """The config a parsed JSON document holds, checked as ``from_json``
+        checks the text."""
         if not isinstance(raw, dict):
             raise ConfigError("document", "top level must be an object")
         values = {}

@@ -13,12 +13,14 @@ The config it takes is parsed and checked in :mod:`sizecon.config`;
 figures.
 
 Both plans are plain data. The measurement plan covers one block and is
-built once per run. Each N's sampling plan is two int64 arrays: ``keys``,
-one ``(set, sample)`` row per work item, and ``maps``, its physical qubits,
-which go to the sampler as they are. The pipeline's N-block register has
-block ``b`` on qubits ``b * width`` to ``(b + 1) * width - 1``, and
-``stateprep.compose`` is the one place a block meets it: it lays the
-preparation circuit and each group's basis change on every block.
+built once per run. Each N's sampling plan is one int64 array, ``maps``,
+the physical qubits of each work item, which goes to the sampler as it is;
+``sampling.plan_keys`` gives the ``(set, sample)`` row of each item, from
+which the run draws its seeds, names them in the manifest and labels its
+rows. The pipeline's N-block register has block ``b`` on qubits
+``b * width`` to ``(b + 1) * width - 1``, and ``stateprep.compose`` is the
+one place a block meets it: it lays the preparation circuit and each
+group's basis change on every block.
 
 Work items draw their seeds from (master seed, N, set, sample, group), so
 execution order never matters; ``derive_seed`` mixes every key of one
@@ -51,7 +53,7 @@ from .config import ConfigError, ExperimentConfig, QUBIT_BUDGET
 from .hamiltonians import h1q_parameters, jordan_wigner, taper, to_fermion
 from .molecule import build_integrals, solve_rhf
 from .pauli import PauliSum
-from .sampling import random_plan, rank_qubits, selective_plan, synthetic_calibration
+from .sampling import plan_keys, random_plan, rank_qubits, selective_plan, synthetic_calibration
 from .simulator import DeviceModel, TrajectoryEngine
 from .stateprep import compose, fci_ground, synthesize
 from .tomography import (
@@ -186,7 +188,7 @@ def load_device(config: ExperimentConfig) -> DeviceModel:
 _PLAN_SEED_TAG = 101
 
 
-def sampling_plan(config: ExperimentConfig, pool: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+def sampling_plan(config: ExperimentConfig, pool: list[int], n: int) -> np.ndarray:
     if config.sampling_mode == "selective":
         return selective_plan(pool, n, config.representation, config.k_sets)
     # random draws come from the same best-ranked sample set the selective
@@ -217,8 +219,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     populations: list[str] = []
     seeds: dict[str, int] = {}
     for n in config.subsystem_counts:
-        keys, maps = sampling_plan(config, pool, n)
-        items = keys.tolist()
+        maps = sampling_plan(config, pool, n)
+        items = plan_keys(config, n).tolist()
         blocks = [list(range(b * width, (b + 1) * width)) for b in range(n)]
         composed = compose(circuit, n, blocks)
         by_group = []

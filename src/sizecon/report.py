@@ -2,7 +2,11 @@
 
 ``analyze`` reads ``samples.csv`` and ``manifest.json`` and writes
 ``summary.csv`` (the WLS slope, its error and the chemical-accuracy
-horizon) and the figures ``fig1``, ``fig2a``, ``fig2b`` and ``fig3``.
+horizon) and the figures ``fig1``, ``fig2a``, ``fig2b`` and ``fig3``. The
+manifest's ``config`` is read as ``ExperimentConfig`` reads a config file;
+it gives the representation and, through ``sampling.plan_keys``, the
+(N, set, sample) keys the rows must hold. The manifest's ``seeds`` are
+provenance, and not read.
 
 ``load_samples`` reads ``samples.csv`` once, into columns. It checks the
 header's column names, each row's cell count by the csv module's rules (a
@@ -16,7 +20,7 @@ first cell that fails. The messages are those of the csv-module reader this
 replaced, in its order but for the cell counts, which it checked after the
 row count. The rows are sorted by (N, set, sample, subsystem), so their
 order in the file does not matter, and checked to be exactly the
-subsystems 0..N-1 of each (N, set, sample) key the manifest's seeds name.
+subsystems 0..N-1 of each (N, set, sample) key the manifest's config implies.
 Each N's rows then form a ``(samples, N)`` array per column, reduced along
 its rows into one value per sample. A row of N contiguous values is summed
 in numpy's pairwise order, as a 1-D array of the same values is, so the
@@ -35,13 +39,14 @@ import csv
 import io
 import json
 import math
-import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import SubsystemLevels, cisd_reference, error_stats, horizon, mean_sd, wls_fit
+from .config import ConfigError, ExperimentConfig
 from .experiment import (
     MANIFEST_JSON,
     SAMPLES_CSV,
@@ -49,7 +54,7 @@ from .experiment import (
     build_hamiltonians,
     write_csv,
 )
-from .hamiltonians import BLOCK_DETERMINANTS
+from .sampling import plan_keys
 from .svgplot import Figure, Series, write as write_svg
 from .units import HARTREE_TO_KCAL_PER_MOL
 
@@ -74,7 +79,6 @@ _TABLE = np.dtype([(name, np.int64 if name in _KEY_COLUMNS else float) for name 
 # the csv module's dialect: a quoted cell may hold a comma or a line break,
 # and no line is a comment
 _CSV = dict(delimiter=",", comments=None, quotechar='"')
-_SEED_KEY = re.compile(r"^N(\d+)/set(\d+)/sample(\d+)/group\d+$", re.MULTILINE)
 
 
 def _numbers(path: Path, name: str, cells: list[str]) -> np.ndarray:
@@ -122,13 +126,13 @@ def _columns(path: Path, lines: list[str], usecols: list[int]):
         yield _numbers(path, name, cells[:, j].tolist())
 
 
-def load_samples(run_dir: Path, keys: list[tuple[int, int, int]]) -> dict[int, SizeSamples]:
-    """The run's samples by N, in ascending N. ``keys`` are the manifest's
-    sorted (N, set, sample) keys. A file that lacks a column it reads, has a
-    row (a blank line included) of another cell count than its header,
-    holds a cell that is not a finite number, or whose rows are not each
-    key's subsystems 0..N-1 and no other, or that is not UTF-8, raises a
-    ValueError."""
+def load_samples(run_dir: Path, keys: np.ndarray) -> dict[int, SizeSamples]:
+    """The run's samples by N, in ascending N. ``keys`` are the run's sorted
+    (N, set, sample) keys, an ``(items, 3)`` int64 array. A file that lacks
+    a column it reads, has a row (a blank line included) of another cell
+    count than its header, holds a cell that is not a finite number, or
+    whose rows are not each key's subsystems 0..N-1 and no other, or that
+    is not UTF-8, raises a ValueError."""
     path = run_dir / SAMPLES_CSV
     try:
         # read whole, so that a decode error counts its position from the
@@ -148,7 +152,7 @@ def load_samples(run_dir: Path, keys: list[tuple[int, int, int]]) -> dict[int, S
     if set(widths) - {len(header)}:
         row = next(i for i, width in enumerate(widths, 1) if width != len(header))
         raise ValueError(f"{path} row {row} has {widths[row - 1]} cells, not {len(header)}")
-    sizes = np.array([key[0] for key in keys], dtype=np.int64)
+    sizes = keys[:, 0]
     if len(widths) != sizes.sum():
         raise ValueError(f"{path} has {len(widths)} subsystem rows; its manifest expects {sizes.sum()}")
     if not widths:
@@ -159,7 +163,7 @@ def load_samples(run_dir: Path, keys: list[tuple[int, int, int]]) -> dict[int, S
     order = np.lexsort(found.T[::-1])
     found = found[order]
     expected = np.column_stack([
-        np.repeat(np.array(keys, dtype=np.int64), sizes, axis=0),
+        np.repeat(keys, sizes, axis=0),
         np.arange(len(widths)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
     ])
     if not np.array_equal(found, expected):
@@ -215,26 +219,19 @@ def _write_figure(
     write_svg(figure, run_dir / f"{name}.svg")
 
 
-# what analyze requires of a manifest value, by the words a fault uses for it
-_MANIFEST_VALUES = {
-    "1, 2 or 4": lambda value: type(value) is int and value in BLOCK_DETERMINANTS,
-    "a finite number": lambda value: type(value) in (int, float) and math.isfinite(value),
-    "an object": lambda value: type(value) is dict,
-}
-
-
-def _manifest_field(manifest: object, path: str, run_dir: Path, what: str):
-    """The manifest's value at the dotted ``path``, which must be ``what``
-    (a key of ``_MANIFEST_VALUES``; a bool is not a number); a missing key
-    or another value raises a ValueError that names the key."""
+def _manifest_field(manifest: object, path: str, run_dir: Path, number: bool = True):
+    """The manifest's value at the dotted ``path``, which must be a finite
+    number (a bool is not one) unless ``number`` is false; a missing key or
+    another value raises a ValueError that names the key."""
     value = manifest
     for key in path.split("."):
         if not isinstance(value, dict) or key not in value:
             raise ValueError(f"{run_dir}/{MANIFEST_JSON} has no key {path}")
         value = value[key]
-    if not _MANIFEST_VALUES[what](value):
+    # false for NaN, and exact for an integer past the float range
+    if number and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
         shown = {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
-        raise ValueError(f"{run_dir}/{MANIFEST_JSON} key {path} must be {what}, not {shown}")
+        raise ValueError(f"{run_dir}/{MANIFEST_JSON} key {path} must be a finite number, not {shown}")
     return value
 
 
@@ -248,19 +245,19 @@ def analyze(run_dir: str | Path) -> Path:
         manifest = json.loads(manifest_path.read_text())
     except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ValueError(f"{manifest_path} is not valid JSON: {exc}") from None
-    representation = _manifest_field(manifest, "config.representation", run_dir, "1, 2 or 4")
+    try:
+        config = ExperimentConfig.from_dict(_manifest_field(manifest, "config", run_dir, number=False))
+    except ConfigError as exc:
+        path = "config" if exc.field_name == "document" else f"config.{exc.field_name}"
+        raise ValueError(f"{run_dir}/{MANIFEST_JSON} key {path}: {exc.reason}") from None
     levels = SubsystemLevels(*(
-        _manifest_field(manifest, f"reference.{key}", run_dir, "a finite number")
+        _manifest_field(manifest, f"reference.{key}", run_dir)
         for key in ("e_hf_sub", "e_double_sub", "coupling")
     ))
-    # one seed per (N, set, sample, group) work item; a sample holds N rows
-    seeds = _SEED_KEY.findall("\n".join(_manifest_field(manifest, "seeds", run_dir, "an object")))
-    keys = sorted({tuple(map(int, key)) for key in set(seeds)})
-    if keys and max(map(max, keys)) > np.iinfo(np.int64).max:
-        n, s, i = max(keys, key=max)
-        raise ValueError(f"{run_dir}/{MANIFEST_JSON} key seeds names N{n}/set{s}/sample{i}, "
-                         "an index past a 64-bit integer")
-    by_n = load_samples(run_dir, keys)
+    # the rows of every sample the config plans; a sample holds N rows
+    by_n = load_samples(run_dir, np.concatenate([
+        np.insert(plan_keys(config, n), 0, n, axis=1) for n in sorted(config.subsystem_counts)
+    ]))
 
     # Regression points: x = total qubits, y = mean energy per H2 (kcal/mol),
     # weight from the across-sample variance with a shot-noise floor.
@@ -269,18 +266,18 @@ def analyze(run_dir: str | Path) -> Path:
         mean, std = mean_sd(samples.energy_per_h2 * HARTREE_TO_KCAL_PER_MOL)
         shot_variance = float(samples.shot_variance_per_h2.mean())
         shot_floor = math.sqrt(shot_variance) * HARTREE_TO_KCAL_PER_MOL
-        points.append((n * representation, mean, max(std, shot_floor, 1e-12)))
+        points.append((n * config.representation, mean, max(std, shot_floor, 1e-12)))
 
     # One system size leaves the slope, its error and the horizon
     # undetermined: those fields stay empty, the intercept is the mean energy
     # per H2 at that size, and fig1 has no fit line.
     fit = wls_fit(points) if len(points) >= 2 else None
-    hz = horizon(fit.slope, representation) if fit is not None else None
+    hz = horizon(fit.slope, config.representation) if fit is not None else None
     write_csv(
         run_dir / SUMMARY_CSV,
         [
             {
-                "representation": representation,
+                "representation": config.representation,
                 "n_points": len(points),
                 "delta_kcal_per_qubit": repr(fit.slope) if fit is not None else "",
                 "slope_stderr_kcal_per_qubit": repr(fit.slope_stderr) if fit is not None else "",
@@ -296,7 +293,7 @@ def analyze(run_dir: str | Path) -> Path:
         {
             "kind": "sample",
             "n_subsystems": n,
-            "total_qubits": n * representation,
+            "total_qubits": n * config.representation,
             "set_index": set_index,
             "sample_index": sample_index,
             "energy_per_h2_kcal": repr(energy),
@@ -321,7 +318,7 @@ def analyze(run_dir: str | Path) -> Path:
     _write_figure(
         run_dir, "fig1", fig1, "total_qubits",
         Figure("Energy per H2 vs system size", "total qubits", "energy per H2 (kcal/mol)"),
-        Plotted(f"{representation}-qubit samples", "energy_per_h2_kcal", only=("kind", "sample")),
+        Plotted(f"{config.representation}-qubit samples", "energy_per_h2_kcal", only=("kind", "sample")),
         Plotted("WLS", "energy_per_h2_kcal", "line", "#888888", dashed=True, only=("kind", "fit")),
     )
 

@@ -7,11 +7,13 @@ repeated ``k`` times so each physical qubit contributes to each system
 size. The random procedure draws uniformly seeded disjoint blocks instead
 and handles subsystem counts that do not divide the pool.
 
-A plan is two int64 arrays, one row per sample: ``keys``, ``(items, 2)``,
-holds each sample's ``(set_index, sample_index)``, and ``maps``,
-``(items, N * width)``, its physical qubits, block ``b`` in columns
-``b * width`` to ``(b + 1) * width - 1``. ``maps`` is the physical-map
-array ``TrajectoryEngine.sample`` takes.
+A plan is one int64 array, ``maps``, ``(items, N * width)``: each sample's
+physical qubits, block ``b`` in columns ``b * width`` to
+``(b + 1) * width - 1``, the physical-map array ``TrajectoryEngine.sample``
+takes. ``plan_keys`` names the same rows: the ``(set_index, sample_index)``
+of each, set by set, for the plan a config draws at N. It is the one place
+the shape of a plan is decided; the run seeds, labels and writes its rows
+by those keys, and ``analyze`` expects them back.
 
 ``rank_qubits`` orders the device's qubits best first by the composite
 score of ``qubit_scores``: mean readout error plus mean incident two-qubit
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import QUBIT_BUDGET
+from .config import QUBIT_BUDGET, ExperimentConfig
 from .simulator import DeviceModel
 
 # synthetic_calibration's medians, and the standard deviation of each rate's log
@@ -60,16 +62,19 @@ def rank_qubits(device: DeviceModel) -> list[int]:
     return np.argsort(qubit_scores(device), kind="stable").tolist()
 
 
-def _plan(samples: np.ndarray, sets: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """``keys`` and ``maps`` of ``sets`` copies of the rows of ``samples``,
-    set by set; a row's index in ``samples`` is its sample index."""
-    keys = np.indices((sets, len(samples))).reshape(2, -1).T
-    return keys, np.tile(samples, (sets, 1))
+def plan_keys(config: ExperimentConfig, n: int) -> np.ndarray:
+    """The ``(items, 2)`` int64 ``(set_index, sample_index)`` rows of the
+    plan ``config`` draws at ``n`` subsystems, set by set: k sets of
+    ``16 / (n * width)`` samples in selective mode, one set of s samples in
+    random mode."""
+    if config.sampling_mode == "selective":
+        shape = (config.k_sets, QUBIT_BUDGET // (n * config.representation))
+    else:
+        shape = (1, config.s_repetitions)
+    return np.indices(shape, dtype=np.int64).reshape(2, -1).T
 
 
-def selective_plan(
-    pool: Sequence[int], n_subsystems: int, width: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+def selective_plan(pool: Sequence[int], n_subsystems: int, width: int, k: int) -> np.ndarray:
     """Partition the 16 best pool qubits into disjoint samples, k sets.
 
     Each set covers every one of the top 16 qubits exactly once with
@@ -89,12 +94,10 @@ def selective_plan(
             f"{n_subsystems} subsystems x {width} qubits does not divide the "
             f"{QUBIT_BUDGET}-qubit pool; use the random procedure"
         )
-    return _plan(np.reshape(pool[:QUBIT_BUDGET], (-1, block_qubits)), k)
+    return np.tile(np.reshape(pool[:QUBIT_BUDGET], (-1, block_qubits)), (k, 1))
 
 
-def random_plan(
-    pool: Sequence[int], n_subsystems: int, width: int, s: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def random_plan(pool: Sequence[int], n_subsystems: int, width: int, s: int, seed: int) -> np.ndarray:
     """s seeded uniform draws of N disjoint width-blocks from the pool."""
     if s < 1:
         raise ValueError("need at least one repetition")
@@ -106,7 +109,7 @@ def random_plan(
     # one choice per sample, in sample order: the plan stream fixes the bytes
     rng = np.random.default_rng(seed)
     draws = np.stack([rng.choice(len(pool), size=block_qubits, replace=False) for _ in range(s)])
-    return _plan(np.asarray(pool)[draws])
+    return np.asarray(pool)[draws]
 
 
 def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:

@@ -34,6 +34,9 @@ library it checks:
 * the random-plan reference maps each drawn index through the pool one at
   a time and slices each block, where the library maps all of a plan's
   draws with one index and reshapes them,
+* the plan reference numbers each sample's ``(set, sample)`` key from the
+  sample rows it tiles, where the library's ``plan_keys`` computes the keys
+  from a config alone,
 * the samples reader splits ``samples.csv`` into rows with the csv module,
   transposes them and converts each column of cell strings with
   ``np.array``, where the library parses the columns it reads with numpy's
@@ -647,6 +650,15 @@ def reference_scores(qubits: list, pairs: dict) -> list[float]:
 # ---------------------------------------------------------------------------
 # Sampling and measurement plans, built one sample, block and qubit at a time.
 # ---------------------------------------------------------------------------
+
+
+def reference_plan(samples: np.ndarray, sets: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` and ``maps`` of ``sets`` copies of the rows of ``samples``,
+    set by set; a row's index in ``samples`` is its sample index. The plans
+    once returned both from this one function, where the library now
+    returns only ``maps`` and derives ``keys`` from a config alone."""
+    keys = np.indices((sets, len(samples))).reshape(2, -1).T
+    return keys, np.tile(samples, (sets, 1))
 
 
 def reference_random_plan(pool, n_subsystems: int, width: int, s: int, seed: int) -> list[tuple]:

@@ -3,7 +3,7 @@ import hashlib
 import io
 import json
 import os
-import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +25,7 @@ from sizecon.experiment import (
     write_lines,
 )
 from sizecon.report import analyze, load_samples, reference_table
-from sizecon.sampling import synthetic_calibration
+from sizecon.sampling import plan_keys, synthetic_calibration
 from sizecon.simulator import DeviceModel, TrajectoryEngine
 
 from oracles import reference_csv_text, reference_load_samples
@@ -63,10 +63,13 @@ def insert_line(text, row, line):
 
 
 def sample_keys(run_dir):
-    """The sorted (N, set, sample) keys of the run's manifest seeds, each
-    seed key read as ``N<n>/set<s>/sample<i>/group<g>``."""
-    seeds = json.loads((run_dir / "manifest.json").read_text())["seeds"]
-    return sorted({tuple(map(int, re.findall(r"\d+", key)[:3])) for key in seeds})
+    """The sorted (N, set, sample) keys, an ``(items, 3)`` int64 array, of
+    the samples the run's manifest config plans, as ``plan_keys`` names
+    them at each N."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    config = ExperimentConfig.from_dict(manifest["config"])
+    keys = [(n, s, i) for n in sorted(config.subsystem_counts) for s, i in plan_keys(config, n).tolist()]
+    return np.array(keys, dtype=np.int64)
 
 
 def read_verdict(reader, run_dir):
@@ -999,12 +1002,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "text, message",
         [
-            (b"qubits: 16\n", "{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
-            (b"\xff{}", "{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
-                        "in position 0: invalid start byte"),
-            (None, "no such file: {path}"),
+            (b"qubits: 16\n",
+             "config: file: {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (b"\xff{}", "config: file: {path} is not valid UTF-8: 'utf-8' codec can't decode "
+                        "byte 0xff in position 0: invalid start byte"),
+            (None, "config: file: no such file: {path}"),
+            (b'{"qubits": [], "two_qubit_error": []}', "value: {path} holds no qubits to rank"),
         ],
-        ids=["not-json", "not-utf8", "missing"],
+        ids=["not-json", "not-utf8", "missing", "no-qubits"],
     )
     def test_calibration_rank_file_error_is_one_line(self, tmp_path, text, message):
         cal = tmp_path / "cal.json"
@@ -1012,7 +1017,7 @@ class TestCli:
             cal.write_bytes(text)
         result = run_cli("calibration", "rank", str(cal))
         assert result.returncode == 1
-        assert result.stderr.splitlines() == [f"error: config: file: {message.format(path=cal)}"]
+        assert result.stderr.splitlines() == [f"error: {message.format(path=cal)}"]
         assert result.stdout == ""
 
     @pytest.mark.parametrize(
@@ -1081,32 +1086,29 @@ class TestCli:
     @pytest.mark.parametrize(
         "name, damage, message",
         [
-            ("manifest.json", lambda text: "{}", "manifest.json has no key config.representation"),
-            ("manifest.json",
-             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "seeds"}),
-             "manifest.json has no key seeds"),
-            ("manifest.json", lambda text: set_key(text, "seeds", [1, 2]),
-             "manifest.json key seeds must be an object, not an array"),
-            ("manifest.json", lambda text: set_key(text, "seeds", 5),
-             "manifest.json key seeds must be an object, not 5"),
+            ("manifest.json", lambda text: "{}", "manifest.json has no key config"),
+            # the config is read as a config file is, and a fault names its key
             ("manifest.json", lambda text: set_key(text, "config.representation", None),
-             "manifest.json key config.representation must be 1, 2 or 4, not null"),
+             "manifest.json key config.representation: must be an integer, got None"),
             ("manifest.json", lambda text: set_key(text, "config.representation", 3),
-             "manifest.json key config.representation must be 1, 2 or 4, not 3"),
+             "manifest.json key config.representation: must be 1, 2 or 4, got 3"),
             ("manifest.json", lambda text: set_key(text, "config.representation", True),
-             "manifest.json key config.representation must be 1, 2 or 4, not true"),
+             "manifest.json key config.representation: must be an integer, got True"),
+            ("manifest.json", lambda text: set_key(text, "config.sampling.k", 0),
+             "manifest.json key config.sampling.k: must be >= 1, got 0"),
+            ("manifest.json", lambda text: set_key(text, "config", [1]),
+             "manifest.json key config: top level must be an object"),
             ("manifest.json", lambda text: set_key(text, "reference.coupling", None),
              "manifest.json key reference.coupling must be a finite number, not null"),
             ("manifest.json", lambda text: set_key(text, "reference.e_hf_sub", float("nan")),
              "manifest.json key reference.e_hf_sub must be a finite number, not NaN"),
             ("manifest.json", lambda text: set_key(text, "reference.e_double_sub", False),
              "manifest.json key reference.e_double_sub must be a finite number, not false"),
+            # an integer past the float range is not finite
+            ("manifest.json", lambda text: set_key(text, "reference.e_hf_sub", 10**400),
+             f"manifest.json key reference.e_hf_sub must be a finite number, not {10**400}"),
             ("manifest.json", lambda text: "",
              "manifest.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
-            ("manifest.json",
-             lambda text: set_key(text, "seeds.N99999999999999999999999/set0/sample0/group0", 1),
-             "manifest.json key seeds names N99999999999999999999999/set0/sample0, "
-             "an index past a 64-bit integer"),
             ("samples.csv", lambda text: text.replace(",p_double,", ",p_doubel,", 1),
              "samples.csv has no column p_double"),
             # N=2, selective k=1: samples 0..7 of set 0, subsystems 0 and 1
@@ -1147,10 +1149,11 @@ class TestCli:
              "samples.csv is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
              "in position 1701: invalid start byte"),
         ],
-        ids=["empty-manifest", "manifest-without-seeds", "seeds-array", "seeds-number",
+        ids=["empty-manifest",
              "null-representation", "representation-3", "bool-representation",
-             "null-coupling", "nan-reference", "bool-reference", "manifest-not-json",
-             "seed-key-past-int64",
+             "config-k-0", "config-array",
+             "null-coupling", "nan-reference", "bool-reference", "reference-past-float",
+             "manifest-not-json",
              "renamed-column", "moved-row",
              "repeated-subsystem", "unlisted-sample", "not-a-number", "not-an-integer",
              "too-large-an-integer", "short-row", "trailing-blank-line", "blank-line",
@@ -1161,6 +1164,35 @@ class TestCli:
         (out / name).write_text(damage((out / name).read_text()), errors="surrogateescape")
         assert cli_main(["analyze", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: value: {out}/{message}"]
+
+    def test_truncated_run_is_categorized(self, tmp_path, capsys):
+        # the last sample's rows and its seeds both gone: the rows still
+        # fall short of what the manifest's config plans
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
+        text = (out / "samples.csv").read_text()
+        (out / "samples.csv").write_text("".join(text.splitlines(keepends=True)[:-2]))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["seeds"] = {k: v for k, v in manifest["seeds"].items() if "/sample7/" not in k}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert cli_main(["analyze", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: value: {out}/samples.csv has 14 subsystem rows; its manifest expects 16"
+        ]
+
+    def test_reports_do_not_read_seeds(self, tmp_path):
+        # a run and its copy without the manifest's seeds give the same bytes
+        out = run_experiment(tiny_config(tmp_path, shots=200))
+        bare = shutil.copytree(out, tmp_path / "bare")
+        manifest = json.loads((bare / "manifest.json").read_text())
+        del manifest["seeds"]
+        (bare / "manifest.json").write_text(json.dumps(manifest))
+        analyze(out)
+        analyze(bare)
+        names = sorted(p.name for p in out.iterdir())
+        assert "summary.csv" in names and "fig1.svg" in names
+        for name in names:
+            if name != "manifest.json":
+                assert (bare / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_stale_samples_are_categorized(self, tmp_path, capsys):
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))

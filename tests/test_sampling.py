@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sizecon.config import QUBIT_BUDGET
+from sizecon.config import QUBIT_BUDGET, ExperimentConfig
 from sizecon.sampling import (
+    plan_keys,
     qubit_scores,
     random_plan,
     rank_qubits,
@@ -11,7 +12,7 @@ from sizecon.sampling import (
 )
 
 from devices import make_device
-from oracles import reference_random_plan
+from oracles import reference_plan, reference_random_plan
 
 
 def scanned_score(device, qubit):
@@ -80,26 +81,71 @@ def flattened(entries):
     return keys, maps
 
 
+def plan_config(width, n, mode="selective", count=1):
+    """A config planning ``count`` sets (selective) or samples (random) of
+    ``width``-qubit subsystems at N = ``n``."""
+    counts = {"k_sets": count} if mode == "selective" else {"s_repetitions": count}
+    return ExperimentConfig(
+        representation=width, subsystem_counts=(n,), output_dir="run", sampling_mode=mode, **counts
+    )
+
+
+class TestPlanKeys:
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "mode, count",
+        [("selective", 1), ("selective", 3), ("random", 1), ("random", 17), ("random", 300)],
+    )
+    def test_equals_reference_plan_keys(self, mode, count, width):
+        # the keys the plans once returned next to their maps, for every N
+        # a config takes at this width; the maps must still equal the
+        # reference's and hold one row per key
+        pool = np.random.default_rng(width).permutation(156).tolist()
+        for n in range(1, QUBIT_BUDGET // width + 1):
+            if mode == "selective" and QUBIT_BUDGET % (n * width):
+                continue
+            keys = plan_keys(plan_config(width, n, mode, count), n)
+            if mode == "selective":
+                maps = selective_plan(pool, n, width, k=count)
+                expected = reference_plan(np.reshape(pool[:QUBIT_BUDGET], (-1, n * width)), count)
+            else:
+                maps = random_plan(pool[:QUBIT_BUDGET], n, width, s=count, seed=n)
+                reference = reference_random_plan(pool[:QUBIT_BUDGET], n, width, count, n)
+                expected = reference_plan(np.array(flattened(reference)[1]))
+            assert keys.dtype == np.int64 and keys.shape == (len(maps), 2), (n, keys.shape)
+            assert keys.tolist() == expected[0].tolist(), n
+            assert maps.tolist() == expected[1].tolist(), n
+
+    def test_selective_sets_of_16_over_n_w_samples(self):
+        keys = plan_keys(plan_config(2, 2, "selective", 3), 2)
+        assert keys.tolist() == [[s, i] for s in range(3) for i in range(4)]
+
+    def test_random_one_set_of_s_samples(self):
+        keys = plan_keys(plan_config(1, 5, "random", 4), 5)
+        assert keys.tolist() == [[0, 0], [0, 1], [0, 2], [0, 3]]
+
+
 class TestSelectivePlan:
     def test_width1_n16_uses_all_qubits(self):
-        keys, maps = selective_plan(list(range(20)), 16, 1, k=3)
-        assert keys.tolist() == [[0, 0], [1, 0], [2, 0]]
+        maps = selective_plan(list(range(20)), 16, 1, k=3)
+        assert maps.shape == (3, 16)
         for row in maps.tolist():
             assert sorted(row) == list(range(16))
 
     def test_width1_n2_paper_counts(self):
-        keys, maps = selective_plan(list(range(16)), 2, 1, k=3)
-        assert keys.shape == (24, 2) and maps.shape == (24, 2)
-        assert np.bincount(keys[:, 0]).tolist() == [8, 8, 8]
+        maps = selective_plan(list(range(16)), 2, 1, k=3)
+        assert maps.shape == (24, 2)
+        # each set is the same 8 samples over the whole pool
+        assert (maps.reshape(3, 8, 2) == maps[:8]).all()
 
     def test_width2_n8_single_sample(self):
-        keys, maps = selective_plan(list(range(16)), 8, 2, k=5)
-        assert keys.tolist() == [[set_index, 0] for set_index in range(5)]
-        assert maps.shape == (5, 16)
+        maps = selective_plan(list(range(16)), 8, 2, k=5)
+        assert maps.tolist() == [list(range(16))] * 5
 
     def test_sets_partition_pool_exactly(self):
         pool = list(range(31, -1, -1))  # descending ranked pool
-        keys, maps = selective_plan(pool, 4, 1, k=2)
+        keys = plan_keys(plan_config(1, 4, "selective", 2), 4)
+        maps = selective_plan(pool, 4, 1, k=2)
         top16 = set(pool[:16])
         for set_index in range(2):
             covered = maps[keys[:, 0] == set_index].ravel().tolist()
@@ -108,9 +154,8 @@ class TestSelectivePlan:
 
     def test_sample_count_matches_16_over_n(self):
         for n in (2, 4, 8, 16):
-            keys, maps = selective_plan(list(range(16)), n, 1, k=1)
-            assert keys.tolist() == [[0, i] for i in range(16 // n)]
-            assert maps.shape == (16 // n, n)
+            maps = selective_plan(list(range(16)), n, 1, k=1)
+            assert maps.tolist() == np.arange(16).reshape(16 // n, n).tolist()
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -122,44 +167,49 @@ class TestSelectivePlan:
         with pytest.raises(ValueError, match="smaller than"):
             selective_plan(list(range(8)), 2, 1, k=1)
 
+    def test_no_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one set"):
+            selective_plan(list(range(16)), 2, 1, k=0)
+
     def test_blocks_follow_pool_order(self):
         pool = list(range(40, 0, -1))
-        keys, maps = selective_plan(pool, 2, 2, k=2)
+        keys = plan_keys(plan_config(2, 2, "selective", 2), 2)
+        maps = selective_plan(pool, 2, 2, k=2)
         entries = [
             (set_index, i, ((pool[4 * i], pool[4 * i + 1]), (pool[4 * i + 2], pool[4 * i + 3])))
             for set_index in range(2)
             for i in range(4)
         ]
-        assert keys.dtype == maps.dtype == np.int64
+        assert maps.dtype == np.int64
         assert (keys.tolist(), maps.tolist()) == flattened(entries)
 
 
 class TestRandomPlan:
     def test_fifty_single_qubit_draws(self):
-        keys, maps = random_plan(list(range(16)), 1, 1, s=50, seed=7)
-        assert keys.tolist() == [[0, i] for i in range(50)]
+        maps = random_plan(list(range(16)), 1, 1, s=50, seed=7)
         assert maps.shape == (50, 1)
+        assert set(maps.ravel().tolist()) <= set(range(16))
 
     def test_blocks_disjoint(self):
-        _, maps = random_plan(list(range(16)), 4, 2, s=20, seed=8)
+        maps = random_plan(list(range(16)), 4, 2, s=20, seed=8)
         assert maps.shape == (20, 8)
         for row in maps.tolist():
             assert len(set(row)) == 8
 
     def test_exact_pool_is_permutation(self):
-        _, maps = random_plan(list(range(8)), 4, 2, s=10, seed=9)
+        maps = random_plan(list(range(8)), 4, 2, s=10, seed=9)
         for row in maps.tolist():
             assert sorted(row) == list(range(8))
 
     def test_deterministic_given_seed(self):
         a = random_plan(list(range(16)), 2, 1, s=5, seed=10)
         b = random_plan(list(range(16)), 2, 1, s=5, seed=10)
-        assert [x.tolist() for x in a] == [x.tolist() for x in b]
+        assert a.tolist() == b.tolist()
 
     def test_uniform_selection_frequency(self):
         pool = list(range(10))
         draws = 10_000
-        _, maps = random_plan(pool, 2, 1, s=draws, seed=11)
+        maps = random_plan(pool, 2, 1, s=draws, seed=11)
         counts = np.bincount(maps.ravel(), minlength=10)
         expected = draws * 2 / 10
         sigma = np.sqrt(draws * (2 / 10) * (1 - 2 / 10))
@@ -168,6 +218,10 @@ class TestRandomPlan:
     def test_pool_too_small(self):
         with pytest.raises(ValueError, match="cannot host"):
             random_plan(list(range(3)), 2, 2, s=1, seed=0)
+
+    def test_no_repetition_rejected(self):
+        with pytest.raises(ValueError, match="at least one repetition"):
+            random_plan(list(range(16)), 2, 1, s=0, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
     @pytest.mark.parametrize(
@@ -181,10 +235,12 @@ class TestRandomPlan:
         # sample; the pools are permuted so a pool lookup cannot be skipped,
         # and some are filled exactly (N * width == len(pool))
         pool = np.random.default_rng(pool_size).permutation(200)[:pool_size].tolist()
-        keys, maps = random_plan(pool, n, width, s=s, seed=seed)
-        assert keys.dtype == maps.dtype == np.int64
-        assert (keys.tolist(), maps.tolist()) == \
-            flattened(reference_random_plan(pool, n, width, s, seed))
+        maps = random_plan(pool, n, width, s=s, seed=seed)
+        keys, expected = flattened(reference_random_plan(pool, n, width, s, seed))
+        assert maps.dtype == np.int64
+        assert maps.tolist() == expected
+        # one set of s samples, as plan_keys numbers them
+        assert keys == [[0, i] for i in range(s)]
 
 
 class TestSyntheticCalibration:
