@@ -19,8 +19,9 @@ import sys
 from pathlib import Path
 
 from .config import DEFAULT_BOND_LENGTH, MAX_QUBITS, ConfigError, ExperimentConfig
-from .experiment import csv_text, read_calibration, run_experiment
+from .experiment import read_calibration, run_experiment
 from .report import REFERENCE_N_MAX, analyze, reference_table
+from .rundir import csv_text
 from .sampling import qubit_scores, rank_qubits, synthetic_calibration
 
 

@@ -4,13 +4,13 @@
 configured bond length, ground-state circuit synthesis, qubit ranking and
 sampling-plan generation, noisy shot simulation of every (N, set, sample,
 group) work item, and tomography post-processing into per-subsystem
-energies and populations. Raw results land in ``samples.csv`` /
-``populations.csv`` next to a manifest recording the calibration hash and
-every derived seed; identical configs reproduce the files byte for byte.
+energies and populations. ``rundir.write_run`` writes the two run tables,
+the calibration and a manifest recording the hashes and every derived seed;
+identical configs reproduce the files byte for byte.
 
 The config it takes is parsed and checked in :mod:`sizecon.config`;
-:mod:`sizecon.report` turns a finished run directory into the summary and
-figures.
+:mod:`sizecon.rundir` owns the format of the run directory, and
+:mod:`sizecon.report` turns a finished one into the summary and figures.
 
 Both plans are plain data. The measurement plan covers one block and is
 built once per run. Each N's sampling plan is one int64 array, ``maps``,
@@ -27,32 +27,24 @@ execution order never matters; ``derive_seed`` mixes every key of one
 (N, group) at once. One ``TrajectoryEngine.sample`` call takes
 every item of one (N, group) and returns their shots per block code as one
 ``(items, N, 2**width)`` int64 array, the package's one counts format. Each
-tomography reader then runs once per N on those stacks. Of each N's seven
-value columns, ``format_floats`` calls ``repr`` once per distinct value, and
-the rows go out as joined lines in (N, set, sample, subsystem) order:
-the six key cells as one prefix per row, then the values.
-``populations.csv`` is a column subset of the same rows. No cell the
-package writes needs CSV quoting, so every table is ``str`` cells joined
-by commas: ``write_lines`` takes the run tables' rows already joined, and
-``csv_text`` joins the report's rows.
+tomography reader then runs once per N on those stacks, into the seven
+value columns of that N's rows, which ``write_run`` formats.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import __version__
 from .analysis import SubsystemLevels
 from .config import ConfigError, ExperimentConfig, QUBIT_BUDGET
 from .hamiltonians import h1q_parameters, jordan_wigner, taper, to_fermion
 from .molecule import build_integrals, solve_rhf
 from .pauli import PauliSum
+from .rundir import write_run
 from .sampling import plan_keys, random_plan, rank_qubits, selective_plan, synthetic_calibration
 from .simulator import DeviceModel, TrajectoryEngine
 from .stateprep import compose, fci_ground, synthesize
@@ -63,20 +55,6 @@ from .tomography import (
     shot_noise_stderr,
 )
 from .units import HARTREE_TO_KCAL_PER_MOL
-
-SAMPLES_CSV = "samples.csv"
-POPULATIONS_CSV = "populations.csv"
-MANIFEST_JSON = "manifest.json"
-CALIBRATION_JSON = "calibration.json"
-SUMMARY_CSV = "summary.csv"
-SAMPLES_HEADER = (
-    "run_id", "representation", "n_subsystems", "set_index", "sample_index", "subsystem",
-    "energy_hartree", "energy_kcal_mol", "energy_shot_stderr_hartree",
-    "p_hf", "p_single", "p_double", "p_number_violating",
-)
-# the populations view is every samples.csv column but the energies
-POPULATIONS_HEADER = tuple(name for name in SAMPLES_HEADER if not name.startswith("energy_"))
-
 
 @dataclass(frozen=True)
 class HamiltonianBundle:
@@ -215,8 +193,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     mplan = build_plan(h_sub)
     width = config.representation
 
-    samples: list[str] = []
-    populations: list[str] = []
+    tables = []
     seeds: dict[str, int] = {}
     for n in config.subsystem_counts:
         maps = sampling_plan(config, pool, n)
@@ -233,7 +210,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
         # every reader takes the (items, N, 2**width) stacks at once
         energies = estimate_energies(mplan, by_group)
         pops = extract_populations(by_group[mplan.z_group_index])
-        columns = (
+        tables.append((n, items, (
             energies,
             energies * HARTREE_TO_KCAL_PER_MOL,
             shot_noise_stderr(mplan, by_group),
@@ -241,67 +218,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
             pops.single_excitation,
             pops.double_excitation,
             pops.number_violating,
-        )
-        texts = [format_floats(column) for column in columns]
-        head = f"{config.run_id},{config.representation},{n},"
-        prefixes = [f"{head}{s},{i},{sub}" for s, i in items for sub in range(n)]
-        samples += map(",".join, zip(prefixes, *texts))
-        populations += map(",".join, zip(prefixes, *texts[3:]))
+        )))
 
     # made only now, so a config that fails on the way leaves no run dir
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_lines(out / SAMPLES_CSV, SAMPLES_HEADER, samples)
-    write_lines(out / POPULATIONS_CSV, POPULATIONS_HEADER, populations)
-    (out / CALIBRATION_JSON).write_text(calibration_json)
-    manifest = {
-        "run_id": config.run_id,
-        "package": f"sizecon {__version__}",
-        "config": config.to_dict(),
-        "calibration_sha256": hashlib.sha256(calibration_json.encode()).hexdigest(),
-        "reference": {
-            "e_hf_sub": bundle.levels.e_hf,
-            "e_double_sub": bundle.levels.e_double,
-            "coupling": bundle.levels.coupling,
-            "e_fci_sub": bundle.levels.fci_energy,
-            "fci_double_population": bundle.levels.fci_double_population,
-        },
-        "seeds": seeds,
-    }
-    (out / MANIFEST_JSON).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def csv_text(rows: list[dict]) -> str:
-    """A header line of the first row's keys, then each row's ``str`` cells,
-    all joined by commas, with LF line ends. Every cell the package writes
-    is an int, a float ``repr``, a bool, ``""`` or a fixed label, and none
-    needs CSV quoting."""
-    lines = [",".join(map(str, row.values())) for row in rows]
-    return "\n".join([",".join(rows[0]), *lines, ""])
-
-
-def write_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        raise ValueError(f"refusing to write empty {path.name}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(csv_text(rows))
-
-
-def write_lines(path: Path, header: Sequence[str], lines: list[str]) -> None:
-    """``write_csv`` of rows already joined into lines: the run tables."""
-    if not lines:
-        raise ValueError(f"refusing to write empty {path.name}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([",".join(header), *lines, ""]))
-
-
-def format_floats(values: np.ndarray) -> list[str]:
-    """``list(map(repr, values.ravel().tolist()))`` of a float64 array, with
-    ``repr`` called once per distinct bit pattern: the run's value columns
-    repeat most of their values. Bit patterns, not float equality, keep
-    -0.0, 0.0 and each NaN apart."""
-    bits = np.asarray(values, dtype=np.float64).ravel().view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    return write_run(config, tables, calibration_json, bundle.levels, seeds)

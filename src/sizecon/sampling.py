@@ -11,9 +11,10 @@ A plan is one int64 array, ``maps``, ``(items, N * width)``: each sample's
 physical qubits, block ``b`` in columns ``b * width`` to
 ``(b + 1) * width - 1``, the physical-map array ``TrajectoryEngine.sample``
 takes. ``plan_keys`` names the same rows: the ``(set_index, sample_index)``
-of each, set by set, for the plan a config draws at N. It is the one place
-the shape of a plan is decided; the run seeds, labels and writes its rows
-by those keys, and ``analyze`` expects them back.
+of each, set by set, for the plan a config draws at N. ``plan_shape`` is
+the one place the shape of a plan is decided; the run seeds, labels and
+writes its rows by those keys, and ``analyze`` counts the rows it expects
+from that shape before it builds them.
 
 ``rank_qubits`` orders the device's qubits best first by the composite
 score of ``qubit_scores``: mean readout error plus mean incident two-qubit
@@ -62,16 +63,20 @@ def rank_qubits(device: DeviceModel) -> list[int]:
     return np.argsort(qubit_scores(device), kind="stable").tolist()
 
 
+def plan_shape(config: ExperimentConfig, n: int) -> tuple[int, int]:
+    """The (sets, samples per set) of the plan ``config`` draws at ``n``
+    subsystems: k sets of ``16 / (n * width)`` samples in selective mode,
+    one set of s samples in random mode."""
+    if config.sampling_mode == "selective":
+        return config.k_sets, QUBIT_BUDGET // (n * config.representation)
+    return 1, config.s_repetitions
+
+
 def plan_keys(config: ExperimentConfig, n: int) -> np.ndarray:
     """The ``(items, 2)`` int64 ``(set_index, sample_index)`` rows of the
-    plan ``config`` draws at ``n`` subsystems, set by set: k sets of
-    ``16 / (n * width)`` samples in selective mode, one set of s samples in
-    random mode."""
-    if config.sampling_mode == "selective":
-        shape = (config.k_sets, QUBIT_BUDGET // (n * config.representation))
-    else:
-        shape = (1, config.s_repetitions)
-    return np.indices(shape, dtype=np.int64).reshape(2, -1).T
+    plan ``config`` draws at ``n`` subsystems, set by set, in the
+    ``plan_shape``."""
+    return np.indices(plan_shape(config, n), dtype=np.int64).reshape(2, -1).T
 
 
 def selective_plan(pool: Sequence[int], n_subsystems: int, width: int, k: int) -> np.ndarray:

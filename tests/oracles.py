@@ -58,9 +58,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sizecon.experiment import SAMPLES_CSV
 from sizecon.molecule import STO3G_H, boys_f0
-from sizecon.report import SizeSamples
+from sizecon.rundir import SAMPLES_CSV, SizeSamples
 from sizecon.stateprep import Circuit, Gate
 from sizecon.units import BOHR_PER_ANGSTROM
 
@@ -741,10 +740,10 @@ def _numbers(path: Path, name: str, cells: tuple[str, ...], kind: type) -> np.nd
 def reference_load_samples(
     run_dir: Path, keys: list[tuple[int, int, int]]
 ) -> dict[int, SizeSamples]:
-    """``report.load_samples`` as it read ``samples.csv`` through
+    """``load_samples`` as it once read ``samples.csv`` through
     ``csv.reader``, ``zip(*rows)`` and one ``np.array`` per column of cell
-    strings; it counted the rows before their cells, so a blank line is one
-    row too many here where the library names it as a row of 0 cells."""
+    strings: the reference for the files ``run`` writes, which the library
+    reads with its digest and whole-file checks."""
     path = run_dir / SAMPLES_CSV
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -6,25 +6,25 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sizecon import cli, experiment
+from sizecon import cli, experiment, rundir
 from sizecon.cli import main as cli_main
 from sizecon.config import MAX_QUBITS, ConfigError, ExperimentConfig
-from sizecon.experiment import (
+from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
+from sizecon.report import analyze, reference_table
+from sizecon.rundir import (
     POPULATIONS_HEADER,
     SAMPLES_HEADER,
-    build_hamiltonians,
-    derive_seed,
     format_floats,
-    run_experiment,
+    load_samples,
     write_csv,
     write_lines,
 )
-from sizecon.report import analyze, load_samples, reference_table
 from sizecon.sampling import plan_keys, synthetic_calibration
 from sizecon.simulator import DeviceModel, TrajectoryEngine
 
@@ -32,6 +32,11 @@ from oracles import reference_csv_text, reference_load_samples
 from test_sampling import scanned_score
 
 ROOT = Path(__file__).resolve().parent.parent
+# what analyze says of a samples.csv that is not the file its run wrote
+DIGEST = "samples.csv does not match the samples_sha256 of its manifest"
+# and of one whose manifest digest was rewritten to match
+NOT_RUN_TEXT = ("samples.csv is not a table run writes: printable ASCII without '\"', "
+                "in nonblank lines that each end in LF")
 
 
 def run_cli(*args):
@@ -72,13 +77,22 @@ def sample_keys(run_dir):
     return np.array(keys, dtype=np.int64)
 
 
-def read_verdict(reader, run_dir):
-    """``reader``'s samples of ``run_dir``, or the message of the ValueError
-    it raises."""
-    try:
-        return reader(run_dir, sample_keys(run_dir))
-    except ValueError as exc:
-        return str(exc)
+def load(run_dir):
+    """``load_samples`` of ``run_dir`` as ``analyze`` calls it, with the
+    config and the samples digest of its manifest."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    return load_samples(run_dir, ExperimentConfig.from_dict(manifest["config"]), manifest["samples_sha256"])
+
+
+def forge(run_dir, text):
+    """Write ``text`` as the run's ``samples.csv``, with the manifest's
+    ``samples_sha256`` rewritten to match it."""
+    data = text.encode(errors="surrogateescape")
+    (run_dir / "samples.csv").write_bytes(data)
+    manifest = (run_dir / "manifest.json").read_text()
+    (run_dir / "manifest.json").write_text(
+        set_key(manifest, "samples_sha256", hashlib.sha256(data).hexdigest())
+    )
 
 
 def assert_same_samples(got, expected):
@@ -272,6 +286,8 @@ class TestRunExperiment:
         assert len(manifest["seeds"]) == (8 + 4) * 2  # entries x groups
         digest = hashlib.sha256((out / "calibration.json").read_bytes()).hexdigest()
         assert manifest["calibration_sha256"] == digest
+        digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+        assert manifest["samples_sha256"] == digest
 
     def test_zero_noise_energies_near_fci(self, tmp_path):
         cal = tmp_path / "noiseless.json"
@@ -445,7 +461,7 @@ class TestRunTables:
         # curves and a calibration ranking) must be what csv.writer makes of
         # the same rows: ints, float reprs, bools, "" and fixed labels
         tables = []
-        real = experiment.csv_text
+        real = rundir.csv_text
 
         def recorded(rows):
             text = real(rows)
@@ -453,7 +469,7 @@ class TestRunTables:
             tables.append(text)
             return text
 
-        monkeypatch.setattr(experiment, "csv_text", recorded)
+        monkeypatch.setattr(rundir, "csv_text", recorded)
         monkeypatch.setattr(cli, "csv_text", recorded)
         names = ("summary", "fig1", "fig2a", "fig2b", "fig3")
         # two sizes fill every summary column; one leaves its fit cells ""
@@ -539,8 +555,7 @@ class TestAnalyze:
         out = run_experiment(tiny_config(tmp_path, shots=500))
         lines = (out / "samples.csv").read_text().splitlines(keepends=True)
         (out / "samples.csv").write_text("".join(lines[:-1]))
-        # selective k=1: N=2 -> 8 samples x 2 subsystems, N=4 -> 4 x 4
-        with pytest.raises(ValueError, match="has 31 subsystem rows; its manifest expects 32"):
+        with pytest.raises(ValueError, match=DIGEST):
             analyze(out)
         assert not (out / "summary.csv").exists()
 
@@ -613,22 +628,19 @@ class TestAnalyze:
         }
         assert digests == expected
 
-    def test_row_order_does_not_matter(self, tmp_path):
-        # at N=16 a sample's mean over its rows in file order moves in the
-        # last bits when those rows are shuffled
+    def test_shuffled_samples_are_refused(self, tmp_path):
+        # the rows are read in the order run writes them, which the digest
+        # fixes
         config = tiny_config(tmp_path, subsystem_counts=(2, 8, 16), sampling_mode="random",
                              s_repetitions=4, shots=300)
-        out = analyze(run_experiment(config))
-        names = ["summary.csv"] + [f"fig{f}.{ext}" for f in ("1", "2a", "2b", "3")
-                                   for ext in ("csv", "svg")]
-        before = {name: (out / name).read_bytes() for name in names}
+        out = run_experiment(config)
         header, *rows = (out / "samples.csv").read_text().splitlines(keepends=True)
         np.random.default_rng(0).shuffle(rows)
         (out / "samples.csv").write_text(header + "".join(rows))
-        for name in names:
-            (out / name).unlink()
-        analyze(out)
-        assert {name: (out / name).read_bytes() for name in names} == before
+        with pytest.raises(ValueError) as err:
+            analyze(out)
+        assert str(err.value) == f"{out}/{DIGEST}"
+        assert not (out / "summary.csv").exists()
 
     @pytest.mark.parametrize(
         "overrides, shuffle",
@@ -650,49 +662,46 @@ class TestAnalyze:
     )
     def test_load_samples_equals_reference(self, tmp_path, overrides, shuffle):
         out = run_experiment(tiny_config(tmp_path, shots=200, **overrides))
-        if shuffle:
+        if shuffle:  # a shuffled file is refused
             header, *rows = (out / "samples.csv").read_text().splitlines(keepends=True)
             np.random.default_rng(1).shuffle(rows)
             (out / "samples.csv").write_text(header + "".join(rows))
-        expected = reference_load_samples(out, sample_keys(out))
-        assert_same_samples(load_samples(out, sample_keys(out)), expected)
+            with pytest.raises(ValueError) as err:
+                load(out)
+            assert str(err.value) == f"{out}/{DIGEST}"
+        else:
+            assert_same_samples(load(out), reference_load_samples(out, sample_keys(out)))
 
-    # N=2, selective k=1: 16 rows, every set_index 0. Each verdict is the
-    # one the csv-module reader gives; None means the file is accepted.
+    # N=2, selective k=1: 16 rows, every set_index 0. The csv-module reader
+    # accepted twelve of these edits and named the cell of the others; the
+    # digest now refuses every edit as a whole.
     @pytest.mark.parametrize(
-        "row, column, cell, verdict",
+        "row, column, cell",
         [
-            (1, "energy_hartree", " -1.1 ", None),
-            (2, "set_index", " 0 ", None),
-            (3, "p_single", '"0.5"', None),
-            (4, "set_index", '"0"', None),
-            (5, "p_double", "0_0", None),
-            (6, "set_index", "0_0", None),
-            (7, "set_index", "+0", None),
-            (8, "p_single", "+0", None),
-            (9, "set_index", '"0\n"', None),
-            (None, None, None, None),  # CRLF line ends
-            # a name the header repeats is read from its last column
-            (0, "p_hf", "p_double", None),
-            (10, "energy_hartree", "", "row 10, column energy_hartree: '' is not a number"),
-            (11, "sample_index", "", "row 11, column sample_index: '' is not a 64-bit integer"),
-            (12, "p_double", "0x0p0", "row 12, column p_double: '0x0p0' is not a number"),
-            (13, "set_index", "0.0", "row 13, column set_index: '0.0' is not a 64-bit integer"),
-            (14, "set_index", "0x0", "row 14, column set_index: '0x0' is not a 64-bit integer"),
-            (15, "energy_shot_stderr_hartree", "1e400",
-             "row 15, column energy_shot_stderr_hartree: '1e400' is not a finite number"),
-            (16, "p_single", "Infinity",
-             "row 16, column p_single: 'Infinity' is not a finite number"),
-            (3, "energy_hartree", '"1,5"', "row 3, column energy_hartree: '1,5' is not a number"),
-            (5, "set_index", "#0", "row 5, column set_index: '#0' is not a 64-bit integer"),
-            # numpy's C reader reads no digit past ASCII, ends a number at a
-            # NUL and takes \x1c-\x1f for spaces; Python's int and float do not
-            (6, "set_index", "\u0660", None),
-            (7, "p_single", "0\x00", "row 7, column p_single: '0\\x00' is not a number"),
-            (8, "set_index", "\x1c0",
-             "row 8, column set_index: '\\x1c0' is not a 64-bit integer"),
-            (9, "energy_hartree", "-1.1\x1f",
-             "row 9, column energy_hartree: '-1.1\\x1f' is not a number"),
+            (1, "energy_hartree", " -1.1 "),
+            (2, "set_index", " 0 "),
+            (3, "p_single", '"0.5"'),
+            (4, "set_index", '"0"'),
+            (5, "p_double", "0_0"),
+            (6, "set_index", "0_0"),
+            (7, "set_index", "+0"),
+            (8, "p_single", "+0"),
+            (9, "set_index", '"0\n"'),
+            (None, None, None),  # CRLF line ends
+            (0, "p_hf", "p_double"),  # a name the header repeats
+            (10, "energy_hartree", ""),
+            (11, "sample_index", ""),
+            (12, "p_double", "0x0p0"),
+            (13, "set_index", "0.0"),
+            (14, "set_index", "0x0"),
+            (15, "energy_shot_stderr_hartree", "1e400"),
+            (16, "p_single", "Infinity"),
+            (3, "energy_hartree", '"1,5"'),
+            (5, "set_index", "#0"),
+            (6, "set_index", "\u0660"),
+            (7, "p_single", "0\x00"),
+            (8, "set_index", "\x1c0"),
+            (9, "energy_hartree", "-1.1\x1f"),
         ],
         ids=["spaced-float", "spaced-int", "quoted-float", "quoted-int", "underscore-float",
              "underscore-int", "plus-zero-int", "plus-zero-float", "quoted-line-break", "crlf",
@@ -701,18 +710,16 @@ class TestAnalyze:
              "overflowing-float", "infinity", "quoted-comma", "hash-int", "arabic-indic-zero",
              "nul-float", "separator-int", "separator-float"],
     )
-    def test_hand_edited_cell_verdicts_are_pinned(self, tmp_path, row, column, cell, verdict):
+    def test_hand_edited_cell_verdicts_are_pinned(self, tmp_path, row, column, cell):
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
         text = (out / "samples.csv").read_text()
         if row is None:  # CRLF line ends
             (out / "samples.csv").write_bytes(text.replace("\n", "\r\n").encode())
         else:
             (out / "samples.csv").write_text(set_cell(text, row, column, cell))
-        got, expected = read_verdict(load_samples, out), read_verdict(reference_load_samples, out)
-        if verdict is None:
-            assert_same_samples(got, expected)
-        else:
-            assert got == expected == f"{out}/samples.csv {verdict}"
+        with pytest.raises(ValueError) as err:
+            load(out)
+        assert str(err.value) == f"{out}/{DIGEST}"
 
     def test_analyze_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not a run directory"):
@@ -1109,51 +1116,47 @@ class TestCli:
              f"manifest.json key reference.e_hf_sub must be a finite number, not {10**400}"),
             ("manifest.json", lambda text: "",
              "manifest.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
-            ("samples.csv", lambda text: text.replace(",p_double,", ",p_doubel,", 1),
-             "samples.csv has no column p_double"),
-            # N=2, selective k=1: samples 0..7 of set 0, subsystems 0 and 1
-            ("samples.csv", lambda text: set_cell(text, 1, "sample_index", "1"),
-             "samples.csv holds subsystem rows [1] for N2/set0/sample0; "
-             "its manifest expects [0, 1]"),
-            ("samples.csv", lambda text: set_cell(text, 2, "subsystem", "0"),
-             "samples.csv holds subsystem rows [0, 0] for N2/set0/sample0; "
-             "its manifest expects [0, 1]"),
-            ("samples.csv", lambda text: set_cell(text, 16, "n_subsystems", "1"),
-             "samples.csv holds subsystem rows [1] for N1/set0/sample7; its manifest expects none"),
-            ("samples.csv", lambda text: set_cell(text, 3, "energy_hartree", "abc"),
-             "samples.csv row 3, column energy_hartree: 'abc' is not a number"),
-            ("samples.csv", lambda text: set_cell(text, 5, "set_index", "0.5"),
-             "samples.csv row 5, column set_index: '0.5' is not a 64-bit integer"),
-            ("samples.csv", lambda text: set_cell(text, 4, "sample_index", "9" * 20),
-             f"samples.csv row 4, column sample_index: '{'9' * 20}' is not a 64-bit integer"),
+            # the manifest's config fixes the rows it expects: N=2, selective
+            # k=1 is 8 samples of 2 rows, and N=1 or N=4 is 16 rows too
+            ("manifest.json", lambda text: set_key(text, "config.sampling.k", 2),
+             "samples.csv has 16 subsystem rows; its manifest expects 32"),
+            ("manifest.json", lambda text: set_key(text, "config.subsystem_counts", [1]),
+             "samples.csv holds subsystem rows [] for N1/set0/sample0; its manifest expects [0]"),
+            ("manifest.json", lambda text: set_key(text, "config.subsystem_counts", [4]),
+             "samples.csv holds subsystem rows [0, 1] for N2/set0/sample0; its manifest expects none"),
+            ("manifest.json", lambda text: json.dumps(
+                {k: v for k, v in json.loads(text).items() if k != "samples_sha256"}),
+             "manifest.json has no key samples_sha256"),
+            ("manifest.json", lambda text: set_key(text, "samples_sha256", "0" * 64), DIGEST),
+            ("manifest.json", lambda text: set_key(text, "samples_sha256", None), DIGEST),
+            # any edit of samples.csv is refused as a whole
+            ("samples.csv", lambda text: text.replace(",p_double,", ",p_doubel,", 1), DIGEST),
+            ("samples.csv", lambda text: set_cell(text, 1, "sample_index", "1"), DIGEST),
+            ("samples.csv", lambda text: set_cell(text, 2, "subsystem", "0"), DIGEST),
+            ("samples.csv", lambda text: set_cell(text, 16, "n_subsystems", "1"), DIGEST),
+            ("samples.csv", lambda text: set_cell(text, 3, "energy_hartree", "abc"), DIGEST),
+            ("samples.csv", lambda text: set_cell(text, 5, "set_index", "0.5"), DIGEST),
+            ("samples.csv", lambda text: set_cell(text, 4, "sample_index", "9" * 20), DIGEST),
             ("samples.csv",
              lambda text: "\n".join(line.rsplit(",", 1)[0] if row == 2 else line
                                     for row, line in enumerate(text.split("\n"))),
-             "samples.csv row 2 has 12 cells, not 13"),
-            # a blank or comment line is a row of 0 or 1 cells, counted
-            # before the rows are
-            ("samples.csv", lambda text: text + "\n", "samples.csv row 17 has 0 cells, not 13"),
-            ("samples.csv", lambda text: insert_line(text, 3, ""),
-             "samples.csv row 3 has 0 cells, not 13"),
-            ("samples.csv", lambda text: insert_line(text, 3, "#x"),
-             "samples.csv row 3 has 1 cells, not 13"),
-            ("samples.csv", lambda text: set_cell(text, 6, "p_double", "inf"),
-             "samples.csv row 6, column p_double: 'inf' is not a finite number"),
-            ("samples.csv", lambda text: set_cell(text, 7, "energy_hartree", "nan"),
-             "samples.csv row 7, column energy_hartree: 'nan' is not a finite number"),
+             DIGEST),
+            ("samples.csv", lambda text: text + "\n", DIGEST),
+            ("samples.csv", lambda text: insert_line(text, 3, ""), DIGEST),
+            ("samples.csv", lambda text: insert_line(text, 3, "#x"), DIGEST),
+            ("samples.csv", lambda text: set_cell(text, 6, "p_double", "inf"), DIGEST),
+            ("samples.csv", lambda text: set_cell(text, 7, "energy_hartree", "nan"), DIGEST),
             # a lone surrogate is written as the byte 0xff
-            ("samples.csv", lambda text: text[:1136] + "\udcff" + text[1136:],
-             "samples.csv is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
-             "in position 1136: invalid start byte"),
-            ("samples.csv", lambda text: text + "\udcff",
-             "samples.csv is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
-             "in position 1701: invalid start byte"),
+            ("samples.csv", lambda text: text[:1136] + "\udcff" + text[1136:], DIGEST),
+            ("samples.csv", lambda text: text + "\udcff", DIGEST),
         ],
         ids=["empty-manifest",
              "null-representation", "representation-3", "bool-representation",
              "config-k-0", "config-array",
              "null-coupling", "nan-reference", "bool-reference", "reference-past-float",
              "manifest-not-json",
+             "config-k-2", "config-n-1", "config-n-4", "no-samples-digest", "other-samples-digest",
+             "null-samples-digest",
              "renamed-column", "moved-row",
              "repeated-subsystem", "unlisted-sample", "not-a-number", "not-an-integer",
              "too-large-an-integer", "short-row", "trailing-blank-line", "blank-line",
@@ -1175,9 +1178,7 @@ class TestCli:
         manifest["seeds"] = {k: v for k, v in manifest["seeds"].items() if "/sample7/" not in k}
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert cli_main(["analyze", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: value: {out}/samples.csv has 14 subsystem rows; its manifest expects 16"
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"error: value: {out}/{DIGEST}"]
 
     def test_reports_do_not_read_seeds(self, tmp_path):
         # a run and its copy without the manifest's seeds give the same bytes
@@ -1199,6 +1200,81 @@ class TestCli:
         text = (out / "samples.csv").read_text()
         (out / "samples.csv").write_text(text + text.split("\n", 1)[1])
         assert cli_main(["analyze", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: value: {out}/{DIGEST}"]
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: set_cell(text, 7, "p_single", "0\x00"),
+            lambda text: set_cell(text, 8, "set_index", "\x1c0"),
+            lambda text: set_cell(text, 9, "energy_hartree", "-1.1\x1f"),
+            # numpy 2.4.6's C reader crashed on this integer cell
+            lambda text: set_cell(text, 6, "set_index", "\U0010fffd0"),
+            lambda text: set_cell(text, 4, "set_index", '"0"'),
+            lambda text: text.replace("\n", "\r\n"),
+        ],
+        ids=["nul", "x1c", "x1f", "u10fffd", "quoted-cell", "crlf"],
+    )
+    def test_forged_digest_text_is_refused_without_a_crash(self, tmp_path, edit):
+        # a manifest whose digest was rewritten to match is outside input
+        # still: the whole-file check keeps such text from numpy's reader
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
+        forge(out, edit((out / "samples.csv").read_text()))
+        result = run_cli("analyze", str(out))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.splitlines() == [f"error: value: {out}/{NOT_RUN_TEXT}"]
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace(",p_double,", ",p_doubel,", 1),
+             "header is not " + ",".join(SAMPLES_HEADER)),
+            (lambda text: text + "\n", NOT_RUN_TEXT.removeprefix("samples.csv ")),
+            (lambda text: "\n".join(" " if row == 3 else line for row, line in enumerate(text.split("\n"))),
+             "does not parse: invalid column index 2 at row 3 with 1 columns"),
+            (lambda text: set_cell(text, 3, "energy_hartree", "abc"),
+             "does not parse: could not convert string 'abc' to float64 at row 2, column 7."),
+            (lambda text: set_cell(text, 4, "sample_index", "9" * 20),
+             f"does not parse: could not convert string '{'9' * 20}' to int64 at row 3, column 5."),
+            (lambda text: set_cell(text, 6, "p_double", "inf"),
+             "column p_double holds a value that is not a finite number"),
+            (lambda text: set_cell(text, 15, "energy_shot_stderr_hartree", "1e400"),
+             "column energy_shot_stderr_hartree holds a value that is not a finite number"),
+            (lambda text: set_cell(text, 1, "sample_index", "1"),
+             "holds subsystem rows [1] for N2/set0/sample0; its manifest expects [0, 1]"),
+            (lambda text: set_cell(text, 2, "subsystem", "0"),
+             "holds subsystem rows [0, 0] for N2/set0/sample0; its manifest expects [0, 1]"),
+        ],
+        ids=["renamed-column", "trailing-blank-line", "all-space-row", "not-a-number",
+             "too-large-an-integer", "inf-cell", "overflowing-float", "moved-row",
+             "repeated-subsystem"],
+    )
+    def test_forged_digest_rows_are_checked(self, tmp_path, capsys, edit, message):
+        # past the whole-file check, numpy's reader names what it rejects,
+        # counting rows as it does
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
+        forge(out, edit((out / "samples.csv").read_text()))
+        assert cli_main(["analyze", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: value: {out}/samples.csv {message}"]
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("k", [262144, 2**32 - 1])
+    def test_oversized_manifest_config_is_refused_in_little_memory(self, tmp_path, capsys, k):
+        # the row count is checked before any key array is built: the keys
+        # of k = 262144 alone took 125 MB, and of 2**32 - 1 about 480 GB
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
+        manifest = (out / "manifest.json").read_text()
+        (out / "manifest.json").write_text(set_key(manifest, "config.sampling.k", k))
+        tracemalloc.start()
+        try:
+            code = cli_main(["analyze", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: value: {out}/samples.csv has 32 subsystem rows; its manifest expects 16"
+            f"error: value: {out}/samples.csv has 16 subsystem rows; its manifest expects {16 * k}"
         ]
+        assert peak < 1_000_000
