@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from sizecon import DeviceModel, rank_qubits, run_shots, synthetic_calibration
-from sizecon.sampling import qubit_scores
+from sizecon.device import qubit_scores
 from sizecon.stateprep import Circuit, Gate
 
 

@@ -19,6 +19,7 @@ from .analysis import (
     wls_fit,
 )
 from .config import ExperimentConfig
+from .device import DeviceModel, rank_qubits, synthetic_calibration
 from .experiment import build_hamiltonians, run_experiment
 from .hamiltonians import (
     FermionHamiltonian,
@@ -36,18 +37,8 @@ from .pauli import (
     qubitwise_groups,
 )
 from .report import analyze, reference_table
-from .sampling import (
-    random_plan,
-    rank_qubits,
-    selective_plan,
-    synthetic_calibration,
-)
-from .simulator import (
-    DeviceModel,
-    apply_gate,
-    run_shots,
-    statevector,
-)
+from .sampling import random_plan, selective_plan
+from .simulator import apply_gate, run_shots, statevector
 from .stateprep import Circuit, Gate, PreparedState, compose, fci_ground, synthesize
 from .tomography import (
     MeasurementPlan,

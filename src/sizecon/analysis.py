@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -183,28 +183,18 @@ class ErrorStat:
 
 
 def error_stats(
-    samples: Iterable[tuple[int, float]], e_fci: float, e_hf: float
+    energies: Mapping[int, Sequence[float]], e_fci: float, e_hf: float
 ) -> tuple[dict[int, ErrorStat], float]:
     """Per-N mean and stddev of (energy-per-subsystem - FCI), in kcal/mol.
 
-    ``samples`` holds (n_subsystems, energy_per_h2_hartree) pairs; the
-    second return value is the mean-field reference line (e_hf - e_fci)
+    ``energies`` maps each N to its samples' energies per H2, in hartree;
+    the second return value is the mean-field reference line (e_hf - e_fci)
     in kcal/mol.
     """
-    by_n: dict[int, list[float]] = {}
-    for n, energy in samples:
-        by_n.setdefault(int(n), []).append(
-            (energy - e_fci) * HARTREE_TO_KCAL_PER_MOL
-        )
-    if not by_n:
+    if not energies:
         raise ValueError("no samples provided")
     stats = {}
-    for n in sorted(by_n):
-        mean, std = mean_sd(by_n[n])
-        stats[n] = ErrorStat(
-            n_subsystems=n,
-            mean_error_kcal=mean,
-            std_kcal=std,
-        )
-    hf_gap = (e_hf - e_fci) * HARTREE_TO_KCAL_PER_MOL
-    return stats, hf_gap
+    for n in sorted(energies):
+        errors = (np.asarray(energies[n], dtype=float) - e_fci) * HARTREE_TO_KCAL_PER_MOL
+        stats[n] = ErrorStat(n, *mean_sd(errors))
+    return stats, (e_hf - e_fci) * HARTREE_TO_KCAL_PER_MOL

@@ -19,10 +19,10 @@ import sys
 from pathlib import Path
 
 from .config import DEFAULT_BOND_LENGTH, MAX_QUBITS, ConfigError, ExperimentConfig
-from .experiment import read_calibration, run_experiment
+from .device import qubit_scores, rank_qubits, read_calibration, synthetic_calibration
+from .experiment import run_experiment
 from .report import REFERENCE_N_MAX, analyze, reference_table
 from .rundir import csv_text
-from .sampling import qubit_scores, rank_qubits, synthetic_calibration
 
 
 class _UsageError(Exception):

@@ -149,7 +149,7 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             raw = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
+        except (ValueError, RecursionError) as exc:  # bad JSON, a 4301-digit int, deep nesting
             raise ConfigError("document", f"not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 

@@ -1,16 +1,19 @@
 """The run pipeline: from a config to a byte-stable run directory.
 
-``run_experiment`` wires the full pipeline: Hamiltonian construction at the
-configured bond length, ground-state circuit synthesis, qubit ranking and
-sampling-plan generation, noisy shot simulation of every (N, set, sample,
-group) work item, and tomography post-processing into per-subsystem
-energies and populations. ``rundir.write_run`` writes the two run tables,
-the calibration and a manifest recording the hashes and every derived seed;
-identical configs reproduce the files byte for byte.
+``run_experiment`` wires the full pipeline: the device, Hamiltonian
+construction at the configured bond length, ground-state circuit
+synthesis, sampling-plan generation over the ranked qubits, noisy shot
+simulation of every (N, set, sample, group) work item, and tomography
+post-processing into per-subsystem energies and populations.
+``rundir.write_run`` writes the two run tables, the calibration and a
+manifest recording the hashes and every derived seed; identical configs
+reproduce the files byte for byte.
 
 The config it takes is parsed and checked in :mod:`sizecon.config`;
-:mod:`sizecon.rundir` owns the format of the run directory, and
-:mod:`sizecon.report` turns a finished one into the summary and figures.
+:mod:`sizecon.device` reads or draws the device (``load_device``) and ranks
+its qubits; :mod:`sizecon.rundir` owns the format of the run directory,
+and :mod:`sizecon.report` turns a finished one into the summary and
+figures.
 
 Both plans are plain data. The measurement plan covers one block and is
 built once per run. Each N's sampling plan is one int64 array, ``maps``,
@@ -40,13 +43,14 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import SubsystemLevels
-from .config import ConfigError, ExperimentConfig, QUBIT_BUDGET
+from .config import ExperimentConfig, QUBIT_BUDGET
+from .device import load_device, rank_qubits
 from .hamiltonians import h1q_parameters, jordan_wigner, taper, to_fermion
 from .molecule import build_integrals, solve_rhf
 from .pauli import PauliSum
 from .rundir import write_run
-from .sampling import plan_keys, random_plan, rank_qubits, selective_plan, synthetic_calibration
-from .simulator import DeviceModel, TrajectoryEngine
+from .sampling import plan_keys, random_plan, selective_plan
+from .simulator import TrajectoryEngine
 from .stateprep import compose, fci_ground, synthesize
 from .tomography import (
     build_plan,
@@ -135,31 +139,6 @@ def derive_seed(master_seed: int, keys: Sequence[Sequence[int]]) -> list[int]:
     consts = _hash_constants(_INIT_B, _MULT_B)
     low, high = (_hash(word, *next(consts)).astype(np.uint64) for word in pool[:2])
     return (low | high << np.uint64(32)).tolist()
-
-
-def read_calibration(path: str, field_name: str) -> DeviceModel:
-    """The device a calibration file describes. A missing file, a path that
-    is not a file (a directory, or the empty path), or bytes that are not
-    UTF-8 JSON raise a ConfigError on ``field_name`` that names the path."""
-    if not (path and Path(path).is_file()):  # Path("") is the current directory
-        missing = not Path(path).exists()
-        raise ConfigError(field_name, f"no such file: {path}" if missing else f"{path!r} is not a file")
-    try:
-        return DeviceModel.from_json(Path(path).read_text())
-    except UnicodeDecodeError as exc:
-        raise ConfigError(field_name, f"{path} is not valid UTF-8: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
-        if str(exc).startswith("calibration: "):  # an entry at fault, not the text
-            raise
-        raise ConfigError(field_name, f"{path} is not valid JSON: {exc}") from exc
-
-
-def load_device(config: ExperimentConfig) -> DeviceModel:
-    if config.calibration_file is not None:
-        return read_calibration(config.calibration_file, "calibration.file")
-    return synthetic_calibration(
-        n_qubits=config.calibration_qubits, seed=config.calibration_seed
-    )
 
 
 # Spawn-key namespace tag separating plan seeds from shot seeds.

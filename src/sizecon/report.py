@@ -161,8 +161,8 @@ def analyze(run_dir: str | Path) -> Path:
             Plotted("measured", f"measured_mean_{column}"), *references,
         )
 
-    pairs = [(n, e) for n, samples in by_n.items() for e in samples.energy_per_h2.tolist()]
-    errors, hf_gap = error_stats(pairs, e_fci=levels.fci_energy, e_hf=levels.e_hf)
+    energies = {n: samples.energy_per_h2 for n, samples in by_n.items()}
+    errors, hf_gap = error_stats(energies, e_fci=levels.fci_energy, e_hf=levels.e_hf)
     fig3 = [
         {
             "n_subsystems": n,

@@ -32,9 +32,10 @@ text it misreads: it ends a number at a NUL, takes ``\\x1c``-``\\x1f`` for
 spaces, and has crashed on an integer cell that starts with some
 characters past U+FFFF. The row count is checked against the config
 before any key array is built. One ``np.loadtxt`` parses the eight columns
-``analyze`` uses, four int64 keys and four float64 values; the values must
-be finite, and the keys must be exactly the rows the manifest's config
-implies, in the order ``run`` writes them. Each N's rows then form a
+``analyze`` uses, four int64 keys and four float64 values; a cell or a row
+it rejects is named by its line in the file, the header being line 1.
+The values must be finite, and the keys must be exactly the rows the
+manifest's config implies, in the order ``run`` writes them. Each N's rows then form a
 ``(samples, N)`` array per column, reduced along its rows into one value
 per sample. A row of N contiguous values is summed in numpy's pairwise
 order, as a 1-D array of the same values is, so the sums do not depend on
@@ -46,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +76,9 @@ KEY_COLUMNS = ("n_subsystems", "set_index", "sample_index", "subsystem")
 # the columns SizeSamples reduces, in its field order
 VALUE_COLUMNS = ("energy_hartree", "energy_shot_stderr_hartree", "p_single", "p_double")
 TABLE = np.dtype([(name, np.int64) for name in KEY_COLUMNS] + [(name, float) for name in VALUE_COLUMNS])
+# the row numpy's loadtxt names in a message: the last " at row <number>",
+# after any cell text it quotes
+_ROW = re.compile(r"(.*) at row (\d+)", re.S)
 # the bytes a run table holds: printable ASCII but the quote, and LF
 _TEXT = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
@@ -160,7 +165,7 @@ def read_manifest(run_dir: Path) -> object:
         raise FileNotFoundError(f"{run_dir} has no {MANIFEST_JSON}; not a run directory")
     try:
         return json.loads(path.read_text())
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, bytes not UTF-8, deep nesting
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -213,7 +218,11 @@ def load_samples(run_dir: Path, config: ExperimentConfig, sha256: str) -> dict[i
         table = np.loadtxt(lines[1:], TABLE, delimiter=",", comments=None, ndmin=1,
                            usecols=list(map(SAMPLES_HEADER.index, TABLE.names)))
     except ValueError as exc:
-        raise ValueError(f"{path} does not parse: {exc}") from None
+        # numpy counts the data rows from 0 for a cell it cannot convert and
+        # from 1 for a short row; the header is line 1 of the file
+        offset = 2 if str(exc).startswith("could not convert") else 1
+        message = _ROW.sub(lambda found: f"{found[1]} at line {int(found[2]) + offset}", str(exc), count=1)
+        raise ValueError(f"{path} does not parse: {message}") from None
     for name in VALUE_COLUMNS:
         if not np.isfinite(table[name]).all():
             raise ValueError(f"{path} column {name} holds a value that is not a finite number")

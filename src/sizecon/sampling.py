@@ -1,4 +1,4 @@
-"""Qubit ranking, selective/random sampling plans, synthetic calibration.
+"""Selective and random sampling plans, and the rows they produce.
 
 The selective procedure treats one pass over the sixteen best qubits as a
 set: the top-16 pool is partitioned into ``n = 16 / (N * width)`` disjoint
@@ -16,51 +16,17 @@ the one place the shape of a plan is decided; the run seeds, labels and
 writes its rows by those keys, and ``analyze`` counts the rows it expects
 from that shape before it builds them.
 
-``rank_qubits`` orders the device's qubits best first by the composite
-score of ``qubit_scores``: mean readout error plus mean incident two-qubit
-error, each weighted 1. ``synthetic_calibration`` draws a device whose rates
-spread log-normally around fixed medians (module constants), in the order
-p10, p01, one-qubit error, then every pair; a seed thus names one device.
+The pool a plan draws from is ``sizecon.device.rank_qubits`` of the
+run's device, best qubit first; this module sees only that list.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .config import QUBIT_BUDGET, ExperimentConfig
-from .simulator import DeviceModel
-
-# synthetic_calibration's medians, and the standard deviation of each rate's log
-READOUT_MEDIAN = 1e-2
-SINGLE_QUBIT_MEDIAN = 3e-4
-TWO_QUBIT_MEDIAN = 3e-3
-LOG_SPREAD = 0.75
-
-
-def qubit_scores(device: DeviceModel) -> np.ndarray:
-    """Composite noise score of every qubit: its mean readout error plus the
-    mean error of the pairs it belongs to (0 for a qubit in no pair)."""
-    # each qubit's incident pair errors in the order the pairs are listed,
-    # which fixes the rounding of each mean: one stable sort by qubit
-    ends = device.pairs.ravel()
-    incident = np.repeat(device.pair_errors, 2)[np.argsort(ends, kind="stable")]
-    degree = np.bincount(ends, minlength=device.n_qubits)
-    start = np.cumsum(degree) - degree
-    mean = np.zeros(device.n_qubits)
-    # a row sum of a contiguous (qubits, degree) table adds each row as
-    # np.mean adds one qubit's list, pairwise
-    for d in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():
-        qubits = np.flatnonzero(degree == d)
-        mean[qubits] = incident[start[qubits, None] + np.arange(d)].sum(axis=1) / d
-    return 0.5 * (device.qubits[:, 0] + device.qubits[:, 1]) + mean
-
-
-def rank_qubits(device: DeviceModel) -> list[int]:
-    """Physical qubits ordered best (least noisy) first, ties by index."""
-    return np.argsort(qubit_scores(device), kind="stable").tolist()
 
 
 def plan_shape(config: ExperimentConfig, n: int) -> tuple[int, int]:
@@ -116,23 +82,3 @@ def random_plan(pool: Sequence[int], n_subsystems: int, width: int, s: int, seed
     draws = np.stack([rng.choice(len(pool), size=block_qubits, replace=False) for _ in range(s)])
     return np.asarray(pool)[draws]
 
-
-def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:
-    """Heterogeneous per-qubit calibration, log-normally spread around medians.
-
-    The medians (``READOUT_MEDIAN``, ``SINGLE_QUBIT_MEDIAN``,
-    ``TWO_QUBIT_MEDIAN``) echo contemporary superconducting magnitudes, and
-    every rate's log has standard deviation ``LOG_SPREAD``. All-to-all
-    coupling is assumed, so every unordered pair gets a two-qubit error.
-    Rates are clipped to 0.5 to stay physically sensible.
-    """
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    rng = np.random.default_rng(seed)
-
-    def draw(median: float, size: int) -> np.ndarray:
-        return np.minimum(rng.lognormal(math.log(median), LOG_SPREAD, size), 0.5)
-
-    qubits = [draw(median, n_qubits) for median in (READOUT_MEDIAN, READOUT_MEDIAN, SINGLE_QUBIT_MEDIAN)]
-    pairs = np.column_stack(np.triu_indices(n_qubits, 1))
-    return DeviceModel(np.transpose(qubits), pairs, draw(TWO_QUBIT_MEDIAN, len(pairs)))

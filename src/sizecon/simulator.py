@@ -66,15 +66,10 @@ Outputs: counts have one format, dense int64 shots per code.
 a whole register is the one-block case, ``block_width = width``, which is
 what ``run_shots`` returns for one item.
 
-Device: ``DeviceModel`` holds its calibration as numpy columns, not one
-object per qubit or pair: an ``(n, 3)`` float64 table of qubit rates
-(readout_p10, readout_p01, single_qubit_error), an ``(m, 2)`` int64 array
-of the listed pairs, each as (min, max) in the order given, and their
-``(m,)`` float64 errors. ``TrajectoryEngine.sample`` reads every item's
-gate and readout rates from them by fancy indexing, and looks pairs up by
-binary search over their sorted ``lo * n + hi`` keys, so no array grows as
-the square of the qubits. Rates are validated on whole columns; the first
-entry at fault, in the order given, is the one an error names.
+Device: the rates come from a ``sizecon.device.DeviceModel``.
+``TrajectoryEngine.sample`` reads every item's gate and readout rates from
+its arrays by fancy indexing, and each gate's pair rate through
+``DeviceModel.pair_error``; nothing here reads or writes a calibration.
 
 Statevector indexing: qubit 0 is the most significant bit of the basis
 index, matching the left-to-right bitstring convention.
@@ -82,14 +77,13 @@ index, matching the left-to-right bitstring convention.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
+from .device import DeviceModel
 from .stateprep import Circuit, Gate
 
 _SHOT_CHUNK = 1 << 16
@@ -106,195 +100,6 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI_1Q = (_X, _Y, _Z)
-
-
-# a qubit's calibration keys: the columns of DeviceModel.qubits, in order
-_QUBIT_KEYS = ("readout_p10", "readout_p01", "single_qubit_error")
-_NUMBER = {int, float}  # the types of a rate in a calibration document; not bool
-_KINDS = {"qubits": {list}, "two_qubit_error": {list}, "pair": {list}}  # else _NUMBER
-
-
-class DeviceModel:
-    """Calibrated device: per-qubit rates plus per-pair two-qubit rates, held
-    as three read-only arrays:
-
-    * ``qubits``, ``(n, 3)`` float64: one row per qubit, with the columns
-      readout_p10 (P(read 1 | prepared 0)), readout_p01 (P(read 0 |
-      prepared 1)) and single_qubit_error, in ``_QUBIT_KEYS`` order;
-    * ``pairs``, ``(m, 2)`` int64: each listed pair as (min, max), in the
-      order given;
-    * ``pair_errors``, ``(m,)`` float64: each pair's two-qubit error.
-
-    Unlisted pairs are noiseless. A pair may be given in either order, but
-    only once; the constructor rejects the first entry at fault. Lookups go
-    through the pairs' sorted ``lo * n + hi`` keys, so no array grows as the
-    square of the qubits."""
-
-    def __init__(self, qubits, pairs=(), pair_errors=()):
-        rates = np.array(qubits, dtype=float).reshape(-1, 3)
-        listed = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        errors = np.array(pair_errors, dtype=float).reshape(-1)
-        fault = _first_fault(rates, listed, errors)
-        if fault is not None:
-            raise ValueError(fault[1])
-        self.qubits, self.pair_errors, self.n_qubits = rates, errors, len(rates)
-        self.pairs = np.column_stack([np.minimum(*listed.T), np.maximum(*listed.T)])
-        keys = self.pairs @ np.array([self.n_qubits, 1])
-        self._order = np.argsort(keys, kind="stable")  # the pairs by key
-        # the sorted keys, closed by one past any key, and their errors
-        self._keys = np.append(keys[self._order], np.iinfo(np.int64).max)
-        self._key_errors = np.append(errors[self._order], 0.0)
-        self.qubits.flags.writeable = self.pairs.flags.writeable = False
-        self.pair_errors.flags.writeable = False
-
-    def pair_error(self, a, b):
-        """The two-qubit error of each pair (a, b), given in either order; 0
-        where the pair is not listed. ``a`` and ``b`` may be arrays."""
-        key = np.minimum(a, b) * self.n_qubits + np.maximum(a, b)
-        at = np.searchsorted(self._keys, key)
-        return np.where(self._keys[at] == key, self._key_errors[at], 0.0)
-
-    @classmethod
-    def noiseless(cls, n_qubits: int) -> "DeviceModel":
-        return cls(np.zeros((n_qubits, 3)))
-
-    def to_json(self) -> str:
-        """The text of ``json.dumps(payload, indent=2) + "\\n"``, pairs
-        sorted, laid out by hand through one template per list: ``indent``
-        forces the pure-Python encoder, which takes several times longer on
-        a 156-qubit device. A rate is written by ``repr``, as ``json``
-        writes a float."""
-        qubits = _json_list(
-            '    {\n      "readout_p10": %r,\n      "readout_p01": %r,\n'
-            '      "single_qubit_error": %r\n    }', *self.qubits.T.tolist()
-        )
-        two_qubit = _json_list(
-            '    {\n      "pair": [\n        %d,\n        %d\n      ],\n      "error": %r\n    }',
-            *self.pairs[self._order].T.tolist(), self.pair_errors[self._order].tolist(),
-        )
-        return '{\n  "qubits": %s,\n  "two_qubit_error": %s\n}\n' % (qubits, two_qubit)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeviceModel":
-        """Parse ``to_json`` output. The entries are read in file order, up
-        to the first one of the wrong shape or type; vectorised checks then
-        find the first rate outside [0, 1] and the first pair that repeats
-        a qubit, leaves the device or is listed twice (in either order).
-        The first entry at fault, in file order, raises a ``ValueError``
-        that names it."""
-        payload = json.loads(text)
-        given, fault = _read_list(payload, "qubits", _QUBIT_KEYS)
-        if fault is None:
-            pair_columns, fault = _read_list(payload, "two_qubit_error", ("pair", "error"), [])
-            given.update(pair_columns)
-        rates = _array([given[key] for key in _QUBIT_KEYS], float).T
-        pairs = _array(given.get("pair", []), np.int64).reshape(-1, 2)
-        errors = _array(given.get("error", []), float)
-        # a value fault comes before any type fault the read met
-        fault = _first_fault(rates, pairs, errors, given) or fault
-        if fault is not None:
-            raise ValueError("calibration: " + "".join(fault))
-        return cls(rates, pairs, errors)
-
-
-# (key, what) of each value fault of a pair entry, in the order checked; a
-# qubit's rate outside [0, 1] reads as the first
-_PAIR_FAULTS = (("error", "= {} outside [0, 1]"), ("pair", "{} repeats a qubit or leaves the device"),
-                ("pair", "{} is listed twice"))
-
-
-def _first_fault(rates: np.ndarray, pairs: np.ndarray, errors: np.ndarray, given=None):
-    """The first entry at fault, in file order, as ``(where, message)``, or
-    None: a rate outside [0, 1], or a pair that repeats a qubit, leaves the
-    device or is listed before. The message quotes the values ``given``,
-    one list per key; by default the arrays' own."""
-    outside = ~((rates >= 0.0) & (rates <= 1.0))  # NaN too
-    if outside.any():
-        index, column = divmod(int(np.argmax(outside)), 3)
-        name, key, what = "qubits", _QUBIT_KEYS[column], _PAIR_FAULTS[0][1]
-    else:
-        n, lo, hi = len(rates), np.minimum(*pairs.T), np.maximum(*pairs.T)
-        bad_index = (lo == hi) | (lo < 0) | (hi >= n)
-        # a bad pair gets a key of its own, below every good key
-        keys = np.where(bad_index, -1 - np.arange(len(pairs)), lo * n + hi)
-        order = np.argsort(keys, kind="stable")
-        twice = np.zeros(len(pairs), dtype=bool)
-        twice[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        faults = np.stack([~((errors >= 0.0) & (errors <= 1.0)), bad_index, twice])
-        if not faults.any():
-            return None
-        index = int(np.argmax(faults.any(axis=0)))
-        name, (key, what) = "two_qubit_error", _PAIR_FAULTS[np.argmax(faults[:, index])]
-    columns = (*rates.T.tolist(), pairs.tolist(), errors.tolist())
-    given = given or dict(zip((*_QUBIT_KEYS, "pair", "error"), columns))
-    return f"{name}[{index}].", f"{key} " + what.format(given[key][index])
-
-
-def _array(values: list, dtype) -> np.ndarray:
-    """``values`` as an array of ``dtype``. A number too large for it
-    becomes -1, which every check rejects; messages quote ``values``."""
-    try:
-        return np.array(values, dtype=dtype)
-    except OverflowError:
-        bound = np.frompyfunc(lambda v: -1 if abs(v) >= 2**62 else v, 1, 1)
-        return bound(np.array(values, dtype=object)).astype(dtype)
-
-
-def _json_list(template: str, *columns: list) -> str:
-    """A list of objects laid out at depth 2 as ``indent=2`` writes it, the
-    ``i``-th object being ``template`` filled from the ``i``-th value of
-    each column."""
-    rows = ",\n".join([template] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
-    return "[\n" + rows + "\n  ]" if rows else "[]"
-
-
-def _read_list(payload: object, name: str, keys: tuple, default=None) -> tuple:
-    """``(columns, fault)``: for each key, the list of the values that the
-    entries of list ``name`` hold, up to the first entry of the wrong shape
-    or type, and that entry's fault as ``(where, message)``, or None. A
-    well-formed list is read in one go; only a list with a fault is walked
-    entry by entry."""
-    try:
-        entries, fault = _json_field(payload, name, default), None
-    except ValueError as error:
-        entries, fault = [], ("", str(error))
-    try:
-        columns = {key: [entry[key] for entry in entries] for key in keys}
-        if all(map(_well_typed, keys, columns.values())):
-            return columns, fault
-    except (KeyError, TypeError):
-        pass
-    for index, entry in enumerate(entries):
-        try:
-            for key in keys:
-                _json_field(entry, key)
-        except ValueError as error:
-            entries, fault = entries[:index], (f"{name}[{index}].", str(error))
-            break
-    return {key: [entry[key] for entry in entries] for key in keys}, fault
-
-
-def _well_typed(key: str, column: list) -> bool:
-    """Whether every value of a column has the type ``_json_field`` asks of
-    ``key``. Only a JSON list of length 2 holds two ints: a string holds
-    strings, and an object's keys are strings."""
-    if key != "pair":
-        return set(map(type, column)) <= _NUMBER
-    return set(map(len, column)) <= {2} and set(map(type, chain.from_iterable(column))) <= {int}
-
-
-def _json_field(entry: object, key: str, default=None):
-    """``entry[key]`` of a calibration document, of the type ``key`` takes:
-    a list for the two lists and a pair, which holds two ints, else a number
-    (so a bool is not an int)."""
-    value = entry.get(key, default) if type(entry) is dict else None
-    if value is None:
-        raise ValueError(f"{key} is missing")
-    if type(value) not in _KINDS.get(key, _NUMBER):
-        raise ValueError(f"{key} has the wrong type {type(value).__name__}")
-    if key == "pair" and (len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int):
-        raise ValueError(f"pair is not two ints: {value}")
-    return value
 
 
 def _rotation_matrix(kind: str, angle: float) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sizecon.simulator import DeviceModel
+from sizecon.device import DeviceModel
 
 
 def make_device(qubits, pairs=None):

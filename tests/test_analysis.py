@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -8,6 +6,7 @@ from sizecon.analysis import (
     cisd_reference,
     error_stats,
     horizon,
+    mean_sd,
     wls_fit,
 )
 from sizecon.hamiltonians import h1q_parameters
@@ -151,31 +150,39 @@ class TestCisdReference:
 class TestErrorStats:
     def test_zero_error_for_exact_samples(self, bundle):
         e = bundle.levels.fci_energy
-        samples = [(1, e), (1, e), (2, e)]
+        samples = {1: np.array([e, e]), 2: np.array([e])}
         stats, hf_gap = error_stats(samples, e_fci=e, e_hf=bundle.levels.e_hf)
         assert stats[1].mean_error_kcal == pytest.approx(0.0, abs=1e-12)
         assert stats[1].std_kcal == 0.0
-        # one stat per N of the input; N=2's lone sample has sd 0
-        n_samples = Counter(n for n, _ in samples)
-        assert sorted(stats) == sorted(n_samples)
-        assert n_samples[2] == 1 and stats[2].std_kcal == 0.0
+        # one stat per N of the input, in ascending N; N=2's lone sample has sd 0
+        assert list(stats) == [1, 2]
+        assert stats[2].n_subsystems == 2 and stats[2].std_kcal == 0.0
 
     def test_reference_line(self, bundle, ci_oracle):
         _, hf_gap = error_stats(
-            [(1, ci_oracle.e_fci)], e_fci=ci_oracle.e_fci, e_hf=ci_oracle.e_hf
+            {1: [ci_oracle.e_fci]}, e_fci=ci_oracle.e_fci, e_hf=ci_oracle.e_hf
         )
         expected = (ci_oracle.e_hf - ci_oracle.e_fci) * HARTREE_TO_KCAL_PER_MOL
         assert hf_gap == pytest.approx(expected, abs=1e-10)
 
     def test_mean_and_std(self):
-        samples = [(4, -1.0), (4, -1.002)]
-        stats, _ = error_stats(samples, e_fci=-1.001, e_hf=-0.9)
+        stats, _ = error_stats({4: np.array([-1.0, -1.002])}, e_fci=-1.001, e_hf=-0.9)
         assert stats[4].mean_error_kcal == pytest.approx(0.0, abs=1e-9)
         expected_std = np.std(
             [0.001 * HARTREE_TO_KCAL_PER_MOL, -0.001 * HARTREE_TO_KCAL_PER_MOL], ddof=1
         )
         assert stats[4].std_kcal == pytest.approx(float(expected_std), abs=1e-9)
 
+    def test_equals_per_sample_errors_bit_for_bit(self):
+        # each error is the float arithmetic of one sample alone, and the
+        # stats are in ascending N whatever the order given
+        energies = {8: np.array([-1.1, -1.2, -1.15]), 2: np.array([-1.13, -1.17])}
+        stats, _ = error_stats(energies, e_fci=-1.137, e_hf=-1.11)
+        for n, values in energies.items():
+            errors = [(e - -1.137) * HARTREE_TO_KCAL_PER_MOL for e in values.tolist()]
+            assert (stats[n].mean_error_kcal, stats[n].std_kcal) == mean_sd(errors)
+        assert list(stats) == [2, 8]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
-            error_stats([], e_fci=0.0, e_hf=0.0)
+            error_stats({}, e_fci=0.0, e_hf=0.0)

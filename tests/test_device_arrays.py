@@ -15,8 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sizecon.sampling import qubit_scores, rank_qubits
-from sizecon.simulator import DeviceModel
+from sizecon.device import DeviceModel, qubit_scores, rank_qubits
 
 from devices import make_device
 from oracles import (

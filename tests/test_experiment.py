@@ -15,6 +15,7 @@ import pytest
 from sizecon import cli, experiment, rundir
 from sizecon.cli import main as cli_main
 from sizecon.config import MAX_QUBITS, ConfigError, ExperimentConfig
+from sizecon.device import DeviceModel, synthetic_calibration
 from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
 from sizecon.report import analyze, reference_table
 from sizecon.rundir import (
@@ -25,8 +26,8 @@ from sizecon.rundir import (
     write_csv,
     write_lines,
 )
-from sizecon.sampling import plan_keys, synthetic_calibration
-from sizecon.simulator import DeviceModel, TrajectoryEngine
+from sizecon.sampling import plan_keys
+from sizecon.simulator import TrajectoryEngine
 
 from oracles import reference_csv_text, reference_load_samples
 from test_sampling import scanned_score
@@ -1027,6 +1028,61 @@ class TestCli:
         assert result.stderr.splitlines() == [f"error: {message.format(path=cal)}"]
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("broken", ["config", "calibration-run", "calibration-rank", "manifest"])
+    def test_deeply_nested_json_is_one_line(self, tmp_path, capsys, broken):
+        # json.loads raises a RecursionError, not a ValueError, on nesting
+        # past the recursion limit; each reader reports it as it reports any
+        # other text that is not JSON, on the line that names the file
+        cal = tmp_path / "cal.json"
+        cal.write_text(synthetic_calibration(n_qubits=16, seed=7).to_json())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "representation": 1, "subsystem_counts": [2], "calibration": {"file": str(cal)},
+            "output_dir": str(tmp_path / "run"), "shots": 10,
+        }))
+        run_dir = tmp_path / "done"
+        if broken == "manifest":
+            run_experiment(tiny_config(tmp_path, output_dir=str(run_dir), subsystem_counts=(2,), shots=10))
+        path, args = {
+            "config": (config, ["run", str(config)]),
+            "calibration-run": (cal, ["run", str(config)]),
+            "calibration-rank": (cal, ["calibration", "rank", str(cal)]),
+            "manifest": (run_dir / "manifest.json", ["analyze", str(run_dir)]),
+        }[broken]
+        lines = []
+        for text in ("qubits: 16\n", "[" * 100_000 + "]" * 100_000):
+            path.write_text(text)
+            assert cli_main(args) == 1
+            [line] = capsys.readouterr().err.splitlines()
+            lines.append(line)
+        decoded = "Expecting value: line 1 column 1 (char 0)"
+        nested = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+        assert lines[0].endswith(f"not valid JSON: {decoded}")
+        assert lines[1] == lines[0].removesuffix(decoded) + nested
+        assert not (tmp_path / "run").exists()
+        assert not (run_dir / "summary.csv").exists()
+
+    def test_generated_calibration_file_runs_as_its_synthetic_seed(self, tmp_path):
+        # calibration generate writes the device the generator draws, and a
+        # run reads it back to the same device: the run directories agree
+        cal = tmp_path / "device.json"
+        assert cli_main(["calibration", "generate", "--seed", "7", "--n-qubits", "156",
+                         "--output", str(cal)]) == 0
+        runs = {}
+        for name, calibration in (("synthetic", {"synthetic_seed": 7, "n_qubits": 156}),
+                                  ("file", {"file": str(cal)})):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({
+                "representation": 2, "subsystem_counts": [1, 2, 4], "shots": 300,
+                "sampling": {"mode": "random", "s": 3}, "calibration": calibration,
+                "output_dir": str(tmp_path / name),
+            }))
+            assert cli_main(["run", str(config)]) == 0
+            runs[name] = tmp_path / name
+        assert (runs["file"] / "calibration.json").read_bytes() == cal.read_bytes()
+        for table in ("samples.csv", "populations.csv", "calibration.json"):
+            assert (runs["file"] / table).read_bytes() == (runs["synthetic"] / table).read_bytes()
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -1233,11 +1289,18 @@ class TestCli:
              "header is not " + ",".join(SAMPLES_HEADER)),
             (lambda text: text + "\n", NOT_RUN_TEXT.removeprefix("samples.csv ")),
             (lambda text: "\n".join(" " if row == 3 else line for row, line in enumerate(text.split("\n"))),
-             "does not parse: invalid column index 2 at row 3 with 1 columns"),
+             "does not parse: invalid column index 2 at line 4 with 1 columns"),
+            (lambda text: "\n".join(",".join(line.split(",")[:10]) if row == 16 else line
+                                    for row, line in enumerate(text.split("\n"))),
+             "does not parse: invalid column index 10 at line 17 with 10 columns"),
             (lambda text: set_cell(text, 3, "energy_hartree", "abc"),
-             "does not parse: could not convert string 'abc' to float64 at row 2, column 7."),
+             "does not parse: could not convert string 'abc' to float64 at line 4, column 7."),
+            (lambda text: set_cell(text, 1, "n_subsystems", "two"),
+             "does not parse: could not convert string 'two' to int64 at line 2, column 3."),
+            (lambda text: set_cell(text, 5, "p_single", "0 at row 9"),
+             "does not parse: could not convert string '0 at row 9' to float64 at line 6, column 11."),
             (lambda text: set_cell(text, 4, "sample_index", "9" * 20),
-             f"does not parse: could not convert string '{'9' * 20}' to int64 at row 3, column 5."),
+             f"does not parse: could not convert string '{'9' * 20}' to int64 at line 5, column 5."),
             (lambda text: set_cell(text, 6, "p_double", "inf"),
              "column p_double holds a value that is not a finite number"),
             (lambda text: set_cell(text, 15, "energy_shot_stderr_hartree", "1e400"),
@@ -1247,13 +1310,15 @@ class TestCli:
             (lambda text: set_cell(text, 2, "subsystem", "0"),
              "holds subsystem rows [0, 0] for N2/set0/sample0; its manifest expects [0, 1]"),
         ],
-        ids=["renamed-column", "trailing-blank-line", "all-space-row", "not-a-number",
-             "too-large-an-integer", "inf-cell", "overflowing-float", "moved-row",
-             "repeated-subsystem"],
+        ids=["renamed-column", "trailing-blank-line", "all-space-row", "short-last-row", "not-a-number",
+             "not-a-number-first-row", "cell-text-naming-a-row", "too-large-an-integer", "inf-cell",
+             "overflowing-float", "moved-row", "repeated-subsystem"],
     )
     def test_forged_digest_rows_are_checked(self, tmp_path, capsys, edit, message):
-        # past the whole-file check, numpy's reader names what it rejects,
-        # counting rows as it does
+        # past the whole-file check, numpy's reader names what it rejects;
+        # a short row and a cell it cannot convert are both named by their
+        # line in the file, the header being line 1, though numpy counts
+        # the first from 1 and the second from 0 among the data rows
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
         forge(out, edit((out / "samples.csv").read_text()))
         assert cli_main(["analyze", str(out)]) == 1

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from sizecon.config import QUBIT_BUDGET, ExperimentConfig
-from sizecon.sampling import (
-    plan_keys,
-    qubit_scores,
-    random_plan,
-    rank_qubits,
-    selective_plan,
-    synthetic_calibration,
-)
+from sizecon.device import qubit_scores, rank_qubits, synthetic_calibration
+from sizecon.sampling import plan_keys, random_plan, selective_plan
 
 from devices import make_device
 from oracles import reference_plan, reference_random_plan

@@ -9,10 +9,9 @@ import pytest
 from scipy import stats
 
 from sizecon import simulator
-from sizecon.sampling import synthetic_calibration
+from sizecon.device import DeviceModel, synthetic_calibration
 from sizecon.simulator import (
     _PAULI_1Q,
-    DeviceModel,
     TrajectoryEngine,
     _apply_1q,
     _invert,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sizecon.pauli import PauliString, PauliSum, qubitwise_groups
-from sizecon.simulator import DeviceModel, TrajectoryEngine
+from sizecon.device import DeviceModel
+from sizecon.simulator import TrajectoryEngine
 from sizecon.stateprep import compose, fci_ground, synthesize
 from sizecon.tomography import (
     build_plan,
