@@ -5,9 +5,12 @@ precision weights 1/stddev^2; its slope against total qubit count, in
 kcal/mol per qubit, is the size-consistency error. The horizon converts
 that slope into how many qubits (and subsystems) fit inside chemical
 accuracy. Classical reference curves come from the exact two-level
-subsystem parameters: full CI is N-independent per subsystem, while the
-singles-plus-doubles truncation is rebuilt per N from its (N+1)-dimensional
-configuration matrix and loses correlation per subsystem as N grows.
+subsystem parameters. For N identical non-interacting subsystems the
+singles-plus-doubles truncation couples the reference only to the
+symmetric sum of the N single-subsystem doubles, so it is one 2x2 problem
+in closed form whose correlation grows as sqrt(N), not N: the correlation
+per subsystem fades as N grows. Full CI is that problem's N = 1 case, and
+is N-independent per subsystem.
 """
 
 from __future__ import annotations
@@ -110,25 +113,30 @@ class SubsystemLevels:
 
     @property
     def fci_energy(self) -> float:
-        mean = 0.5 * (self.e_hf + self.e_double)
-        gap = 0.5 * (self.e_hf - self.e_double)
-        return mean - math.hypot(gap, self.coupling)
+        return _lowest(self, 1)[0]
 
     @property
     def fci_double_population(self) -> float:
         """|double amplitude|^2 of the subsystem ground state; N-independent."""
-        vec = _ground_vector(
-            np.array([[self.e_hf, self.coupling], [self.coupling, self.e_double]])
-        )
-        return float(vec[1] ** 2)
+        return _lowest(self, 1)[1]
 
 
-def _ground_vector(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vec = vecs[:, 0]
-    if vec[0] < 0:
-        vec = -vec
-    return vec
+def _lowest(levels: SubsystemLevels, n: int) -> tuple[float, float]:
+    """Lowest eigenvalue of [[n e_hf, sqrt(n) c], [sqrt(n) c, (n-1) e_hf +
+    e_double]] and its eigenvector's weight on the second state.
+
+    The eigenvector is (radius - gap, -coupling) up to scale, so the weight
+    takes no difference of near-equal terms while the reference lies lower
+    (gap <= 0). Uncoupled, all weight is on the lower state, and on the
+    reference when the two are degenerate.
+    """
+    mean = 0.5 * (n * levels.e_hf + ((n - 1) * levels.e_hf + levels.e_double))
+    gap = 0.5 * (levels.e_hf - levels.e_double)  # the diagonal's half difference, any n
+    coupling = math.sqrt(n) * levels.coupling
+    radius = math.hypot(gap, coupling)
+    if coupling == 0.0:
+        return mean - radius, float(gap > 0)
+    return mean - radius, (coupling / math.hypot(radius - gap, coupling)) ** 2
 
 
 @dataclass(frozen=True)
@@ -144,28 +152,24 @@ class CisdReference:
 def cisd_reference(levels: SubsystemLevels, n_subsystems: int) -> CisdReference:
     """Exact ground state of the truncated configuration space at size N.
 
-    The basis is the reference plus one double excitation per subsystem:
-    an (N+1) x (N+1) matrix whose off-diagonal couples the reference to each
-    single-subsystem double. Higher simultaneous excitations are exactly
-    what the truncation omits, so the correlation recovered per subsystem
-    decays with N.
+    The space is the reference plus one double excitation per subsystem.
+    The reference couples to each double by c, so only their normalized
+    sum, at coupling sqrt(N) c, mixes with it: the ground state is that of
+    a 2x2 matrix, with energy N e_hf + [D - sqrt(D^2 + 4 N c^2)] / 2 for
+    D = e_double - e_hf, and its double weight is shared by the N
+    subsystems. Higher simultaneous excitations are exactly what the
+    truncation omits, so the correlation recovered per subsystem decays
+    with N.
     """
     if n_subsystems < 1:
         raise ValueError("need at least one subsystem")
     n = n_subsystems
-    mat = np.zeros((n + 1, n + 1))
-    mat[0, 0] = n * levels.e_hf
-    for i in range(1, n + 1):
-        mat[i, i] = (n - 1) * levels.e_hf + levels.e_double
-        mat[0, i] = mat[i, 0] = levels.coupling
-    vec = _ground_vector(mat)
-    energy = float(vec @ mat @ vec)
-    double_pop = float(np.sum(vec[1:] ** 2)) / n
+    energy, weight = _lowest(levels, n)
     return CisdReference(
         n_subsystems=n,
         energy=energy,
         correlation_per_h2=(energy - n * levels.e_hf) / n,
-        double_population_per_h2=double_pop,
+        double_population_per_h2=weight / n,
     )
 
 

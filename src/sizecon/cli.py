@@ -56,6 +56,14 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+def _output(text: str) -> str:
+    """An argparse type: an output path or ``-``. The empty path is neither;
+    ``Path("")`` would name the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a path or -, got ''")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sizecon",
@@ -78,14 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bond-length", type=float, default=DEFAULT_BOND_LENGTH,
         help=f"H-H distance in angstrom (default {DEFAULT_BOND_LENGTH})",
     )
-    ref_p.add_argument("--output", default="-", help="output CSV path, or - for stdout")
+    ref_p.add_argument("--output", type=_output, default="-", help="output CSV path, or - for stdout")
 
     cal_p = sub.add_parser("calibration", help="device calibration utilities")
     cal_sub = cal_p.add_subparsers(dest="calibration_command", required=True)
     gen_p = cal_sub.add_parser("generate", help="emit a synthetic calibration file")
     gen_p.add_argument("--seed", type=_int_in(0), required=True)
     gen_p.add_argument("--n-qubits", type=_int_in(1, MAX_QUBITS), default=156)
-    gen_p.add_argument("--output", default="-", help="output path, or - for stdout")
+    gen_p.add_argument("--output", type=_output, default="-", help="output path, or - for stdout")
     rank_p = cal_sub.add_parser("rank", help="rank qubits of a calibration file")
     rank_p.add_argument("file", help="calibration JSON file")
     return parser

@@ -183,8 +183,8 @@ def analyze(run_dir: str | Path) -> Path:
     return run_dir
 
 
-# the largest N ``reference --n-max`` takes: the paper's horizon is 118 H2,
-# and the CISD solve of every N up to n_max costs about n_max**4
+# the largest N ``reference --n-max`` takes, a bound on outside input that
+# covers the paper's horizon of 118 H2
 REFERENCE_N_MAX = 256
 
 

@@ -34,6 +34,8 @@ characters past U+FFFF. The row count is checked against the config
 before any key array is built. One ``np.loadtxt`` parses the eight columns
 ``analyze`` uses, four int64 keys and four float64 values; a cell or a row
 it rejects is named by its line in the file, the header being line 1.
+Every line must then hold the header's 13 cells; one count of the file's
+commas checks that, and only a failing file is walked for the line to name.
 The values must be finite, and the keys must be exactly the rows the
 manifest's config implies, in the order ``run`` writes them. Each N's rows then form a
 ``(samples, N)`` array per column, reduced along its rows into one value
@@ -223,6 +225,12 @@ def load_samples(run_dir: Path, config: ExperimentConfig, sha256: str) -> dict[i
         offset = 2 if str(exc).startswith("could not convert") else 1
         message = _ROW.sub(lambda found: f"{found[1]} at line {int(found[2]) + offset}", str(exc), count=1)
         raise ValueError(f"{path} does not parse: {message}") from None
+    # the reader skips the columns analyze does not use, so a row that lost
+    # or gained a cell past them is found by the commas of the whole file
+    commas = len(SAMPLES_HEADER) - 1
+    if data.count(b",") != commas * len(lines):
+        line, text = next((i, t) for i, t in enumerate(lines, 1) if t.count(",") != commas)
+        raise ValueError(f"{path} line {line} has {text.count(',') + 1} cells, not {commas + 1}")
     for name in VALUE_COLUMNS:
         if not np.isfinite(table[name]).all():
             raise ValueError(f"{path} column {name} holds a value that is not a finite number")

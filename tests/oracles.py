@@ -24,6 +24,10 @@ library it checks:
   two agree byte for byte,
 * the regression oracle solves the weighted normal equations through a
   design-matrix factorization,
+* the truncated-CI references diagonalize the full (N+1)-dimensional
+  configuration matrix of N subsystems with ``np.linalg.eigh``, and
+  evaluate the 2x2 closed form in 60-digit ``decimal`` arithmetic, where
+  the library evaluates that closed form in float64,
 * the block-code classes are written out by hand, code by code, where the
   library derives them from one determinant table and an excitation-level
   rule,
@@ -54,6 +58,7 @@ import csv
 import io
 import json
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -554,6 +559,41 @@ def wls_normal_equations(points) -> tuple[float, float, float]:
     else:
         stderr = 0.0
     return float(beta[0]), float(beta[1]), stderr
+
+
+# ---------------------------------------------------------------------------
+# Truncated CI of N non-interacting subsystems: the reference plus one
+# double excitation per subsystem.
+# ---------------------------------------------------------------------------
+
+
+def cisd_eigensolve(levels, n: int) -> tuple[float, float]:
+    """(energy, double population per subsystem) of the (N+1) x (N+1)
+    configuration matrix, diagonalized as it stands: nothing assumes that
+    only the symmetric sum of the doubles mixes with the reference."""
+    mat = np.zeros((n + 1, n + 1))
+    mat[0, 0] = n * levels.e_hf
+    for i in range(1, n + 1):
+        mat[i, i] = (n - 1) * levels.e_hf + levels.e_double
+        mat[0, i] = mat[i, 0] = levels.coupling
+    vals, vecs = np.linalg.eigh(mat)
+    return float(vals[0]), float(np.sum(vecs[1:, 0] ** 2)) / n
+
+
+def cisd_decimal(levels, n: int, digits: int = 60) -> tuple[Decimal, Decimal, Decimal]:
+    """(energy, double population per subsystem, correlation per subsystem)
+    of the 2x2 problem [[a, b], [b, d]] with a = N e_hf, d = (N-1) e_hf +
+    e_double and b^2 = N c^2, in ``digits``-digit decimal arithmetic from
+    the exact values of the float levels."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        e_hf, e_double, c = (Decimal(v) for v in (levels.e_hf, levels.e_double, levels.coupling))
+        a, d, b2 = n * e_hf, (n - 1) * e_hf + e_double, n * c * c
+        half_gap = (a - d) / 2
+        radius = (half_gap * half_gap + b2).sqrt()
+        energy = (a + d) / 2 - radius
+        weight = b2 / ((radius - half_gap) ** 2 + b2)
+        return energy, weight / n, (energy - a) / n
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,12 @@ from sizecon.analysis import (
     mean_sd,
     wls_fit,
 )
+from sizecon.experiment import build_hamiltonians
 from sizecon.hamiltonians import h1q_parameters
 from sizecon.stateprep import fci_ground
 from sizecon.units import HARTREE_TO_KCAL_PER_MOL
 
-from oracles import wls_normal_equations
+from oracles import cisd_decimal, cisd_eigensolve, wls_normal_equations
 
 
 class TestWlsFit:
@@ -90,6 +94,16 @@ class TestHorizon:
             horizon(float("nan"), 1)
 
 
+# bond lengths 0.05 to 5.7 angstrom, and system sizes up to REFERENCE_N_MAX
+GRID_BONDS = [round(0.05 * k, 2) for k in range(1, 115)]
+GRID_NS = (1, 2, 3, 7, 16, 64, 118, 256)
+
+
+@pytest.fixture(scope="module")
+def grid_levels():
+    return [build_hamiltonians(bond).levels for bond in GRID_BONDS]
+
+
 class TestCisdReference:
     @pytest.fixture
     def levels(self, bundle):
@@ -127,12 +141,55 @@ class TestCisdReference:
     def test_matches_dense_eigensolve_oracle(self, levels):
         for n in (2, 5, 9):
             ref = cisd_reference(levels, n)
-            mat = np.zeros((n + 1, n + 1))
-            mat[0, 0] = n * levels.e_hf
-            for i in range(1, n + 1):
-                mat[i, i] = (n - 1) * levels.e_hf + levels.e_double
-                mat[0, i] = mat[i, 0] = levels.coupling
-            assert ref.energy == pytest.approx(np.linalg.eigvalsh(mat)[0], abs=1e-12)
+            assert ref.energy == pytest.approx(cisd_eigensolve(levels, n)[0], abs=1e-12)
+
+    def test_reduction_to_the_symmetric_doubles_holds_over_the_bond_grid(self, grid_levels):
+        # the (N+1)-dimensional matrix, diagonalized as it stands, has the
+        # ground state of the 2x2 problem on the symmetric sum of the doubles
+        for levels in grid_levels:
+            for n in GRID_NS:
+                ref = cisd_reference(levels, n)
+                energy, double = cisd_eigensolve(levels, n)
+                assert ref.energy == pytest.approx(energy, rel=1e-12, abs=0)
+                assert ref.double_population_per_h2 == pytest.approx(double, rel=1e-12, abs=0)
+
+    def test_closed_form_matches_decimal_oracle(self, grid_levels):
+        worst = [0.0, 0.0, 0.0]
+        for levels in grid_levels:
+            for n in GRID_NS:
+                ref = cisd_reference(levels, n)
+                found = (ref.energy, ref.double_population_per_h2, ref.correlation_per_h2)
+                for i, (value, exact) in enumerate(zip(found, cisd_decimal(levels, n))):
+                    worst[i] = max(worst[i], float(abs((Decimal(value) - exact) / exact)))
+        energy, double, correlation = worst
+        assert energy <= 1e-15 and double <= 1e-13 and correlation <= 1e-12, worst
+
+    def test_n1_is_fci_exactly(self, grid_levels):
+        for levels in grid_levels:
+            ref = cisd_reference(levels, 1)
+            assert (ref.energy, ref.double_population_per_h2) == (
+                levels.fci_energy, levels.fci_double_population
+            )
+
+    def test_fci_energy_is_the_direct_two_level_expression_bit_for_bit(self, grid_levels):
+        # fig3 and the manifest's e_fci_sub depend on its last bits
+        for levels in grid_levels:
+            mean = 0.5 * (levels.e_hf + levels.e_double)
+            gap = 0.5 * (levels.e_hf - levels.e_double)
+            assert levels.fci_energy == mean - math.hypot(gap, levels.coupling)
+
+    @pytest.mark.parametrize(
+        "e_hf, e_double, weight",
+        [(-1.0, -0.5, 0.0), (-0.5, -1.0, 1.0), (-1.0, -1.0, 0.0)],
+        ids=["reference-lower", "double-lower", "degenerate"],
+    )
+    def test_uncoupled_levels_put_all_weight_on_the_lower_state(self, e_hf, e_double, weight):
+        levels = SubsystemLevels(e_hf=e_hf, e_double=e_double, coupling=0.0)
+        assert (levels.fci_energy, levels.fci_double_population) == (min(e_hf, e_double), weight)
+        ref = cisd_reference(levels, 4)
+        assert ref.energy == 3 * e_hf + min(e_hf, e_double)
+        assert ref.double_population_per_h2 == weight / 4
+        assert cisd_eigensolve(levels, 4) == (ref.energy, ref.double_population_per_h2)
 
     def test_levels_roundtrip_from_h1q(self, bundle):
         g0, g1, g2 = h1q_parameters(bundle.h1q)

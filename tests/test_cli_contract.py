@@ -15,7 +15,8 @@ every key, each at its least value and at its greatest where a run there is
 cheap, must run: exit 0, one ``run complete`` line and a ``samples.csv``.
 ``reference --n-max`` past its bounds, 10**400 included, must end in one
 ``error: usage:`` line, rejected by the parser before any work starts; the
-bound itself must run.
+bound itself must run. An empty ``--output`` of ``reference`` or
+``calibration generate`` must end in one such line too.
 """
 
 import copy
@@ -249,6 +250,23 @@ def test_reference_n_max_past_a_bound_is_one_line(capsys, monkeypatch, value):
     assert err.splitlines() == [
         f"error: usage: sizecon reference: argument --n-max: must be {bound}, got {value}"
     ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["reference", "--n-max", "3"], ["calibration", "generate", "--seed", "1"]],
+    ids=["reference", "calibration-generate"],
+)
+def test_empty_output_is_one_usage_line(capsys, monkeypatch, tmp_path, args):
+    # Path("") is the current directory, a path the command line never gave
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([*args, "--output", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: usage: sizecon {' '.join(args[:-2])}: argument --output: must be a path or -, got ''"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reference_n_max_bound_runs(capsys):

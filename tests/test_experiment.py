@@ -85,6 +85,14 @@ def load(run_dir):
     return load_samples(run_dir, ExperimentConfig.from_dict(manifest["config"]), manifest["samples_sha256"])
 
 
+def edit_row(text, row, edit):
+    """``text``, a CSV, with data row ``row`` (from 1) replaced by
+    ``edit`` of it."""
+    lines = text.split("\n")
+    lines[row] = edit(lines[row])
+    return "\n".join(lines)
+
+
 def forge(run_dir, text):
     """Write ``text`` as the run's ``samples.csv``, with the manifest's
     ``samples_sha256`` rewritten to match it."""
@@ -566,7 +574,7 @@ class TestAnalyze:
             (dict(representation=1, subsystem_counts=(1, 2, 4)), {
                 "summary.csv": "346f338d277afec2325b0ea8c988095fbe1b3e5234c90c99cf3f220e96fa7423",
                 "fig1.csv": "6de6dbb994959b61ada7f6e14f58e957397083ad4c3fa2ec8f04dc6d3b8b62d1",
-                "fig2a.csv": "2b604d60fad5c5e767ca8c863620ab4aca035f9857ce87f0fdfb8544bfe2dc12",
+                "fig2a.csv": "3179f5b32fe3a12a4b74ea5ada7cd44b55121f6506244e452329ba15fc7834fe",
                 "fig2b.csv": "4d5ad299deda3c69dcfd2d2eb0efad9951fccc937dc44ffcca1bb96b39fc0089",
                 "fig3.csv": "39234dfe7c63c0c06385fb0717d7f35d62bc6c0602a559c287042241b596d5cf",
                 "fig1.svg": "2d113d32e85268fe65f989a36a784665c2d1b462a28d28cb8f71045d6c5debea",
@@ -577,11 +585,11 @@ class TestAnalyze:
             (dict(representation=2, subsystem_counts=(2,)), {
                 "summary.csv": "c5d029c0aba0f8a62ad0a8838c06616fd29d1bf7e45fd588dac1e2243d9cc3f5",
                 "fig1.csv": "4ab6553a09dc1cab3c0fb039e6a349b667c5cf68335d1a9b6bac2df0657d8c71",
-                "fig2a.csv": "c60bdada3620a5df0ae78d67302764188956e1929d8568c6fe0ea904d86e4acf",
+                "fig2a.csv": "54fc871a687f50d6c5e4edc4f561155ed20fd500f92da910698fa36faba1b73b",
                 "fig2b.csv": "39305870ba5bd22c26b2b299060a82c5f4207186b832e1f03562aff85d63ea01",
                 "fig3.csv": "807087c9ce4c31c9bf4d814066f04f31c54cc1d083bbfa70e91306ea403620d6",
                 "fig1.svg": "c9ccf58f60a0d262a74037d5f5dfbc7b8935f562748da39d5605c7efcf5178c5",
-                "fig2a.svg": "0dbb0831035154d0df04aef6f0d752923dd0f0cbf5833101daa55a002dc5f62c",
+                "fig2a.svg": "4143c57d76cf491be856ba8dd83d96016a7eb6766020a97845d7a94bfb36c596",
                 "fig2b.svg": "9f3c074004787e9a3f5799cb74b1eb3e9d5736b01bea7140812f309ec3583818",
                 "fig3.svg": "5a89557fadd926cf2bc40cf3f925f87c4ac4a8ce79a65c0dc30a4e709815418c",
             }),
@@ -591,11 +599,11 @@ class TestAnalyze:
                   s_repetitions=6), {
                 "summary.csv": "ba078a6af9b0666d2d18a086f5b7edbf887c79b356fd049c61ed94f769243763",
                 "fig1.csv": "aaaa7c5c79e6c4b864c4e5948e08855311c22197056a4b3a41d32b474cc57b1d",
-                "fig2a.csv": "c39d6ace9f7119a5892b35caff97d2f46d32ed0f10839db22275eb6a4f7595c9",
+                "fig2a.csv": "6d7457d135fd796d798128d1821457472334cdf3d0804d0b021ceba3e5686560",
                 "fig2b.csv": "ac8723877d5e9e806dc3bc9c09e2cde831f0e621837821b8b778f1bf3aa32e6d",
                 "fig3.csv": "4c435c66e516c61dd5ced61d0f638c1462d84c4b6b60db642c4ba9c8edef14e4",
                 "fig1.svg": "2b468016e6987234795dfe058543fd6a2a0d8e4e6281427b18baad6076d52542",
-                "fig2a.svg": "03c409df5c6f428756db778585640570f2e0ab2d98bb392e8eb4d93fceba35a1",
+                "fig2a.svg": "b4ff43ff12f0d7dbad1af34cece8a32efe94da72b3efdc216c97b33589bf7e79",
                 "fig2b.svg": "a6e8e7fc1f4ca85508f7c629de239044fc272db14fbf76f7974c5c5d92f42501",
                 "fig3.svg": "74364a84181115576468044d753a90c9d70af06705b9ffd806f74c6f0d48f1d3",
             }),
@@ -605,11 +613,11 @@ class TestAnalyze:
                   s_repetitions=40, shots=200), {
                 "summary.csv": "c3a7eb2ec70865723abfa62f73ed63ddfa5d7efd0fa4154ac67a0aa0e014c2bc",
                 "fig1.csv": "5eacc2275219f5d2b1a6bdd50540a01cd8de7924553b303c9a524d280e8a65c6",
-                "fig2a.csv": "4acc1174401d9062b92bf765597cf0f00a29aaaf9876670d12a29de4150ca48f",
+                "fig2a.csv": "438ae1eaa888c59b120558b4de9b9bb9c8ab7e23bc8e58f08408bd01bd0eba43",
                 "fig2b.csv": "fa2cfc969f34dd07a4f226e826367a20acf19fd83a5043f0b482befb70dfc252",
                 "fig3.csv": "cb106df87386965719782f5aa19596856240cf2de59f210a0332128a1aa8dca6",
                 "fig1.svg": "ab73f6013b137cece3021af26269efe261c9585649177731dcbacd33ebb58c40",
-                "fig2a.svg": "27ec845516bb09c506b8f2a2f8fa04eedd5ec54d28a296977f193dd0e65c616f",
+                "fig2a.svg": "ecd0792335109dfca048da7f00411cde891f50849c1b5c96a31913d7561c04ce",
                 "fig2b.svg": "1ea2f59624b36633406c4e168d6da0856ce12f4f0734684bd76f3eb71a5748d9",
                 "fig3.svg": "47d6c5909443b6e72b78f4d66057f42d28ce5eb4ebec6a267358ee713fe1db93",
             }),
@@ -621,8 +629,9 @@ class TestAnalyze:
         # series separately, (random-n-2-8-16) while analyze still averaged
         # each sample's rows one sample at a time, and (random-n-1-6-s40)
         # while analyze still read samples.csv with the csv module and drew
-        # each cross point by point; a change to the report bytes must be
-        # deliberate
+        # each cross point by point; fig2a re-recorded when the CISD and FCI
+        # populations became one 2x2 closed form (the last bits moved); a
+        # change to the report bytes must be deliberate
         out = analyze(run_experiment(tiny_config(tmp_path, **{"shots": 500, **overrides})))
         digests = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected
@@ -1309,10 +1318,17 @@ class TestCli:
              "holds subsystem rows [1] for N2/set0/sample0; its manifest expects [0, 1]"),
             (lambda text: set_cell(text, 2, "subsystem", "0"),
              "holds subsystem rows [0, 0] for N2/set0/sample0; its manifest expects [0, 1]"),
+            (lambda text: edit_row(text, 16, lambda line: line.rsplit(",", 1)[0]),
+             "line 17 has 12 cells, not 13"),
+            (lambda text: edit_row(text, 16, lambda line: line + ",9"),
+             "line 17 has 14 cells, not 13"),
+            (lambda text: edit_row(text, 2, lambda line: line.rsplit(",", 1)[0]),
+             "line 3 has 12 cells, not 13"),
         ],
         ids=["renamed-column", "trailing-blank-line", "all-space-row", "short-last-row", "not-a-number",
              "not-a-number-first-row", "cell-text-naming-a-row", "too-large-an-integer", "inf-cell",
-             "overflowing-float", "moved-row", "repeated-subsystem"],
+             "overflowing-float", "moved-row", "repeated-subsystem", "last-row-lost-its-unread-cell",
+             "last-row-gained-a-cell", "second-row-lost-its-unread-cell"],
     )
     def test_forged_digest_rows_are_checked(self, tmp_path, capsys, edit, message):
         # past the whole-file check, numpy's reader names what it rejects;
