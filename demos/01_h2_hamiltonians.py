@@ -44,7 +44,6 @@ def main():
     print(f"E_HF               : {rhf.e_hf:.10f} hartree "
           f"({rhf.e_hf * HARTREE_TO_KCAL_PER_MOL:.2f} kcal/mol)")
     print(f"orbital energies   : {rhf.orbital_energies}")
-    print(f"converged in       : {rhf.iterations} iterations")
     print("MO coefficients (columns = gerade, ungerade):")
     print(rhf.mo_coefficients)
 

@@ -20,9 +20,10 @@ from .analysis import (
 )
 from .config import ExperimentConfig
 from .device import DeviceModel, rank_qubits, synthetic_calibration
-from .experiment import build_hamiltonians, run_experiment
+from .experiment import run_experiment
 from .hamiltonians import (
     FermionHamiltonian,
+    build_hamiltonians,
     h1q_parameters,
     jordan_wigner,
     taper,

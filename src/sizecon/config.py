@@ -10,11 +10,17 @@ the wrong type or one out of range raises a ``ConfigError`` that names the
 path as the file spells it (``shots``, ``sampling.k``,
 ``calibration.file``); ``to_dict``, which the manifest records, leaves the
 unread keys out.
+
+``plan_shape`` is the one place the shape of a sampling plan is decided,
+and ``rows`` sums the samples.csv rows those plans produce. Past
+``MAX_ROWS`` a config is refused on the sampling key that sets its plans'
+size, before anything is allocated.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -31,9 +37,15 @@ MAX_SHOTS = 2**63 - 1
 # the qubits, and at 1024 qubits `sizecon calibration generate` takes about
 # 0.4 s and 280 MB and writes a 52 MB file (2-vCPU AMD EPYC)
 MAX_QUBITS = 1024
-# a set or sample index is one 32-bit word of a work item's seed key; no run
-# with 2**32 sets or samples fits in memory anyway
+# a set or sample index is one 32-bit word of a work item's seed key
 _MAX_INDEX = 2**32 - 1
+# the most samples.csv rows a config may plan, N per work item summed over
+# its plans. Memory grows with the rows (about 3.5 kB a row at width 4,
+# where each row has seeds for five groups), so sampling.k and sampling.s
+# alone cannot bound a run: at their ceiling the plan keys alone would
+# need about 480 GB. At the budget, a 1-shot run of representation 4,
+# N = 1 and s = 65536 takes about 5 s and 270 MB (2-vCPU Intel Xeon).
+MAX_ROWS = 2**16
 
 
 class ConfigError(ValueError):
@@ -135,11 +147,29 @@ class ExperimentConfig:
                         f"N={n} x width {self.representation} does not divide the "
                         f"{QUBIT_BUDGET}-qubit pool; use random sampling",
                     )
+        if self.rows > MAX_ROWS:
+            raise ConfigError(
+                "sampling.k" if self.sampling_mode == "selective" else "sampling.s",
+                f"plans {self.rows} samples.csv rows, over the {MAX_ROWS}-row budget",
+            )
         # false for NaN, and exact for an integer past the float range
         if not 0 < self.bond_length <= sys.float_info.max:
             raise ConfigError(
                 "bond_length", f"must be positive and finite, got {self.bond_length}"
             )
+
+    def plan_shape(self, n: int) -> tuple[int, int]:
+        """The (sets, samples per set) of the plan drawn at ``n`` subsystems:
+        k sets of ``16 / (n * width)`` samples in selective mode, one set of
+        s samples in random mode. Each sample is one work item of n rows."""
+        if self.sampling_mode == "selective":
+            return self.k_sets, QUBIT_BUDGET // (n * self.representation)
+        return 1, self.s_repetitions
+
+    @property
+    def rows(self) -> int:
+        """The samples.csv rows the config plans: N per work item."""
+        return sum(n * math.prod(self.plan_shape(n)) for n in self.subsystem_counts)
 
     @property
     def run_id(self) -> str:

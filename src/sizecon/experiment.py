@@ -1,7 +1,8 @@
 """The run pipeline: from a config to a byte-stable run directory.
 
 ``run_experiment`` wires the full pipeline: the device, Hamiltonian
-construction at the configured bond length, ground-state circuit
+construction at the configured bond length
+(``hamiltonians.build_hamiltonians``), ground-state circuit
 synthesis, sampling-plan generation over the ranked qubits, noisy shot
 simulation of every (N, set, sample, group) work item, and tomography
 post-processing into per-subsystem energies and populations.
@@ -36,18 +37,14 @@ value columns of that N's rows, which ``write_run`` formats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .analysis import SubsystemLevels
 from .config import ExperimentConfig, QUBIT_BUDGET
 from .device import load_device, rank_qubits
-from .hamiltonians import h1q_parameters, jordan_wigner, taper, to_fermion
-from .molecule import build_integrals, solve_rhf
-from .pauli import PauliSum
+from .hamiltonians import build_hamiltonians
 from .rundir import write_run
 from .sampling import plan_keys, random_plan, selective_plan
 from .simulator import TrajectoryEngine
@@ -59,28 +56,6 @@ from .tomography import (
     shot_noise_stderr,
 )
 from .units import HARTREE_TO_KCAL_PER_MOL
-
-@dataclass(frozen=True)
-class HamiltonianBundle:
-    """Everything the pipeline derives from one bond length."""
-
-    h4: PauliSum
-    h2q: PauliSum
-    h1q: PauliSum
-    levels: SubsystemLevels
-
-    def subsystem_hamiltonian(self, representation: int) -> PauliSum:
-        return {1: self.h1q, 2: self.h2q, 4: self.h4}[representation]
-
-
-def build_hamiltonians(bond_length: float) -> HamiltonianBundle:
-    system = build_integrals(bond_length)
-    rhf = solve_rhf(system)
-    h4 = jordan_wigner(to_fermion(system, rhf))
-    h2q, h1q = taper(h4)
-    levels = SubsystemLevels.from_single_qubit_terms(*h1q_parameters(h1q))
-    return HamiltonianBundle(h4=h4, h2q=h2q, h1q=h1q, levels=levels)
-
 
 # numpy's SeedSequence constants: a pool of four 32-bit words, the two
 # hashes' start values and multipliers, and the mix multipliers

@@ -9,6 +9,11 @@ orbital p; bitstrings read qubit 0 leftmost).
 
 ``two_body[(p, q, r, s)]`` is the coefficient of ``a+_p a+_q a_r a_s`` with
 the conventional 1/2 from the Coulomb operator already folded in.
+
+``build_hamiltonians`` runs the whole chain from a bond length: integrals,
+RHF, the Jordan-Wigner operator, its two tapered forms and the two-level
+spectrum of one H2. The run pipeline and the reference curves both start
+from it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .molecule import MolecularSystem, RhfSolution, mo_integrals
+from .analysis import SubsystemLevels
+from .molecule import MolecularSystem, RhfSolution, build_integrals, mo_integrals, solve_rhf
 from .pauli import LETTERS, PauliString, PauliSum, identity_string, multiply
 
 # The code book of one H2 block: per representation (qubits per H2), the
@@ -243,3 +249,26 @@ def h1q_parameters(h1q: PauliSum) -> tuple[float, float, float]:
         h1q.coefficient(PauliString("X")),
     )
 
+
+@dataclass(frozen=True)
+class HamiltonianBundle:
+    """Everything the pipeline derives from one bond length."""
+
+    h4: PauliSum
+    h2q: PauliSum
+    h1q: PauliSum
+    levels: SubsystemLevels
+
+    def subsystem_hamiltonian(self, representation: int) -> PauliSum:
+        return {1: self.h1q, 2: self.h2q, 4: self.h4}[representation]
+
+
+def build_hamiltonians(bond_length: float) -> HamiltonianBundle:
+    """Integrals, RHF, the Jordan-Wigner operator, its tapered forms and the
+    two-level spectrum of H2 at ``bond_length`` angstrom."""
+    system = build_integrals(bond_length)
+    rhf = solve_rhf(system)
+    h4 = jordan_wigner(to_fermion(system, rhf))
+    h2q, h1q = taper(h4)
+    levels = SubsystemLevels.from_single_qubit_terms(*h1q_parameters(h1q))
+    return HamiltonianBundle(h4=h4, h2q=h2q, h1q=h1q, levels=levels)

@@ -7,7 +7,14 @@ the zeroth Boys function F0(x) = (1/2) sqrt(pi/x) erf(sqrt(x)), so no
 external quantum-chemistry package is involved.
 
 Everything downstream works in atomic units; bond lengths enter in
-angstrom and are converted once.
+angstrom and are converted once, and ``build_integrals`` takes them up to
+``MAX_BOND_LENGTH``.
+
+In this minimal basis symmetry alone fixes the two MOs of homonuclear H2:
+sigma_g, (1, 1) / sqrt(2 (1 + S)), and sigma_u, (1, -1) / sqrt(2 (1 - S))
+(Szabo & Ostlund, *Modern Quantum Chemistry*, section 3.5). So
+``solve_rhf`` takes a fixed two Fock builds, not a loop to a tolerance, and
+orders the MOs gerade first by their coefficients' signs, not by energy.
 """
 
 from __future__ import annotations
@@ -26,22 +33,18 @@ STO3G_H = (
     (0.1688554040, 0.4446345422),
 )
 
-SCF_DENSITY_TOL = 1e-10
-SCF_MAX_ITER = 200
+# Longest bond length (angstrom) build_integrals accepts. The first Fock
+# matrix of solve_rhf is the core Hamiltonian, whose two levels close in as
+# H2 dissociates (1e-5 hartree apart at 6.0); round-off over that gap mixes
+# sigma_g and sigma_u (by about 1e-10 at 6.0) and leaves symmetry-forbidden
+# couplings in the Hamiltonian. Past 6.0 they fail the tapering closure
+# check or the synthesis fidelity contract (first at 6.007 on a 0.001
+# grid), while every 0.001 step from 0.01 to 6.0 builds all three
+# representations.
+MAX_BOND_LENGTH = 6.0
 # Smallest overlap eigenvalue symmetric orthogonalization accepts; below it
 # the two 1s functions are numerically one (bond lengths under ~1e-4 A).
 OVERLAP_MIN_EIGENVALUE = 1e-8
-
-
-class ScfConvergenceError(RuntimeError):
-    """SCF failed to reach the density-change tolerance."""
-
-    def __init__(self, iterations: int, delta: float):
-        super().__init__(
-            f"SCF not converged after {iterations} iterations (density change {delta:.3e})"
-        )
-        self.iterations = iterations
-        self.delta = delta
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,11 @@ class MolecularSystem:
 
 @dataclass(frozen=True)
 class RhfSolution:
-    """Converged closed-shell SCF result for a 2-orbital system."""
+    """Closed-shell RHF result for a 2-orbital system."""
 
     mo_coefficients: np.ndarray   # (2, 2), AO -> MO, column per MO
     orbital_energies: np.ndarray  # (2,)
     e_hf: float                   # hartree, includes nuclear repulsion
-    iterations: int
 
 
 def boys_f0(x: float) -> float:
@@ -121,9 +123,12 @@ def build_integrals(bond_length: float) -> MolecularSystem:
     """
     if not (math.isfinite(bond_length) and bond_length > 0):
         raise ValueError(f"bond length must be positive and finite, got {bond_length}")
+    if bond_length > MAX_BOND_LENGTH:
+        raise ValueError(
+            f"bond length {bond_length} angstrom is over {MAX_BOND_LENGTH}, past which"
+            " round-off mixes sigma_g and sigma_u beyond the tapering and synthesis checks"
+        )
     r_bohr = bond_length * BOHR_PER_ANGSTROM
-    if not math.isfinite(r_bohr * r_bohr):
-        raise ValueError(f"bond length {bond_length} angstrom overflows when squared in bohr")
     centers = (0.0, r_bohr)  # z coordinates
 
     # (alpha, total coefficient incl. primitive norm) per primitive per center
@@ -187,12 +192,33 @@ def build_integrals(bond_length: float) -> MolecularSystem:
     )
 
 
-def solve_rhf(system: MolecularSystem, initial_density: np.ndarray | None = None) -> RhfSolution:
-    """Closed-shell Roothaan SCF, converged on max density change < 1e-10.
+def _coulomb_exchange(density: np.ndarray, eri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Coulomb matrix J and half the exchange matrix K of a closed-shell
+    density."""
+    return np.einsum("ls,mnls->mn", density, eri), 0.5 * np.einsum("ls,mlsn->mn", density, eri)
 
-    For homonuclear H2 the converged MOs are the symmetry-adapted gerade /
-    ungerade combinations whatever the starting density; sign conventions
-    are fixed so the coefficients on the first atom are non-negative.
+
+def _occupy_gerade(fock: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbital energies and AO coefficients of ``fock`` in the orthogonal
+    basis ``x``, the gerade orbital (two coefficients of one sign) first, and
+    the density with that orbital doubly occupied."""
+    energies, c_prime = np.linalg.eigh(x.T @ fock @ x)
+    coeffs = x @ c_prime
+    order = [0, 1] if coeffs[0, 0] * coeffs[1, 0] > 0 else [1, 0]
+    coeffs = coeffs[:, order]
+    return energies[order], coeffs, 2.0 * np.outer(coeffs[:, 0], coeffs[:, 0])
+
+
+def solve_rhf(system: MolecularSystem) -> RhfSolution:
+    """Closed-shell RHF of H2, with sigma_g doubly occupied.
+
+    Symmetry fixes both MOs, so there is no SCF loop: the Fock matrix of a
+    zero density, the core Hamiltonian, already has the gerade and ungerade
+    eigenvectors, and one Fock build from the gerade density gives their
+    final coefficients and orbital energies. Each step occupies the gerade
+    orbital, not the lower one, since past about 5.6 angstrom sigma_u may
+    lie lower. Signs are fixed so the coefficients on the first atom are
+    non-negative.
     """
     s = system.overlap
     h = system.core_hamiltonian
@@ -207,40 +233,20 @@ def solve_rhf(system: MolecularSystem, initial_density: np.ndarray | None = None
         )
     x = s_vecs @ np.diag(s_vals**-0.5) @ s_vecs.T
 
-    density = np.zeros_like(s) if initial_density is None else np.asarray(initial_density, dtype=float)
-    energies = None
-    coeffs = None
-    delta = math.inf
-    for iteration in range(1, SCF_MAX_ITER + 1):
-        g = np.einsum("ls,mnls->mn", density, eri) - 0.5 * np.einsum(
-            "ls,mlsn->mn", density, eri
-        )
-        fock = h + g
-        f_prime = x.T @ fock @ x
-        energies, c_prime = np.linalg.eigh(f_prime)
-        coeffs = x @ c_prime
-        new_density = 2.0 * np.outer(coeffs[:, 0], coeffs[:, 0])
-        delta = float(np.max(np.abs(new_density - density)))
-        density = new_density
-        if delta < SCF_DENSITY_TOL:
-            break
-    else:
-        raise ScfConvergenceError(SCF_MAX_ITER, delta)
+    *_, density = _occupy_gerade(h, x)
+    j, k = _coulomb_exchange(density, eri)
+    energies, coeffs, density = _occupy_gerade(h + (j - k), x)
+    coeffs[:, coeffs[0] < 0] *= -1
 
-    # Deterministic MO signs: first-atom coefficient non-negative.
-    for col in range(coeffs.shape[1]):
-        if coeffs[0, col] < 0:
-            coeffs[:, col] = -coeffs[:, col]
-
-    fock = h + np.einsum("ls,mnls->mn", density, eri) - 0.5 * np.einsum(
-        "ls,mlsn->mn", density, eri
-    )
+    # the energy's Fock matrix sums (h + J) - K/2, the one above h + (J - K/2):
+    # the last bits of e_hf and of the MOs depend on each order
+    j, k = _coulomb_exchange(density, eri)
+    fock = h + j - k
     e_elec = 0.5 * float(np.sum(density * (h + fock)))
     return RhfSolution(
         mo_coefficients=coeffs,
         orbital_energies=energies,
         e_hf=e_elec + system.nuclear_repulsion,
-        iterations=iteration,
     )
 
 

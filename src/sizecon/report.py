@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .analysis import SubsystemLevels, cisd_reference, error_stats, horizon, mean_sd, wls_fit
 from .config import ConfigError, ExperimentConfig
-from .experiment import build_hamiltonians
+from .hamiltonians import build_hamiltonians
 from .rundir import MANIFEST_JSON, SUMMARY_CSV, load_samples, manifest_field, read_manifest, write_csv
 from .svgplot import Figure, Series, write as write_svg
 from .units import HARTREE_TO_KCAL_PER_MOL

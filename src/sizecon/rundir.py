@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ import numpy as np
 from . import __version__
 from .analysis import SubsystemLevels
 from .config import ExperimentConfig
-from .sampling import plan_keys, plan_shape
+from .sampling import plan_keys
 
 SAMPLES_CSV = "samples.csv"
 POPULATIONS_CSV = "populations.csv"
@@ -213,9 +212,8 @@ def load_samples(run_dir: Path, config: ExperimentConfig, sha256: str) -> dict[i
     lines = data.decode().split("\n")[:-1]
     if lines[0] != ",".join(SAMPLES_HEADER):
         raise ValueError(f"{path} header is not {','.join(SAMPLES_HEADER)}")
-    rows = sum(n * math.prod(plan_shape(config, n)) for n in config.subsystem_counts)
-    if len(lines) - 1 != rows:
-        raise ValueError(f"{path} has {len(lines) - 1} subsystem rows; its manifest expects {rows}")
+    if len(lines) - 1 != config.rows:
+        raise ValueError(f"{path} has {len(lines) - 1} subsystem rows; its manifest expects {config.rows}")
     try:
         table = np.loadtxt(lines[1:], TABLE, delimiter=",", comments=None, ndmin=1,
                            usecols=list(map(SAMPLES_HEADER.index, TABLE.names)))

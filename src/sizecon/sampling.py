@@ -11,10 +11,10 @@ A plan is one int64 array, ``maps``, ``(items, N * width)``: each sample's
 physical qubits, block ``b`` in columns ``b * width`` to
 ``(b + 1) * width - 1``, the physical-map array ``TrajectoryEngine.sample``
 takes. ``plan_keys`` names the same rows: the ``(set_index, sample_index)``
-of each, set by set, for the plan a config draws at N. ``plan_shape`` is
-the one place the shape of a plan is decided; the run seeds, labels and
-writes its rows by those keys, and ``analyze`` counts the rows it expects
-from that shape before it builds them.
+of each, set by set, for the plan a config draws at N, in the shape
+``ExperimentConfig.plan_shape`` decides; the run seeds, labels and writes
+its rows by those keys, and ``analyze`` counts the rows it expects from
+``ExperimentConfig.rows`` before it builds them.
 
 The pool a plan draws from is ``sizecon.device.rank_qubits`` of the
 run's device, best qubit first; this module sees only that list.
@@ -29,20 +29,11 @@ import numpy as np
 from .config import QUBIT_BUDGET, ExperimentConfig
 
 
-def plan_shape(config: ExperimentConfig, n: int) -> tuple[int, int]:
-    """The (sets, samples per set) of the plan ``config`` draws at ``n``
-    subsystems: k sets of ``16 / (n * width)`` samples in selective mode,
-    one set of s samples in random mode."""
-    if config.sampling_mode == "selective":
-        return config.k_sets, QUBIT_BUDGET // (n * config.representation)
-    return 1, config.s_repetitions
-
-
 def plan_keys(config: ExperimentConfig, n: int) -> np.ndarray:
     """The ``(items, 2)`` int64 ``(set_index, sample_index)`` rows of the
-    plan ``config`` draws at ``n`` subsystems, set by set, in the
+    plan ``config`` draws at ``n`` subsystems, set by set, in its
     ``plan_shape``."""
-    return np.indices(plan_shape(config, n), dtype=np.int64).reshape(2, -1).T
+    return np.indices(config.plan_shape(n), dtype=np.int64).reshape(2, -1).T
 
 
 def selective_plan(pool: Sequence[int], n_subsystems: int, width: int, k: int) -> np.ndarray:

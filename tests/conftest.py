@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sizecon.experiment import build_hamiltonians
+from sizecon.hamiltonians import build_hamiltonians
 from sizecon.molecule import build_integrals, solve_rhf
 
 from oracles import CiOracle

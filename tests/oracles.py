@@ -22,6 +22,9 @@ library it checks:
 * the 3-vector integrals place both H2 centres in space and take every
   distance with ``np.dot``, where the library works on the bond axis; the
   two agree byte for byte,
+* the SCF reference iterates Roothaan's fixed point from a zero density
+  until the density stops changing, occupying the lowest orbital, where the
+  library takes two Fock builds and occupies the gerade orbital,
 * the regression oracle solves the weighted normal equations through a
   design-matrix factorization,
 * the truncated-CI references diagonalize the full (N+1)-dimensional
@@ -529,6 +532,41 @@ def integrals_3d(bond_length: float) -> dict[str, np.ndarray]:
         )
     out["two_electron"] = eri
     return out
+
+
+# ---------------------------------------------------------------------------
+# Roothaan SCF iterated to a density-change tolerance.
+# ---------------------------------------------------------------------------
+
+
+def rhf_scf_loop(system, tol: float = 1e-10, max_iter: int = 200):
+    """(mo_coefficients, orbital_energies, e_hf, iterations) of closed-shell
+    Roothaan SCF from a zero density, iterated until the largest density
+    change is under ``tol``, the lowest orbital doubly occupied. Signs are
+    fixed so the first atom's coefficients are non-negative. Returns None if
+    it does not converge in ``max_iter`` iterations, which happens where the
+    two orbital energies swap places at each iteration (past about 5.6
+    angstrom)."""
+    s, h, eri = system.overlap, system.core_hamiltonian, system.two_electron
+    s_vals, s_vecs = np.linalg.eigh(s)
+    x = s_vecs @ np.diag(s_vals**-0.5) @ s_vecs.T
+    density = np.zeros_like(s)
+    for iteration in range(1, max_iter + 1):
+        g = np.einsum("ls,mnls->mn", density, eri) - 0.5 * np.einsum("ls,mlsn->mn", density, eri)
+        fock = h + g
+        energies, c_prime = np.linalg.eigh(x.T @ fock @ x)
+        coeffs = x @ c_prime
+        new_density = 2.0 * np.outer(coeffs[:, 0], coeffs[:, 0])
+        delta = float(np.max(np.abs(new_density - density)))
+        density = new_density
+        if delta < tol:
+            break
+    else:
+        return None
+    coeffs = coeffs * np.where(coeffs[0] < 0, -1.0, 1.0)
+    fock = h + np.einsum("ls,mnls->mn", density, eri) - 0.5 * np.einsum("ls,mlsn->mn", density, eri)
+    e_hf = 0.5 * float(np.sum(density * (h + fock))) + system.nuclear_repulsion
+    return coeffs, energies, e_hf, iteration
 
 
 # ---------------------------------------------------------------------------

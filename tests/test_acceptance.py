@@ -14,9 +14,9 @@ import pytest
 from sizecon.analysis import cisd_reference, horizon, wls_fit
 from sizecon.config import ExperimentConfig
 from sizecon.device import DeviceModel
-from sizecon.experiment import build_hamiltonians, run_experiment
+from sizecon.experiment import run_experiment
+from sizecon.hamiltonians import build_hamiltonians, jordan_wigner, to_fermion, taper
 from sizecon.report import analyze
-from sizecon.hamiltonians import jordan_wigner, to_fermion, taper
 from sizecon.molecule import build_integrals, solve_rhf
 from sizecon.simulator import run_shots
 from sizecon.stateprep import Circuit, Gate, compose

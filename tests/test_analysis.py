@@ -12,7 +12,7 @@ from sizecon.analysis import (
     mean_sd,
     wls_fit,
 )
-from sizecon.experiment import build_hamiltonians
+from sizecon.hamiltonians import build_hamiltonians
 from sizecon.hamiltonians import h1q_parameters
 from sizecon.stateprep import fci_ground
 from sizecon.units import HARTREE_TO_KCAL_PER_MOL

@@ -13,6 +13,9 @@ line. The cases run in-process through
 ``filterwarnings = error`` turns any warning into one. The valid edges of
 every key, each at its least value and at its greatest where a run there is
 cheap, must run: exit 0, one ``run complete`` line and a ``samples.csv``.
+A config that plans exactly ``config.MAX_ROWS`` rows must parse, and one
+set or sample more must end ``run`` in one ``error: config:`` line before
+anything is planned.
 ``reference --n-max`` past its bounds, 10**400 included, must end in one
 ``error: usage:`` line, rejected by the parser before any work starts; the
 bound itself must run. An empty ``--output`` of ``reference`` or
@@ -22,11 +25,13 @@ bound itself must run. An empty ``--output`` of ``reference`` or
 import copy
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
 from sizecon.cli import main as cli_main
-from sizecon.config import _SCHEMA, QUBIT_BUDGET, ExperimentConfig
+from sizecon.config import _SCHEMA, MAX_ROWS, QUBIT_BUDGET, ConfigError, ExperimentConfig
+from sizecon.molecule import MAX_BOND_LENGTH
 from sizecon.report import REFERENCE_N_MAX
 
 BASE = {"representation": 1, "subsystem_counts": [2], "output_dir": "run", "shots": 10}
@@ -90,7 +95,13 @@ def test_invalid_config_value_is_one_line(tmp_path, capsys, monkeypatch, path, v
 
 @pytest.mark.parametrize("path, value", edge_values())
 def test_config_edge_value_parses(path, value):
-    config = ExperimentConfig.from_json(json.dumps(config_with(path, value)))
+    text = json.dumps(config_with(path, value))
+    if path in ("sampling.k", "sampling.s") and value == _SCHEMA[path][4]:
+        # within its own bound, but its plans are over the row budget
+        with pytest.raises(ConfigError, match=f"^{path}: plans .* over the {MAX_ROWS}-row budget$"):
+            ExperimentConfig.from_json(text)
+        return
+    config = ExperimentConfig.from_json(text)
     assert getattr(config, _SCHEMA[path][0]) == value
 
 
@@ -112,17 +123,16 @@ def test_config_lower_bound_runs(tmp_path, capsys, monkeypatch, path):
 # every rate at 1 and every pair listed. Not run:
 # * shots at MAX_SHOTS: each work item would draw 2**63 - 1 shots, which
 #   takes centuries;
-# * sampling.k and sampling.s at 2**32 - 1: a plan of that many sets or
-#   samples does not fit in memory;
-# * bond lengths past 5.7 angstrom, where the SCF of solve_rhf stops
-#   converging, and below 0.01, where jordan_wigner starts to reject the
+# * sampling.k and sampling.s at 2**32 - 1: such a plan is over the
+#   config.MAX_ROWS budget, which test_row_budget_edge covers;
+# * bond lengths below 0.01, where jordan_wigner starts to reject the
 #   Hamiltonian as non-Hermitian by round-off (from about 0.005).
 VALID_EDGES = [
     ("representation", 1), ("representation", 4),
     ("subsystem_counts", [1]), ("subsystem_counts", [QUBIT_BUDGET]),
     ("output_dir", "r"), ("output_dir", "parents/made/run"),
     ("master_seed", 10**400),
-    ("bond_length", 0.01), ("bond_length", 5.7),
+    ("bond_length", 0.01), ("bond_length", MAX_BOND_LENGTH),
     ("sampling.mode", "selective"), ("sampling.mode", "random"),
     ("calibration.file", "rates-0.json"), ("calibration.file", "rates-1.json"),
     ("calibration.synthetic_seed", 10**400),
@@ -154,6 +164,35 @@ def test_valid_edge_runs(tmp_path, capsys, monkeypatch, path, value):
     assert cli_main(["run", "config.json"]) == 0
     assert capsys.readouterr() == (f"run complete: {config['output_dir']}\n", "")
     assert len((tmp_path / config["output_dir"] / "samples.csv").read_text().splitlines()) > 1
+
+
+@pytest.mark.parametrize(
+    "sampling, n, rows_each",
+    [({"mode": "selective", "k": MAX_ROWS // 16}, 2, 16), ({"mode": "random", "s": MAX_ROWS}, 1, 1)],
+    ids=["selective-k", "random-s"],
+)
+def test_row_budget_edge(tmp_path, capsys, monkeypatch, sampling, n, rows_each):
+    # the rows are N per work item: 8 items of 2 rows per selective set at
+    # N = 2 (rows_each 16), one row per random sample at N = 1. At the budget the config
+    # parses; one set or sample more, and the most the key itself takes,
+    # each end run in one line before anything is planned
+    monkeypatch.chdir(tmp_path)
+    config = {**BASE, "subsystem_counts": [n], "sampling": sampling}
+    assert ExperimentConfig.from_dict(config).rows == MAX_ROWS
+    key = "k" if sampling["mode"] == "selective" else "s"
+    for value in (sampling[key] + 1, 2**32 - 1):
+        (tmp_path / "config.json").write_text(json.dumps({**config, "sampling": {**sampling, key: value}}))
+        tracemalloc.start()
+        try:
+            code = cli_main(["run", "config.json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: config: sampling.{key}: plans {value * rows_each} "
+                                           f"samples.csv rows, over the {MAX_ROWS}-row budget\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert peak < 1_000_000
 
 
 EDGE_VALUES = {"empty": "", "0": 0, "-0.0": -0.0, "1e-320": 1e-320, "NaN": float("nan"),

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,9 +15,11 @@ import pytest
 
 from sizecon import cli, experiment, rundir
 from sizecon.cli import main as cli_main
-from sizecon.config import MAX_QUBITS, ConfigError, ExperimentConfig
+from sizecon.config import MAX_QUBITS, MAX_ROWS, ConfigError, ExperimentConfig
 from sizecon.device import DeviceModel, synthetic_calibration
-from sizecon.experiment import build_hamiltonians, derive_seed, run_experiment
+from sizecon.experiment import derive_seed, run_experiment
+from sizecon.hamiltonians import build_hamiltonians
+from sizecon.molecule import MAX_BOND_LENGTH
 from sizecon.report import analyze, reference_table
 from sizecon.rundir import (
     POPULATIONS_HEADER,
@@ -991,14 +994,23 @@ class TestCli:
             assert line.startswith("error: value: non-Hermitian input: imaginary Pauli weight ")
         assert not (tmp_path / "run").exists()
 
+    def test_reference_at_the_bond_bound_runs(self):
+        # run at the bound is one of test_cli_contract's VALID_EDGES
+        result = run_cli("reference", "--n-max", "2", f"--bond-length={MAX_BOND_LENGTH}")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert len(result.stdout.splitlines()) == 3
+
     @pytest.mark.parametrize(
         "value, message",
         [
-            ("1e308", "bond length 1e+308 angstrom overflows when squared in bohr"),
+            (repr(past), f"bond length {past} angstrom is over 6.0, past which round-off mixes "
+                         "sigma_g and sigma_u beyond the tapering and synthesis checks")
+            for past in (math.nextafter(MAX_BOND_LENGTH, math.inf), 1e308)
+        ] + [
             ("1e-300", "overlap matrix at bond length 1e-300 angstrom is singular "
                        "(smallest eigenvalue 0.000e+00)"),
         ],
-        ids=["1e308", "1e-300"],
+        ids=["just-past-the-bound", "1e308", "1e-300"],
     )
     def test_extreme_bond_length_is_one_line(self, tmp_path, value, message):
         # each used to print numpy RuntimeWarnings before its error line
@@ -1341,10 +1353,11 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [f"error: value: {out}/samples.csv {message}"]
         assert not (out / "summary.csv").exists()
 
-    @pytest.mark.parametrize("k", [262144, 2**32 - 1])
+    @pytest.mark.parametrize("k", [MAX_ROWS // 16, MAX_ROWS // 16 + 1, 262144, 2**32 - 1])
     def test_oversized_manifest_config_is_refused_in_little_memory(self, tmp_path, capsys, k):
         # the row count is checked before any key array is built: the keys
-        # of k = 262144 alone took 125 MB, and of 2**32 - 1 about 480 GB
+        # of k = 262144 alone took 125 MB, and of 2**32 - 1 about 480 GB.
+        # Past the row budget the manifest's config is refused first.
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
         manifest = (out / "manifest.json").read_text()
         (out / "manifest.json").write_text(set_key(manifest, "config.sampling.k", k))
@@ -1355,7 +1368,9 @@ class TestCli:
         finally:
             tracemalloc.stop()
         assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: value: {out}/samples.csv has 16 subsystem rows; its manifest expects {16 * k}"
-        ]
+        message = (f"samples.csv has 16 subsystem rows; its manifest expects {16 * k}"
+                   if 16 * k <= MAX_ROWS else
+                   f"manifest.json key config.sampling.k: plans {16 * k} samples.csv rows, "
+                   f"over the {MAX_ROWS}-row budget")
+        assert capsys.readouterr().err.splitlines() == [f"error: value: {out}/{message}"]
         assert peak < 1_000_000

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sizecon.experiment import build_hamiltonians
 from sizecon.hamiltonians import (
     BLOCK_DETERMINANTS,
     FermionHamiltonian,
     TaperingError,
+    build_hamiltonians,
     excitation_level,
     h1q_parameters,
     jordan_wigner,
@@ -14,8 +14,10 @@ from sizecon.hamiltonians import (
     taper,
     to_fermion,
 )
-from sizecon.molecule import build_integrals, mo_integrals, solve_rhf
+from sizecon.molecule import MAX_BOND_LENGTH, build_integrals, mo_integrals, solve_rhf
 from sizecon.pauli import PauliString, PauliSum
+from sizecon.stateprep import fci_ground, synthesize
+from sizecon.tomography import build_plan
 
 from oracles import CLASSIFICATION, CiOracle, determinant_expectation, pauli_decompose
 
@@ -245,3 +247,16 @@ class TestH1qParameters:
         with pytest.raises(ValueError, match="unexpected Y"):
             h1q_parameters(h)
 
+
+
+class TestBuildHamiltonians:
+    def test_every_representation_builds_up_to_the_bond_bound(self):
+        # what run builds from a bond length, at every 0.05 angstrom from the
+        # shortest valid edge to MAX_BOND_LENGTH; each step checks its own
+        # contract (Hermitian image, closed sectors, synthesis fidelity)
+        for bond_length in [*np.arange(0.01, MAX_BOND_LENGTH, 0.05).tolist(), MAX_BOND_LENGTH]:
+            bundle = build_hamiltonians(bond_length)
+            for width in BLOCK_DETERMINANTS:
+                h_sub = bundle.subsystem_hamiltonian(width)
+                synthesize(fci_ground(h_sub))
+                build_plan(h_sub)

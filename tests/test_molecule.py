@@ -4,21 +4,19 @@ import re
 import numpy as np
 import pytest
 
-from sizecon.molecule import (
-    ScfConvergenceError,
-    build_integrals,
-    mo_integrals,
-    solve_rhf,
-)
+from sizecon.molecule import MAX_BOND_LENGTH, build_integrals, mo_integrals, solve_rhf
 from sizecon.units import BOHR_PER_ANGSTROM
 
-from oracles import integrals_3d
+from oracles import integrals_3d, rhf_scf_loop
+
+# bond lengths that other tests, pinned outputs and edge cases run at
+PINNED_BOND_LENGTHS = (0.01, 0.05, 0.3, 0.5, 0.7414, 1.5, 3.0, 5.7)
 
 
 class TestIntegrals:
     def test_equal_to_the_three_vector_form(self):
         # on-axis scalars against the 3-vector form, byte for byte
-        for bond_length in [*np.geomspace(0.05, 10.0, 60).tolist(), 0.3, 0.7414, 1.5, 3.0]:
+        for bond_length in [*np.geomspace(0.05, MAX_BOND_LENGTH, 60).tolist(), 0.3, 0.7414, 1.5, 3.0]:
             system = build_integrals(bond_length)
             for name, expected in integrals_3d(bond_length).items():
                 assert getattr(system, name).tobytes() == expected.tobytes(), (bond_length, name)
@@ -35,14 +33,15 @@ class TestIntegrals:
         )
 
     def test_asymptotic_separation(self):
-        far = build_integrals(50.0)
-        r_bohr = 50.0 * BOHR_PER_ANGSTROM
-        assert abs(far.overlap[0, 1]) < 1e-12
+        # at the longest accepted bond the two 1s functions barely touch
+        far = build_integrals(MAX_BOND_LENGTH)
+        r_bohr = MAX_BOND_LENGTH * BOHR_PER_ANGSTROM
+        assert abs(far.overlap[0, 1]) < 1e-5
         # inter-center Coulomb decays to the point-charge 1/R limit
         assert far.two_electron[0, 0, 1, 1] == pytest.approx(1.0 / r_bohr, rel=1e-9)
         # coupling integrals with a charge distribution spanning both centers vanish
-        assert abs(far.two_electron[0, 1, 0, 0]) < 1e-12
-        assert abs(far.two_electron[0, 1, 0, 1]) < 1e-12
+        assert abs(far.two_electron[0, 1, 0, 0]) < 1e-6
+        assert abs(far.two_electron[0, 1, 0, 1]) < 1e-11
 
     def test_eight_fold_symmetry(self, system):
         eri = system.two_electron
@@ -79,10 +78,11 @@ class TestIntegrals:
             with pytest.raises(ValueError, match="positive and finite"):
                 build_integrals(bond_length)
 
-    @pytest.mark.parametrize("bond_length", [1e154, 1e308])
-    def test_overflowing_bohr_distance_rejected(self, bond_length):
-        # finite in angstrom, but its squared distance in bohr is not
-        message = re.escape(f"bond length {bond_length} angstrom overflows")
+    @pytest.mark.parametrize(
+        "bond_length", [math.nextafter(MAX_BOND_LENGTH, math.inf), 6.007, 50.0, 1e154, 1e308]
+    )
+    def test_bond_length_past_the_bound_rejected(self, bond_length):
+        message = re.escape(f"bond length {bond_length} angstrom is over {MAX_BOND_LENGTH}, past which")
         with pytest.raises(ValueError, match=message):
             build_integrals(bond_length)
 
@@ -105,15 +105,6 @@ class TestRhf:
         assert c[0, 0] == pytest.approx(c[1, 0], abs=1e-10)
         assert c[0, 1] == pytest.approx(-c[1, 1], abs=1e-10)
 
-    def test_initial_guess_does_not_matter(self, system, rhf):
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            raw = rng.normal(size=(2, 2))
-            guess = raw + raw.T
-            other = solve_rhf(system, initial_density=guess)
-            assert other.e_hf == pytest.approx(rhf.e_hf, abs=1e-9)
-            assert np.allclose(other.mo_coefficients, rhf.mo_coefficients, atol=1e-7)
-
     def test_hf_above_fci(self, rhf, ci_oracle):
         assert rhf.e_hf > ci_oracle.e_fci
 
@@ -123,16 +114,28 @@ class TestRhf:
     def test_orbital_energy_ordering(self, rhf):
         assert rhf.orbital_energies[0] < rhf.orbital_energies[1]
 
-    def test_reports_iterations(self, rhf):
-        assert 1 <= rhf.iterations < 200
+    @pytest.mark.parametrize("bond_length", [*np.geomspace(0.0063, 5.59, 400), *PINNED_BOND_LENGTHS])
+    def test_equals_the_scf_loop_bit_for_bit(self, bond_length):
+        # wherever the loop converges above 0.0063 angstrom it stops after
+        # the same two Fock builds, so every output keeps its bits
+        system = build_integrals(float(bond_length))
+        coeffs, energies, e_hf, _ = rhf_scf_loop(system)
+        rhf = solve_rhf(system)
+        assert rhf.mo_coefficients.tobytes() == coeffs.tobytes()
+        assert rhf.orbital_energies.tobytes() == energies.tobytes()
+        assert rhf.e_hf == e_hf
 
-    def test_non_convergence_reports_iteration_count(self, system, monkeypatch):
-        import sizecon.molecule as molecule
-
-        monkeypatch.setattr(molecule, "SCF_MAX_ITER", 1)
-        with pytest.raises(ScfConvergenceError, match="1 iterations") as err:
-            solve_rhf(system)
-        assert err.value.iterations == 1
+    @pytest.mark.parametrize("bond_length", [5.595, 5.732, MAX_BOND_LENGTH])
+    def test_gerade_orbital_is_occupied_where_the_loop_fails(self, bond_length):
+        # the loop occupies the lower orbital, and past about 5.6 angstrom
+        # sigma_g and sigma_u swap places at each iteration; round-off mixes
+        # them by about 1e-10 at the bound
+        system = build_integrals(bond_length)
+        assert rhf_scf_loop(system) is None
+        c = solve_rhf(system).mo_coefficients
+        assert c[0, 0] == pytest.approx(c[1, 0], abs=1e-9)
+        assert c[0, 1] == pytest.approx(-c[1, 1], abs=1e-9)
+        assert np.allclose(c.T @ system.overlap @ c, np.eye(2), atol=1e-10)
 
 
 class TestMoIntegrals:
