@@ -41,9 +41,7 @@ def wls_fit(points: Sequence[tuple[float, float, float]]) -> RegressionResult:
     """
     if len(points) < 2:
         raise ValueError(f"need at least 2 points, got {len(points)}")
-    x = np.array([p[0] for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
-    stddev = np.array([p[2] for p in points], dtype=float)
+    x, y, stddev = np.array(points, dtype=float).T
     if np.any(stddev <= 0):
         raise ValueError("every point needs a positive stddev")
     if np.ptp(x) == 0:
@@ -85,16 +83,18 @@ class Horizon:
 def horizon(delta: float, qubits_per_h2: int) -> Horizon:
     """Largest qubit and subsystem counts within 1 kcal/mol at slope delta.
 
-    ``n_qubit = floor(1 / |delta|)`` and ``n_h2 = floor(n_qubit / width)``;
-    a zero slope reports the unbounded sentinel.
+    ``n_qubit = floor(1 / |delta|)`` and ``n_h2 = floor(n_qubit / width)``.
+    A zero slope reports the unbounded sentinel, and so does a nonzero one
+    so small that ``1 / |delta|`` overflows a float.
     """
     if not math.isfinite(delta):
         raise ValueError(f"slope must be finite, got {delta}")
     if qubits_per_h2 < 1:
         raise ValueError("qubits_per_h2 must be >= 1")
-    if delta == 0.0:
+    bound = CHEMICAL_ACCURACY_KCAL / abs(delta) if delta != 0.0 else math.inf
+    if math.isinf(bound):
         return Horizon(n_qubit=0, n_h2=0, unbounded=True)
-    n_qubit = math.floor(CHEMICAL_ACCURACY_KCAL / abs(delta))
+    n_qubit = math.floor(bound)
     return Horizon(n_qubit=n_qubit, n_h2=n_qubit // qubits_per_h2)
 
 
@@ -179,26 +179,20 @@ def mean_sd(values: Sequence[float]) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1)) if len(values) > 1 else 0.0
 
 
-@dataclass(frozen=True)
-class ErrorStat:
-    n_subsystems: int
-    mean_error_kcal: float
-    std_kcal: float
-
-
 def error_stats(
     energies: Mapping[int, Sequence[float]], e_fci: float, e_hf: float
-) -> tuple[dict[int, ErrorStat], float]:
-    """Per-N mean and stddev of (energy-per-subsystem - FCI), in kcal/mol.
+) -> tuple[dict[int, tuple[float, float]], float]:
+    """Per-N ``mean_sd`` of (energy-per-subsystem - FCI), in kcal/mol.
 
     ``energies`` maps each N to its samples' energies per H2, in hartree;
-    the second return value is the mean-field reference line (e_hf - e_fci)
-    in kcal/mol.
+    the first return value maps each N, ascending, to the (mean, stddev) of
+    its errors, and the second is the mean-field reference line
+    (e_hf - e_fci) in kcal/mol.
     """
     if not energies:
         raise ValueError("no samples provided")
-    stats = {}
-    for n in sorted(energies):
-        errors = (np.asarray(energies[n], dtype=float) - e_fci) * HARTREE_TO_KCAL_PER_MOL
-        stats[n] = ErrorStat(n, *mean_sd(errors))
+    stats = {
+        n: mean_sd((np.asarray(energies[n], dtype=float) - e_fci) * HARTREE_TO_KCAL_PER_MOL)
+        for n in sorted(energies)
+    }
     return stats, (e_hf - e_fci) * HARTREE_TO_KCAL_PER_MOL

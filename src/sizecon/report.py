@@ -7,57 +7,60 @@ the chemical-accuracy horizon) and the figures ``fig1``, ``fig2a``,
 ``ExperimentConfig`` reads a config file; it gives the representation and
 the rows ``rundir.load_samples`` expects.
 
-Each figure is one table: a list of CSV rows plus the series it plots,
-each naming its y column and the rows it takes. ``_write_figure`` writes
-``<name>.csv`` from the rows and then ``<name>.svg`` with every point read
-back from those same rows, so a plotted value cannot differ from its CSV.
+Each figure is one table: a list of CSV rows plus an ``svgplot.Figure``
+whose series each name a column of those rows. ``_write_figure`` writes
+``<name>.csv`` from the rows and then ``<name>.svg`` from the same rows, so
+a plotted value cannot differ from its CSV.
+
+``analyze`` runs its arithmetic with numpy's overflow, invalid-value and
+division-by-zero errors raised: values a forged ``samples.csv`` holds that
+overflow a statistic end in one error naming the file, not in warnings.
+The reference curves come from the manifest's ``reference`` levels, which
+are checked to give finite values before ``samples.csv`` is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import SubsystemLevels, cisd_reference, error_stats, horizon, mean_sd, wls_fit
 from .config import ConfigError, ExperimentConfig
 from .hamiltonians import build_hamiltonians
-from .rundir import MANIFEST_JSON, SUMMARY_CSV, load_samples, manifest_field, read_manifest, write_csv
+from .rundir import (
+    MANIFEST_JSON, SAMPLES_CSV, SUMMARY_CSV, load_samples, manifest_field, read_manifest, write_csv,
+)
 from .svgplot import Figure, Series, write as write_svg
 from .units import HARTREE_TO_KCAL_PER_MOL
 
 
-@dataclass(frozen=True)
-class Plotted:
-    """One series of a figure table: the ``y`` column of the rows that are
-    not blank there and, when ``only`` is a (column, value) pair, hold that
-    value in that column."""
-
-    label: str
-    y: str
-    kind: str = "scatter"
-    color: str | None = None
-    dashed: bool = False
-    only: tuple[str, str] | None = None
-
-
-def _write_figure(
-    run_dir: Path, name: str, rows: list[dict], x: str, figure: Figure, *plotted: Plotted
-) -> None:
-    """Write ``<name>.csv`` from ``rows``, then ``<name>.svg`` plotting each
-    series from those rows; a series that takes no row is left out."""
+def _write_figure(run_dir: Path, name: str, rows: list[dict], figure: Figure) -> None:
+    """Write ``<name>.csv`` from ``rows``, then ``<name>.svg`` from the same rows."""
     write_csv(run_dir / f"{name}.csv", rows)
-    for p in plotted:
-        taken = [r for r in rows if r[p.y] != "" and (p.only is None or r[p.only[0]] == p.only[1])]
-        if taken:
-            xs, ys = [float(r[x]) for r in taken], [float(r[p.y]) for r in taken]
-            figure.series.append(Series(p.label, xs, ys, p.kind, p.color, p.dashed))
-    write_svg(figure, run_dir / f"{name}.svg")
+    write_svg(figure, rows, run_dir / f"{name}.svg")
+
+
+# the summary cells a fit fills, in their column order
+FITTED = ("delta_kcal_per_qubit", "slope_stderr_kcal_per_qubit", "intercept_kcal",
+          "horizon_n_qubit", "horizon_n_h2", "horizon_unbounded")
 
 
 def analyze(run_dir: str | Path) -> Path:
     """Produce summary and figure outputs for a finished run directory."""
     run_dir = Path(run_dir)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _report(run_dir)
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"{run_dir}/{SAMPLES_CSV} holds values whose statistics are not finite: {exc}") from None
+    return run_dir
+
+
+def _report(run_dir: Path) -> None:
+    """Write the summary and the figures of a finished run directory."""
     manifest = read_manifest(run_dir)
     try:
         config = ExperimentConfig.from_dict(manifest_field(manifest, "config", run_dir, number=False))
@@ -68,6 +71,19 @@ def analyze(run_dir: str | Path) -> Path:
         manifest_field(manifest, f"reference.{key}", run_dir)
         for key in ("e_hf_sub", "e_double_sub", "coupling")
     ))
+    # The reference curves come from these levels, not from samples.csv: one
+    # that is not finite is refused here, before anything is written.
+    curve_ns = range(1, max(config.subsystem_counts) + 1)
+    cisd = {n: cisd_reference(levels, n).double_population_per_h2 for n in curve_ns}
+    drawn = (
+        levels.fci_energy * HARTREE_TO_KCAL_PER_MOL,                  # each error's offset
+        (levels.e_hf - levels.fci_energy) * HARTREE_TO_KCAL_PER_MOL,  # fig3's HF line
+        levels.fci_double_population,
+        *cisd.values(),
+    )
+    if not all(map(math.isfinite, drawn)):
+        raise ValueError(f"{run_dir}/{MANIFEST_JSON} key reference: its levels give reference "
+                         "values that are not finite")
     by_n = load_samples(run_dir, config, manifest_field(manifest, "samples_sha256", run_dir, number=False))
 
     # Regression points: x = total qubits, y = mean energy per H2 (kcal/mol),
@@ -80,25 +96,19 @@ def analyze(run_dir: str | Path) -> Path:
         points.append((n * config.representation, mean, max(std, shot_floor, 1e-12)))
 
     # One system size leaves the slope, its error and the horizon
-    # undetermined: those fields stay empty, the intercept is the mean energy
+    # undetermined: those cells stay empty, the intercept is the mean energy
     # per H2 at that size, and fig1 has no fit line.
-    fit = wls_fit(points) if len(points) >= 2 else None
-    hz = horizon(fit.slope, config.representation) if fit is not None else None
-    write_csv(
-        run_dir / SUMMARY_CSV,
-        [
-            {
-                "representation": config.representation,
-                "n_points": len(points),
-                "delta_kcal_per_qubit": repr(fit.slope) if fit is not None else "",
-                "slope_stderr_kcal_per_qubit": repr(fit.slope_stderr) if fit is not None else "",
-                "intercept_kcal": repr(fit.intercept if fit is not None else points[0][1]),
-                "horizon_n_qubit": hz.n_qubit if hz is not None else "",
-                "horizon_n_h2": hz.n_h2 if hz is not None else "",
-                "horizon_unbounded": hz.unbounded if hz is not None else "",
-            }
-        ],
-    )
+    if len(points) >= 2:
+        fit = wls_fit(points)
+        hz = horizon(fit.slope, config.representation)
+        fitted = (repr(fit.slope), repr(fit.slope_stderr), repr(fit.intercept),
+                  hz.n_qubit, hz.n_h2, hz.unbounded)
+        line = [(x, repr(fit.intercept + fit.slope * x)) for x in (points[0][0], points[-1][0])]
+    else:
+        fitted = ("", "", repr(points[0][1]), "", "", "")
+        line = []
+    summary = {"representation": config.representation, "n_points": len(points)}
+    write_csv(run_dir / SUMMARY_CSV, [{**summary, **dict(zip(FITTED, fitted))}])
 
     fig1 = [
         {
@@ -114,35 +124,24 @@ def analyze(run_dir: str | Path) -> Path:
             samples.keys.tolist(), (samples.energy_per_h2 * HARTREE_TO_KCAL_PER_MOL).tolist()
         )
     ]
-    ends = (points[0][0], points[-1][0]) if fit is not None else ()
     fig1 += [
-        {
-            "kind": "fit",
-            "n_subsystems": "",
-            "total_qubits": x,
-            "set_index": "",
-            "sample_index": "",
-            "energy_per_h2_kcal": repr(fit.intercept + fit.slope * x),
-        }
-        for x in ends
+        {**dict.fromkeys(fig1[0], ""), "kind": "fit", "total_qubits": x, "energy_per_h2_kcal": y}
+        for x, y in line
     ]
-    _write_figure(
-        run_dir, "fig1", fig1, "total_qubits",
-        Figure("Energy per H2 vs system size", "total qubits", "energy per H2 (kcal/mol)"),
-        Plotted(f"{config.representation}-qubit samples", "energy_per_h2_kcal", only=("kind", "sample")),
-        Plotted("WLS", "energy_per_h2_kcal", "line", "#888888", dashed=True, only=("kind", "fit")),
-    )
+    _write_figure(run_dir, "fig1", fig1, Figure(
+        "Energy per H2 vs system size", "total qubits", "energy per H2 (kcal/mol)", "total_qubits",
+        (Series(f"{config.representation}-qubit samples", "energy_per_h2_kcal", only=("kind", "sample")),
+         Series("WLS", "energy_per_h2_kcal", "line", "#888888", dashed=True, only=("kind", "fit"))),
+    ))
 
-    curve_ns = range(1, max(by_n) + 1)
-    cisd = {n: cisd_reference(levels, n).double_population_per_h2 for n in curve_ns}
     for name, column, fci, cisd_at, title, references in (
         ("fig2a", "double", levels.fci_double_population, cisd,
          "Double-excitation population per H2",
-         [Plotted("FCI", "fci_double", "line", "#000000"),
-          Plotted("CISD", "cisd_double", "line", "#9467bd")]),
+         (Series("FCI", "fci_double", "line", "#000000"),
+          Series("CISD", "cisd_double", "line", "#9467bd"))),
         ("fig2b", "single", 0.0, dict.fromkeys(curve_ns, 0.0),
          "Single-excitation population per H2",
-         [Plotted("FCI = CISD = 0", "fci_single", "line", "#000000")]),
+         (Series("FCI = CISD = 0", "fci_single", "line", "#000000"),)),
     ):
         stats = {n: mean_sd(getattr(samples, f"p_{column}")) for n, samples in by_n.items()}
         rows = [
@@ -155,32 +154,28 @@ def analyze(run_dir: str | Path) -> Path:
             }
             for n in curve_ns
         ]
-        _write_figure(
-            run_dir, name, rows, "n_subsystems",
-            Figure(title, "subsystems N", "population"),
-            Plotted("measured", f"measured_mean_{column}"), *references,
-        )
+        figure = Figure(title, "subsystems N", "population", "n_subsystems",
+                        (Series("measured", f"measured_mean_{column}"), *references))
+        _write_figure(run_dir, name, rows, figure)
 
     energies = {n: samples.energy_per_h2 for n, samples in by_n.items()}
     errors, hf_gap = error_stats(energies, e_fci=levels.fci_energy, e_hf=levels.e_hf)
     fig3 = [
         {
             "n_subsystems": n,
-            "mean_error_kcal": repr(stat.mean_error_kcal),
-            "std_error_kcal": repr(stat.std_kcal),
+            "mean_error_kcal": repr(mean),
+            "std_error_kcal": repr(sd),
             "hf_reference_kcal": repr(hf_gap),
             "fci_reference_kcal": repr(0.0),
         }
-        for n, stat in sorted(errors.items())
+        for n, (mean, sd) in errors.items()
     ]
-    _write_figure(
-        run_dir, "fig3", fig3, "n_subsystems",
-        Figure("Energy error per H2 vs system size", "subsystems N", "error (kcal/mol)"),
-        Plotted("measured", "mean_error_kcal"),
-        Plotted("HF", "hf_reference_kcal", "line", "#d62728", dashed=True),
-        Plotted("FCI", "fci_reference_kcal", "line", "#000000"),
-    )
-    return run_dir
+    _write_figure(run_dir, "fig3", fig3, Figure(
+        "Energy error per H2 vs system size", "subsystems N", "error (kcal/mol)", "n_subsystems",
+        (Series("measured", "mean_error_kcal"),
+         Series("HF", "hf_reference_kcal", "line", "#d62728", dashed=True),
+         Series("FCI", "fci_reference_kcal", "line", "#000000")),
+    ))
 
 
 # the largest N ``reference --n-max`` takes, a bound on outside input that

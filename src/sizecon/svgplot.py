@@ -1,5 +1,12 @@
 """Minimal SVG plotter: axes, scatter crosses, and lines.
 
+A figure is drawn from its own table, the rows of the CSV written beside
+it. ``Figure.x`` names the column every series reads its x from, and each
+``Series`` names its y column and, optionally, a (column, value) filter on
+the rows it takes; each point is ``float`` of its CSV cell, so a plotted
+value cannot differ from the CSV. A series that takes no row is left out
+and takes no palette colour.
+
 Each axis has ``TICKS`` evenly spaced labelled ticks; a scatter series draws
 an ``x``-shaped cross at each point, a line series one path. A series'
 crosses are computed from arrays by ``px`` and ``py``, whose element-wise
@@ -12,8 +19,9 @@ visual companions with no third-party plotting dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,27 +31,37 @@ PALETTE = ("#e06c00", "#1f77b4", "#2ca02c", "#9467bd", "#d62728", "#555555")
 TICKS = 5   # labelled ticks per axis, ends included
 
 
-@dataclass
+@dataclass(frozen=True)
 class Series:
+    """The ``y`` column of the table rows that are not blank there and,
+    when ``only`` is a (column, value) pair, hold that value in that
+    column."""
+
     label: str
-    xs: Sequence[float]
-    ys: Sequence[float]
+    y: str
     kind: str = "scatter"          # "scatter" or "line"
     color: str | None = None
     dashed: bool = False
+    only: tuple[str, str] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Figure:
     title: str
     xlabel: str
     ylabel: str
-    series: list[Series] = field(default_factory=list)
+    x: str                         # the table column of every series' x
+    series: tuple[Series, ...] = ()
+
+
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """An empty range widened by 0.5 each way, or by 4 ulps where rounding
+    would lose 0.5, so that a scale over it never divides by zero."""
+    pad = max(0.5, 4 * math.ulp(lo)) if hi == lo else 0.0
+    return lo - pad, hi + pad
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi == lo:
-        hi = lo + 1.0
     step = (hi - lo) / (TICKS - 1)
     return [lo + i * step for i in range(TICKS)]
 
@@ -56,18 +74,19 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def render(figure: Figure) -> str:
-    """Render a figure to an SVG document string."""
-    xs = [x for s in figure.series for x in s.xs]
-    ys = [y for s in figure.series for y in s.ys]
+def render(figure: Figure, rows: Sequence[Mapping]) -> str:
+    """Render a figure of the table ``rows`` to an SVG document string."""
+    plotted = []   # each series that takes a row, with its rows' x and y values
+    for s in figure.series:
+        taken = [r for r in rows if r[s.y] != "" and (s.only is None or r[s.only[0]] == s.only[1])]
+        if taken:
+            plotted.append((s, [float(r[figure.x]) for r in taken], [float(r[s.y]) for r in taken]))
+    xs = [x for _, sx, _ in plotted for x in sx]
+    ys = [y for _, _, sy in plotted for y in sy]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widened(min(xs), max(xs))
+    y_lo, y_hi = _widened(min(ys), max(ys))
     y_pad = 0.06 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
     x_pad = 0.04 * (x_hi - x_lo)
@@ -116,19 +135,19 @@ def render(figure: Figure) -> str:
     )
 
     legend_y = MARGIN_TOP + 8
-    for i, s in enumerate(figure.series):
+    for i, (s, sx, sy) in enumerate(plotted):
         color = s.color or PALETTE[i % len(PALETTE)]
         if s.kind == "line":
             path = " ".join(
                 f"{'M' if j == 0 else 'L'} {px(x):.1f} {py(y):.1f}"
-                for j, (x, y) in enumerate(zip(s.xs, s.ys))
+                for j, (x, y) in enumerate(zip(sx, sy))
             )
             dash = ' stroke-dasharray="6 4"' if s.dashed else ""
             parts.append(f'<path d="{path}" fill="none" stroke="{color}"{dash}/>')
         else:
             # a cross 4 px each way: its left, right, top and bottom
             # coordinate texts, each formatted once, fill its two strokes
-            x, y = px(np.asarray(s.xs, dtype=float)), py(np.asarray(s.ys, dtype=float))
+            x, y = px(np.asarray(sx, dtype=float)), py(np.asarray(sy, dtype=float))
             texts = (map("%.1f".__mod__, v.tolist()) for v in (x - 4, x + 4, y - 4, y + 4))
             parts.extend(f'<path d="M {x0} {y0} L {x1} {y1} M {x0} {y1} L {x1} {y0}" stroke="{color}"/>'
                          for x0, x1, y0, y1 in zip(*texts))
@@ -143,6 +162,6 @@ def render(figure: Figure) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write(figure: Figure, path) -> None:
+def write(figure: Figure, rows: Sequence[Mapping], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(figure))
+        fh.write(render(figure, rows))

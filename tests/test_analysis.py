@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sizecon.analysis import (
+    Horizon,
     SubsystemLevels,
     cisd_reference,
     error_stats,
@@ -88,6 +89,22 @@ class TestHorizon:
     def test_zero_slope_is_unbounded(self):
         h = horizon(0.0, 2)
         assert h.unbounded
+
+    # the least slope whose 1 / |delta| is a float
+    LEAST_FINITE = 5.56268464626801e-309
+
+    @pytest.mark.parametrize("delta", [5e-324, -5e-324, 3.103e-321, math.nextafter(LEAST_FINITE, 0)])
+    def test_slope_whose_horizon_overflows_is_unbounded(self, delta):
+        # 1 / |delta| is past the float range, as a forged samples.csv's fit
+        # of subnormal energies gives
+        assert horizon(delta, 1) == Horizon(n_qubit=0, n_h2=0, unbounded=True)
+
+    @pytest.mark.parametrize("delta", [LEAST_FINITE, -LEAST_FINITE, 1e-300])
+    def test_least_slope_with_a_finite_horizon(self, delta):
+        assert math.isfinite(1 / delta)
+        h = horizon(delta, 4)
+        assert h == Horizon(n_qubit=math.floor(1 / abs(delta)), n_h2=math.floor(1 / abs(delta)) // 4)
+        assert not h.unbounded
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -209,11 +226,13 @@ class TestErrorStats:
         e = bundle.levels.fci_energy
         samples = {1: np.array([e, e]), 2: np.array([e])}
         stats, hf_gap = error_stats(samples, e_fci=e, e_hf=bundle.levels.e_hf)
-        assert stats[1].mean_error_kcal == pytest.approx(0.0, abs=1e-12)
-        assert stats[1].std_kcal == 0.0
-        # one stat per N of the input, in ascending N; N=2's lone sample has sd 0
+        mean, sd = stats[1]
+        assert mean == pytest.approx(0.0, abs=1e-12)
+        assert sd == 0.0
+        # one (mean, sd) per N of the input, in ascending N; N=2's lone
+        # sample has sd 0
         assert list(stats) == [1, 2]
-        assert stats[2].n_subsystems == 2 and stats[2].std_kcal == 0.0
+        assert stats[2][1] == 0.0
 
     def test_reference_line(self, bundle, ci_oracle):
         _, hf_gap = error_stats(
@@ -224,11 +243,12 @@ class TestErrorStats:
 
     def test_mean_and_std(self):
         stats, _ = error_stats({4: np.array([-1.0, -1.002])}, e_fci=-1.001, e_hf=-0.9)
-        assert stats[4].mean_error_kcal == pytest.approx(0.0, abs=1e-9)
+        mean, sd = stats[4]
+        assert mean == pytest.approx(0.0, abs=1e-9)
         expected_std = np.std(
             [0.001 * HARTREE_TO_KCAL_PER_MOL, -0.001 * HARTREE_TO_KCAL_PER_MOL], ddof=1
         )
-        assert stats[4].std_kcal == pytest.approx(float(expected_std), abs=1e-9)
+        assert sd == pytest.approx(float(expected_std), abs=1e-9)
 
     def test_equals_per_sample_errors_bit_for_bit(self):
         # each error is the float arithmetic of one sample alone, and the
@@ -237,7 +257,7 @@ class TestErrorStats:
         stats, _ = error_stats(energies, e_fci=-1.137, e_hf=-1.11)
         for n, values in energies.items():
             errors = [(e - -1.137) * HARTREE_TO_KCAL_PER_MOL for e in values.tolist()]
-            assert (stats[n].mean_error_kcal, stats[n].std_kcal) == mean_sd(errors)
+            assert stats[n] == mean_sd(errors)
         assert list(stats) == [2, 8]
 
     def test_empty_rejected(self):

@@ -15,7 +15,8 @@ every key, each at its least value and at its greatest where a run there is
 cheap, must run: exit 0, one ``run complete`` line and a ``samples.csv``.
 A config that plans exactly ``config.MAX_ROWS`` rows must parse, and one
 set or sample more must end ``run`` in one ``error: config:`` line before
-anything is planned.
+anything is planned; so must a config that plans exactly
+``config.MAX_SHOT_ROWS`` shots times rows, and one shot more.
 ``reference --n-max`` past its bounds, 10**400 included, must end in one
 ``error: usage:`` line, rejected by the parser before any work starts; the
 bound itself must run. An empty ``--output`` of ``reference`` or
@@ -30,7 +31,7 @@ import tracemalloc
 import pytest
 
 from sizecon.cli import main as cli_main
-from sizecon.config import _SCHEMA, MAX_ROWS, QUBIT_BUDGET, ConfigError, ExperimentConfig
+from sizecon.config import _SCHEMA, MAX_ROWS, MAX_SHOT_ROWS, QUBIT_BUDGET, ConfigError, ExperimentConfig
 from sizecon.molecule import MAX_BOND_LENGTH
 from sizecon.report import REFERENCE_N_MAX
 
@@ -49,16 +50,23 @@ def config_with(path, value):
     return config
 
 
-def unbounded_above(row):
-    """A row bounded below only takes 10**400: a seed may be any
+# each key's greatest value on BASE: its bound in _SCHEMA, and for shots,
+# which the shot-row budget bounds with the rows, the most shots BASE's
+# 48 rows take
+HIGH = {path: row[4] for path, row in _SCHEMA.items()}
+HIGH["shots"] = MAX_SHOT_ROWS // ExperimentConfig.from_dict(BASE).rows
+
+
+def unbounded_above(path):
+    """A key bounded below only takes 10**400: a seed may be any
     non-negative integer."""
-    *_, low, high, _ = row
-    return low is not None and high is None
+    return _SCHEMA[path][3] is not None and HIGH[path] is None
 
 
 def invalid_values():
     for path, row in _SCHEMA.items():
-        _, kind, _, low, high, _ = row
+        _, kind, _, low, _, _ = row
+        high = HIGH[path]
         for name, value in WRONG_TYPES.items():
             if isinstance(value, bool) or not isinstance(value, kind):
                 yield pytest.param(path, value, id=f"{path}-{name}")
@@ -66,18 +74,18 @@ def invalid_values():
             yield pytest.param(path, low - 1, id=f"{path}-below")
         if high is not None:
             yield pytest.param(path, high + 1, id=f"{path}-above")
-        if not unbounded_above(row):
+        if not unbounded_above(path):
             yield pytest.param(path, 10**400, id=f"{path}-10**400")
 
 
 def edge_values():
     for path, row in _SCHEMA.items():
-        *_, low, high, _ = row
+        low, high = row[3], HIGH[path]
         if low is not None:
             yield pytest.param(path, low, id=f"{path}-low")
         if high is not None:
             yield pytest.param(path, high, id=f"{path}-high")
-        if unbounded_above(row):
+        if unbounded_above(path):
             yield pytest.param(path, 10**400, id=f"{path}-10**400")
 
 
@@ -121,8 +129,9 @@ def test_config_lower_bound_runs(tmp_path, capsys, monkeypatch, path):
 # at its upper bound where a run there is cheap. The two calibration files
 # hold QUBIT_BUDGET qubits with every rate at 0 and no pair listed, and with
 # every rate at 1 and every pair listed. Not run:
-# * shots at MAX_SHOTS: each work item would draw 2**63 - 1 shots, which
-#   takes centuries;
+# * shots at HIGH["shots"], the most the shot-row budget leaves BASE's
+#   rows: a run there takes minutes; test_shot_row_budget_edge parses
+#   the most shots on other row counts and refuses one more;
 # * sampling.k and sampling.s at 2**32 - 1: such a plan is over the
 #   config.MAX_ROWS budget, which test_row_budget_edge covers;
 # * bond lengths below 0.01, where jordan_wigner starts to reject the
@@ -193,6 +202,37 @@ def test_row_budget_edge(tmp_path, capsys, monkeypatch, sampling, n, rows_each):
                                            f"samples.csv rows, over the {MAX_ROWS}-row budget\n")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "overrides, rows",
+    [({"subsystem_counts": [1], "sampling": {"mode": "random", "s": 1}}, 1),
+     ({"subsystem_counts": [2], "sampling": {"k": 1}}, 16),
+     ({"representation": 4, "subsystem_counts": [1, 2], "sampling": {"mode": "random", "s": 3}}, 9)],
+    ids=["one-row", "selective-16-rows", "random-9-rows"],
+)
+def test_shot_row_budget_edge(tmp_path, capsys, monkeypatch, overrides, rows):
+    # the most shots whose shot-rows, shots times samples.csv rows, are
+    # within the budget parse (exactly at it where the rows divide it); one
+    # shot more ends run in one line on shots before anything is planned
+    monkeypatch.chdir(tmp_path)
+    config = {**BASE, **overrides}
+    shots = MAX_SHOT_ROWS // rows
+    assert ExperimentConfig.from_dict({**config, "shots": shots}).rows == rows
+    assert rows * shots <= MAX_SHOT_ROWS < rows * (shots + 1)
+    (tmp_path / "config.json").write_text(json.dumps({**config, "shots": shots + 1}))
+    tracemalloc.start()
+    try:
+        code = cli_main(["run", "config.json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: config: shots: plans {rows * (shots + 1)} shot-rows "
+                                       f"({shots + 1} shots on each of {rows} samples.csv rows), "
+                                       f"over the {MAX_SHOT_ROWS} shot-row budget\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    assert peak < 1_000_000
 
 
 EDGE_VALUES = {"empty": "", "0": 0, "-0.0": -0.0, "1e-320": 1e-320, "NaN": float("nan"),

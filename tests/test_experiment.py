@@ -15,7 +15,7 @@ import pytest
 
 from sizecon import cli, experiment, rundir
 from sizecon.cli import main as cli_main
-from sizecon.config import MAX_QUBITS, MAX_ROWS, ConfigError, ExperimentConfig
+from sizecon.config import MAX_QUBITS, MAX_ROWS, MAX_SHOT_ROWS, ConfigError, ExperimentConfig
 from sizecon.device import DeviceModel, synthetic_calibration
 from sizecon.experiment import derive_seed, run_experiment
 from sizecon.hamiltonians import build_hamiltonians
@@ -850,9 +850,13 @@ class TestCli:
             ({"output_dir": ""}, "output_dir: must not be empty"),
             # past the float range, where math.isfinite raises OverflowError
             ({"bond_length": 10**400}, f"bond_length: must be positive and finite, got {10**400}"),
-            # a count past int64, and a device past config.MAX_QUBITS
-            ({"shots": 2**63}, "shots: must be <= 9223372036854775807, got 9223372036854775808"),
+            # shots past int64 and at 2**40, each times 48 rows past the
+            # config.MAX_SHOT_ROWS budget, and a device past config.MAX_QUBITS
+            ({"shots": 2**63}, "shots: plans 442721857769029238784 shot-rows (9223372036854775808 "
+                               "shots on each of 48 samples.csv rows), over the 1073741824 shot-row budget"),
             ({"calibration": {"n_qubits": 1025}}, "calibration.n_qubits: must be <= 1024, got 1025"),
+            ({"shots": 2**40}, "shots: plans 52776558133248 shot-rows (1099511627776 shots on each of "
+                               "48 samples.csv rows), over the 1073741824 shot-row budget"),
         ],
     )
     def test_config_error_names_json_path(self, tmp_path, capsys, monkeypatch, override, message):
@@ -1374,3 +1378,98 @@ class TestCli:
                    f"over the {MAX_ROWS}-row budget")
         assert capsys.readouterr().err.splitlines() == [f"error: value: {out}/{message}"]
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-the-budget", "one-shot-more"])
+    def test_manifest_shots_at_the_shot_row_budget(self, tmp_path, capsys, extra):
+        # analyze reads the manifest's config as run reads a config file: 16
+        # rows at the most shots the shot-row budget admits are analysed (no
+        # value analyze computes reads the shots), and one shot more is
+        # refused by the budget in the manifest's line
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200))
+        shots = MAX_SHOT_ROWS // 16 + extra
+        manifest = (out / "manifest.json").read_text()
+        (out / "manifest.json").write_text(set_key(manifest, "config.shots", shots))
+        code = cli_main(["analyze", str(out)])
+        if extra:
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: value: {out}/manifest.json key config.shots: plans {16 * shots} shot-rows "
+                f"({shots} shots on each of 16 samples.csv rows), over the {MAX_SHOT_ROWS} shot-row budget"
+            ]
+            assert not (out / "summary.csv").exists()
+        else:
+            assert (code, capsys.readouterr()) == (0, (f"analysis written to: {out}\n", ""))
+
+    @staticmethod
+    def forge_values(out, values):
+        """Forge ``out``'s samples.csv with the cells ``values[n][column]``
+        set in every row of N = n."""
+        lines = (out / "samples.csv").read_text().split("\n")
+        header = lines[0].split(",")
+        for row, line in enumerate(lines[1:-1], 1):
+            cells = line.split(",")
+            for column, value in values.get(int(cells[header.index("n_subsystems")]), {}).items():
+                cells[header.index(column)] = value
+            lines[row] = ",".join(cells)
+        forge(out, "\n".join(lines))
+
+    def test_forged_slope_past_the_horizons_float_range_is_unbounded(self, tmp_path):
+        # a fit of N = 1 at 0.0 and N = 2 at the least subnormal, with no
+        # shot noise, has a slope of about 3e-321, whose 1 / |slope|
+        # overflows: the horizon is the unbounded sentinel, as at slope 0
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(1, 2), shots=100))
+        self.forge_values(out, {
+            1: {"energy_hartree": "0.0", "energy_shot_stderr_hartree": "0.0"},
+            2: {"energy_hartree": "5e-324", "energy_shot_stderr_hartree": "0.0"},
+        })
+        result = run_cli("analyze", str(out))
+        assert (result.returncode, result.stdout, result.stderr) == (0, f"analysis written to: {out}\n", "")
+        with open(out / "summary.csv", newline="") as fh:
+            [row] = csv.DictReader(fh)
+        assert 0 < float(row["delta_kcal_per_qubit"]) < 1e-320
+        assert (row["horizon_n_qubit"], row["horizon_n_h2"], row["horizon_unbounded"]) == ("0", "0", "True")
+
+    @pytest.mark.parametrize(
+        "counts, values",
+        [((1, 2), {2: {"energy_hartree": "1e308"}}),
+         ((1, 2), {2: {"energy_shot_stderr_hartree": "1e300"}}),
+         ((1, 2), {2: {"p_double": "1e308"}})],
+        ids=["energy", "shot-stderr", "population"],
+    )
+    def test_forged_values_that_overflow_are_one_line(self, tmp_path, counts, values):
+        # finite cells whose statistics overflow end in one line naming
+        # samples.csv, and no numpy warning
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=counts, shots=100))
+        self.forge_values(out, values)
+        result = run_cli("analyze", str(out))
+        assert (result.returncode, result.stdout) == (1, "")
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: value: {out}/samples.csv holds values whose statistics are not finite: ")
+        assert "encountered in" in line
+
+    @pytest.mark.parametrize("key, value", [("e_hf_sub", 1e308), ("e_double_sub", -1e308),
+                                            ("coupling", 1e308)])
+    def test_forged_reference_that_overflows_is_one_line(self, tmp_path, key, value):
+        # a finite reference level whose reference curves are not finite ends
+        # in one line on the manifest, not on samples.csv, before any output
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(1, 2), shots=100))
+        manifest = (out / "manifest.json").read_text()
+        (out / "manifest.json").write_text(set_key(manifest, f"reference.{key}", value))
+        result = run_cli("analyze", str(out))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.splitlines() == [
+            f"error: value: {out}/manifest.json key reference: its levels give reference values "
+            "that are not finite"
+        ]
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("energy", ["1e20", "1e300"])
+    def test_forged_equal_large_values_are_plotted(self, tmp_path, energy):
+        # one N whose samples all hold one energy so large that widening
+        # fig1's empty y range by 0.5 is lost in rounding: the range is
+        # widened by ulps instead, where the scale divided by zero
+        out = run_experiment(tiny_config(tmp_path, subsystem_counts=(1,), shots=100))
+        self.forge_values(out, {1: {"energy_hartree": energy}})
+        result = run_cli("analyze", str(out))
+        assert (result.returncode, result.stdout, result.stderr) == (0, f"analysis written to: {out}\n", "")
+        assert (out / "fig1.svg").read_text().count("<path") == 17  # the axes and 16 crosses
