@@ -110,6 +110,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.config)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
+    if not (args.config and path.is_file()):  # Path("") is the current directory
+        raise OSError(f"config file {args.config!r} is not a file")
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:

@@ -5,12 +5,15 @@
 the chemical-accuracy horizon) and the figures ``fig1``, ``fig2a``,
 ``fig2b`` and ``fig3``. The manifest's ``config`` is read as
 ``ExperimentConfig`` reads a config file; it gives the representation and
-the rows ``rundir.load_samples`` expects.
+the rows ``rundir.load_samples`` expects. ``_report`` builds the text of
+all nine files and writes none; ``analyze`` then writes them in one
+``rundir.write_files`` call, so an error found while building leaves no
+report file behind.
 
 Each figure is one table: a list of CSV rows plus an ``svgplot.Figure``
-whose series each name a column of those rows. ``_write_figure`` writes
-``<name>.csv`` from the rows and then ``<name>.svg`` from the same rows, so
-a plotted value cannot differ from its CSV.
+whose series each name a column of those rows. ``_figure`` builds
+``<name>.csv`` from the rows and ``<name>.svg`` from the same rows, so a
+plotted value cannot differ from its CSV.
 
 ``analyze`` runs its arithmetic with numpy's overflow, invalid-value and
 division-by-zero errors raised: values a forged ``samples.csv`` holds that
@@ -30,16 +33,16 @@ from .analysis import SubsystemLevels, cisd_reference, error_stats, horizon, mea
 from .config import ConfigError, ExperimentConfig
 from .hamiltonians import build_hamiltonians
 from .rundir import (
-    MANIFEST_JSON, SAMPLES_CSV, SUMMARY_CSV, load_samples, manifest_field, read_manifest, write_csv,
+    MANIFEST_JSON, SAMPLES_CSV, SUMMARY_CSV, csv_text, load_samples, manifest_field, read_manifest,
+    write_files,
 )
-from .svgplot import Figure, Series, write as write_svg
+from .svgplot import Figure, Series, render
 from .units import HARTREE_TO_KCAL_PER_MOL
 
 
-def _write_figure(run_dir: Path, name: str, rows: list[dict], figure: Figure) -> None:
-    """Write ``<name>.csv`` from ``rows``, then ``<name>.svg`` from the same rows."""
-    write_csv(run_dir / f"{name}.csv", rows)
-    write_svg(figure, rows, run_dir / f"{name}.svg")
+def _figure(name: str, rows: list[dict], figure: Figure) -> dict[str, str]:
+    """``<name>.csv`` of ``rows``, then ``<name>.svg`` drawn from the same rows."""
+    return {f"{name}.csv": csv_text(rows), f"{name}.svg": render(figure, rows)}
 
 
 # the summary cells a fit fills, in their column order
@@ -52,15 +55,17 @@ def analyze(run_dir: str | Path) -> Path:
     run_dir = Path(run_dir)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _report(run_dir)
+            files = _report(run_dir)
     except FloatingPointError as exc:
         raise ValueError(
             f"{run_dir}/{SAMPLES_CSV} holds values whose statistics are not finite: {exc}") from None
+    write_files(run_dir, {name: text.encode() for name, text in files.items()})
     return run_dir
 
 
-def _report(run_dir: Path) -> None:
-    """Write the summary and the figures of a finished run directory."""
+def _report(run_dir: Path) -> dict[str, str]:
+    """The text of each file of a finished run directory's report, by name:
+    the summary, then each figure's table and its SVG."""
     manifest = read_manifest(run_dir)
     try:
         config = ExperimentConfig.from_dict(manifest_field(manifest, "config", run_dir, number=False))
@@ -108,7 +113,7 @@ def _report(run_dir: Path) -> None:
         fitted = ("", "", repr(points[0][1]), "", "", "")
         line = []
     summary = {"representation": config.representation, "n_points": len(points)}
-    write_csv(run_dir / SUMMARY_CSV, [{**summary, **dict(zip(FITTED, fitted))}])
+    files = {SUMMARY_CSV: csv_text([{**summary, **dict(zip(FITTED, fitted))}])}
 
     fig1 = [
         {
@@ -128,7 +133,7 @@ def _report(run_dir: Path) -> None:
         {**dict.fromkeys(fig1[0], ""), "kind": "fit", "total_qubits": x, "energy_per_h2_kcal": y}
         for x, y in line
     ]
-    _write_figure(run_dir, "fig1", fig1, Figure(
+    files |= _figure("fig1", fig1, Figure(
         "Energy per H2 vs system size", "total qubits", "energy per H2 (kcal/mol)", "total_qubits",
         (Series(f"{config.representation}-qubit samples", "energy_per_h2_kcal", only=("kind", "sample")),
          Series("WLS", "energy_per_h2_kcal", "line", "#888888", dashed=True, only=("kind", "fit"))),
@@ -154,9 +159,8 @@ def _report(run_dir: Path) -> None:
             }
             for n in curve_ns
         ]
-        figure = Figure(title, "subsystems N", "population", "n_subsystems",
-                        (Series("measured", f"measured_mean_{column}"), *references))
-        _write_figure(run_dir, name, rows, figure)
+        files |= _figure(name, rows, Figure(title, "subsystems N", "population", "n_subsystems",
+                                            (Series("measured", f"measured_mean_{column}"), *references)))
 
     energies = {n: samples.energy_per_h2 for n, samples in by_n.items()}
     errors, hf_gap = error_stats(energies, e_fci=levels.fci_energy, e_hf=levels.e_hf)
@@ -170,12 +174,13 @@ def _report(run_dir: Path) -> None:
         }
         for n, (mean, sd) in errors.items()
     ]
-    _write_figure(run_dir, "fig3", fig3, Figure(
+    files |= _figure("fig3", fig3, Figure(
         "Energy error per H2 vs system size", "subsystems N", "error (kcal/mol)", "n_subsystems",
         (Series("measured", "mean_error_kcal"),
          Series("HF", "hf_reference_kcal", "line", "#d62728", dashed=True),
          Series("FCI", "fci_reference_kcal", "line", "#000000")),
     ))
+    return files
 
 
 # the largest N ``reference --n-max`` takes, a bound on outside input that

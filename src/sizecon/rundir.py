@@ -1,9 +1,18 @@
-"""The run-directory format: its five files, their writers and readers.
+"""The run-directory format: its thirteen files, their one writer and their readers.
 
 ``run`` writes four files with ``write_run``: ``samples.csv``,
 ``populations.csv``, ``calibration.json`` and ``manifest.json``. ``analyze``
-reads the manifest and ``samples.csv`` back and adds ``summary.csv`` (its
-figures are :mod:`sizecon.report`'s own tables).
+reads the manifest and ``samples.csv`` back and adds the report, the nine
+``REPORT_FILES`` that :mod:`sizecon.report` builds: ``summary.csv``, and a
+CSV table and an SVG for each of ``fig1``, ``fig2a``, ``fig2b`` and ``fig3``.
+
+Both commands build every file in memory before any is written, and
+``write_files`` is the one place that writes or removes a file of the
+directory. ``write_run`` first removes an earlier run's report, which
+describes other samples, and writes ``manifest.json`` last. There are no
+temp files or renames: a run whose write fails partway leaves no
+manifest, or an earlier one whose ``samples_sha256`` refuses any
+``samples.csv`` but its own.
 
 ``samples.csv`` holds one row per subsystem of every work item, in
 (N, set, sample, subsystem) order, with N in the config's order and each
@@ -13,8 +22,8 @@ calls ``repr`` once per distinct value, and the rows go out as joined
 lines, the six key cells as one prefix per row. ``populations.csv`` is a
 column subset of the same rows. No cell the package writes needs CSV
 quoting, so every table is ``str`` cells joined by commas with LF line
-ends: ``write_lines`` takes the run tables' rows already joined, and
-``csv_text`` joins the report's rows.
+ends: ``table_text`` takes the run tables' rows already joined, and
+``csv_text`` joins the report's rows for it.
 
 The manifest echoes the config (``ExperimentConfig.to_dict``), the SHA-256
 of ``calibration.json`` and of ``samples.csv``, the reference energies and
@@ -66,6 +75,8 @@ POPULATIONS_CSV = "populations.csv"
 MANIFEST_JSON = "manifest.json"
 CALIBRATION_JSON = "calibration.json"
 SUMMARY_CSV = "summary.csv"
+# the files analyze writes: the summary, then each figure's table and SVG
+REPORT_FILES = (SUMMARY_CSV, *(f"fig{f}.{ext}" for f in ("1", "2a", "2b", "3") for ext in ("csv", "svg")))
 SAMPLES_HEADER = (
     "run_id", "representation", "n_subsystems", "set_index", "sample_index", "subsystem",
     "energy_hartree", "energy_kcal_mol", "energy_shot_stderr_hartree",
@@ -84,29 +95,30 @@ _ROW = re.compile(r"(.*) at row (\d+)", re.S)
 _TEXT = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
 
-def csv_text(rows: list[dict]) -> str:
-    """A header line of the first row's keys, then each row's ``str`` cells,
-    all joined by commas, with LF line ends. Every cell the package writes
-    is an int, a float ``repr``, a bool, ``""`` or a fixed label, and none
-    needs CSV quoting."""
-    lines = [",".join(map(str, row.values())) for row in rows]
-    return "\n".join([",".join(rows[0]), *lines, ""])
-
-
-def write_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        raise ValueError(f"refusing to write empty {path.name}")
-    path.write_text(csv_text(rows), newline="\n")
-
-
-def write_lines(path: Path, header: Sequence[str], lines: list[str]) -> bytes:
-    """``write_csv`` of rows already joined into lines: the run tables.
-    Returns the bytes written."""
+def table_text(header: Sequence[str], lines: list[str]) -> str:
+    """A header line of ``header`` joined by commas, then ``lines``, the
+    rows already joined, each ending in LF. An empty table is refused."""
     if not lines:
-        raise ValueError(f"refusing to write empty {path.name}")
-    data = "\n".join([",".join(header), *lines, ""]).encode()
-    path.write_bytes(data)
-    return data
+        raise ValueError("refusing to write an empty table")
+    return "\n".join([",".join(header), *lines, ""])
+
+
+def csv_text(rows: list[dict]) -> str:
+    """``table_text`` of the first row's keys and each row's ``str`` cells.
+    Every cell the package writes is an int, a float ``repr``, a bool,
+    ``""`` or a fixed label, and none needs CSV quoting."""
+    lines = [",".join(map(str, row.values())) for row in rows]
+    return table_text(rows[0] if lines else (), lines)
+
+
+def write_files(directory: Path, files: dict[str, bytes], remove: Sequence[str] = ()) -> None:
+    """Make ``directory`` if it is missing, remove the files ``remove`` names
+    there, then write each of ``files``, name to bytes, in its order."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for name in remove:
+        (directory / name).unlink(missing_ok=True)
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
 
 
 def format_floats(values: np.ndarray) -> list[str]:
@@ -122,11 +134,12 @@ def format_floats(values: np.ndarray) -> list[str]:
 
 def write_run(config: ExperimentConfig, tables: list[tuple[int, list, tuple]], calibration_json: str,
               levels: SubsystemLevels, seeds: dict[str, int]) -> Path:
-    """Make ``config.output_dir`` and write the run's four files there.
-    ``tables`` holds, for each N in the config's order, N, its
-    ``(set, sample)`` keys and the seven float value columns of
-    ``SAMPLES_HEADER`` in order, one ``(items, N)`` array each. Returns the
-    directory."""
+    """Write the run's four files to ``config.output_dir``, made if it is
+    missing, after removing any report of an earlier run there; the
+    manifest is written last. ``tables`` holds, for each N in the config's
+    order, N, its ``(set, sample)`` keys and the seven float value columns
+    of ``SAMPLES_HEADER`` in order, one ``(items, N)`` array each. Returns
+    the directory."""
     samples, populations = [], []
     for n, items, columns in tables:
         texts = [format_floats(column) for column in columns]
@@ -134,17 +147,15 @@ def write_run(config: ExperimentConfig, tables: list[tuple[int, list, tuple]], c
         prefixes = [f"{head}{s},{i},{sub}" for s, i in items for sub in range(n)]
         samples += map(",".join, zip(prefixes, *texts))
         populations += map(",".join, zip(prefixes, *texts[3:]))
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    data = write_lines(out / SAMPLES_CSV, SAMPLES_HEADER, samples)
-    write_lines(out / POPULATIONS_CSV, POPULATIONS_HEADER, populations)
-    (out / CALIBRATION_JSON).write_text(calibration_json)
+    files = {SAMPLES_CSV: table_text(SAMPLES_HEADER, samples).encode(),
+             POPULATIONS_CSV: table_text(POPULATIONS_HEADER, populations).encode(),
+             CALIBRATION_JSON: calibration_json.encode()}
     manifest = {
         "run_id": config.run_id,
         "package": f"sizecon {__version__}",
         "config": config.to_dict(),
-        "calibration_sha256": hashlib.sha256(calibration_json.encode()).hexdigest(),
-        "samples_sha256": hashlib.sha256(data).hexdigest(),
+        "calibration_sha256": hashlib.sha256(files[CALIBRATION_JSON]).hexdigest(),
+        "samples_sha256": hashlib.sha256(files[SAMPLES_CSV]).hexdigest(),
         "reference": {
             "e_hf_sub": levels.e_hf,
             "e_double_sub": levels.e_double,
@@ -154,7 +165,11 @@ def write_run(config: ExperimentConfig, tables: list[tuple[int, list, tuple]], c
         },
         "seeds": seeds,
     }
-    (out / MANIFEST_JSON).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    files[MANIFEST_JSON] = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    out = Path(config.output_dir)
+    # an earlier run's report describes other samples: it goes before the
+    # new files are written
+    write_files(out, files, remove=REPORT_FILES)
     return out
 
 

@@ -282,6 +282,22 @@ def test_calibration_path_that_is_not_a_file_is_one_line(tmp_path, capsys, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["calibrations", "config.json"]
 
 
+@pytest.mark.parametrize("path, message", [
+    ("", "config file '' is not a file"),
+    (".", "config file '.' is not a file"),
+    ("configs", "config file 'configs' is not a file"),
+    ("missing.json", "config file not found: missing.json"),
+], ids=["empty", "dot", "directory", "missing"])
+def test_config_path_that_is_not_a_file_is_one_line(tmp_path, capsys, monkeypatch, path, message):
+    # Path("") names the current directory, so the message quotes the path
+    # as given
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "configs").mkdir()
+    assert cli_main(["run", path]) == 1
+    assert capsys.readouterr() == ("", f"error: io: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["configs"]
+
+
 QUBIT = {"readout_p10": 0.01, "readout_p01": 0.02, "single_qubit_error": 0.001}
 ENTRY_KEYS = [("qubits", key) for key in QUBIT] + [("two_qubit_error", "pair"),
                                                    ("two_qubit_error", "error")]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sizecon import cli, experiment, rundir
+from sizecon import cli, experiment, report, rundir
 from sizecon.cli import main as cli_main
 from sizecon.config import MAX_QUBITS, MAX_ROWS, MAX_SHOT_ROWS, ConfigError, ExperimentConfig
 from sizecon.device import DeviceModel, synthetic_calibration
@@ -23,11 +23,12 @@ from sizecon.molecule import MAX_BOND_LENGTH
 from sizecon.report import analyze, reference_table
 from sizecon.rundir import (
     POPULATIONS_HEADER,
+    REPORT_FILES,
     SAMPLES_HEADER,
+    csv_text,
     format_floats,
     load_samples,
-    write_csv,
-    write_lines,
+    table_text,
 )
 from sizecon.sampling import plan_keys
 from sizecon.simulator import TrajectoryEngine
@@ -41,6 +42,8 @@ DIGEST = "samples.csv does not match the samples_sha256 of its manifest"
 # and of one whose manifest digest was rewritten to match
 NOT_RUN_TEXT = ("samples.csv is not a table run writes: printable ASCII without '\"', "
                 "in nonblank lines that each end in LF")
+# the files run writes, in sorted order
+RUN_FILES = ["calibration.json", "manifest.json", "populations.csv", "samples.csv"]
 
 
 def run_cli(*args):
@@ -460,13 +463,11 @@ class TestRunTables:
             POPULATIONS_HEADER, [[row[i] for i in keep] for row in rows]
         )
 
-    def test_write_lines_refuses_an_empty_table(self, tmp_path):
-        with pytest.raises(ValueError, match="refusing to write empty samples.csv"):
-            write_lines(tmp_path / "samples.csv", SAMPLES_HEADER, [])
-        assert not (tmp_path / "samples.csv").exists()
-        with pytest.raises(ValueError, match="refusing to write empty fig1.csv"):
-            write_csv(tmp_path / "fig1.csv", [])
-        assert not (tmp_path / "fig1.csv").exists()
+    def test_table_text_refuses_an_empty_table(self):
+        with pytest.raises(ValueError, match="refusing to write an empty table"):
+            table_text(SAMPLES_HEADER, [])
+        with pytest.raises(ValueError, match="refusing to write an empty table"):
+            csv_text([])
 
     def test_every_table_equals_csv_module_text(self, tmp_path, monkeypatch, capsys):
         # each table csv_text writes (summary, the figures, the reference
@@ -481,7 +482,7 @@ class TestRunTables:
             tables.append(text)
             return text
 
-        monkeypatch.setattr(rundir, "csv_text", recorded)
+        monkeypatch.setattr(report, "csv_text", recorded)
         monkeypatch.setattr(cli, "csv_text", recorded)
         names = ("summary", "fig1", "fig2a", "fig2b", "fig3")
         # two sizes fill every summary column; one leaves its fit cells ""
@@ -518,6 +519,37 @@ def run_dir(tmp_path_factory):
 
 
 class TestAnalyze:
+    def test_each_command_writes_its_files_in_one_call(self, tmp_path, monkeypatch):
+        # run removes any earlier report, then writes its four files with
+        # the manifest last; analyze writes exactly the report files
+        calls = []
+
+        def recorded(directory, files, remove=()):
+            calls.append((list(files), tuple(remove)))
+            real(directory, files, remove)
+
+        real = rundir.write_files
+        monkeypatch.setattr(rundir, "write_files", recorded)
+        monkeypatch.setattr(report, "write_files", recorded)
+        out = analyze(run_experiment(tiny_config(tmp_path, shots=200)))
+        written = ["samples.csv", "populations.csv", "calibration.json", "manifest.json"]
+        assert calls == [(written, REPORT_FILES), (list(REPORT_FILES), ())]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*RUN_FILES, *REPORT_FILES])
+
+    def test_run_removes_an_earlier_report(self, tmp_path):
+        # a report describes the samples beside it: a run into an analysed
+        # directory removes it, overwrites its own four files and leaves
+        # every other file
+        out = analyze(run_experiment(tiny_config(tmp_path, subsystem_counts=(1, 2), shots=200)))
+        (out / "notes.txt").write_text("kept\n")
+        assert run_experiment(tiny_config(tmp_path, subsystem_counts=(2,), shots=200)) == out
+        assert sorted(p.name for p in out.iterdir()) == sorted([*RUN_FILES, "notes.txt"])
+        assert (out / "notes.txt").read_text() == "kept\n"
+        analyze(out)
+        with open(out / "summary.csv", newline="") as fh:
+            [row] = csv.DictReader(fh)
+        assert row["n_points"] == "1"
+
     def test_summary_fields(self, run_dir):
         with open(run_dir / "summary.csv", newline="") as fh:
             row = next(csv.DictReader(fh))
@@ -1433,12 +1465,15 @@ class TestCli:
         "counts, values",
         [((1, 2), {2: {"energy_hartree": "1e308"}}),
          ((1, 2), {2: {"energy_shot_stderr_hartree": "1e300"}}),
-         ((1, 2), {2: {"p_double": "1e308"}})],
-        ids=["energy", "shot-stderr", "population"],
+         ((1, 2), {2: {"p_double": "1e308"}}),
+         ((1,), {1: {"p_double": "1e308"}})],
+        ids=["energy", "shot-stderr", "population", "population-after-the-fit"],
     )
     def test_forged_values_that_overflow_are_one_line(self, tmp_path, counts, values):
         # finite cells whose statistics overflow end in one line naming
-        # samples.csv, and no numpy warning
+        # samples.csv, and no numpy warning. The first three overflow as
+        # N = 2's rows are summed; p_double at a single N only in fig2a's
+        # squares, after the summary and fig1 are built
         out = run_experiment(tiny_config(tmp_path, subsystem_counts=counts, shots=100))
         self.forge_values(out, values)
         result = run_cli("analyze", str(out))
@@ -1446,6 +1481,8 @@ class TestCli:
         [line] = result.stderr.splitlines()
         assert line.startswith(f"error: value: {out}/samples.csv holds values whose statistics are not finite: ")
         assert "encountered in" in line
+        # every report file is built before any is written
+        assert sorted(p.name for p in out.iterdir()) == RUN_FILES
 
     @pytest.mark.parametrize("key, value", [("e_hf_sub", 1e308), ("e_double_sub", -1e308),
                                             ("coupling", 1e308)])
