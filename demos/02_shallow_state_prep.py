@@ -36,7 +36,7 @@ def main():
 
     print("\nComposing 4 copies of the 1-qubit circuit on qubits 0..3:")
     sub = circuits[1]
-    full = compose(sub, 4, [[0], [1], [2], [3]])
+    full = compose(sub, 4)
     print(f"  composite width {full.width}, depth {full.depth} "
           f"(= subsystem depth {sub.depth}: copies run in parallel)")
     tensor = states[1].amplitudes

@@ -36,10 +36,8 @@ def main():
     for n in (1, 2, 4, 8, 16):
         row = [f"{n:>4}"]
         for plan in plans:
-            width = plan.representation
-            if n * width <= 16:
-                blocks = [range(b * width, (b + 1) * width) for b in range(n)]
-                settings = {compose(g.basis_change, n, blocks).serialize() for g in plan.groups}
+            if n * plan.representation <= 16:
+                settings = {compose(g.basis_change, n).serialize() for g in plan.groups}
                 row.append(f"{len(settings):>8}")
             else:
                 row.append(f"{'-':>8}")
@@ -53,12 +51,11 @@ def main():
           f"{len(plan.groups)} groups ({[g.basis for g in plan.groups]})")
 
     sub = synthesize(fci_ground(h))
-    blocks = [[q] for q in range(n)]
-    circuit = compose(sub, n, blocks)
+    circuit = compose(sub, n)
     device = DeviceModel.noiseless(n)
     histograms = []
     for gi, group in enumerate(plan.groups):
-        engine = TrajectoryEngine(circuit, compose(group.basis_change, n, blocks))
+        engine = TrajectoryEngine(circuit, compose(group.basis_change, n))
         # one (N, 2) array of shots per subsystem block and block code
         (histogram,) = engine.sample(device, [list(range(n))], shots, [40 + gi], h.width)
         histograms.append(histogram)

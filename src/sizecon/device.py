@@ -19,7 +19,8 @@ starts ``calibration: `` and names the entry; text that is not JSON raises
 what ``json.loads`` raises. ``read_calibration`` reads a file and tells
 the two apart by type: the first goes out as it is, the second becomes a
 ``ConfigError`` that names the path. ``load_device`` is the run's device,
-read from ``calibration.file`` or drawn from the synthetic generator.
+read from ``calibration.file`` or drawn from the synthetic generator; a
+file must hold at least the ``QUBIT_BUDGET`` qubits of the sampling pool.
 
 Synthetic device: ``synthetic_calibration`` draws a device whose rates
 spread log-normally around fixed medians (module constants), in the order
@@ -39,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import QUBIT_BUDGET, ConfigError, ExperimentConfig
 
 # a qubit's calibration keys: the columns of DeviceModel.qubits, in order
 _QUBIT_KEYS = ("readout_p10", "readout_p01", "single_qubit_error")
@@ -259,9 +260,18 @@ def read_calibration(path: str, field_name: str) -> DeviceModel:
 
 
 def load_device(config: ExperimentConfig) -> DeviceModel:
-    if config.calibration_file is not None:
-        return read_calibration(config.calibration_file, "calibration.file")
-    return synthetic_calibration(n_qubits=config.calibration_qubits, seed=config.calibration_seed)
+    """The run's device. A calibration file must hold at least the
+    ``QUBIT_BUDGET`` qubits that both sampling plans draw from, as
+    ``calibration.n_qubits`` must; a smaller one raises a ConfigError on
+    ``calibration.file``. ``read_calibration`` alone takes any size, so
+    ``calibration rank`` ranks any file."""
+    if config.calibration_file is None:
+        return synthetic_calibration(n_qubits=config.calibration_qubits, seed=config.calibration_seed)
+    device = read_calibration(config.calibration_file, "calibration.file")
+    if device.n_qubits < QUBIT_BUDGET:
+        raise ConfigError("calibration.file", f"{config.calibration_file} holds {device.n_qubits} "
+                          f"qubits, fewer than the {QUBIT_BUDGET}-qubit pool")
+    return device
 
 
 def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:

@@ -21,10 +21,11 @@ built once per run. Each N's sampling plan is one int64 array, ``maps``,
 the physical qubits of each work item, which goes to the sampler as it is;
 ``sampling.plan_keys`` gives the ``(set, sample)`` row of each item, from
 which the run draws its seeds, names them in the manifest and labels its
-rows. The pipeline's N-block register has block ``b`` on qubits
-``b * width`` to ``(b + 1) * width - 1``, and ``stateprep.compose`` is the
-one place a block meets it: it lays the preparation circuit and each
-group's basis change on every block.
+rows. ``stateprep.compose(circuit, n)`` owns the pipeline's N-block
+register, with block ``b`` on qubits ``b * width`` to
+``(b + 1) * width - 1``: it is the one place a block meets the register,
+and it lays the preparation circuit and each group's basis change on
+every block.
 
 Work items draw their seeds from (master seed, N, set, sample, group), so
 execution order never matters; ``derive_seed`` mixes every key of one
@@ -152,14 +153,13 @@ def run_experiment(config: ExperimentConfig) -> Path:
     for n in config.subsystem_counts:
         maps = sampling_plan(config, pool, n)
         items = plan_keys(config, n).tolist()
-        blocks = [list(range(b * width, (b + 1) * width)) for b in range(n)]
-        composed = compose(circuit, n, blocks)
+        composed = compose(circuit, n)
         by_group = []
         for gi, group in enumerate(mplan.groups):
             group_seeds = derive_seed(config.master_seed, [(n, s, i, gi) for s, i in items])
             for (s, i), seed in zip(items, group_seeds):
                 seeds[f"N{n}/set{s}/sample{i}/group{gi}"] = seed
-            engine = TrajectoryEngine(composed, compose(group.basis_change, n, blocks))
+            engine = TrajectoryEngine(composed, compose(group.basis_change, n))
             by_group.append(engine.sample(device, maps, config.shots, group_seeds, width))
         # every reader takes the (items, N, 2**width) stacks at once
         energies = estimate_energies(mplan, by_group)

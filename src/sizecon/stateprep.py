@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -124,22 +123,21 @@ class PreparedState:
 
 
 def fci_ground(h: PauliSum) -> PreparedState:
-    """Lowest eigenpair of a qubit Hamiltonian by dense diagonalization.
+    """Lowest eigenpair of an H2 block Hamiltonian by dense diagonalization.
 
-    The global phase is fixed so the mean-field-reference amplitude is real
-    and non-negative (largest-magnitude amplitude for widths without a
-    designated reference). Raises on a ground level degenerate within 1e-12.
+    Only the block widths of ``BLOCK_DETERMINANTS`` (1, 2 and 4) are taken;
+    another width raises a ``ValueError`` that names it. The global phase is
+    fixed so the mean-field-reference amplitude is real and non-negative.
+    Raises on a ground level degenerate within 1e-12.
     """
-    if h.width > 8:
-        raise ValueError(f"width {h.width} exceeds the dense-diagonalization bound of 8")
-    mat = h.to_matrix()
-    vals, vecs = np.linalg.eigh(mat)
+    if h.width not in BLOCK_DETERMINANTS:
+        raise ValueError(f"no H2 block has width {h.width}: "
+                         f"the block widths are {sorted(BLOCK_DETERMINANTS)}")
+    vals, vecs = np.linalg.eigh(h.to_matrix())
     if vals[1] - vals[0] < DEGENERACY_TOL:
         raise DegenerateGroundStateError(float(vals[0]), float(vals[1]))
     vec = vecs[:, 0].astype(complex)
-    known = h.width in BLOCK_DETERMINANTS
-    anchor = _code_at_level(h.width, 0) if known else int(np.argmax(np.abs(vec)))
-    ref = vec[anchor]
+    ref = vec[_code_at_level(h.width, 0)]
     if abs(ref) > 0:
         vec = vec * (ref.conjugate() / abs(ref))
     return PreparedState(representation=h.width, amplitudes=vec, energy=float(vals[0]))
@@ -202,31 +200,19 @@ def synthesize(target: PreparedState) -> Circuit:
     return circuit
 
 
-def compose(
-    sub: Circuit, n_subsystems: int, qubit_assignment: Sequence[Sequence[int]]
-) -> Circuit:
-    """Replicate a subsystem circuit across disjoint qubit blocks.
-
-    Copy ``b`` acts only on ``qubit_assignment[b]``; no gate crosses blocks,
-    so the composite depth equals the subsystem depth.
+def compose(sub: Circuit, n_subsystems: int) -> Circuit:
+    """Replicate a subsystem circuit on N blocks side by side: copy ``b``
+    acts on qubits ``b * sub.width`` to ``(b + 1) * sub.width - 1`` of an
+    ``n_subsystems * sub.width``-qubit register, block by block, each copy
+    in the subsystem's gate order. No gate crosses blocks, so the composite
+    depth equals the subsystem depth.
     """
-    if len(qubit_assignment) != n_subsystems:
-        raise ValueError(
-            f"expected {n_subsystems} blocks, got {len(qubit_assignment)}"
-        )
-    blocks = [tuple(block) for block in qubit_assignment]
-    seen: set[int] = set()
-    for block in blocks:
-        if len(block) != sub.width:
-            raise ValueError(f"block {block} width != subsystem width {sub.width}")
-        overlap = seen.intersection(block)
-        if overlap:
-            raise ValueError(f"blocks overlap on qubits {sorted(overlap)}")
-        seen.update(block)
-    width = max(seen) + 1
+    if n_subsystems < 1:
+        raise ValueError(f"need at least one subsystem, got {n_subsystems}")
+    width = sub.width
     gates = [
-        Gate(g.kind, tuple(block[t] for t in g.targets), g.angle)
-        for block in blocks
+        Gate(g.kind, tuple(b * width + t for t in g.targets), g.angle)
+        for b in range(n_subsystems)
         for g in sub.gates
     ]
-    return Circuit(width, tuple(gates))
+    return Circuit(n_subsystems * width, tuple(gates))

@@ -3,10 +3,10 @@
 A plan covers one subsystem block. ``build_plan(h_sub)`` groups the
 subsystem Hamiltonian's strings by qubit-wise commutation, once per run;
 each group's basis change is a circuit on the block's own ``width``
-qubits. The pipeline lays it on every block of an N-block register with
-``stateprep.compose``, as it lays the state-preparation circuit, so the
-group count never depends on N, and every subsystem's energy is read from
-the same shots.
+qubits. ``stateprep.compose(group.basis_change, n)`` lays it on every
+block of the N-block register, as it lays the state-preparation circuit,
+so the group count never depends on N, and every subsystem's energy is
+read from the same shots.
 
 Counts are read block by block: energies, shot-noise errors and
 populations read ``(N, 2**width)`` arrays of shots per (block, block code),

@@ -5,7 +5,9 @@ value of another type, one past a bound, or 10**400 must end ``sizecon run``
 in exactly one ``error: config: <path>: ...`` line, with exit 1 and no
 output directory; a bound itself must parse. Every key of a calibration
 entry that is missing, of the wrong type or outside [0, 1] must end in one
-``error: value: calibration: ...`` line. The string and float keys
+``error: value: calibration: ...`` line, and a file of fewer than
+``QUBIT_BUDGET`` qubits in one ``error: config: calibration.file: ...``
+line, in either sampling mode. The string and float keys
 ``output_dir``, ``calibration.file`` and ``bond_length`` also take the empty
 string, 0, -0.0, 1e-320, NaN and Infinity, each ending in one ``error:``
 line. The cases run in-process through
@@ -32,6 +34,7 @@ import pytest
 
 from sizecon.cli import main as cli_main
 from sizecon.config import _SCHEMA, MAX_ROWS, MAX_SHOT_ROWS, QUBIT_BUDGET, ConfigError, ExperimentConfig
+from sizecon.device import DeviceModel
 from sizecon.molecule import MAX_BOND_LENGTH
 from sizecon.report import REFERENCE_N_MAX
 
@@ -280,6 +283,26 @@ def test_calibration_path_that_is_not_a_file_is_one_line(tmp_path, capsys, monke
         assert cli_main(args) == 1
         assert capsys.readouterr() == ("", f"error: config: {field}: {path!r} is not a file\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["calibrations", "config.json"]
+
+
+@pytest.mark.parametrize("n_qubits", [1, QUBIT_BUDGET - 1])
+@pytest.mark.parametrize("sampling", [{"mode": "selective"}, {"mode": "random", "s": 3}],
+                         ids=["selective", "random"])
+def test_calibration_file_smaller_than_the_pool_is_one_line(tmp_path, capsys, monkeypatch,
+                                                            n_qubits, sampling):
+    # calibration.n_qubits must be >= QUBIT_BUDGET, and so must a file;
+    # calibration rank still ranks it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cal.json").write_text(DeviceModel.noiseless(n_qubits).to_json())
+    config = {**BASE, "subsystem_counts": [1, 2], "sampling": sampling,
+              "calibration": {"file": "cal.json"}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli_main(["run", "config.json"]) == 1
+    assert capsys.readouterr() == ("", f"error: config: calibration.file: cal.json holds {n_qubits} "
+                                       f"qubits, fewer than the {QUBIT_BUDGET}-qubit pool\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.json", "config.json"]
+    assert cli_main(["calibration", "rank", "cal.json"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + n_qubits
 
 
 @pytest.mark.parametrize("path, message", [

@@ -425,15 +425,14 @@ class TestBatchedSample:
             monkeypatch.setattr(simulator, "_DRAW_ELEMENTS", draw_elements)
         h_sub = bundle.subsystem_hamiltonian(representation)
         plan = build_plan(h_sub)
-        blocks = [list(range(b * representation, (b + 1) * representation)) for b in range(n)]
-        circuit = compose(synthesize(fci_ground(h_sub)), n, blocks)
+        circuit = compose(synthesize(fci_ground(h_sub)), n)
         device = synthetic_calibration(n_qubits=20, seed=3)
         rng = np.random.default_rng(representation * 10 + n)
         # the (items, N * width) int64 array a sampling plan gives
         maps = np.array([rng.permutation(20)[: circuit.width] for _ in range(5)], dtype=np.int64)
         seeds = [int(s) for s in rng.integers(0, 2**63, size=len(maps))]
         for group in plan.groups:
-            engine = TrajectoryEngine(circuit, compose(group.basis_change, n, blocks))
+            engine = TrajectoryEngine(circuit, compose(group.basis_change, n))
             counts = engine.sample(device, maps, shots, seeds, representation)
             expected = [
                 block_histogram(joint, representation, n).tolist()
@@ -727,8 +726,7 @@ class TestDistributionMemo:
         device = make_device([(0.01, 0.02, 0.003)] * 8, {(q, q + 1): 0.02 for q in range(7)})
 
         def sample(n, device):
-            blocks = [[2 * b, 2 * b + 1] for b in range(n)]
-            engine = TrajectoryEngine(compose(block, n, blocks), compose(basis, n, blocks))
+            engine = TrajectoryEngine(compose(block, n), compose(basis, n))
             engine.sample(device, [list(range(2 * n))], 2000, [n], 2)
 
         sample(1, DeviceModel.noiseless(8))

@@ -61,9 +61,10 @@ class TestFciGround:
         with pytest.raises(DegenerateGroundStateError):
             fci_ground(h)
 
-    def test_width_bound(self):
-        wide = PauliSum({PauliString("I" * 9): 1.0})
-        with pytest.raises(ValueError, match="dense-diagonalization bound"):
+    @pytest.mark.parametrize("width", [3, 8, 9])
+    def test_width_bound(self, width):
+        wide = PauliSum({PauliString("Z" * width): 1.0})
+        with pytest.raises(ValueError, match=f"no H2 block has width {width}: "):
             fci_ground(wide)
 
 
@@ -129,23 +130,22 @@ class TestSynthesize:
 class TestCompose:
     def test_sixteen_parallel_rotations(self, bundle):
         sub = synthesize(fci_ground(bundle.h1q))
-        blocks = [[q] for q in range(16)]
-        full = compose(sub, 16, blocks)
+        full = compose(sub, 16)
         assert full.width == 16
         assert len(full.gates) == 16
         assert all(g.kind == "RY" for g in full.gates)
         assert full.depth == sub.depth == 1
 
-    def test_single_block_relabels(self, bundle):
+    def test_block_b_on_its_own_qubits(self, bundle):
+        # block b takes qubits 2b and 2b + 1, blocks in order
         sub = synthesize(fci_ground(bundle.h2q))
-        full = compose(sub, 1, [[3, 4]])
-        assert full.width == 5
-        assert [g.targets for g in full.gates] == [(3,), (3, 4)]
+        full = compose(sub, 3)
+        assert full.width == 6
+        assert [g.targets for g in full.gates] == [(0,), (0, 1), (2,), (2, 3), (4,), (4, 5)]
 
     def test_no_inter_block_gates_and_depth(self, bundle):
         sub = synthesize(fci_ground(bundle.h4))
-        blocks = [[0, 1, 2, 3], [4, 5, 6, 7]]
-        full = compose(sub, 2, blocks)
+        full = compose(sub, 2)
         for g in full.gates:
             owners = {t // 4 for t in g.targets}
             assert len(owners) == 1
@@ -155,8 +155,7 @@ class TestCompose:
         state = fci_ground(bundle.h4)
         sub = synthesize(state)
         for n in (2, 3, 4):
-            blocks = [list(range(4 * b, 4 * b + 4)) for b in range(n)]
-            full = compose(sub, n, blocks)
+            full = compose(sub, n)
             out = statevector(full)
             expected = state.amplitudes
             for _ in range(n - 1):
@@ -169,29 +168,17 @@ class TestCompose:
         for h, ns in cases.items():
             state = fci_ground(h)
             sub = synthesize(state)
-            w = h.width
             for n in ns:
-                blocks = [list(range(w * b, w * (b + 1))) for b in range(n)]
-                out = statevector(compose(sub, n, blocks))
+                out = statevector(compose(sub, n))
                 expected = state.amplitudes
                 for _ in range(n - 1):
                     expected = np.kron(expected, state.amplitudes)
                 assert abs(np.vdot(expected, out)) ** 2 >= 1 - 1e-12
 
-    def test_permuted_blocks(self, bundle):
+    def test_no_subsystems_rejected(self, bundle):
         sub = synthesize(fci_ground(bundle.h1q))
-        full = compose(sub, 2, [[1], [0]])
-        assert [g.targets for g in full.gates] == [(1,), (0,)]
-
-    def test_overlapping_blocks_rejected(self, bundle):
-        sub = synthesize(fci_ground(bundle.h1q))
-        with pytest.raises(ValueError, match="overlap"):
-            compose(sub, 2, [[0], [0]])
-
-    def test_wrong_block_width_rejected(self, bundle):
-        sub = synthesize(fci_ground(bundle.h2q))
-        with pytest.raises(ValueError, match="width"):
-            compose(sub, 2, [[0, 1], [2]])
+        with pytest.raises(ValueError, match="at least one subsystem, got 0"):
+            compose(sub, 0)
 
 
 class TestCircuitPlumbing:

@@ -18,21 +18,15 @@ from oracles import CLASSIFICATION, reference_basis_change
 from tables import block_histogram, block_histograms, joint_counts
 
 
-def register_blocks(n, width):
-    """The pipeline's block layout: block b on qubits b*width .. (b+1)*width - 1."""
-    return [list(range(b * width, (b + 1) * width)) for b in range(n)]
-
-
 def sample_noiseless(h_sub, n, shots, master_seed):
     """Joint counts per plan group for N noiseless replicas of the FCI state."""
     plan = build_plan(h_sub)
     sub = synthesize(fci_ground(h_sub))
-    blocks = register_blocks(n, h_sub.width)
-    circuit = compose(sub, n, blocks)
+    circuit = compose(sub, n)
     device = DeviceModel.noiseless(circuit.width)
     counts = []
     for gi, group in enumerate(plan.groups):
-        engine = TrajectoryEngine(circuit, compose(group.basis_change, n, blocks))
+        engine = TrajectoryEngine(circuit, compose(group.basis_change, n))
         pmap = list(range(circuit.width))
         counts.append(engine.sample(device, [pmap], shots, [master_seed + gi], circuit.width)[0, 0])
     return plan, counts
@@ -79,8 +73,7 @@ class TestBuildPlan:
         assert [g.basis for g in plan.groups] == ["X", "Z"]
         # laid on N blocks, the X group rotates every qubit and the Z group none
         for n in (1, 2, 4, 8, 16):
-            blocks = register_blocks(n, 1)
-            x_group, z_group = (compose(g.basis_change, n, blocks) for g in plan.groups)
+            x_group, z_group = (compose(g.basis_change, n) for g in plan.groups)
             assert [g.targets for g in x_group.gates] == [(q,) for q in range(n)]
             assert z_group.gates == () and z_group.width == n
 
@@ -92,7 +85,7 @@ class TestBuildPlan:
         for group in plan.groups:
             assert all(s.width == width for s in group.strings)
             assert group.basis_change.width == width
-            assert compose(group.basis_change, 3, register_blocks(3, width)).width == 3 * width
+            assert compose(group.basis_change, 3).width == 3 * width
 
     def test_four_qubit_coverage(self, bundle):
         plan = build_plan(bundle.h4)
@@ -117,8 +110,7 @@ class TestBuildPlan:
         ):
             plan = build_plan(h_sub)
             for n in ns:
-                blocks = register_blocks(n, h_sub.width)
-                settings = {compose(g.basis_change, n, blocks).serialize() for g in plan.groups}
+                settings = {compose(g.basis_change, n).serialize() for g in plan.groups}
                 assert len(settings) == len(plan.groups), (h_sub.width, n)
 
     @pytest.mark.parametrize("representation", [1, 2, 4])
@@ -128,9 +120,8 @@ class TestBuildPlan:
         # that fits the 16-qubit pool
         plan = build_plan(bundle.subsystem_hamiltonian(representation))
         for n in range(1, 16 // representation + 1):
-            blocks = register_blocks(n, representation)
             for group in plan.groups:
-                composed = compose(group.basis_change, n, blocks)
+                composed = compose(group.basis_change, n)
                 reference = reference_basis_change(group.basis, n)
                 assert composed.width == reference.width == n * representation
                 assert gate_bits(composed) == gate_bits(reference), (group.basis, n)
@@ -165,7 +156,7 @@ class TestBuildPlan:
         for gate in y_group.basis_change.gates:
             assert gate.angle == pytest.approx(-math.pi / 2)
         # and on 2 blocks, block by block
-        composed = compose(y_group.basis_change, 2, register_blocks(2, 2))
+        composed = compose(y_group.basis_change, 2)
         assert [g.kind for g in composed.gates] == ["RZ", "RY"] * 4
 
 
