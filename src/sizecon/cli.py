@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_BOND_LENGTH, MAX_QUBITS, ConfigError, ExperimentConfig
+from .config import DEFAULT_BOND_LENGTH, DEFAULT_QUBITS, MAX_QUBITS, ConfigError, ExperimentConfig
 from .device import qubit_scores, rank_qubits, read_calibration, synthetic_calibration
 from .experiment import run_experiment
 from .report import REFERENCE_N_MAX, analyze, reference_table
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cal_sub = cal_p.add_subparsers(dest="calibration_command", required=True)
     gen_p = cal_sub.add_parser("generate", help="emit a synthetic calibration file")
     gen_p.add_argument("--seed", type=_int_in(0), required=True)
-    gen_p.add_argument("--n-qubits", type=_int_in(1, MAX_QUBITS), default=156)
+    gen_p.add_argument("--n-qubits", type=_int_in(1, MAX_QUBITS), default=DEFAULT_QUBITS)
     gen_p.add_argument("--output", type=_output, default="-", help="output path, or - for stdout")
     rank_p = cal_sub.add_parser("rank", help="rank qubits of a calibration file")
     rank_p.add_argument("file", help="calibration JSON file")

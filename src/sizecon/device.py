@@ -4,13 +4,14 @@ device and the qubit ranking.
 Arrays: ``DeviceModel`` holds its calibration as numpy columns, not one
 object per qubit or pair: an ``(n, 3)`` float64 table of qubit rates
 (readout_p10, readout_p01, single_qubit_error), an ``(m, 2)`` int64 array
-of the listed pairs, each as (min, max) in the order given, and their
-``(m,)`` float64 errors. ``TrajectoryEngine.sample`` reads every item's
-gate and readout rates from them by fancy indexing, and ``pair_error``
-looks pairs up by binary search over their sorted ``lo * n + hi`` keys, so
-no array grows as the square of the qubits. Rates are validated on whole
-columns; the first entry at fault, in the order given, is the one an error
-names.
+of the listed pairs, each as (min, max), sorted by (min, max) whatever
+order they were given in, and their ``(m,)`` float64 errors. So a device
+holds one pair order, and its scores, ranking and file depend on the
+device alone. ``TrajectoryEngine.sample`` reads every item's gate and
+readout rates from them by fancy indexing, and ``pair_error`` looks pairs
+up by binary search over their ``lo * n + hi`` keys, so no array grows as
+the square of the qubits. Rates are validated on whole columns; the first
+entry at fault, in the order given, is the one an error names.
 
 Calibration file: ``to_json`` writes the document ``json.dumps(payload,
 indent=2)`` writes, pairs sorted; ``from_json`` reads one back. An entry
@@ -65,29 +66,28 @@ class DeviceModel:
     * ``qubits``, ``(n, 3)`` float64: one row per qubit, with the columns
       readout_p10 (P(read 1 | prepared 0)), readout_p01 (P(read 0 |
       prepared 1)) and single_qubit_error, in ``_QUBIT_KEYS`` order;
-    * ``pairs``, ``(m, 2)`` int64: each listed pair as (min, max), in the
-      order given;
+    * ``pairs``, ``(m, 2)`` int64: each listed pair as (min, max), sorted
+      by (min, max) whatever order they were given in;
     * ``pair_errors``, ``(m,)`` float64: each pair's two-qubit error.
 
     Unlisted pairs are noiseless. A pair may be given in either order, but
-    only once; the constructor rejects the first entry at fault. Lookups go
-    through the pairs' sorted ``lo * n + hi`` keys, so no array grows as the
-    square of the qubits."""
+    only once; the constructor rejects the first entry at fault, in the
+    order given. Lookups go through the pairs' ``lo * n + hi`` keys, sorted
+    with them, so no array grows as the square of the qubits."""
 
     def __init__(self, qubits, pairs=(), pair_errors=()):
         rates = np.array(qubits, dtype=float).reshape(-1, 3)
         listed = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         errors = np.array(pair_errors, dtype=float).reshape(-1)
-        fault = _first_fault(rates, listed, errors)
+        order, fault = _first_fault(rates, listed, errors)
         if fault is not None:
             raise ValueError(fault[1])
-        self.qubits, self.pair_errors, self.n_qubits = rates, errors, len(rates)
-        self.pairs = np.column_stack([np.minimum(*listed.T), np.maximum(*listed.T)])
-        keys = self.pairs @ np.array([self.n_qubits, 1])
-        self._order = np.argsort(keys, kind="stable")  # the pairs by key
-        # the sorted keys, closed by one past any key, and their errors
-        self._keys = np.append(keys[self._order], np.iinfo(np.int64).max)
-        self._key_errors = np.append(errors[self._order], 0.0)
+        self.qubits, self.n_qubits = rates, len(rates)
+        self.pairs = np.column_stack([np.minimum(*listed.T), np.maximum(*listed.T)])[order]
+        self.pair_errors = errors[order]
+        # the keys, closed by one past any key, and their errors
+        self._keys = np.append(self.pairs @ np.array([self.n_qubits, 1]), np.iinfo(np.int64).max)
+        self._key_errors = np.append(self.pair_errors, 0.0)
         self.qubits.flags.writeable = self.pairs.flags.writeable = False
         self.pair_errors.flags.writeable = False
 
@@ -114,7 +114,7 @@ class DeviceModel:
         )
         two_qubit = _json_list(
             '    {\n      "pair": [\n        %d,\n        %d\n      ],\n      "error": %r\n    }',
-            *self.pairs[self._order].T.tolist(), self.pair_errors[self._order].tolist(),
+            *self.pairs.T.tolist(), self.pair_errors.tolist(),
         )
         return '{\n  "qubits": %s,\n  "two_qubit_error": %s\n}\n' % (qubits, two_qubit)
 
@@ -135,7 +135,7 @@ class DeviceModel:
         pairs = _array(given.get("pair", []), np.int64).reshape(-1, 2)
         errors = _array(given.get("error", []), float)
         # a value fault comes before any type fault the read met
-        fault = _first_fault(rates, pairs, errors, given) or fault
+        fault = _first_fault(rates, pairs, errors, given)[1] or fault
         if fault is not None:
             raise CalibrationError("calibration: " + "".join(fault))
         return cls(rates, pairs, errors)
@@ -148,10 +148,12 @@ _PAIR_FAULTS = (("error", "= {} outside [0, 1]"), ("pair", "{} repeats a qubit o
 
 
 def _first_fault(rates: np.ndarray, pairs: np.ndarray, errors: np.ndarray, given=None):
-    """The first entry at fault, in file order, as ``(where, message)``, or
-    None: a rate outside [0, 1], or a pair that repeats a qubit, leaves the
-    device or is listed before. The message quotes the values ``given``,
-    one list per key; by default the arrays' own."""
+    """``(order, fault)``: the first entry at fault, in file order, as
+    ``(where, message)``, or None: a rate outside [0, 1], or a pair that
+    repeats a qubit, leaves the device or is listed before. The message
+    quotes the values ``given``, one list per key; by default the arrays'
+    own. With no fault, ``order`` is the pairs' stable order by their
+    ``lo * n + hi`` keys; with one, it is None."""
     outside = ~((rates >= 0.0) & (rates <= 1.0))  # NaN too
     if outside.any():
         index, column = divmod(int(np.argmax(outside)), 3)
@@ -166,12 +168,12 @@ def _first_fault(rates: np.ndarray, pairs: np.ndarray, errors: np.ndarray, given
         twice[order[1:]] = keys[order[1:]] == keys[order[:-1]]
         faults = np.stack([~((errors >= 0.0) & (errors <= 1.0)), bad_index, twice])
         if not faults.any():
-            return None
+            return order, None
         index = int(np.argmax(faults.any(axis=0)))
         name, (key, what) = "two_qubit_error", _PAIR_FAULTS[np.argmax(faults[:, index])]
     columns = (*rates.T.tolist(), pairs.tolist(), errors.tolist())
     given = given or dict(zip((*_QUBIT_KEYS, "pair", "error"), columns))
-    return f"{name}[{index}].", f"{key} " + what.format(given[key][index])
+    return None, (f"{name}[{index}].", f"{key} " + what.format(given[key][index]))
 
 
 def _array(values: list, dtype) -> np.ndarray:
@@ -274,7 +276,7 @@ def load_device(config: ExperimentConfig) -> DeviceModel:
     return device
 
 
-def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:
+def synthetic_calibration(n_qubits: int, seed: int) -> DeviceModel:
     """Heterogeneous per-qubit calibration, log-normally spread around medians.
 
     The medians (``READOUT_MEDIAN``, ``SINGLE_QUBIT_MEDIAN``,
@@ -298,18 +300,14 @@ def synthetic_calibration(n_qubits: int = 156, seed: int = 0) -> DeviceModel:
 def qubit_scores(device: DeviceModel) -> np.ndarray:
     """Composite noise score of every qubit: its mean readout error plus the
     mean error of the pairs it belongs to (0 for a qubit in no pair)."""
-    # each qubit's incident pair errors in the order the pairs are listed,
-    # which fixes the rounding of each mean: one stable sort by qubit
+    # each qubit's incident pair errors by ascending partner, as the pairs
+    # are held sorted, which fixes the rounding of each mean: one stable
+    # sort by qubit, split by degree
     ends = device.pairs.ravel()
     incident = np.repeat(device.pair_errors, 2)[np.argsort(ends, kind="stable")]
     degree = np.bincount(ends, minlength=device.n_qubits)
-    start = np.cumsum(degree) - degree
-    mean = np.zeros(device.n_qubits)
-    # a row sum of a contiguous (qubits, degree) table adds each row as
-    # np.mean adds one qubit's list, pairwise
-    for d in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():
-        qubits = np.flatnonzero(degree == d)
-        mean[qubits] = incident[start[qubits, None] + np.arange(d)].sum(axis=1) / d
+    split = np.split(incident, np.cumsum(degree)[:-1])
+    mean = [np.mean(errors) if len(errors) else 0.0 for errors in split]
     return 0.5 * (device.qubits[:, 0] + device.qubits[:, 1]) + mean
 
 

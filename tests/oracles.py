@@ -712,10 +712,11 @@ def reference_calibration_json(qubits: list, pairs: dict) -> str:
 
 def reference_scores(qubits: list, pairs: dict) -> list[float]:
     """Each qubit's mean readout error plus the mean of the errors of the
-    pairs that hold it, gathered per qubit in the order the pairs are listed
-    and averaged by ``np.mean``; 0 for a qubit in no pair."""
+    pairs that hold it, gathered per qubit by ascending partner, whatever
+    the order the pairs are listed in, and averaged by ``np.mean``; 0 for a
+    qubit in no pair."""
     incident = [[] for _ in qubits]
-    for (a, b), p in pairs.items():
+    for (a, b), p in sorted(pairs.items()):
         incident[a].append(p)
         incident[b].append(p)
     return [

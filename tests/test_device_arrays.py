@@ -3,9 +3,9 @@
 
 Random calibration documents cover sparse pair sets, pairs listed in
 shuffled order and reversed, listed zero-error pairs, no pairs, one qubit
-and integer rates, with and without faults. For each, the parsed columns,
-the ``to_json`` text, every error message, the bits of every qubit score
-and the rank must equal the references'.
+and integer rates, with and without faults. For each, the parsed columns
+(the pairs sorted), the ``to_json`` text, every error message, the bits of
+every qubit score and the rank must equal the references'.
 """
 
 import copy
@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sizecon.device import DeviceModel, qubit_scores, rank_qubits
+from sizecon.device import DeviceModel, qubit_scores, rank_qubits, synthetic_calibration
 
 from devices import make_device
 from oracles import (
@@ -99,8 +99,8 @@ def bits(values):
 
 def check_against_references(text):
     """``DeviceModel.from_json(text)`` raises the reference's message, or
-    holds the reference's values, as floats, and writes, scores and ranks
-    them as the references do."""
+    holds the reference's values, as floats, with the pairs sorted, and
+    writes, scores and ranks them as the references do."""
     try:
         qubits, pairs = reference_read_calibration(text)
     except ValueError as error:
@@ -112,8 +112,8 @@ def check_against_references(text):
     qubits = [tuple(map(float, rates)) for rates in qubits]
     pairs = {pair: float(p) for pair, p in pairs.items()}
     assert device.qubits.tolist() == [list(rates) for rates in qubits]
-    assert device.pairs.tolist() == [list(pair) for pair in pairs]
-    assert bits(device.pair_errors) == bits(list(pairs.values()))
+    assert device.pairs.tolist() == [list(pair) for pair in sorted(pairs)]
+    assert bits(device.pair_errors) == bits([pairs[pair] for pair in sorted(pairs)])
     assert device.to_json() == reference_calibration_json(qubits, pairs)
     scores = reference_scores(qubits, pairs)
     assert bits(qubit_scores(device)) == bits(scores)
@@ -191,6 +191,24 @@ def test_constructor_matches_references(seed):
     scores = reference_scores(qubits, ordered)
     assert bits(qubit_scores(device)) == bits(scores)
     assert rank_qubits(device) == [q for _, q in sorted(zip(scores, range(len(qubits))))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_device_does_not_depend_on_pair_order(seed):
+    """One device, its pair entries shuffled and half of them reversed,
+    holds, scores, ranks and writes the same bits as listed in order."""
+    device = synthetic_calibration(n_qubits=156, seed=7)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(device.pairs))
+    pairs = device.pairs[order]
+    reversed_half = rng.permutation(len(pairs))[: len(pairs) // 2]
+    pairs[reversed_half] = pairs[reversed_half, ::-1]
+    shuffled = DeviceModel(device.qubits, pairs, device.pair_errors[order])
+    assert shuffled.pairs.tolist() == device.pairs.tolist()
+    assert bits(shuffled.pair_errors) == bits(device.pair_errors)
+    assert bits(qubit_scores(shuffled)) == bits(qubit_scores(device))
+    assert rank_qubits(shuffled) == rank_qubits(device)
+    assert shuffled.to_json() == device.to_json()
 
 
 def test_integer_rates_are_written_back_as_floats():

@@ -383,6 +383,32 @@ class TestRunExperiment:
         digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
         assert digest == "69c0f7db98c4fdeef720ca1731a03f671ee20c847c5d71a92a63a210ce69821a"
 
+    def test_one_device_in_two_pair_orders_gives_one_run(self, tmp_path):
+        # one 17-qubit device in two files, the second listing each of qubits
+        # 0 and 1's three pairs in reverse order: their pair errors sum to
+        # 0.6 in one order and 0.6000000000000001 in the other, so scores
+        # summed in file order once ranked the two qubits by the file
+        qubit = {"readout_p10": 0.01, "readout_p01": 0.01, "single_qubit_error": 0.001}
+        pairs = [([0, 2], 0.1), ([0, 3], 0.2), ([0, 4], 0.3), ([1, 5], 0.3), ([1, 6], 0.2), ([1, 7], 0.1)]
+        runs = []
+        for name, listed in (("a", pairs), ("b", pairs[2::-1] + pairs[:2:-1])):
+            calibration = tmp_path / f"{name}.json"
+            calibration.write_text(json.dumps({
+                "qubits": [qubit] * 17,
+                "two_qubit_error": [{"pair": pair, "error": error} for pair, error in listed],
+            }))
+            runs.append((f"run-{name}", calibration))
+        runs.append(("run-again", tmp_path / "run-a" / "calibration.json"))
+        for name, calibration in runs:
+            config = ExperimentConfig(
+                representation=2, subsystem_counts=(1, 2), output_dir=str(tmp_path / name),
+                shots=1000, k_sets=1, calibration_file=str(calibration), master_seed=1,
+            )
+            run_experiment(config)
+        for file in ("calibration.json", "samples.csv"):
+            texts = {(tmp_path / name / file).read_bytes() for name, _ in runs}
+            assert len(texts) == 1, file
+
     def test_missing_calibration_file(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^calibration\.file: no such file"):
             run_experiment(tiny_config(tmp_path, calibration_file=str(tmp_path / "nope.json")))
@@ -881,7 +907,7 @@ class TestCli:
             ({"calibration": {"synthetic_seed": -2}}, "calibration.synthetic_seed: must be >= 0, got -2"),
             ({"output_dir": ""}, "output_dir: must not be empty"),
             # past the float range, where math.isfinite raises OverflowError
-            ({"bond_length": 10**400}, f"bond_length: must be positive and finite, got {10**400}"),
+            ({"bond_length": 10**400}, f"bond_length: must be positive and at most 6.0, got {10**400}"),
             # shots past int64 and at 2**40, each times 48 rows past the
             # config.MAX_SHOT_ROWS budget, and a device past config.MAX_QUBITS
             ({"shots": 2**63}, "shots: plans 442721857769029238784 shot-rows (9223372036854775808 "
@@ -952,7 +978,7 @@ class TestCli:
         result = run_cli("run", str(config))
         assert result.returncode == 1
         assert result.stderr.splitlines() == [
-            f"error: config: bond_length: must be positive and finite, got {float(value)}"
+            f"error: config: bond_length: must be positive and at most 6.0, got {float(value)}"
         ]
         assert not (tmp_path / "run").exists()
 
@@ -1037,19 +1063,22 @@ class TestCli:
         assert len(result.stdout.splitlines()) == 3
 
     @pytest.mark.parametrize(
-        "value, message",
+        "value, run_error, message",
         [
-            (repr(past), f"bond length {past} angstrom is over 6.0, past which round-off mixes "
-                         "sigma_g and sigma_u beyond the tapering and synthesis checks")
+            (repr(past), f"config: bond_length: must be positive and at most 6.0, got {past}",
+             f"bond length {past} angstrom is over 6.0, past which round-off mixes "
+             "sigma_g and sigma_u beyond the tapering and synthesis checks")
             for past in (math.nextafter(MAX_BOND_LENGTH, math.inf), 1e308)
         ] + [
-            ("1e-300", "overlap matrix at bond length 1e-300 angstrom is singular "
-                       "(smallest eigenvalue 0.000e+00)"),
+            ("1e-300", None, "overlap matrix at bond length 1e-300 angstrom is singular "
+                             "(smallest eigenvalue 0.000e+00)"),
         ],
         ids=["just-past-the-bound", "1e308", "1e-300"],
     )
-    def test_extreme_bond_length_is_one_line(self, tmp_path, value, message):
-        # each used to print numpy RuntimeWarnings before its error line
+    def test_extreme_bond_length_is_one_line(self, tmp_path, value, run_error, message):
+        # each used to print numpy RuntimeWarnings before its error line; the
+        # config refuses a bond past the bound, and reference, which takes no
+        # config, ends in the molecule's own line (run_error None: the same)
         config = tmp_path / "config.json"
         config.write_text(
             '{"representation": 1, "subsystem_counts": [2], "output_dir": "%s", '
@@ -1057,7 +1086,7 @@ class TestCli:
         )
         result = run_cli("run", str(config))
         assert result.returncode == 1
-        assert result.stderr.splitlines() == [f"error: value: {message}"]
+        assert result.stderr.splitlines() == [f"error: {run_error or 'value: ' + message}"]
         assert not (tmp_path / "run").exists()
         result = run_cli("reference", "--n-max", "2", f"--bond-length={value}")
         assert result.returncode == 1
